@@ -205,7 +205,9 @@ class DeflateLikeCodec final : public LosslessCodec {
     const Bytes payload = r.get_blob();
     BitReader bits({payload.data(), payload.size()});
     Bytes out;
-    out.reserve(raw_size);
+    // raw_size is stream-borne: reserve no more than the payload can
+    // produce (each code is at least one bit and yields at most 258 bytes).
+    out.reserve(std::min<std::size_t>(raw_size, payload.size() * 8 * 258));
     while (true) {
       const std::uint32_t sym = litlen_book.decode(bits);
       if (sym < 256) {

@@ -123,33 +123,14 @@ void HuffmanCodebook::rebuild_from_frequencies(
   symbol_lengths.reserve(freqs.size());
   for (std::size_t i = 0; i < freqs.size(); ++i)
     symbol_lengths.emplace_back(freqs[i].first, ws.lengths[i]);
-  build_canonical_inplace(symbol_lengths);
+  assign_canonical(symbol_lengths);
+  build_encoder_tables();
 }
 
 void HuffmanCodebook::rebuild_from_symbols(
     std::span<const std::uint32_t> symbols, HuffmanWorkspace& ws) {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>>& freqs = ws.freqs;
-  freqs.clear();
-  std::uint32_t max_symbol = 0;
-  for (const std::uint32_t s : symbols) max_symbol = std::max(max_symbol, s);
-  if (!symbols.empty() && max_symbol < kDenseSymbolLimit) {
-    // Dense counting: one pass over a symbol-indexed array, then emit in
-    // ascending symbol order — the same (symbol-sorted) frequency vector
-    // the map + sort path produces, without the per-symbol hashing.
-    std::vector<std::uint64_t>& counts = ws.counts;
-    counts.assign(static_cast<std::size_t>(max_symbol) + 1, 0);
-    for (const std::uint32_t s : symbols) ++counts[s];
-    for (std::uint32_t s = 0; s <= max_symbol; ++s)
-      if (counts[s] != 0) freqs.emplace_back(s, counts[s]);
-  } else {
-    std::unordered_map<std::uint32_t, std::uint64_t> counts;
-    counts.reserve(1024);
-    for (const std::uint32_t s : symbols) ++counts[s];
-    freqs.assign(counts.begin(), counts.end());
-    // Deterministic table construction regardless of hash iteration order.
-    std::sort(freqs.begin(), freqs.end());
-  }
-  rebuild_from_frequencies(freqs, ws);
+  huffman_count(symbols, ws);
+  rebuild_from_frequencies(ws.freqs, ws);
 }
 
 HuffmanCodebook HuffmanCodebook::from_frequencies(
@@ -157,6 +138,7 @@ HuffmanCodebook HuffmanCodebook::from_frequencies(
   HuffmanWorkspace ws;
   HuffmanCodebook book;
   book.rebuild_from_frequencies(freqs, ws);
+  book.build_decode_table();
   return book;
 }
 
@@ -165,15 +147,11 @@ HuffmanCodebook HuffmanCodebook::from_symbols(
   HuffmanWorkspace ws;
   HuffmanCodebook book;
   book.rebuild_from_symbols(symbols, ws);
+  book.build_decode_table();
   return book;
 }
 
-void HuffmanCodebook::build_canonical(
-    std::vector<std::pair<std::uint32_t, unsigned>> symbol_lengths) {
-  build_canonical_inplace(symbol_lengths);
-}
-
-void HuffmanCodebook::build_canonical_inplace(
+void HuffmanCodebook::assign_canonical(
     std::vector<std::pair<std::uint32_t, unsigned>>& symbol_lengths) {
   std::sort(symbol_lengths.begin(), symbol_lengths.end(),
             [](const auto& a, const auto& b) {
@@ -193,6 +171,7 @@ void HuffmanCodebook::build_canonical_inplace(
   std::uint32_t code = 0;
   std::uint32_t index = 0;
   std::uint64_t kraft = 0;
+  max_len_ = 0;
   for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
     code <<= 1;
     first_code_[len] = code;
@@ -201,40 +180,44 @@ void HuffmanCodebook::build_canonical_inplace(
     index += count_[len];
     kraft += static_cast<std::uint64_t>(count_[len])
              << (kMaxCodeLength - len);
+    if (count_[len] != 0) max_len_ = len;
   }
   if (kraft > (std::uint64_t{1} << kMaxCodeLength))
     throw CorruptStream("HuffmanCodebook: oversubscribed code lengths");
-  // Encoder tables: packed (bit-reversed code << 5 | length) per symbol.
-  std::uint32_t max_symbol = 0;
-  for (const std::uint32_t s : symbols_) max_symbol = std::max(max_symbol, s);
-  const bool dense = !symbols_.empty() && max_symbol < kDenseSymbolLimit;
   enc_dense_.clear();
   enc_sparse_.clear();
-  if (dense) enc_dense_.assign(static_cast<std::size_t>(max_symbol) + 1, 0);
+  dec_table_.clear();
+  root_bits_ = 0;
+}
+
+void HuffmanCodebook::build_encoder_tables() {
+  // Packed (bit-reversed code << 5 | length) per symbol. Dense tables span
+  // only [min, max] symbol: SZ quantization codes sit near the radius
+  // (32768), so indexing from 0 would zero-fill ~128 KB per build.
+  const auto [lo, hi] = std::minmax_element(symbols_.begin(), symbols_.end());
+  const bool dense = lo != symbols_.end() && *hi - *lo < kDenseSymbolLimit;
+  enc_base_ = dense ? *lo : 0;
+  if (dense) enc_dense_.assign(static_cast<std::size_t>(*hi - *lo) + 1, 0);
   std::size_t i = 0;
   for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
     for (std::uint32_t k = 0; k < count_[len]; ++k, ++i) {
       const std::uint32_t packed =
           (bit_reverse(first_code_[len] + k, len) << 5) | len;
       if (dense) {
-        enc_dense_[symbols_[i]] = packed;
+        enc_dense_[symbols_[i] - enc_base_] = packed;
       } else {
         enc_sparse_.emplace_back(symbols_[i], packed);
       }
     }
   }
   if (!dense) std::sort(enc_sparse_.begin(), enc_sparse_.end());
-  build_decode_table();
 }
 
 void HuffmanCodebook::build_decode_table() {
-  unsigned max_len = 0;
-  for (unsigned len = 1; len <= kMaxCodeLength; ++len)
-    if (count_[len] != 0) max_len = len;
   root_bits_ = 0;
   dec_table_.clear();
-  if (max_len == 0) return;
-  root_bits_ = std::min(max_len, kDecodeRootBits);
+  if (max_len_ == 0) return;
+  root_bits_ = std::min(max_len_, kDecodeRootBits);
   dec_table_.assign(std::size_t{1} << root_bits_, DecEntry{0, 0});
   // A code of length L <= root_bits_ owns every table index whose low L
   // bits equal its bit-reversed value (the next L stream bits). Indices
@@ -254,8 +237,10 @@ void HuffmanCodebook::build_decode_table() {
 }
 
 std::uint32_t HuffmanCodebook::find_entry(std::uint32_t symbol) const {
-  if (!enc_dense_.empty())
-    return symbol < enc_dense_.size() ? enc_dense_[symbol] : 0;
+  if (!enc_dense_.empty()) {
+    const std::uint32_t k = symbol - enc_base_;  // wraps below the base
+    return k < enc_dense_.size() ? enc_dense_[k] : 0;
+  }
   const auto it = std::lower_bound(
       enc_sparse_.begin(), enc_sparse_.end(), symbol,
       [](const auto& entry, std::uint32_t s) { return entry.first < s; });
@@ -274,22 +259,34 @@ void HuffmanCodebook::write_table(ByteWriter& out) const {
 }
 
 HuffmanCodebook HuffmanCodebook::read_table(ByteReader& in) {
+  HuffmanWorkspace ws;
+  HuffmanCodebook book;
+  book.rebuild_from_table(in, ws);
+  return book;
+}
+
+void HuffmanCodebook::rebuild_from_table(ByteReader& in,
+                                         HuffmanWorkspace& ws) {
   const std::uint64_t n = in.get_varint();
   if (n > 65536) throw CorruptStream("HuffmanCodebook: table too large");
-  std::vector<std::pair<std::uint32_t, unsigned>> symbol_lengths;
-  symbol_lengths.reserve(static_cast<std::size_t>(n));
+  std::vector<std::pair<std::uint32_t, unsigned>>& symbol_lengths =
+      ws.symbol_lengths;
+  symbol_lengths.clear();
+  // Each entry takes at least two bytes, so a short table cannot make the
+  // reserve exceed what the stream justifies.
+  symbol_lengths.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(n, in.remaining() / 2)));
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto symbol = static_cast<std::uint32_t>(in.get_varint());
     const unsigned length = in.get_u8();
-    // Stream-originated, so reject here as corruption; build_canonical's
+    // Stream-originated, so reject here as corruption; assign_canonical's
     // InvalidArgument is reserved for caller bugs.
     if (length == 0 || length > kMaxCodeLength)
       throw CorruptStream("HuffmanCodebook: invalid code length in stream");
     symbol_lengths.emplace_back(symbol, length);
   }
-  HuffmanCodebook book;
-  book.build_canonical(std::move(symbol_lengths));
-  return book;
+  assign_canonical(symbol_lengths);
+  build_decode_table();
 }
 
 void HuffmanCodebook::encode(BitWriter& out, std::uint32_t symbol) const {
@@ -306,35 +303,92 @@ void HuffmanCodebook::encode_all(std::span<const std::uint32_t> symbols,
     return;
   }
   const std::uint32_t* table = enc_dense_.data();
+  const std::uint32_t base = enc_base_;
   const auto limit = static_cast<std::uint32_t>(enc_dense_.size());
+  // Gather codes into a local word and hand the writer whole batches: the
+  // concatenated bits, and so the bytes, are the same as per-code writes.
+  std::uint64_t batch = 0;
+  unsigned batch_bits = 0;
   for (const std::uint32_t s : symbols) {
-    const std::uint32_t entry = s < limit ? table[s] : 0;
+    const std::uint32_t k = s - base;
+    const std::uint32_t entry = k < limit ? table[k] : 0;
     if (entry == 0)
       throw InvalidArgument("HuffmanCodebook: symbol not in codebook");
-    out.write(entry >> 5, entry & 31u);
+    const unsigned len = entry & 31u;
+    if (batch_bits + len > 64) {
+      out.write(batch, batch_bits);
+      batch = 0;
+      batch_bits = 0;
+    }
+    batch |= static_cast<std::uint64_t>(entry >> 5) << batch_bits;
+    batch_bits += len;
   }
+  out.write(batch, batch_bits);
 }
 
-std::uint32_t HuffmanCodebook::decode(BitReader& in) const {
-  if (root_bits_ != 0) {
-    const DecEntry e = dec_table_[in.peek(root_bits_)];
-    if (e.len != 0 && e.len <= in.bits_left()) {
-      in.skip(e.len);
-      return e.symbol;
-    }
-  }
-  // Long codes, corrupt prefixes, or the zero-padded tail of the buffer:
-  // the canonical bit-by-bit length walk (the historical decoder, with its
-  // exact CorruptStream semantics).
+std::uint32_t HuffmanCodebook::walk(std::uint64_t window, unsigned avail,
+                                    unsigned& len) const {
+  // The canonical bit-by-bit length walk (the historical decoder): the
+  // code is read MSB-first, one stream bit per length step.
   std::uint32_t code = 0;
-  for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
-    code = (code << 1) | static_cast<std::uint32_t>(in.read_bit());
+  const unsigned limit = std::min(avail, kMaxCodeLength);
+  for (len = 1; len <= limit; ++len) {
+    code = (code << 1) | static_cast<std::uint32_t>((window >> (len - 1)) & 1);
     if (count_[len] != 0 && code >= first_code_[len] &&
         code - first_code_[len] < count_[len]) {
       return symbols_[first_index_[len] + (code - first_code_[len])];
     }
   }
+  if (limit < kMaxCodeLength)
+    throw CorruptStream("HuffmanCodebook: code runs past end of stream");
   throw CorruptStream("HuffmanCodebook: invalid code in stream");
+}
+
+std::uint32_t HuffmanCodebook::decode(BitReader& in) const {
+  const std::size_t left = in.bits_left();
+  if (root_bits_ != 0) {
+    const DecEntry e = dec_table_[in.peek(root_bits_)];
+    if (e.len != 0 && e.len <= left) {
+      in.skip(e.len);
+      return e.symbol;
+    }
+  }
+  // Long codes, corrupt prefixes, or the zero-padded tail of the buffer.
+  const auto avail = static_cast<unsigned>(
+      std::min<std::size_t>(left, kMaxCodeLength));
+  unsigned len = 0;
+  const std::uint32_t symbol = walk(in.peek(avail), avail, len);
+  in.skip(len);
+  return symbol;
+}
+
+void HuffmanCodebook::decode_all(BitReader& in,
+                                 std::span<std::uint32_t> out) const {
+  // A 57-bit peek always comes from one 8-byte load. While the whole
+  // window lies inside the buffer, decode from the register until the next
+  // code might not fit in what is left of it, then consume the bits once.
+  constexpr unsigned kWindow = 57;
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  if (root_bits_ != 0) {
+    const DecEntry* table = dec_table_.data();
+    const std::uint64_t root_mask = (std::uint64_t{1} << root_bits_) - 1;
+    while (i < n && in.bits_left() >= kWindow) {
+      std::uint64_t window = in.peek(kWindow);
+      unsigned used = 0;
+      do {
+        const DecEntry e = table[window & root_mask];
+        unsigned len = e.len;
+        const std::uint32_t symbol =
+            len != 0 ? e.symbol : walk(window, kWindow - used, len);
+        out[i++] = symbol;
+        window >>= len;
+        used += len;
+      } while (i < n && used + max_len_ <= kWindow);
+      in.skip(used);
+    }
+  }
+  for (; i < n; ++i) out[i] = decode(in);
 }
 
 unsigned HuffmanCodebook::code_length(std::uint32_t symbol) const {
@@ -352,16 +406,69 @@ std::size_t HuffmanWorkspace::capacity_bytes() const {
          symbol_lengths.capacity() * sizeof(symbol_lengths[0]);
 }
 
-void huffman_encode(std::span<const std::uint32_t> symbols, ByteWriter& out,
-                    BitWriter& bits, HuffmanWorkspace& ws) {
+void huffman_count(std::span<const std::uint32_t> symbols,
+                   HuffmanWorkspace& ws) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>>& freqs = ws.freqs;
+  freqs.clear();
+  if (symbols.empty()) return;
+  std::uint32_t lo = symbols[0];
+  std::uint32_t hi = symbols[0];
+  for (const std::uint32_t s : symbols) {  // branch-free, so it vectorizes
+    lo = std::min(lo, s);
+    hi = std::max(hi, s);
+  }
+  if (hi - lo < HuffmanCodebook::kDenseSymbolLimit) {
+    // Dense counting over [lo, hi], then emit in ascending symbol order —
+    // the same (symbol-sorted) frequency vector the map + sort path
+    // produces, without the per-symbol hashing.
+    std::vector<std::uint64_t>& counts = ws.counts;
+    counts.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+    for (const std::uint32_t s : symbols) ++counts[s - lo];
+    for (std::size_t k = 0; k < counts.size(); ++k)
+      if (counts[k] != 0)
+        freqs.emplace_back(lo + static_cast<std::uint32_t>(k), counts[k]);
+  } else {
+    std::unordered_map<std::uint32_t, std::uint64_t> counts;
+    counts.reserve(1024);
+    for (const std::uint32_t s : symbols) ++counts[s];
+    freqs.assign(counts.begin(), counts.end());
+    // Deterministic table construction regardless of hash iteration order.
+    std::sort(freqs.begin(), freqs.end());
+  }
+}
+
+std::size_t huffman_plan(HuffmanWorkspace& ws) {
+  std::uint64_t count = 0;
+  for (const auto& entry : ws.freqs) count += entry.second;
+  if (count == 0) return varint_size(0);
+  ws.book.rebuild_from_frequencies(ws.freqs, ws);
+  // ws.lengths holds each symbol's final code length, in ws.freqs order.
+  std::size_t table = varint_size(ws.freqs.size());
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < ws.freqs.size(); ++i) {
+    table += varint_size(ws.freqs[i].first) + 1;
+    bits += ws.freqs[i].second * ws.lengths[i];
+  }
+  const auto payload = static_cast<std::size_t>((bits + 7) / 8);
+  return varint_size(count) + table + varint_size(payload) + payload;
+}
+
+void huffman_write(std::span<const std::uint32_t> symbols,
+                   const HuffmanWorkspace& ws, ByteWriter& out,
+                   BitWriter& bits) {
   out.put_varint(symbols.size());
   if (symbols.empty()) return;
-  ws.book.rebuild_from_symbols(symbols, ws);
   ws.book.write_table(out);
   bits.reset();
   ws.book.encode_all(symbols, bits);
   out.put_blob(bits.finish_view());
   bits.reset();
+}
+
+void huffman_encode(std::span<const std::uint32_t> symbols, ByteWriter& out,
+                    BitWriter& bits, HuffmanWorkspace& ws) {
+  if (!symbols.empty()) ws.book.rebuild_from_symbols(symbols, ws);
+  huffman_write(symbols, ws, out, bits);
 }
 
 void huffman_encode(std::span<const std::uint32_t> symbols, ByteWriter& out,
@@ -381,15 +488,22 @@ Bytes huffman_encode(std::span<const std::uint32_t> symbols) {
 }
 
 void huffman_decode(ByteSpan data, std::vector<std::uint32_t>& out) {
-  out.clear();
   ByteReader in(data);
   const std::uint64_t count = in.get_varint();
-  if (count == 0) return;
-  const HuffmanCodebook book = HuffmanCodebook::read_table(in);
+  if (count == 0) {
+    out.clear();
+    return;
+  }
+  // Decode tables are rebuilt in place per stream, like the encoder's.
+  static thread_local HuffmanWorkspace ws;
+  ws.book.rebuild_from_table(in, ws);
   const ByteSpan payload = in.get_blob_view();
+  // Every code is at least one bit long.
+  if (count > std::uint64_t{8} * payload.size())
+    throw CorruptStream("huffman: symbol count exceeds the payload");
+  out.resize(static_cast<std::size_t>(count));
   BitReader bits(payload);
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(book.decode(bits));
+  ws.book.decode_all(bits, out);
 }
 
 std::vector<std::uint32_t> huffman_decode(ByteSpan data) {

@@ -8,12 +8,17 @@
 // Codes are canonical (assigned by (length, symbol) order) and limited to
 // kMaxCodeLength bits so the decoder can walk lengths with bounded state.
 //
-// Hot-path layout: the encoder keeps a dense symbol-indexed table of packed
-// (bit-reversed code, length) entries, so emitting a symbol is one table
-// load plus one buffered BitWriter::write — not a hash lookup and a
-// bit-at-a-time loop. The decoder fronts the canonical walk with a
-// root-indexed table over the next kDecodeRootBits stream bits. Both
+// Hot-path layout: the encoder keeps a dense table of packed (bit-reversed
+// code, length) entries indexed by symbol - min symbol, so emitting a
+// symbol is one table load plus one buffered BitWriter::write — not a hash
+// lookup and a bit-at-a-time loop. The decoder fronts the canonical walk
+// with a root-indexed table over the next kDecodeRootBits stream bits and
+// decodes a block out of one 57-bit register window per refill. Both
 // produce streams byte-identical to the historical bitwise coder.
+//
+// A codebook carries only the tables its role needs: rebuild_from_* (the
+// encoders) builds encoder tables, read_table (the decoders) the decode
+// table, and the from_* factories both.
 #pragma once
 
 #include <array>
@@ -35,23 +40,25 @@ class HuffmanCodebook {
   /// Codes no longer than this decode with a single table lookup; longer
   /// ones fall back to the canonical length walk.
   static constexpr unsigned kDecodeRootBits = 11;
-  /// Symbols below this get dense (symbol-indexed) encoder tables.
+  /// Books whose symbols span fewer than this many values get dense
+  /// (symbol-indexed) encoder tables.
   static constexpr std::uint32_t kDenseSymbolLimit = 1u << 16;
 
   /// Build from (symbol, count) pairs; counts must be > 0 and symbols
   /// distinct. At most 65536 distinct symbols (the 16-bit length limit is
-  /// infeasible beyond that).
+  /// infeasible beyond that). Encodes and decodes.
   static HuffmanCodebook from_frequencies(
       const std::vector<std::pair<std::uint32_t, std::uint64_t>>& freqs);
 
-  /// Count symbols then build.
+  /// Count symbols then build. Encodes and decodes.
   static HuffmanCodebook from_symbols(std::span<const std::uint32_t> symbols);
 
-  /// In-place rebuilds drawing every construction buffer (frequency
+  /// In-place encoder rebuilds drawing every construction buffer (frequency
   /// counts, tree nodes, heap, length repair, canonical assignment) from
   /// `ws`, and reusing THIS book's table capacity. Byte-identical codes to
   /// the from_* factories; zero steady-state allocations once the
-  /// workspace has grown to the working-set size.
+  /// workspace has grown to the working-set size. Such a book has no root
+  /// decode table: decode() on it takes the canonical length walk.
   void rebuild_from_frequencies(
       const std::vector<std::pair<std::uint32_t, std::uint64_t>>& freqs,
       HuffmanWorkspace& ws);
@@ -60,32 +67,48 @@ class HuffmanCodebook {
 
   /// Serialize the (symbol, code length) table.
   void write_table(ByteWriter& out) const;
+  /// Parse a serialized table into a decode-only book (encode() and
+  /// code_length() treat every symbol as absent). Stream damage throws
+  /// CorruptStream.
   static HuffmanCodebook read_table(ByteReader& in);
+  /// read_table in place, reusing this book's tables and `ws` scratch.
+  void rebuild_from_table(ByteReader& in, HuffmanWorkspace& ws);
 
   void encode(BitWriter& out, std::uint32_t symbol) const;
   /// Encode a whole block — the dense-table inner loop the codecs use.
   void encode_all(std::span<const std::uint32_t> symbols,
                   BitWriter& out) const;
   std::uint32_t decode(BitReader& in) const;
+  /// Decode out.size() symbols — the word-at-a-time loop the codecs use;
+  /// the same symbols and CorruptStream behaviour as calling decode() once
+  /// per slot.
+  void decode_all(BitReader& in, std::span<std::uint32_t> out) const;
 
   std::size_t distinct_symbols() const { return symbols_.size(); }
   /// Code length in bits for a symbol (0 if the symbol is not in the book).
   unsigned code_length(std::uint32_t symbol) const;
 
  private:
-  void build_canonical(
-      std::vector<std::pair<std::uint32_t, unsigned>> symbol_lengths);
-  /// The canonical build proper: sorts `symbol_lengths` in place and
-  /// rebuilds every table reusing its capacity.
-  void build_canonical_inplace(
+  /// The canonical assignment: sorts `symbol_lengths` in place and fills
+  /// symbols_/count_/first_code_/first_index_, dropping any encoder or
+  /// decode table of the previous build.
+  void assign_canonical(
       std::vector<std::pair<std::uint32_t, unsigned>>& symbol_lengths);
+  void build_encoder_tables();
   void build_decode_table();
   /// Packed (bit_reverse(code, len) << 5 | len) for `symbol`, 0 if absent.
   std::uint32_t find_entry(std::uint32_t symbol) const;
+  /// Canonical length walk over the low `avail` bits of `window` (stream
+  /// order, LSB first): the symbol, with its code length in `len`. Throws
+  /// CorruptStream when no code fits in those bits.
+  std::uint32_t walk(std::uint64_t window, unsigned avail,
+                     unsigned& len) const;
 
-  // Encoder side: packed entries, dense by symbol value when small enough,
-  // otherwise sorted (symbol, packed) pairs searched by binary search.
+  // Encoder side: packed entries, dense by symbol - enc_base_ when the
+  // symbols span a small enough range, otherwise sorted (symbol, packed)
+  // pairs searched by binary search.
   std::vector<std::uint32_t> enc_dense_;
+  std::uint32_t enc_base_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> enc_sparse_;
   // Decoder side: canonical layout.
   std::vector<std::uint32_t> symbols_;  // sorted by (length, symbol)
@@ -100,6 +123,7 @@ class HuffmanCodebook {
   };
   std::vector<DecEntry> dec_table_;
   unsigned root_bits_ = 0;
+  unsigned max_len_ = 0;  // longest code length in the book
 };
 
 /// Self-contained one-shot encode: table header + symbol count + bitstream.
@@ -119,7 +143,7 @@ struct HuffmanWorkspace {
     std::uint32_t symbol = 0;  // valid for leaves
   };
   std::vector<std::pair<std::uint32_t, std::uint64_t>> freqs;
-  std::vector<std::uint64_t> counts;  // dense symbol-indexed counting
+  std::vector<std::uint64_t> counts;  // dense counting over [min, max]
   std::vector<unsigned> lengths;
   std::vector<TreeNode> nodes;
   std::vector<std::pair<std::uint64_t, int>> heap;  // (weight, node index)
@@ -140,6 +164,26 @@ void huffman_encode(std::span<const std::uint32_t> symbols, ByteWriter& out,
 /// Fully pooled variant: additionally draws the codebook build from `ws`.
 void huffman_encode(std::span<const std::uint32_t> symbols, ByteWriter& out,
                     BitWriter& bits, HuffmanWorkspace& ws);
+/// Fills `out`, resized to the stream's symbol count; only slots past its
+/// previous size are zero-filled first, and every slot is overwritten. A
+/// declared count the payload cannot hold (more than 8 symbols per byte)
+/// throws CorruptStream before `out` is resized.
 void huffman_decode(ByteSpan data, std::vector<std::uint32_t>& out);
+
+/// Size-first encoding, for callers that choose a framing before packing
+/// any bits (the zstd-like backend keeps a raw frame when coding would not
+/// shrink it):
+///  - huffman_count fills ws.freqs with the (symbol, count) pairs of
+///    `symbols` in ascending symbol order (callers may fill ws.freqs
+///    themselves in that order instead);
+///  - huffman_plan builds ws.book from ws.freqs and returns the exact byte
+///    count huffman_encode would append for that stream;
+///  - huffman_write appends those bytes, reusing the book built by the plan.
+void huffman_count(std::span<const std::uint32_t> symbols,
+                   HuffmanWorkspace& ws);
+std::size_t huffman_plan(HuffmanWorkspace& ws);
+void huffman_write(std::span<const std::uint32_t> symbols,
+                   const HuffmanWorkspace& ws, ByteWriter& out,
+                   BitWriter& bits);
 
 }  // namespace fedsz::lossless

@@ -57,15 +57,23 @@ class MatchFinder {
     std::uint32_t offset = 0;
   };
 
-  /// Best match at `pos`, or len==0.
-  Match find(std::uint32_t pos) const {
+  /// Hash-chain slot of position `pos` (0 when fewer than min_match bytes
+  /// remain: find() and insert() ignore such positions). The parse hashes
+  /// each position once and hands the slot to both find() and insert().
+  std::uint32_t hash(std::uint32_t pos) const {
+    if (pos + params_.min_match > data_.size()) return 0;
+    return hash_at(data_.data() + pos, params_.min_match);
+  }
+
+  /// Best match at `pos` (hash slot `h`), or len==0.
+  Match find(std::uint32_t pos, std::uint32_t h) const {
     Match best;
     if (pos + params_.min_match > data_.size()) return best;
     const std::uint8_t* base = data_.data();
     const std::uint32_t window = std::uint32_t{1} << params_.window_log;
     const std::uint32_t limit = static_cast<std::uint32_t>(
         std::min<std::size_t>(data_.size() - pos, params_.max_match));
-    std::uint32_t candidate = head_[hash_at(base + pos, params_.min_match)];
+    std::uint32_t candidate = head_[h];
     unsigned chain = params_.max_chain;
     while (candidate != kNoPos && chain-- > 0) {
       if (pos - candidate > window) break;  // chain is ordered by position
@@ -90,10 +98,9 @@ class MatchFinder {
     return best;
   }
 
-  /// Register position `pos` in the hash chains.
-  void insert(std::uint32_t pos) {
+  /// Register position `pos` (hash slot `h`) in the hash chains.
+  void insert(std::uint32_t pos, std::uint32_t h) {
     if (pos + params_.min_match > data_.size()) return;
-    const std::uint32_t h = hash_at(data_.data() + pos, params_.min_match);
     prev_[pos] = head_[h];
     head_[h] = pos;
   }
@@ -134,20 +141,23 @@ void lz77_parse(ByteSpan data, const LzParams& params,
   std::uint32_t pos = 0;
   std::uint32_t literal_start = 0;
 
+  std::uint32_t h = finder.hash(pos);  // always the slot of `pos`
   while (pos < size) {
-    MatchFinder::Match match = finder.find(pos);
+    MatchFinder::Match match = finder.find(pos, h);
     if (match.len == 0) {
-      finder.insert(pos);
-      ++pos;
+      finder.insert(pos, h);
+      h = finder.hash(++pos);
       continue;
     }
     if (params.lazy && pos + 1 < size) {
       // One-step lazy evaluation: if the next position has a strictly better
       // match, emit this byte as a literal instead.
-      const MatchFinder::Match next = finder.find(pos + 1);
+      const std::uint32_t next_h = finder.hash(pos + 1);
+      const MatchFinder::Match next = finder.find(pos + 1, next_h);
       if (next.len > match.len + 1) {
-        finder.insert(pos);
+        finder.insert(pos, h);
         ++pos;
+        h = next_h;
         match = next;
         // Fall through with pos advanced; re-check lazily only once.
       }
@@ -155,10 +165,9 @@ void lz77_parse(ByteSpan data, const LzParams& params,
     sequences.push_back(LzSequence{literal_start, pos - literal_start,
                                    match.len, match.offset});
     const std::uint32_t match_end = pos + match.len;
-    while (pos < match_end) {
-      finder.insert(pos);
-      ++pos;
-    }
+    finder.insert(pos, h);
+    while (++pos < match_end) finder.insert(pos, finder.hash(pos));
+    h = finder.hash(pos);
     literal_start = pos;
   }
   if (literal_start < size || sequences.empty()) {

@@ -5,7 +5,9 @@
 // zstd's architectural split (literals vs sequences, per-stream entropy
 // tables), trading a little speed for ratio over deflate.
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cassert>
 
 #include "compress/lossless/huffman.hpp"
 #include "compress/lossless/lossless.hpp"
@@ -42,17 +44,16 @@ std::uint32_t decode_value(std::uint32_t code, BitReader& bits) {
   return (1u << k) + static_cast<std::uint32_t>(bits.read(k));
 }
 
-// Per-thread working buffers, reset (not freed) between compress calls —
-// steady-state encode reuses the same heap blocks across chunks and rounds.
+// Per-thread working buffers, reset (not freed) between calls — steady-state
+// encode and decode reuse the same heap blocks across chunks and rounds.
 struct ZstdScratch {
   std::vector<LzSequence> seqs;
-  std::vector<std::uint32_t> literal_syms, ll_codes, ml_codes, of_codes;
-  BitWriter extras;
-  BitWriter huff_bits;    // bit-packing scratch shared by the four streams
-  ByteWriter huff_block;  // one entropy-coded stream, before length-prefixing
-  HuffmanWorkspace huff;  // pooled codebook-construction scratch
-  ByteWriter body;
-  ByteWriter framed;      // full frame for the compress_into path
+  // The four entropy-coded streams, in frame order: literal bytes, then the
+  // literal-length, match-length and offset codes of each sequence.
+  std::array<std::vector<std::uint32_t>, 4> streams;
+  std::array<HuffmanWorkspace, 4> huff;  // one codebook per stream
+  BitWriter bits;     // bit-packing scratch shared by the streams and extras
+  ByteWriter framed;  // full frame for the compress_into path
 };
 
 ZstdScratch& t_scratch() {
@@ -80,6 +81,11 @@ class ZstdLikeCodec final : public LosslessCodec {
   }
 
  private:
+  // Size first, then pack: the exact body size follows from the LZ parse
+  // and the four code-length tables, so a frame that would not shrink is
+  // written raw without packing a single bit — the common case for
+  // already entropy-coded input such as the SZ bodies. A compressed frame
+  // reuses the codebooks the size was computed from.
   void encode_frame(ByteSpan data, ByteWriter& w) const {
     w.put_varint(data.size());
     if (data.empty()) {
@@ -94,24 +100,21 @@ class ZstdLikeCodec final : public LosslessCodec {
     ZstdScratch& s = t_scratch();
     lz77_parse(data, params, s.seqs);
 
-    // Split into streams.
-    std::vector<std::uint32_t>& literal_syms = s.literal_syms;
-    std::vector<std::uint32_t>& ll_codes = s.ll_codes;
-    std::vector<std::uint32_t>& ml_codes = s.ml_codes;
-    std::vector<std::uint32_t>& of_codes = s.of_codes;
-    literal_syms.clear();
+    // Literal bytes are only counted here; their symbol stream is built
+    // once the frame is known to be compressed.
+    std::array<std::uint64_t, 256> literal_counts{};
+    std::vector<std::uint32_t>& ll_codes = s.streams[1];
+    std::vector<std::uint32_t>& ml_codes = s.streams[2];
+    std::vector<std::uint32_t>& of_codes = s.streams[3];
     ll_codes.clear();
     ml_codes.clear();
     of_codes.clear();
-    BitWriter& extras = s.extras;
-    extras.reset();
+    std::uint64_t extra_bits = 0;
     std::uint64_t trailing_literals = 0;
     for (const LzSequence& seq : s.seqs) {
-      const std::size_t base = literal_syms.size();
-      literal_syms.resize(base + seq.literal_len);
       const std::uint8_t* lit = data.data() + seq.literal_start;
       for (std::uint32_t i = 0; i < seq.literal_len; ++i)
-        literal_syms[base + i] = lit[i];
+        ++literal_counts[lit[i]];
       if (seq.match_len == 0) {
         trailing_literals = seq.literal_len;
         continue;
@@ -122,78 +125,114 @@ class ZstdLikeCodec final : public LosslessCodec {
       ll_codes.push_back(ll.code);
       ml_codes.push_back(ml.code);
       of_codes.push_back(of.code);
+      extra_bits += ll.extra_bits + ml.extra_bits + of.extra_bits;
+    }
+
+    // Ascending symbol order, as huffman_count would produce.
+    auto& literal_freqs = s.huff[0].freqs;
+    literal_freqs.clear();
+    for (std::uint32_t b = 0; b < 256; ++b)
+      if (literal_counts[b] != 0)
+        literal_freqs.emplace_back(b, literal_counts[b]);
+    for (std::size_t k = 1; k < 4; ++k) huffman_count(s.streams[k], s.huff[k]);
+
+    std::array<std::size_t, 4> block_sizes{};
+    std::size_t body_size = varint_size(trailing_literals);
+    for (std::size_t k = 0; k < 4; ++k) {
+      block_sizes[k] = huffman_plan(s.huff[k]);
+      body_size += varint_size(block_sizes[k]) + block_sizes[k];
+    }
+    const auto extras_size = static_cast<std::size_t>((extra_bits + 7) / 8);
+    body_size += varint_size(extras_size) + extras_size;
+    if (body_size >= data.size()) {
+      w.put_u8(kModeRaw);
+      w.put_bytes(data);
+      return;
+    }
+
+    std::vector<std::uint32_t>& literal_syms = s.streams[0];
+    literal_syms.clear();
+    for (const LzSequence& seq : s.seqs) {
+      const std::uint8_t* lit = data.data() + seq.literal_start;
+      literal_syms.insert(literal_syms.end(), lit, lit + seq.literal_len);
+    }
+    w.put_u8(kModeCompressed);
+    w.put_varint(trailing_literals);
+    for (std::size_t k = 0; k < 4; ++k) {
+      w.put_varint(block_sizes[k]);
+      [[maybe_unused]] const std::size_t before = w.size();
+      huffman_write(s.streams[k], s.huff[k], w, s.bits);
+      assert(w.size() - before == block_sizes[k]);
+    }
+    BitWriter& extras = s.bits;
+    extras.reset();
+    for (const LzSequence& seq : s.seqs) {
+      if (seq.match_len == 0) continue;
+      const CodedValue ll = value_code(seq.literal_len);
+      const CodedValue ml = value_code(seq.match_len - kMinMatch);
+      const CodedValue of = value_code(seq.match_offset);
       extras.write(ll.extra, ll.extra_bits);
       extras.write(ml.extra, ml.extra_bits);
       extras.write(of.extra, of.extra_bits);
     }
-
-    ByteWriter& body = s.body;
-    body.reset();
-    body.put_varint(trailing_literals);
-    for (const auto* stream : {&literal_syms, &ll_codes, &ml_codes,
-                               &of_codes}) {
-      s.huff_block.reset();
-      huffman_encode(*stream, s.huff_block, s.huff_bits, s.huff);
-      body.put_blob(s.huff_block.view());
-    }
-    body.put_blob(extras.finish_view());
-
-    const ByteSpan body_bytes = body.view();
-    if (body_bytes.size() >= data.size()) {
-      w.put_u8(kModeRaw);
-      w.put_bytes(data);
-    } else {
-      w.put_u8(kModeCompressed);
-      w.put_bytes(body_bytes);
-    }
+    w.put_blob(extras.finish_view());
   }
 
  public:
   Bytes decompress(ByteSpan data) const override {
     ByteReader r(data);
-    const auto raw_size = static_cast<std::size_t>(r.get_varint());
+    const std::uint64_t raw_size = r.get_varint();
     const std::uint8_t mode = r.get_u8();
     if (mode == kModeRaw) {
-      ByteSpan raw = r.get_bytes(raw_size);
+      ByteSpan raw = r.get_bytes(static_cast<std::size_t>(raw_size));
       return Bytes(raw.begin(), raw.end());
     }
     if (mode != kModeCompressed)
       throw CorruptStream("zstd-like: unknown mode byte");
     const std::uint64_t trailing_literals = r.get_varint();
-    const ByteSpan lit_block = r.get_blob_view();
-    const ByteSpan ll_block = r.get_blob_view();
-    const ByteSpan ml_block = r.get_blob_view();
-    const ByteSpan of_block = r.get_blob_view();
+    ZstdScratch& s = t_scratch();
+    for (std::vector<std::uint32_t>& stream : s.streams)
+      huffman_decode(r.get_blob_view(), stream);
     const ByteSpan extras_bytes = r.get_blob_view();
-
-    const auto literals = huffman_decode(lit_block);
-    const auto ll_codes = huffman_decode(ll_block);
-    const auto ml_codes = huffman_decode(ml_block);
-    const auto of_codes = huffman_decode(of_block);
+    const std::vector<std::uint32_t>& literals = s.streams[0];
+    const std::vector<std::uint32_t>& ll_codes = s.streams[1];
+    const std::vector<std::uint32_t>& ml_codes = s.streams[2];
+    const std::vector<std::uint32_t>& of_codes = s.streams[3];
     if (ll_codes.size() != ml_codes.size() ||
         ll_codes.size() != of_codes.size())
       throw CorruptStream("zstd-like: sequence stream length mismatch");
     BitReader extras(extras_bytes);
 
+    // raw_size is stream-borne: reserve no more than the decoded streams
+    // can produce (every match is at most max_match bytes long), and never
+    // let the output grow past raw_size.
+    const std::uint64_t producible =
+        literals.size() + ll_codes.size() * std::uint64_t{LzParams{}.max_match};
     Bytes out;
-    out.reserve(raw_size);
+    out.reserve(static_cast<std::size_t>(std::min(raw_size, producible)));
+    auto require_room = [&](std::uint64_t n) {
+      if (n > raw_size - out.size())
+        throw CorruptStream("zstd-like: output exceeds the declared size");
+    };
     std::size_t lit_pos = 0;
     auto take_literals = [&](std::uint64_t n) {
-      if (lit_pos + n > literals.size())
+      if (n > literals.size() - lit_pos)
         throw CorruptStream("zstd-like: literal stream exhausted");
+      require_room(n);
       for (std::uint64_t i = 0; i < n; ++i)
         out.push_back(static_cast<std::uint8_t>(literals[lit_pos++]));
     };
-    for (std::size_t s = 0; s < ll_codes.size(); ++s) {
-      const std::uint32_t lit_len = decode_value(ll_codes[s], extras);
-      const std::uint32_t match_len =
-          decode_value(ml_codes[s], extras) + kMinMatch;
-      const std::uint32_t offset = decode_value(of_codes[s], extras);
+    for (std::size_t k = 0; k < ll_codes.size(); ++k) {
+      const std::uint32_t lit_len = decode_value(ll_codes[k], extras);
+      const std::uint64_t match_len =
+          std::uint64_t{decode_value(ml_codes[k], extras)} + kMinMatch;
+      const std::uint32_t offset = decode_value(of_codes[k], extras);
       take_literals(lit_len);
       if (offset == 0 || offset > out.size())
         throw CorruptStream("zstd-like: bad offset");
+      require_room(match_len);
       const std::size_t from = out.size() - offset;
-      for (std::uint32_t i = 0; i < match_len; ++i)
+      for (std::uint64_t i = 0; i < match_len; ++i)
         out.push_back(out[from + i]);
     }
     take_literals(trailing_literals);

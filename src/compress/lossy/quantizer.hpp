@@ -35,7 +35,15 @@ class LinearQuantizer {
     // |llround(scaled)| <= radius - 1, so the biased code always lands in
     // [1, 2*radius - 1] — no second range check is needed.
     if (!(std::fabs(scaled) < max_scaled_)) return kUnpredictable;
-    const auto bin = static_cast<std::int64_t>(std::llround(scaled));
+    // Inline std::llround (round half away from zero): |scaled| < radius
+    // fits int64, so the cast truncates exactly, and scaled - truncated is
+    // the exact fractional part, so comparing it to +-0.5 decides the
+    // rounding exactly as llround does.
+    const auto truncated = static_cast<std::int64_t>(scaled);
+    const double frac = scaled - static_cast<double>(truncated);
+    const std::int64_t bin = truncated +
+                             static_cast<std::int64_t>(frac >= 0.5) -
+                             static_cast<std::int64_t>(frac <= -0.5);
     return static_cast<std::uint32_t>(bin +
                                       static_cast<std::int64_t>(radius_));
   }

@@ -887,10 +887,18 @@ FlRunResult FederatedRoot::run_with_streams(
     // a different manifest) fails here, not 40 rounds in.
     std::vector<char> acked(edges, 0);
     std::size_t acks = 0;
+    std::vector<InboxEvent> acked_then_died;
     while (acks < edges) {
       std::optional<InboxEvent> event =
           wait_event(std::chrono::milliseconds(500));
       if (!event) continue;
+      if (!event->frame && acked[event->edge]) {
+        // A worker that acked and then died is churn, not a failed
+        // handshake: its EOF goes back to the campaign, which sees it just
+        // as if it had arrived after a slower peer's ACK.
+        acked_then_died.push_back(std::move(*event));
+        continue;
+      }
       if (!event->frame)
         throw net::TransportError(
             "federation: worker " + std::to_string(event->edge) +
@@ -911,6 +919,12 @@ FlRunResult FederatedRoot::run_with_streams(
         acked[event->edge] = 1;
         ++acks;
       }
+    }
+    {
+      std::lock_guard<std::mutex> lock(inbox_mutex);
+      inbox.insert(inbox.begin(),
+                   std::make_move_iterator(acked_then_died.begin()),
+                   std::make_move_iterator(acked_then_died.end()));
     }
 
     // ---- the campaign ----

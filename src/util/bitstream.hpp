@@ -8,7 +8,9 @@
 // window of upcoming bits without consuming them.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "util/common.hpp"
 
@@ -77,10 +79,17 @@ class BitReader {
     const std::size_t byte = pos_ >> 3;
     const unsigned offset = static_cast<unsigned>(pos_ & 7);
     std::uint64_t word = 0;
-    const std::size_t have = byte < data_.size() ? data_.size() - byte : 0;
-    const std::size_t take = have < 8 ? have : 8;
-    for (std::size_t i = 0; i < take; ++i)
-      word |= static_cast<std::uint64_t>(data_[byte + i]) << (8 * i);
+    if (std::endian::native == std::endian::little &&
+        byte + 8 <= data_.size()) {
+      // One unaligned word load: on little-endian hosts its bytes land in
+      // exactly the LSB-first order the loop below assembles.
+      std::memcpy(&word, data_.data() + byte, sizeof(word));
+    } else {
+      const std::size_t have = byte < data_.size() ? data_.size() - byte : 0;
+      const std::size_t take = have < 8 ? have : 8;
+      for (std::size_t i = 0; i < take; ++i)
+        word |= static_cast<std::uint64_t>(data_[byte + i]) << (8 * i);
+    }
     word >>= offset;
     return word & ((std::uint64_t{1} << count) - 1);
   }

@@ -10,6 +10,13 @@
 
 namespace fedsz {
 
+/// Bytes ByteWriter::put_varint(v) writes.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 class ByteWriter {
  public:
   void put_u8(std::uint8_t v) { out_.push_back(v); }

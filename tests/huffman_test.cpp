@@ -2,6 +2,8 @@
 // deflate/zstd-like lossless codecs.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "compress/lossless/huffman.hpp"
 #include "util/rng.hpp"
 
@@ -200,6 +202,116 @@ TEST(Huffman, CallerBufferEncodeAppendsAfterExistingBytes) {
   EXPECT_EQ(view[1], 0xCD);
   const Bytes reference = huffman_encode(symbols);
   EXPECT_EQ(Bytes(view.begin() + 2, view.end()), reference);
+}
+
+/// A stream declaring `count` symbols of a one-symbol book (code length 1)
+/// over `payload_bytes` zero bytes.
+Bytes one_symbol_stream(std::uint64_t count, std::size_t payload_bytes) {
+  ByteWriter w;
+  w.put_varint(count);
+  w.put_varint(1);  // table: one symbol
+  w.put_varint(5);  // symbol 5
+  w.put_u8(1);      // code length 1
+  const Bytes payload(payload_bytes, 0);
+  w.put_blob({payload.data(), payload.size()});
+  return w.finish();
+}
+
+TEST(Huffman, OversizedDeclaredCountThrowsCorruptStream) {
+  // Every code is at least one bit, so a count above 8 per payload byte is
+  // corrupt — rejected before the output is sized, not attempted as a
+  // multi-terabyte allocation.
+  std::vector<std::uint32_t> out;
+  for (const std::uint64_t count :
+       {std::uint64_t{9}, std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    const Bytes stream = one_symbol_stream(count, 1);
+    EXPECT_THROW(huffman_decode({stream.data(), stream.size()}, out),
+                 CorruptStream)
+        << count;
+  }
+  // Exactly 8 one-bit codes per byte is the limit and decodes.
+  const Bytes full = one_symbol_stream(8, 1);
+  huffman_decode({full.data(), full.size()}, out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>(8, 5));
+}
+
+TEST(Huffman, DecodeAllMatchesPerSymbolDecode) {
+  // The word-at-a-time block decoder must agree with one decode() call per
+  // symbol: same symbols from valid streams, and CorruptStream at the same
+  // point from damaged or truncated ones (including codes longer than the
+  // root table and the buffer tail where the word loads stop).
+  Rng rng(61);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Geometric symbols over thousands of draws give codes longer than
+    // kDecodeRootBits; the other trials draw from small or wide alphabets.
+    const bool geometric = trial % 4 == 3;
+    const std::size_t alphabet = 1 + rng.uniform_index(trial % 2 ? 40 : 3000);
+    std::vector<std::uint32_t> symbols(
+        1 + rng.uniform_index(geometric ? 6000 : 400));
+    for (auto& s : symbols) {
+      s = geometric ? static_cast<std::uint32_t>(std::countr_zero(
+                          rng.next_u64() | (std::uint64_t{1} << 20)))
+                    : static_cast<std::uint32_t>(rng.uniform_index(alphabet));
+    }
+    const HuffmanCodebook book = HuffmanCodebook::from_symbols(symbols);
+    BitWriter w;
+    book.encode_all(symbols, w);
+    Bytes payload = w.finish();
+    if (trial % 3 == 1 && !payload.empty())
+      payload[rng.uniform_index(payload.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+    if (trial % 3 == 2) payload.resize(payload.size() / 2);
+    const ByteSpan span{payload.data(), payload.size()};
+
+    std::vector<std::uint32_t> one_by_one;
+    bool one_by_one_threw = false;
+    BitReader a(span);
+    try {
+      for (std::size_t i = 0; i < symbols.size(); ++i)
+        one_by_one.push_back(book.decode(a));
+    } catch (const CorruptStream&) {
+      one_by_one_threw = true;
+    }
+    std::vector<std::uint32_t> block(symbols.size());
+    bool block_threw = false;
+    BitReader b(span);
+    try {
+      book.decode_all(b, block);
+    } catch (const CorruptStream&) {
+      block_threw = true;
+    }
+    ASSERT_EQ(block_threw, one_by_one_threw) << "trial " << trial;
+    if (!block_threw) {
+      EXPECT_EQ(block, one_by_one) << "trial " << trial;
+      EXPECT_EQ(b.bits_left(), a.bits_left()) << "trial " << trial;
+      if (trial % 3 == 0) {
+        EXPECT_EQ(block, symbols) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(Huffman, PlannedSizeMatchesEncodedSize) {
+  Rng rng(62);
+  HuffmanWorkspace ws;
+  ByteWriter out;
+  BitWriter bits;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{300}, std::size_t{65536}}) {
+    for (const std::uint32_t spread : {1u, 7u, 200u, 70000u}) {
+      std::vector<std::uint32_t> symbols(n);
+      for (auto& s : symbols)
+        s = 32768 + static_cast<std::uint32_t>(rng.uniform_index(spread));
+      huffman_count(symbols, ws);
+      const std::size_t planned = huffman_plan(ws);
+      out.reset();
+      huffman_write(symbols, ws, out, bits);
+      EXPECT_EQ(out.size(), planned) << "n=" << n << " spread=" << spread;
+      const ByteSpan view = out.view();
+      EXPECT_EQ(Bytes(view.begin(), view.end()), huffman_encode(symbols))
+          << "n=" << n << " spread=" << spread;
+    }
+  }
 }
 
 }  // namespace

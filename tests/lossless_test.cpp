@@ -5,7 +5,11 @@
 
 #include <cstring>
 
+#include "compress/lossless/huffman.hpp"
 #include "compress/lossless/lossless.hpp"
+#include "util/bitstream.hpp"
+#include "util/bytebuffer.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace fedsz::lossless {
@@ -227,6 +231,125 @@ TEST(Lossless, LargeInputRoundTrips) {
         << codec->name();
     EXPECT_LT(compressed.size(), data.size()) << codec->name();
   }
+}
+
+// ---- zstd-like byte pins ----
+//
+// The zstd-like encoder picks a raw or a compressed frame from the exact
+// body size, computed before any bits are packed. These size/CRC pins were
+// recorded from the encoder that packed the whole body first and compared
+// afterwards; the inputs sit on both sides of that decision.
+
+Bytes random_bytes(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  Bytes data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  return data;
+}
+
+Bytes header_then_random(std::size_t header_repeats, std::size_t n) {
+  const char* header = "fedsz-chunk:";
+  Bytes data;
+  for (std::size_t i = 0; i < header_repeats; ++i)
+    data.insert(data.end(), header, header + std::strlen(header));
+  const Bytes tail = random_bytes(77, n);
+  data.insert(data.end(), tail.begin(), tail.end());
+  return data;
+}
+
+struct ZstdPin {
+  std::string name;
+  Bytes input;
+  std::size_t frame_size;
+  std::uint32_t frame_crc;
+  bool compressed;
+};
+
+std::vector<ZstdPin> zstd_pins() {
+  std::vector<ZstdPin> pins{
+      {"random_4096", random_bytes(71, 4096), 0, 0, false},
+      // 56 header repeats is the longest header that still leaves the
+      // frame raw; one more tips it to compressed.
+      {"header56_random", header_then_random(56, 4096), 0, 0, false},
+      {"header57_random", header_then_random(57, 4096), 0, 0, true},
+      {"zeros_10000", Bytes(10000, 0), 0, 0, true},
+  };
+  for (std::size_t n = 1; n <= 8; ++n)
+    pins.push_back({"random_" + std::to_string(n), random_bytes(100 + n, n),
+                    0, 0, false});
+  const std::pair<std::size_t, std::uint32_t> recorded[] = {
+      {4099, 1541044009u}, {4771, 3128297918u}, {4777, 1957305382u},
+      {35, 4151841679u},   {3, 3347054823u},    {4, 1729314084u},
+      {5, 655678001u},     {6, 3442697661u},    {7, 4600907u},
+      {8, 3751724113u},    {9, 3095694292u},    {10, 3724149709u}};
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    pins[i].frame_size = recorded[i].first;
+    pins[i].frame_crc = recorded[i].second;
+  }
+  return pins;
+}
+
+TEST(ZstdLike, FramesMatchRecordedBytes) {
+  const LosslessCodec& zstd = lossless_codec(LosslessId::kZstd);
+  for (const ZstdPin& pin : zstd_pins()) {
+    const ByteSpan input{pin.input.data(), pin.input.size()};
+    const Bytes frame = zstd.compress(input);
+    Bytes into;
+    zstd.compress_into(input, into);
+    EXPECT_EQ(into, frame) << pin.name;
+    EXPECT_EQ(frame.size(), pin.frame_size) << pin.name;
+    EXPECT_EQ(util::crc32({frame.data(), frame.size()}), pin.frame_crc)
+        << pin.name;
+    // Mode byte follows the size varint: 1 = compressed, 0 = raw.
+    ASSERT_GT(frame.size(), varint_size(pin.input.size())) << pin.name;
+    EXPECT_EQ(frame[varint_size(pin.input.size())], pin.compressed ? 1 : 0)
+        << pin.name;
+    EXPECT_EQ(zstd.decompress({frame.data(), frame.size()}), pin.input)
+        << pin.name;
+  }
+}
+
+TEST(ZstdLike, OversizedDeclaredSizeThrowsCorruptStream) {
+  // A compressed frame declaring 2^62 output bytes but carrying empty
+  // streams: rejected as corrupt, not attempted as a 4 EiB reservation.
+  ByteWriter w;
+  w.put_varint(std::uint64_t{1} << 62);
+  w.put_u8(1);      // compressed
+  w.put_varint(0);  // trailing literals
+  const std::uint8_t empty_stream[] = {0};
+  for (int k = 0; k < 4; ++k) w.put_blob(empty_stream);
+  w.put_blob({});  // extras
+  const Bytes frame = w.finish();
+  EXPECT_THROW(lossless_codec(LosslessId::kZstd)
+                   .decompress({frame.data(), frame.size()}),
+               CorruptStream);
+}
+
+TEST(ZstdLike, MatchPastDeclaredSizeThrowsBeforeGrowing) {
+  // One literal, then a ~2^31-byte match against a declared size of 10:
+  // rejected before the match is copied.
+  const std::uint32_t literal[] = {'a'};
+  const std::uint32_t ll[] = {1};   // literal length 1
+  const std::uint32_t ml[] = {43};  // 2^31 + 31 extra bits (zero) + 4
+  const std::uint32_t of[] = {1};   // offset 1
+  BitWriter extras;
+  extras.write(0, 31);
+  ByteWriter w;
+  w.put_varint(10);
+  w.put_u8(1);      // compressed
+  w.put_varint(0);  // trailing literals
+  for (const auto stream : {std::span<const std::uint32_t>(literal),
+                            std::span<const std::uint32_t>(ll),
+                            std::span<const std::uint32_t>(ml),
+                            std::span<const std::uint32_t>(of)}) {
+    const Bytes block = huffman_encode(stream);
+    w.put_blob({block.data(), block.size()});
+  }
+  w.put_blob(extras.finish_view());
+  const Bytes frame = w.finish();
+  EXPECT_THROW(lossless_codec(LosslessId::kZstd)
+                   .decompress({frame.data(), frame.size()}),
+               CorruptStream);
 }
 
 }  // namespace

@@ -347,6 +347,22 @@ TEST(RoundTripProperty, QuantizerMatchesScalarReferenceBitExactly) {
       }
     }
   }
+  // Rounding ties, which random residuals almost never hit: with eps a
+  // power of two, residual (m + 1/2) * 2eps scales to exactly m + 1/2, and
+  // llround rounds it away from zero. One ulp toward zero must round down.
+  for (const std::uint32_t radius : kRadii) {
+    const double eps = 0.125;
+    const lossy::LinearQuantizer quantizer(eps, radius);
+    const ScalarQuantizerReference reference{eps, radius};
+    for (double half = 0.5; half < radius; half += 1.0) {
+      const double tie = half * 2.0 * eps;
+      for (const double residual : {tie, -tie, std::nextafter(tie, 0.0),
+                                    std::nextafter(-tie, 0.0)}) {
+        ASSERT_EQ(quantizer.quantize(residual), reference.quantize(residual))
+            << "radius=" << radius << " r=" << residual;
+      }
+    }
+  }
 }
 
 TEST(RoundTripProperty, DirtyArenaReuseIsByteIdenticalAcrossSizes) {

@@ -104,6 +104,49 @@ TEST(BitStream, ManyRandomValuesRoundTrip) {
   for (const auto& [v, count] : values) EXPECT_EQ(r.read(count), v);
 }
 
+/// `count` bits of `buf` from bit `pos`, LSB-first, one bit at a time; bits
+/// past the end read as zero.
+std::uint64_t reference_bits(const Bytes& buf, std::size_t pos,
+                             unsigned count) {
+  std::uint64_t v = 0;
+  for (unsigned i = 0; i < count; ++i) {
+    const std::size_t bit = pos + i;
+    if (bit / 8 < buf.size())
+      v |= static_cast<std::uint64_t>((buf[bit / 8] >> (bit % 8)) & 1u) << i;
+  }
+  return v;
+}
+
+TEST(BitStream, PeekAndReadMatchBitLoopReferenceAtEveryOffset) {
+  // Buffers of 0-32 bytes put every offset on both sides of the point
+  // where peek stops loading whole words and assembles the tail by bytes.
+  Rng rng(4321);
+  for (std::size_t size = 0; size <= 32; ++size) {
+    Bytes buf(size);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+    const ByteSpan span{buf.data(), buf.size()};
+    for (std::size_t pos = 0; pos <= size * 8; ++pos) {
+      for (const unsigned count : {0u, 1u, 7u, 8u, 9u, 16u, 31u, 32u, 33u,
+                                   56u, 57u, 58u, 63u, 64u}) {
+        BitReader r(span);
+        r.skip(static_cast<unsigned>(pos));
+        const std::uint64_t expected = reference_bits(buf, pos, count);
+        if (count <= 57) {
+          EXPECT_EQ(r.peek(count), expected)
+              << "size=" << size << " pos=" << pos << " count=" << count;
+        }
+        if (pos + count <= size * 8) {
+          EXPECT_EQ(r.read(count), expected)
+              << "size=" << size << " pos=" << pos << " count=" << count;
+          EXPECT_EQ(r.bits_left(), size * 8 - pos - count);
+        } else {
+          EXPECT_THROW(r.read(count), CorruptStream);
+        }
+      }
+    }
+  }
+}
+
 // ---- ByteWriter / ByteReader ----
 
 TEST(ByteBuffer, FixedWidthRoundTrip) {
@@ -145,6 +188,11 @@ TEST(ByteBuffer, VarintBoundaries) {
   const Bytes bytes = w.finish();
   ByteReader r({bytes.data(), bytes.size()});
   for (const auto v : cases) EXPECT_EQ(r.get_varint(), v);
+  for (const auto v : cases) {
+    ByteWriter one;
+    one.put_varint(v);
+    EXPECT_EQ(varint_size(v), one.size()) << v;
+  }
 }
 
 TEST(ByteBuffer, VarintSingleByteForSmallValues) {
