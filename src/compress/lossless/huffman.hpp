@@ -174,8 +174,7 @@ void huffman_decode(ByteSpan data, std::vector<std::uint32_t>& out);
 /// any bits (the zstd-like backend keeps a raw frame when coding would not
 /// shrink it):
 ///  - huffman_count fills ws.freqs with the (symbol, count) pairs of
-///    `symbols` in ascending symbol order (callers may fill ws.freqs
-///    themselves in that order instead);
+///    `symbols` in ascending symbol order;
 ///  - huffman_plan builds ws.book from ws.freqs and returns the exact byte
 ///    count huffman_encode would append for that stream;
 ///  - huffman_write appends those bytes, reusing the book built by the plan.

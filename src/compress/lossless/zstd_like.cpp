@@ -52,7 +52,8 @@ struct ZstdScratch {
   // literal-length, match-length and offset codes of each sequence.
   std::array<std::vector<std::uint32_t>, 4> streams;
   std::array<HuffmanWorkspace, 4> huff;  // one codebook per stream
-  BitWriter bits;     // bit-packing scratch shared by the streams and extras
+  BitWriter extras;   // the sequences' raw extra bits
+  BitWriter bits;     // bit-packing scratch shared by the four streams
   ByteWriter framed;  // full frame for the compress_into path
 };
 
@@ -100,21 +101,21 @@ class ZstdLikeCodec final : public LosslessCodec {
     ZstdScratch& s = t_scratch();
     lz77_parse(data, params, s.seqs);
 
-    // Literal bytes are only counted here; their symbol stream is built
-    // once the frame is known to be compressed.
-    std::array<std::uint64_t, 256> literal_counts{};
+    // Split into streams; extra bits go straight to their own writer.
+    std::vector<std::uint32_t>& literal_syms = s.streams[0];
     std::vector<std::uint32_t>& ll_codes = s.streams[1];
     std::vector<std::uint32_t>& ml_codes = s.streams[2];
     std::vector<std::uint32_t>& of_codes = s.streams[3];
+    literal_syms.clear();
     ll_codes.clear();
     ml_codes.clear();
     of_codes.clear();
-    std::uint64_t extra_bits = 0;
+    BitWriter& extras = s.extras;
+    extras.reset();
     std::uint64_t trailing_literals = 0;
     for (const LzSequence& seq : s.seqs) {
       const std::uint8_t* lit = data.data() + seq.literal_start;
-      for (std::uint32_t i = 0; i < seq.literal_len; ++i)
-        ++literal_counts[lit[i]];
+      literal_syms.insert(literal_syms.end(), lit, lit + seq.literal_len);
       if (seq.match_len == 0) {
         trailing_literals = seq.literal_len;
         continue;
@@ -125,37 +126,26 @@ class ZstdLikeCodec final : public LosslessCodec {
       ll_codes.push_back(ll.code);
       ml_codes.push_back(ml.code);
       of_codes.push_back(of.code);
-      extra_bits += ll.extra_bits + ml.extra_bits + of.extra_bits;
+      extras.write(ll.extra, ll.extra_bits);
+      extras.write(ml.extra, ml.extra_bits);
+      extras.write(of.extra, of.extra_bits);
     }
-
-    // Ascending symbol order, as huffman_count would produce.
-    auto& literal_freqs = s.huff[0].freqs;
-    literal_freqs.clear();
-    for (std::uint32_t b = 0; b < 256; ++b)
-      if (literal_counts[b] != 0)
-        literal_freqs.emplace_back(b, literal_counts[b]);
-    for (std::size_t k = 1; k < 4; ++k) huffman_count(s.streams[k], s.huff[k]);
+    const ByteSpan extras_bytes = extras.finish_view();
 
     std::array<std::size_t, 4> block_sizes{};
     std::size_t body_size = varint_size(trailing_literals);
     for (std::size_t k = 0; k < 4; ++k) {
+      huffman_count(s.streams[k], s.huff[k]);
       block_sizes[k] = huffman_plan(s.huff[k]);
       body_size += varint_size(block_sizes[k]) + block_sizes[k];
     }
-    const auto extras_size = static_cast<std::size_t>((extra_bits + 7) / 8);
-    body_size += varint_size(extras_size) + extras_size;
+    body_size += varint_size(extras_bytes.size()) + extras_bytes.size();
     if (body_size >= data.size()) {
       w.put_u8(kModeRaw);
       w.put_bytes(data);
       return;
     }
 
-    std::vector<std::uint32_t>& literal_syms = s.streams[0];
-    literal_syms.clear();
-    for (const LzSequence& seq : s.seqs) {
-      const std::uint8_t* lit = data.data() + seq.literal_start;
-      literal_syms.insert(literal_syms.end(), lit, lit + seq.literal_len);
-    }
     w.put_u8(kModeCompressed);
     w.put_varint(trailing_literals);
     for (std::size_t k = 0; k < 4; ++k) {
@@ -164,18 +154,7 @@ class ZstdLikeCodec final : public LosslessCodec {
       huffman_write(s.streams[k], s.huff[k], w, s.bits);
       assert(w.size() - before == block_sizes[k]);
     }
-    BitWriter& extras = s.bits;
-    extras.reset();
-    for (const LzSequence& seq : s.seqs) {
-      if (seq.match_len == 0) continue;
-      const CodedValue ll = value_code(seq.literal_len);
-      const CodedValue ml = value_code(seq.match_len - kMinMatch);
-      const CodedValue of = value_code(seq.match_offset);
-      extras.write(ll.extra, ll.extra_bits);
-      extras.write(ml.extra, ml.extra_bits);
-      extras.write(of.extra, of.extra_bits);
-    }
-    w.put_blob(extras.finish_view());
+    w.put_blob(extras_bytes);
   }
 
  public:

@@ -9,13 +9,9 @@ void BitWriter::spill(std::uint64_t bits, unsigned count) {
   const std::size_t base = out_.size();
   out_.resize(base + 8);
   std::uint64_t word = acc_;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out_.data() + base, &word, sizeof(word));
-  } else {
-    for (int i = 0; i < 8; ++i) {  // LSB-first stream: low byte first
-      out_[base + i] = static_cast<std::uint8_t>(word);
-      word >>= 8;
-    }
+  for (int i = 0; i < 8; ++i) {  // little-endian spill == LSB-first stream
+    out_[base + i] = static_cast<std::uint8_t>(word);
+    word >>= 8;
   }
   acc_ = take >= count ? 0 : bits >> take;
   acc_bits_ = acc_bits_ + count - 64;

@@ -9,7 +9,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -222,6 +226,56 @@ TEST(FederationTest, CtorRejectsPopulationDropout) {
 // A worker that completes the handshake and then dies: its round-0 cohort
 // is traced as dropped, and from round 1 its members are re-homed onto the
 // survivor — the campaign finishes with full participation.
+/// A worker that completes the handshake and dies before round 0.
+void ack_then_close(net::StreamPtr stream) {
+  net::FrameChannel chan(std::move(stream));
+  const auto hello = chan.recv();
+  ASSERT_TRUE(hello.has_value());
+  ASSERT_EQ(hello->type, net::FrameType::kHello);
+  const RunManifest manifest =
+      parse_manifest({hello->payload.data(), hello->payload.size()});
+  ByteWriter ack;
+  ack.put_u32(manifest.fingerprint);
+  ack.put_varint(manifest.edge);
+  const Bytes bytes = ack.finish();
+  chan.send(net::FrameType::kAck, {bytes.data(), bytes.size()});
+  chan.close();
+}
+
+/// Round 0 aggregates only the survivor's cohort and traces the dead
+/// edge's two members as dropped; round 1 records the crash and everyone
+/// trains again.
+void expect_deserter_churn(const FlRunResult& result) {
+  ASSERT_EQ(result.rounds.size(), static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(result.rounds[0].participants, 2u);
+  std::size_t dropped = 0;
+  for (const ClientTraceEntry& t : result.rounds[0].clients)
+    if (t.status == DeliveryStatus::kDropped) ++dropped;
+  EXPECT_EQ(dropped, 2u);
+  ASSERT_EQ(result.rounds[1].crashed_nodes.size(), 1u);
+  EXPECT_EQ(result.rounds[1].participants, kClients);
+}
+
+/// Root-side stream that reports when the root's reader hits EOF.
+class EofSignallingStream final : public net::Stream {
+ public:
+  explicit EofSignallingStream(net::StreamPtr inner)
+      : inner_(std::move(inner)) {}
+  void write_all(ByteSpan data) override { inner_->write_all(data); }
+  std::size_t read_some(std::uint8_t* out, std::size_t capacity) override {
+    const std::size_t got = inner_->read_some(out, capacity);
+    if (got == 0 && !signalled_.exchange(true)) eof_.set_value();
+    return got;
+  }
+  void close() override { inner_->close(); }
+  std::future<void> eof() { return eof_.get_future(); }
+
+ private:
+  net::StreamPtr inner_;
+  std::promise<void> eof_;
+  std::atomic<bool> signalled_{false};
+};
+
 TEST(FederationTest, CrashedWorkerIsRehomed) {
   const CodecSpec spec = parse_codec_spec(kSpec);
   auto [train, test] = data::make_dataset("cifar10", 7);
@@ -243,18 +297,7 @@ TEST(FederationTest, CrashedWorkerIsRehomed) {
     run_edge_worker(std::move(stream));
   });
   std::thread deserter([stream = std::move(worker1)]() mutable {
-    net::FrameChannel chan(std::move(stream));
-    const auto hello = chan.recv();
-    ASSERT_TRUE(hello.has_value());
-    ASSERT_EQ(hello->type, net::FrameType::kHello);
-    const RunManifest manifest =
-        parse_manifest({hello->payload.data(), hello->payload.size()});
-    ByteWriter ack;
-    ack.put_u32(manifest.fingerprint);
-    ack.put_varint(manifest.edge);
-    const Bytes bytes = ack.finish();
-    chan.send(net::FrameType::kAck, {bytes.data(), bytes.size()});
-    chan.close();  // dies right after the handshake
+    ack_then_close(std::move(stream));
   });
 
   std::vector<net::StreamPtr> streams;
@@ -263,18 +306,47 @@ TEST(FederationTest, CrashedWorkerIsRehomed) {
   const FlRunResult result = root.run_with_streams(std::move(streams));
   survivor.join();
   deserter.join();
+  expect_deserter_churn(result);
+}
 
-  ASSERT_EQ(result.rounds.size(), static_cast<std::size_t>(kRounds));
-  // Round 0: only the survivor's cohort aggregates; the dead edge's two
-  // members appear as dropped trace entries.
-  EXPECT_EQ(result.rounds[0].participants, 2u);
-  std::size_t dropped = 0;
-  for (const ClientTraceEntry& t : result.rounds[0].clients)
-    if (t.status == DeliveryStatus::kDropped) ++dropped;
-  EXPECT_EQ(dropped, 2u);
-  // Round 1: the crash is recorded and everyone trains again.
-  ASSERT_EQ(result.rounds[1].crashed_nodes.size(), 1u);
-  EXPECT_EQ(result.rounds[1].participants, kClients);
+// The order CrashedWorkerIsRehomed only hits under load: the deserter's
+// ACK and EOF both reach the root while the survivor has not acked yet.
+// The survivor starts only after the root's reader has read that EOF, so
+// the handshake must hand the death to round 0 as churn, not abort.
+TEST(FederationTest, DeathBeforePeerAckIsChurn) {
+  const CodecSpec spec = parse_codec_spec(kSpec);
+  auto [train, test] = data::make_dataset("cifar10", 7);
+  (void)train;
+  FlRunConfig config = base_config(spec);
+  FederationOptions options;
+  options.heartbeat_timeout_seconds = 15.0;
+  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
+                     data::take(test, 256), config, spec, nullptr, options);
+  ASSERT_EQ(root.edge_count(), 2u);
+
+  auto [root0, worker0] = net::make_loopback_pair();
+  auto [root1, worker1] = net::make_loopback_pair();
+  auto deserter_side = std::make_shared<EofSignallingStream>(root1);
+  std::thread survivor([stream = std::move(worker0),
+                        eof = deserter_side->eof()]() mutable {
+    eof.wait();
+    // The root's reader queues the EOF event a few instructions after
+    // read_some returns; the pause keeps a wake-up preemption of that
+    // reader from letting this ACK overtake it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    run_edge_worker(std::move(stream));
+  });
+  std::thread deserter([stream = std::move(worker1)]() mutable {
+    ack_then_close(std::move(stream));
+  });
+
+  std::vector<net::StreamPtr> streams;
+  streams.push_back(std::move(root0));
+  streams.push_back(deserter_side);
+  const FlRunResult result = root.run_with_streams(std::move(streams));
+  survivor.join();
+  deserter.join();
+  expect_deserter_churn(result);
 }
 
 #ifdef FEDSZ_BIN_DIR
