@@ -64,7 +64,7 @@ RunTimes run_federation(std::size_t clients, std::size_t threads, int rounds,
   config.evaluate_every_round = false;
   if (hier_fanout > 0) {
     config.topology.mode = core::TopologyMode::kHier;
-    config.topology.fanout = hier_fanout;
+    config.topology.tiers = {hier_fanout};
     config.topology.backhaul_spec = backhaul_spec;
   }
   core::FlCoordinator coordinator(

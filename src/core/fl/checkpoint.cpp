@@ -156,6 +156,57 @@ std::optional<CheckpointState> read_checkpoint(const std::string& path) {
   return parse_checkpoint({bytes.data(), bytes.size()});
 }
 
+void put_profile(ByteWriter& out, const net::NetworkProfile& profile) {
+  out.put_f64(profile.bandwidth_mbps);
+  out.put_f64(profile.latency_s);
+}
+
+net::NetworkProfile get_profile(ByteReader& in) {
+  net::NetworkProfile profile;
+  profile.bandwidth_mbps = in.get_f64();
+  profile.latency_s = in.get_f64();
+  return profile;
+}
+
+void put_heterogeneous(
+    ByteWriter& out,
+    const std::optional<net::HeterogeneousNetworkConfig>& config) {
+  out.put_u8(config ? 1 : 0);
+  if (!config) return;
+  out.put_u8(static_cast<std::uint8_t>(config->distribution));
+  out.put_f64(config->edge_min_mbps);
+  out.put_f64(config->edge_max_mbps);
+  out.put_f64(config->wan_median_mbps);
+  out.put_f64(config->wan_log_sigma);
+  out.put_f64(config->two_tier_fast_fraction);
+  out.put_f64(config->two_tier_fast_mbps);
+  out.put_f64(config->two_tier_slow_mbps);
+  out.put_f64(config->latency_s);
+  out.put_u64(config->seed);
+}
+
+std::optional<net::HeterogeneousNetworkConfig> get_heterogeneous(
+    ByteReader& in) {
+  const std::uint8_t present = in.get_u8();
+  if (present > 1) throw CorruptStream("bad heterogeneous-config flag");
+  if (present == 0) return std::nullopt;
+  net::HeterogeneousNetworkConfig config;
+  const std::uint8_t distribution = in.get_u8();
+  if (distribution > static_cast<std::uint8_t>(net::LinkDistribution::kTwoTier))
+    throw CorruptStream("unknown link distribution");
+  config.distribution = static_cast<net::LinkDistribution>(distribution);
+  config.edge_min_mbps = in.get_f64();
+  config.edge_max_mbps = in.get_f64();
+  config.wan_median_mbps = in.get_f64();
+  config.wan_log_sigma = in.get_f64();
+  config.two_tier_fast_fraction = in.get_f64();
+  config.two_tier_fast_mbps = in.get_f64();
+  config.two_tier_slow_mbps = in.get_f64();
+  config.latency_s = in.get_f64();
+  config.seed = in.get_u64();
+  return config;
+}
+
 std::uint32_t run_fingerprint(const FlRunConfig& config,
                               const nn::ModelConfig& model) {
   ByteWriter out;
@@ -166,22 +217,8 @@ std::uint32_t run_fingerprint(const FlRunConfig& config,
   out.put_f32(config.client.sgd.weight_decay);
   out.put_varint(config.client.batch_size);
   out.put_varint(static_cast<std::uint64_t>(config.client.local_epochs));
-  out.put_f64(config.network.bandwidth_mbps);
-  out.put_f64(config.network.latency_s);
-  out.put_u8(config.heterogeneous ? 1 : 0);
-  if (config.heterogeneous) {
-    const net::HeterogeneousNetworkConfig& h = *config.heterogeneous;
-    out.put_u8(static_cast<std::uint8_t>(h.distribution));
-    out.put_f64(h.edge_min_mbps);
-    out.put_f64(h.edge_max_mbps);
-    out.put_f64(h.wan_median_mbps);
-    out.put_f64(h.wan_log_sigma);
-    out.put_f64(h.two_tier_fast_fraction);
-    out.put_f64(h.two_tier_fast_mbps);
-    out.put_f64(h.two_tier_slow_mbps);
-    out.put_f64(h.latency_s);
-    out.put_u64(h.seed);
-  }
+  put_profile(out, config.network);
+  put_heterogeneous(out, config.heterogeneous);
   out.put_varint(config.eval_limit);
   out.put_u8(config.evaluate_every_round ? 1 : 0);
   out.put_f64(config.compute_seconds_per_sample);
@@ -193,26 +230,11 @@ std::uint32_t run_fingerprint(const FlRunConfig& config,
   out.put_u8(static_cast<std::uint8_t>(t.mode));
   out.put_varint(t.tiers.size());
   for (const std::size_t fan : t.tiers) out.put_varint(fan);
-  out.put_varint(t.fanout);
   out.put_string(t.backhaul_spec);
   out.put_varint(t.tier_backhaul_specs.size());
   for (const std::string& spec : t.tier_backhaul_specs) out.put_string(spec);
-  out.put_f64(t.backhaul_network.bandwidth_mbps);
-  out.put_f64(t.backhaul_network.latency_s);
-  out.put_u8(t.backhaul_heterogeneous ? 1 : 0);
-  if (t.backhaul_heterogeneous) {
-    const net::HeterogeneousNetworkConfig& h = *t.backhaul_heterogeneous;
-    out.put_u8(static_cast<std::uint8_t>(h.distribution));
-    out.put_f64(h.edge_min_mbps);
-    out.put_f64(h.edge_max_mbps);
-    out.put_f64(h.wan_median_mbps);
-    out.put_f64(h.wan_log_sigma);
-    out.put_f64(h.two_tier_fast_fraction);
-    out.put_f64(h.two_tier_fast_mbps);
-    out.put_f64(h.two_tier_slow_mbps);
-    out.put_f64(h.latency_s);
-    out.put_u64(h.seed);
-  }
+  put_profile(out, t.backhaul_network);
+  put_heterogeneous(out, t.backhaul_heterogeneous);
   out.put_u8(static_cast<std::uint8_t>(t.edge_mode));
   out.put_varint(t.edge_buffer);
   out.put_u8(t.edge_error_feedback ? 1 : 0);
@@ -235,6 +257,7 @@ std::uint32_t run_fingerprint(const FlRunConfig& config,
   out.put_f64(p.phase_jitter);
   out.put_f64(p.dropout_rate);
   out.put_u64(p.seed);
+  out.put_f64(config.dirichlet_alpha);
   out.put_f64(config.sizeskew_s);
   out.put_string(model.arch);
   out.put_varint(static_cast<std::uint64_t>(model.in_channels));

@@ -22,13 +22,15 @@
 
 #include "core/fl/coordinator.hpp"
 #include "tensor/state_dict.hpp"
+#include "util/bytebuffer.hpp"
 #include "util/rng.hpp"
 
 namespace fedsz::core {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x314B4346u;  // "FCK1" LE
-/// v2 added the population-eligibility RNG stream after failure_rng.
-inline constexpr std::uint8_t kCheckpointVersion = 2;
+/// v2 added the population-eligibility RNG stream after failure_rng; v3
+/// changed the config fingerprint (dirichlet_alpha in, topology fanout out).
+inline constexpr std::uint8_t kCheckpointVersion = 3;
 
 struct CheckpointState {
   /// Rounds fully aggregated when the checkpoint was taken; the resumed
@@ -75,8 +77,21 @@ void write_checkpoint(const std::string& path, const CheckpointState& state);
 /// throw CorruptStream.
 std::optional<CheckpointState> read_checkpoint(const std::string& path);
 
+/// Byte layouts of a link profile and of an optional per-node link
+/// distribution (presence flag, then every field), shared by
+/// run_fingerprint and the federation manifest. get_heterogeneous throws
+/// CorruptStream on a bad flag or an unknown distribution.
+void put_profile(ByteWriter& out, const net::NetworkProfile& profile);
+net::NetworkProfile get_profile(ByteReader& in);
+void put_heterogeneous(
+    ByteWriter& out,
+    const std::optional<net::HeterogeneousNetworkConfig>& config);
+std::optional<net::HeterogeneousNetworkConfig> get_heterogeneous(
+    ByteReader& in);
+
 /// CRC over every trajectory-determining knob of (config, model): seeds,
-/// client/optimizer settings, links, comm model, topology, churn schedule.
+/// client/optimizer settings, links, comm model, topology, churn schedule,
+/// population and data partition.
 /// Deliberately EXCLUDES rounds (a resume may extend the campaign),
 /// threads (trajectories are thread-count-invariant), transport, and the
 /// checkpoint settings themselves.

@@ -5,6 +5,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "core/codec_spec.hpp"
@@ -55,7 +56,6 @@ void FlRunConfig::apply_comm_spec(const CodecSpec& spec) {
   topology.mode =
       spec.hier_tiers.empty() ? TopologyMode::kFlat : TopologyMode::kHier;
   topology.tiers = spec.hier_tiers;
-  topology.fanout = 0;  // the spec grammar always resolves to tiers
   topology.backhaul_spec = spec.backhaul;
   topology.tier_backhaul_specs = spec.tier_backhauls;
   topology.edge_mode =
@@ -188,6 +188,297 @@ std::vector<std::vector<std::size_t>> build_client_shards(
   return shards;
 }
 
+std::vector<double> client_compute_seconds(
+    const FlRunConfig& config,
+    const std::vector<std::vector<std::size_t>>& shards,
+    const ClientPopulation* population) {
+  Rng speed_rng(config.seed ^ 0xC0DEC10Cull);
+  std::vector<double> seconds;
+  seconds.reserve(config.clients);
+  for (std::size_t i = 0; i < config.clients; ++i) {
+    const double factor = speed_rng.uniform(1.0 - config.compute_jitter,
+                                            1.0 + config.compute_jitter);
+    const double class_multiplier =
+        population ? population->compute_multiplier(i) : 1.0;
+    seconds.push_back(config.compute_seconds_per_sample *
+                      static_cast<double>(shards[i].size()) *
+                      static_cast<double>(config.client.local_epochs) *
+                      factor * class_multiplier);
+  }
+  return seconds;
+}
+
+std::unique_ptr<FlClient> make_client(std::size_t i, const FlRunConfig& config,
+                                      const nn::ModelConfig& model,
+                                      const data::DatasetPtr& train,
+                                      const std::vector<std::size_t>& shard) {
+  ClientConfig client_config = config.client;
+  client_config.seed = config.seed ^ (0xC11E47ull * (i + 1));
+  return std::make_unique<FlClient>(
+      static_cast<int>(i), model,
+      std::make_shared<data::SubsetDataset>(train, shard), client_config);
+}
+
+TopologyConfig resolved_topology(const FlRunConfig& config) {
+  TopologyConfig topology = config.topology;
+  if (topology.sharding == ShardStrategy::kShuffled && topology.shard_seed == 0)
+    topology.shard_seed = config.seed ^ 0x5A4DD00Dull;
+  return topology;
+}
+
+RoundStreams::RoundStreams(std::uint64_t seed)
+    : cohort(seed ^ 0x5C4ED11Eull), eligibility(seed ^ 0xE11D1B1Eull) {}
+
+RoundRecord open_record(int round, const AggregationTree* tree) {
+  RoundRecord record;
+  record.round = round;
+  if (tree) {
+    record.backhaul_tier_bytes.assign(tree->levels(), 0);
+    record.backhaul_tier_raw_bytes.assign(tree->levels(), 0);
+  }
+  return record;
+}
+
+std::vector<std::vector<std::size_t>> draw_cohorts(
+    const std::vector<std::vector<std::size_t>>& groups,
+    const AggregationTree* tree, Scheduler& scheduler,
+    const ClientPopulation* population, double now, RoundStreams& streams,
+    RoundRecord& record) {
+  std::size_t clients = 0;
+  for (const auto& group : groups) clients += group.size();
+  std::vector<char> eligible(clients, 1);
+  if (population) {
+    for (const auto& group : groups)
+      for (const std::size_t i : group)
+        eligible[i] =
+            streams.eligibility.uniform() < population->availability(i, now);
+    // Zero-eligible fallback: a campaign never stalls on an unlucky night.
+    // Consumes no randomness, so the stream stays aligned with luckier
+    // trajectories.
+    if (std::find(eligible.begin(), eligible.end(), 1) == eligible.end()) {
+      std::size_t best = 0;
+      double best_p = -1.0;
+      for (std::size_t i = 0; i < clients; ++i) {
+        const double p = population->availability(i, now);
+        if (p > best_p) {
+          best_p = p;
+          best = i;
+        }
+      }
+      eligible[best] = 1;
+    }
+  }
+  // The scheduler never sees offline devices: each group's member set
+  // shrinks to its eligible clients BEFORE the draw, and the draw's
+  // indices are positions in that pool.
+  std::vector<std::vector<std::size_t>> cohorts(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::vector<std::size_t> pool;
+    for (const std::size_t i : groups[g])
+      if (eligible[i]) pool.push_back(i);
+    if (pool.empty()) continue;
+    for (const std::size_t idx :
+         scheduler.cohort(record.round, pool.size(), streams.cohort))
+      cohorts[g].push_back(pool[idx]);
+  }
+  if (!population) {
+    record.eligible_clients = clients;
+    return cohorts;
+  }
+  std::vector<std::size_t> node(clients, 0);
+  if (tree)
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      for (const std::size_t i : groups[g])
+        node[i] = 1 + tree->flat_index(0, g);
+  for (std::size_t i = 0; i < clients; ++i) {
+    if (eligible[i]) {
+      ++record.eligible_clients;
+      continue;
+    }
+    // Offline devices stay visible in the per-round export.
+    ++record.ineligible_clients;
+    record.clients.push_back(client_trace(
+        Dispatch{.client = i, .node = node[i], .round = record.round,
+                 .seconds = now},
+        DeliveryStatus::kIneligible, now, population));
+  }
+  return cohorts;
+}
+
+ClientUpdate train_and_encode(FlClient& client, const UpdateCodec& codec,
+                              ErrorFeedbackAccumulator* feedback,
+                              const StateDict& model, int round) {
+  ClientRoundResult round_result = client.run_round(model);
+  EncodeContext ctx;
+  ctx.round = round;
+  ctx.client_id = client.id();
+  ctx.steps = round_result.steps;
+  StateDict update = std::move(round_result.update);
+  if (feedback) update = feedback->apply(update);
+  UpdateCodec::Encoded encoded = codec.encode(update, ctx);
+  ClientUpdate out;
+  if (feedback) {
+    // The server will decode exactly this; what it misses is carried over.
+    CompressionStats ef_stats;
+    const StateDict reconstruction = codec.decode(
+        {encoded.payload.data(), encoded.payload.size()}, &ef_stats);
+    feedback->absorb(update, reconstruction);
+    out.ef_residual_norm = feedback->residual_norm();
+    out.ef_decode_seconds = ef_stats.decompress_seconds;
+  }
+  out.samples = round_result.samples;
+  out.stats = encoded.stats;
+  out.train_seconds = round_result.train_seconds;
+  out.mean_loss = round_result.mean_loss;
+  out.payload = std::move(encoded.payload);
+  return out;
+}
+
+ClientTraceEntry client_trace(const Dispatch& dispatch,
+                                DeliveryStatus status, double now,
+                                const ClientPopulation* population) {
+  ClientTraceEntry trace;
+  trace.client = dispatch.client;
+  trace.node = dispatch.node;
+  trace.dispatch_round = dispatch.round;
+  trace.dispatch_seconds = dispatch.seconds;
+  trace.arrival_seconds = now;
+  trace.downlink_bytes = dispatch.downlink_bytes;
+  trace.downlink_seconds = dispatch.downlink_seconds;
+  trace.status = status;
+  trace.eligible = status != DeliveryStatus::kIneligible;
+  if (population) trace.device_class = population->class_name(dispatch.client);
+  return trace;
+}
+
+Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
+                       double arrival, double transfer,
+                       const ClientPopulation* population) {
+  Delivery delivery;
+  ClientTraceEntry& trace = delivery.trace;
+  trace = client_trace(dispatch, DeliveryStatus::kAggregated, arrival,
+                         population);
+  trace.transfer_seconds = transfer;
+  trace.payload_bytes = update.payload.size();
+  trace.raw_bytes = update.stats.original_bytes;
+  trace.bound_value = update.stats.mean_bound_value;
+  trace.lossy_tensors = update.stats.lossy_tensors;
+  trace.lossless_tensors = update.stats.lossless_tensors;
+  trace.raw_tensors = update.stats.raw_tensors;
+  trace.sparse_tensors = update.stats.sparse_tensors;
+  trace.ef_residual_norm = update.ef_residual_norm;
+  delivery.train_seconds = update.train_seconds;
+  delivery.mean_loss = update.mean_loss;
+  delivery.compress_seconds = update.stats.compress_seconds;
+  delivery.ef_decode_seconds = update.ef_decode_seconds;
+  delivery.downlink_raw_bytes = dispatch.downlink_raw_bytes;
+  delivery.downlink_encode_seconds = dispatch.downlink_encode_seconds;
+  delivery.downlink_decode_seconds =
+      dispatch.downlink_decode_seconds + update.downlink_decode_seconds;
+  return delivery;
+}
+
+void settle_delivery(Delivery& delivery, double weight, double decode_seconds,
+                     const net::SimulatedNetwork& link) {
+  ClientTraceEntry& trace = delivery.trace;
+  trace.weight = weight;
+  trace.decision = net::evaluate_compression(
+      trace.raw_bytes, trace.payload_bytes, delivery.compress_seconds,
+      decode_seconds, link);
+  delivery.decompress_seconds = decode_seconds;
+}
+
+void record_delivery(RoundRecord& record, Delivery delivery) {
+  const ClientTraceEntry& trace = delivery.trace;
+  record.train_seconds += delivery.train_seconds;
+  record.compress_seconds += delivery.compress_seconds;
+  record.decompress_seconds += delivery.decompress_seconds;
+  record.comm_seconds += trace.transfer_seconds;
+  record.mean_loss += delivery.mean_loss;
+  record.bytes_sent += trace.payload_bytes;
+  record.raw_bytes += trace.raw_bytes;
+  record.downlink_bytes += trace.downlink_bytes;
+  record.downlink_raw_bytes += delivery.downlink_raw_bytes;
+  record.downlink_seconds += trace.downlink_seconds;
+  record.downlink_encode_seconds += delivery.downlink_encode_seconds;
+  record.downlink_decode_seconds += delivery.downlink_decode_seconds;
+  record.mean_ef_residual_norm += trace.ef_residual_norm;
+  record.ef_decode_seconds += delivery.ef_decode_seconds;
+  record.participants += 1;
+  record.clients.push_back(std::move(delivery.trace));
+}
+
+EdgeTraceEntry partial_trace(const AggregationTree& tree, std::size_t level,
+                             std::size_t node, const EncodedPartial& partial,
+                             double transfer, double arrival) {
+  EdgeTraceEntry trace;
+  trace.edge = tree.flat_index(level, node);
+  trace.tier = level + 1;
+  trace.cohort = partial.clients;
+  trace.weight = partial.weight;
+  trace.payload_bytes = partial.payload.size();
+  trace.raw_bytes = partial.stats.original_bytes;
+  trace.encode_seconds = partial.stats.compress_seconds;
+  trace.transfer_seconds = transfer;
+  trace.arrival_seconds = arrival;
+  trace.ef_residual_norm = partial.ef_residual_norm;
+  return trace;
+}
+
+void record_partial(RoundRecord& record, EdgeTraceEntry trace,
+                    double decode_seconds, bool at_root) {
+  trace.decode_seconds = decode_seconds;
+  if (at_root) record.aggregate_weight += trace.weight;
+  record.backhaul_bytes += trace.payload_bytes;
+  record.backhaul_raw_bytes += trace.raw_bytes;
+  record.backhaul_seconds += trace.transfer_seconds;
+  record.backhaul_encode_seconds += trace.encode_seconds;
+  record.backhaul_decode_seconds += trace.decode_seconds;
+  record.backhaul_tier_bytes[trace.tier - 1] += trace.payload_bytes;
+  record.backhaul_tier_raw_bytes[trace.tier - 1] += trace.raw_bytes;
+  record.edges.push_back(std::move(trace));
+}
+
+void close_record(RoundRecord& record, FlServer& server,
+                  const FlRunConfig& config, double now,
+                  const data::Dataset& test) {
+  if (record.participants == 0) {
+    // Everything churned away: keep the global untouched this round.
+    server.abort_round();
+  } else {
+    server.finalize_round();
+    const double inv = 1.0 / static_cast<double>(record.participants);
+    record.train_seconds *= inv;
+    record.compress_seconds *= inv;
+    record.decompress_seconds *= inv;
+    record.comm_seconds *= inv;
+    record.mean_loss *= inv;
+    record.downlink_seconds *= inv;
+    record.downlink_encode_seconds *= inv;
+    record.downlink_decode_seconds *= inv;
+    record.mean_ef_residual_norm *= inv;
+    record.ef_decode_seconds *= inv;
+  }
+  const auto merged = static_cast<std::size_t>(
+      std::count_if(record.edges.begin(), record.edges.end(),
+                    [](const EdgeTraceEntry& edge) {
+                      return edge.status == DeliveryStatus::kAggregated;
+                    }));
+  if (merged > 0) {
+    const double inv = 1.0 / static_cast<double>(merged);
+    record.backhaul_seconds *= inv;
+    record.backhaul_encode_seconds *= inv;
+    record.backhaul_decode_seconds *= inv;
+    record.backhaul_downlink_seconds *= inv;
+  }
+  record.virtual_seconds = now;
+  if (config.evaluate_every_round || record.round + 1 == config.rounds) {
+    Timer eval_timer;
+    record.accuracy = server.evaluate(test, config.eval_limit);
+    record.eval_seconds = eval_timer.seconds();
+  }
+}
+
 FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
                              data::DatasetPtr train, data::DatasetPtr test,
                              FlRunConfig config, UpdateCodecPtr codec,
@@ -244,11 +535,8 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
       throw InvalidArgument(
           "FlCoordinator: hierarchical topology requires a barrier "
           "scheduler (sync or sampled_sync)");
-    TopologyConfig tree_config = config_.topology;
-    if (tree_config.sharding == ShardStrategy::kShuffled &&
-        tree_config.shard_seed == 0)
-      tree_config.shard_seed = config_.seed ^ 0x5A4DD00Dull;
-    tree_ = std::make_unique<AggregationTree>(tree_config, config_.clients);
+    tree_ = std::make_unique<AggregationTree>(resolved_topology(config_),
+                                              config_.clients);
   }
   if (!config_.downlink_spec.empty())
     downlink_ = std::make_unique<DownlinkChannel>(
@@ -257,29 +545,11 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
         config_.clients);
   feedback_.resize(config_.clients);
   const auto shards = build_client_shards(*train, config_, population_.get());
-  Rng speed_rng(config_.seed ^ 0xC0DEC10Cull);
-  compute_seconds_.reserve(config_.clients);
-  for (std::size_t i = 0; i < config_.clients; ++i) {
-    ClientConfig client_config = config_.client;
-    client_config.seed = config_.seed ^ (0xC11E47ull * (i + 1));
-    clients_.push_back(std::make_unique<FlClient>(
-        static_cast<int>(i), model_config_,
-        std::make_shared<data::SubsetDataset>(train, shards[i]),
-        client_config));
-    // Deterministic virtual training time: proportional to the shard, with
-    // an optional per-client speed spread (heterogeneous devices) and the
-    // device class's compute multiplier (after the jitter draw, so the
-    // speed stream's consumption never depends on the population).
-    const double factor = speed_rng.uniform(1.0 - config_.compute_jitter,
-                                            1.0 + config_.compute_jitter);
-    const double class_multiplier =
-        population_ ? population_->compute_multiplier(i) : 1.0;
-    compute_seconds_.push_back(
-        config_.compute_seconds_per_sample *
-        static_cast<double>(shards[i].size()) *
-        static_cast<double>(config_.client.local_epochs) * factor *
-        class_multiplier);
-  }
+  compute_seconds_ =
+      client_compute_seconds(config_, shards, population_.get());
+  for (std::size_t i = 0; i < config_.clients; ++i)
+    clients_.push_back(
+        make_client(i, config_, model_config_, train, shards[i]));
 }
 
 FlRunResult FlCoordinator::run() {
@@ -287,31 +557,14 @@ FlRunResult FlCoordinator::run() {
   FlRunResult result;
   result.scheduler = scheduler_->name();
 
-  // What a dispatched client hands back once its real work (broadcast
-  // decode + local SGD + update encoding on the pool) completes.
-  struct WorkerOut {
-    Bytes payload;
-    std::size_t samples = 0;
-    CompressionStats stats;  // the encode pass (bytes, plan census, timing)
-    double train_seconds = 0.0;
-    double mean_loss = 0.0;
-    double downlink_decode_seconds = 0.0;  // per-client broadcast decode
-    double ef_residual_norm = 0.0;         // after this update's encode
-    double ef_decode_seconds = 0.0;  // decoding own payload for the residual
-  };
-  // One slot per client; a client has at most one update in flight.
+  // One slot per client; a client has at most one update in flight. `out`
+  // is what its real work (broadcast decode + local SGD + update encoding
+  // on the pool) hands back.
   struct InFlight {
-    std::future<WorkerOut> future;
-    WorkerOut out;
-    int dispatch_round = 0;
-    double dispatch_seconds = 0.0;
+    std::future<ClientUpdate> future;
+    ClientUpdate out;
+    Dispatch sent;
     double transfer_seconds = 0.0;
-    // Downlink leg (zeros when the broadcast is free/lossless).
-    std::size_t downlink_bytes = 0;
-    std::size_t downlink_raw_bytes = 0;
-    double downlink_seconds = 0.0;
-    double downlink_encode_seconds = 0.0;
-    double downlink_decode_seconds = 0.0;  // kFull shared decode
   };
   // Shared kFull broadcast product: encoded once, decoded once, delivered
   // down the tree. Hoisted so the recursive fan-out handler can name it.
@@ -324,16 +577,12 @@ FlRunResult FlCoordinator::run() {
 
   net::EventQueue queue;
   std::vector<InFlight> flights(clients_.size());
-  Rng cohort_rng(config_.seed ^ 0x5C4ED11Eull);
+  RoundStreams streams(config_.seed);
   // Churn draws ride their own stream: a failure-free run consumes exactly
   // the randomness it did before churn existed, keeping trajectory pins.
   Rng failure_rng(config_.failures.seed
                       ? config_.failures.seed
                       : (config_.seed ^ 0xFA17A1E5ull));
-  // Population availability draws ride their own stream too (advanced only
-  // when a population is active), checkpointed so a resumed run replays the
-  // exact eligibility sequence.
-  Rng eligibility_rng(config_.seed ^ 0xE11D1B1Eull);
   int completed = 0;  // aggregations finished so far
   bool stopped = false;
   RoundRecord record;
@@ -346,8 +595,6 @@ FlRunResult FlCoordinator::run() {
   std::vector<Phase> phase(clients_.size(), Phase::kIdle);
   std::vector<std::uint64_t> generation(clients_.size(), 0);
   std::vector<char> dropped(clients_.size(), 0);  // this round's dropout draws
-  // This round's availability draws (all 1 when no population is active).
-  std::vector<char> eligible(clients_.size(), 1);
   // Tier-1 edge owning each client THIS round (crash re-sharding moves it).
   std::vector<std::size_t> owner_round(clients_.size(), 0);
 
@@ -355,7 +602,6 @@ FlRunResult FlCoordinator::run() {
   // that closes it (updates when flat, top-tier partials when hier).
   std::size_t root_folded = 0;
   std::size_t root_goal = 0;
-  std::size_t merged_partials = 0;  // partials merged this round, all tiers
   // Shipped partials whose arrival event has not executed yet. Whatever is
   // still in flight when the run stops never merges anywhere — fold those
   // into late_events at exit so weight that left an edge is always either
@@ -388,9 +634,13 @@ FlRunResult FlCoordinator::run() {
   std::vector<std::vector<NodeRound>> nodes(levels);
   for (std::size_t l = 0; l < levels; ++l) nodes[l].resize(tree_->level_size(l));
   // This round's member set per tier-1 edge (after crash re-sharding) and
-  // the drawn cohort, in dispatch order.
+  // the drawn cohort, in dispatch order; a flat run draws from one group of
+  // every client.
   std::vector<std::vector<std::size_t>> edge_members(edge_count);
   std::vector<std::vector<std::size_t>> edge_cohort(edge_count);
+  std::vector<std::vector<std::size_t>> everyone(
+      1, std::vector<std::size_t>(clients_.size()));
+  std::iota(everyone[0].begin(), everyone[0].end(), std::size_t{0});
   // Participating children of each node above tier 1 (level l-1 indices).
   std::vector<std::vector<std::vector<std::size_t>>> children_part(levels);
   for (std::size_t l = 1; l < levels; ++l)
@@ -403,52 +653,29 @@ FlRunResult FlCoordinator::run() {
   using PayloadPtr = std::shared_ptr<const Bytes>;
 
   // The client's real work, run on the pool: decode the broadcast payload
-  // when one was delivered (per-client path), train on the resulting model,
-  // fold in the error-feedback residual, encode, and — with EF on — absorb
-  // what the encoder dropped (reconstruction read back from the payload)
-  // into the residual carried to the next round. Per-client state
-  // (feedback_[i], downlink session i) is safe without locks because a
-  // client never has two tasks alive at once (dispatch waits out a stale
-  // evicted task before reusing the slot).
+  // when one was delivered (per-client path), then train and encode on the
+  // resulting model. Per-client state (feedback_[i], downlink session i) is
+  // safe without locks because a client never has two tasks alive at once
+  // (dispatch waits out a stale evicted task before reusing the slot).
   // EF against a lossless uplink is provably a zero residual forever; skip
   // the per-round payload decode and residual passes outright.
   const bool ef_on = config_.error_feedback && !codec_->lossless();
   auto client_work = [this, ef_on](std::size_t i, int round, Snapshot model,
-                                   PayloadPtr broadcast) -> WorkerOut {
-    WorkerOut out;
+                                   PayloadPtr broadcast) -> ClientUpdate {
     StateDict decoded_model;
     const StateDict* train_on = model.get();
+    CompressionStats downlink_stats;
     if (broadcast) {
-      CompressionStats downlink_stats;
       const ByteSpan span{broadcast->data(), broadcast->size()};
       decoded_model = downlink_->mode() == DownlinkMode::kDelta
                           ? downlink_->receive(i, span, &downlink_stats)
                           : downlink_->decode_broadcast(span, &downlink_stats);
-      out.downlink_decode_seconds = downlink_stats.decompress_seconds;
       train_on = &decoded_model;
     }
-    ClientRoundResult round_result = clients_[i]->run_round(*train_on);
-    EncodeContext ctx;
-    ctx.round = round;
-    ctx.client_id = static_cast<int>(i);
-    ctx.steps = round_result.steps;
-    StateDict update = std::move(round_result.update);
-    if (ef_on) update = feedback_[i].apply(update);
-    UpdateCodec::Encoded encoded = codec_->encode(update, ctx);
-    if (ef_on) {
-      // The server will decode exactly this; what it misses is carried over.
-      CompressionStats ef_stats;
-      const StateDict reconstruction = codec_->decode(
-          {encoded.payload.data(), encoded.payload.size()}, &ef_stats);
-      feedback_[i].absorb(update, reconstruction);
-      out.ef_residual_norm = feedback_[i].residual_norm();
-      out.ef_decode_seconds = ef_stats.decompress_seconds;
-    }
-    out.samples = round_result.samples;
-    out.stats = encoded.stats;
-    out.train_seconds = round_result.train_seconds;
-    out.mean_loss = round_result.mean_loss;
-    out.payload = std::move(encoded.payload);
+    ClientUpdate out =
+        train_and_encode(*clients_[i], *codec_, ef_on ? &feedback_[i] : nullptr,
+                         *train_on, round);
+    out.downlink_decode_seconds = downlink_stats.decompress_seconds;
     return out;
   };
 
@@ -502,9 +729,9 @@ FlRunResult FlCoordinator::run() {
     ByteWriter aggregator_out;
     server_.aggregator().save_state(aggregator_out);
     state.aggregator_state = aggregator_out.finish();
-    state.cohort_rng = cohort_rng.state();
+    state.cohort_rng = streams.cohort.state();
     state.failure_rng = failure_rng.state();
-    state.eligibility_rng = eligibility_rng.state();
+    state.eligibility_rng = streams.eligibility.state();
     state.client_residuals.reserve(feedback_.size());
     for (const ErrorFeedbackAccumulator& fb : feedback_)
       state.client_residuals.push_back(fb.residual());
@@ -530,8 +757,10 @@ FlRunResult FlCoordinator::run() {
     // An evicted client's pool task may still be running; finish it before
     // reusing the per-client state it touches (feedback_, the client).
     if (flight.future.valid()) flight.future.wait();
-    flight.dispatch_round = round;
-    flight.dispatch_seconds = queue.now();
+    flight.sent.client = i;
+    flight.sent.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
+    flight.sent.round = round;
+    flight.sent.seconds = queue.now();
     const std::uint64_t gen = ++generation[i];
     phase[i] = Phase::kPending;
     if (dropped[i]) {
@@ -560,17 +789,17 @@ FlRunResult FlCoordinator::run() {
         }));
     queue.schedule_after(0.0, [&, i, round, pending] {
       BroadcastPayload broadcast = pending->get();
-      InFlight& flight = flights[i];
+      Dispatch& sent = flights[i].sent;
       auto payload = std::make_shared<const Bytes>(
           std::move(broadcast.payload));
-      flight.downlink_bytes = payload->size();
-      flight.downlink_raw_bytes = broadcast.stats.original_bytes;
-      flight.downlink_encode_seconds = broadcast.stats.compress_seconds;
-      flight.downlink_decode_seconds = 0.0;
-      flight.downlink_seconds =
+      sent.downlink_bytes = payload->size();
+      sent.downlink_raw_bytes = broadcast.stats.original_bytes;
+      sent.downlink_encode_seconds = broadcast.stats.compress_seconds;
+      sent.downlink_decode_seconds = 0.0;
+      sent.downlink_seconds =
           network_.link(i).transfer_seconds(payload->size());
       if (!tree_) {
-        queue.schedule_after(flight.downlink_seconds, [&, i, round, payload] {
+        queue.schedule_after(sent.downlink_seconds, [&, i, round, payload] {
           dispatch(i, round, nullptr, payload);
         });
         return;
@@ -591,9 +820,10 @@ FlRunResult FlCoordinator::run() {
                  std::shared_ptr<const std::vector<std::size_t>> path,
                  PayloadPtr payload) {
     if (k == levels) {
-      queue.schedule_after(flights[i].downlink_seconds, [&, i, round, payload] {
-        dispatch(i, round, nullptr, payload);
-      });
+      queue.schedule_after(flights[i].sent.downlink_seconds,
+                           [&, i, round, payload] {
+                             dispatch(i, round, nullptr, payload);
+                           });
       return;
     }
     const std::size_t l = levels - 1 - k;
@@ -613,14 +843,14 @@ FlRunResult FlCoordinator::run() {
   // client's own link, then dispatch on the shared reconstruction.
   deliver_client = [&](std::size_t i, int round,
                        std::shared_ptr<const BroadcastReady> ready) {
-    InFlight& flight = flights[i];
-    flight.downlink_bytes = ready->payload.size();
-    flight.downlink_raw_bytes = ready->stats.original_bytes;
-    flight.downlink_encode_seconds = ready->stats.compress_seconds;
-    flight.downlink_decode_seconds = ready->decode_seconds;
-    flight.downlink_seconds =
+    Dispatch& sent = flights[i].sent;
+    sent.downlink_bytes = ready->payload.size();
+    sent.downlink_raw_bytes = ready->stats.original_bytes;
+    sent.downlink_encode_seconds = ready->stats.compress_seconds;
+    sent.downlink_decode_seconds = ready->decode_seconds;
+    sent.downlink_seconds =
         network_.link(i).transfer_seconds(ready->payload.size());
-    queue.schedule_after(flight.downlink_seconds,
+    queue.schedule_after(sent.downlink_seconds,
                          [&, i, round, model = ready->model] {
                            dispatch(i, round, model, nullptr);
                          });
@@ -711,37 +941,7 @@ FlRunResult FlCoordinator::run() {
   };
 
   close_round = [&] {
-    if (record.participants == 0)
-      // Everything churned away: keep the global untouched this round.
-      server_.abort_round();
-    else
-      server_.finalize_round();
-    if (record.participants > 0) {
-      const double inv = 1.0 / static_cast<double>(record.participants);
-      record.train_seconds *= inv;
-      record.compress_seconds *= inv;
-      record.decompress_seconds *= inv;
-      record.comm_seconds *= inv;
-      record.mean_loss *= inv;
-      record.downlink_seconds *= inv;
-      record.downlink_encode_seconds *= inv;
-      record.downlink_decode_seconds *= inv;
-      record.mean_ef_residual_norm *= inv;
-      record.ef_decode_seconds *= inv;
-    }
-    if (merged_partials > 0) {
-      const double inv_edges = 1.0 / static_cast<double>(merged_partials);
-      record.backhaul_seconds *= inv_edges;
-      record.backhaul_encode_seconds *= inv_edges;
-      record.backhaul_decode_seconds *= inv_edges;
-      record.backhaul_downlink_seconds *= inv_edges;
-    }
-    record.virtual_seconds = queue.now();
-    if (config_.evaluate_every_round || completed + 1 == config_.rounds) {
-      Timer eval_timer;
-      record.accuracy = server_.evaluate(*test_, config_.eval_limit);
-      record.eval_seconds = eval_timer.seconds();
-    }
+    close_record(record, server_, config_, queue.now(), *test_);
     result.rounds.push_back(std::move(record));
     ++completed;
     if (!config_.checkpoint_path.empty() &&
@@ -807,18 +1007,10 @@ FlRunResult FlCoordinator::run() {
     if (stopped) return;
     if (gen != generation[i] || phase[i] != Phase::kPending) return;
     phase[i] = Phase::kDropped;
-    const InFlight& flight = flights[i];
-    ClientTraceEntry trace;
-    trace.client = i;
-    trace.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
-    trace.dispatch_round = flight.dispatch_round;
-    trace.dispatch_seconds = flight.dispatch_seconds;
-    trace.arrival_seconds = queue.now();  // when the client went silent
-    trace.downlink_bytes = flight.downlink_bytes;
-    trace.downlink_seconds = flight.downlink_seconds;
-    trace.status = DeliveryStatus::kDropped;
-    if (population_) trace.device_class = population_->class_name(i);
-    record.clients.push_back(std::move(trace));
+    // Traced at the moment the client went silent.
+    record.clients.push_back(client_trace(flights[i].sent,
+                                          DeliveryStatus::kDropped,
+                                          queue.now(), population_.get()));
     if (!tree_) {
       // Barrier goals equal the cohort size, so one fewer possible arrival
       // is one fewer to wait for.
@@ -844,35 +1036,18 @@ FlRunResult FlCoordinator::run() {
     if (phase[i] != Phase::kPending) return;
     phase[i] = Phase::kDone;
     InFlight& flight = flights[i];
-    WorkerOut out = std::move(flight.out);
-    flight.out = WorkerOut{};
+    ClientUpdate out = std::move(flight.out);
+    flight.out = ClientUpdate{};
     const std::size_t e = tree_ ? owner_round[i] : 0;
-    const std::size_t node_id = tree_ ? 1 + tree_->flat_index(0, e) : 0;
-
-    ClientTraceEntry trace;
-    trace.client = i;
-    trace.node = node_id;
-    trace.dispatch_round = flight.dispatch_round;
-    trace.dispatch_seconds = flight.dispatch_seconds;
-    trace.arrival_seconds = queue.now();
-    trace.transfer_seconds = flight.transfer_seconds;
-    trace.payload_bytes = out.payload.size();
-    trace.raw_bytes = out.stats.original_bytes;
-    trace.bound_value = out.stats.mean_bound_value;
-    trace.lossy_tensors = out.stats.lossy_tensors;
-    trace.lossless_tensors = out.stats.lossless_tensors;
-    trace.raw_tensors = out.stats.raw_tensors;
-    trace.sparse_tensors = out.stats.sparse_tensors;
-    trace.downlink_bytes = flight.downlink_bytes;
-    trace.downlink_seconds = flight.downlink_seconds;
-    trace.ef_residual_norm = out.ef_residual_norm;
-    if (population_) trace.device_class = population_->class_name(i);
-
+    const std::size_t node_id = flight.sent.node;
+    Delivery delivery = make_delivery(flight.sent, out, queue.now(),
+                                      flight.transfer_seconds,
+                                      population_.get());
     if (tree_ && !nodes[0][e].open) {
       // Its buffered edge already shipped: the update landed with nowhere
       // to fold. Trace it, but keep it out of every round total.
-      trace.status = DeliveryStatus::kLate;
-      record.clients.push_back(std::move(trace));
+      delivery.trace.status = DeliveryStatus::kLate;
+      record.clients.push_back(std::move(delivery.trace));
       return;
     }
 
@@ -883,7 +1058,7 @@ FlRunResult FlCoordinator::run() {
     peak[node_id] = std::max(peak[node_id], live[node_id]);
     const double weight =
         static_cast<double>(out.samples) *
-        scheduler_->staleness_scale(flight.dispatch_round, completed);
+        scheduler_->staleness_scale(flight.sent.round, completed);
     if (tree_) {
       tree_->node(0, e).fold(update, weight);
     } else {
@@ -892,29 +1067,9 @@ FlRunResult FlCoordinator::run() {
     }
     update = StateDict();  // folded; free it before anything else arrives
     --live[node_id];
-
-    trace.weight = weight;
-    trace.decision = net::evaluate_compression(
-        out.stats.original_bytes, out.payload.size(),
-        out.stats.compress_seconds, decode_stats.decompress_seconds,
-        network_.link(i));
-    record.train_seconds += out.train_seconds;
-    record.compress_seconds += out.stats.compress_seconds;
-    record.decompress_seconds += decode_stats.decompress_seconds;
-    record.comm_seconds += flight.transfer_seconds;
-    record.mean_loss += out.mean_loss;
-    record.bytes_sent += out.payload.size();
-    record.raw_bytes += out.stats.original_bytes;
-    record.downlink_bytes += flight.downlink_bytes;
-    record.downlink_raw_bytes += flight.downlink_raw_bytes;
-    record.downlink_seconds += flight.downlink_seconds;
-    record.downlink_encode_seconds += flight.downlink_encode_seconds;
-    record.downlink_decode_seconds +=
-        flight.downlink_decode_seconds + out.downlink_decode_seconds;
-    record.mean_ef_residual_norm += out.ef_residual_norm;
-    record.ef_decode_seconds += out.ef_decode_seconds;
-    record.participants += 1;
-    record.clients.push_back(std::move(trace));
+    settle_delivery(delivery, weight, decode_stats.decompress_seconds,
+                    network_.link(i));
+    record_delivery(record, std::move(delivery));
 
     if (!tree_) {
       ++root_folded;
@@ -949,19 +1104,10 @@ FlRunResult FlCoordinator::run() {
       return;
     }
     const std::size_t flat = tree_->flat_index(l, n);
-    EdgeTraceEntry trace;
-    trace.edge = flat;
-    trace.tier = l + 1;
-    trace.cohort = partial->clients;
-    trace.weight = partial->weight;
-    trace.payload_bytes = partial->payload.size();
-    trace.raw_bytes = partial->stats.original_bytes;
-    trace.encode_seconds = partial->stats.compress_seconds;
-    trace.transfer_seconds = transfer;
-    trace.arrival_seconds = queue.now();
+    EdgeTraceEntry trace =
+        partial_trace(*tree_, l, n, *partial, transfer, queue.now());
     trace.downlink_bytes = node_downlink_bytes[flat];
     trace.downlink_seconds = node_downlink_seconds[flat];
-    trace.ef_residual_norm = partial->ef_residual_norm;
 
     const bool at_root = l + 1 == levels;
     std::size_t parent = 0;
@@ -980,26 +1126,15 @@ FlRunResult FlCoordinator::run() {
     peak[decode_node] = std::max(peak[decode_node], live[decode_node]);
     StateDict mean = tree_->decode_partial(
         l, {partial->payload.data(), partial->payload.size()}, &decode_stats);
-    if (at_root) {
+    if (at_root)
       server_.merge_partial(mean, partial->weight);
-      record.aggregate_weight += partial->weight;
-    } else {
+    else
       tree_->node(l + 1, parent).fold(mean, partial->weight,
                                       partial->clients);
-    }
     mean = StateDict();  // merged; free it before anything else arrives
     --live[decode_node];
-
-    trace.decode_seconds = decode_stats.decompress_seconds;
-    record.backhaul_bytes += trace.payload_bytes;
-    record.backhaul_raw_bytes += trace.raw_bytes;
-    record.backhaul_seconds += transfer;
-    record.backhaul_encode_seconds += trace.encode_seconds;
-    record.backhaul_decode_seconds += trace.decode_seconds;
-    record.backhaul_tier_bytes[l] += trace.payload_bytes;
-    record.backhaul_tier_raw_bytes[l] += trace.raw_bytes;
-    ++merged_partials;
-    record.edges.push_back(std::move(trace));
+    record_partial(record, std::move(trace), decode_stats.decompress_seconds,
+                   at_root);
     if (at_root) {
       ++root_folded;
       maybe_close_root();
@@ -1017,18 +1152,10 @@ FlRunResult FlCoordinator::run() {
     for (std::size_t i = 0; i < clients_.size(); ++i) {
       if (phase[i] != Phase::kPending) continue;
       phase[i] = Phase::kEvicted;
-      const InFlight& flight = flights[i];
-      ClientTraceEntry trace;
-      trace.client = i;
-      trace.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
-      trace.dispatch_round = flight.dispatch_round;
-      trace.dispatch_seconds = flight.dispatch_seconds;
-      trace.arrival_seconds = queue.now();  // when the server gave up
-      trace.downlink_bytes = flight.downlink_bytes;
-      trace.downlink_seconds = flight.downlink_seconds;
-      trace.status = DeliveryStatus::kEvicted;
-      if (population_) trace.device_class = population_->class_name(i);
-      record.clients.push_back(std::move(trace));
+      // Traced at the moment the server gave up on it.
+      record.clients.push_back(client_trace(flights[i].sent,
+                                            DeliveryStatus::kEvicted,
+                                            queue.now(), population_.get()));
     }
     if (!tree_) {
       root_goal = root_folded;
@@ -1048,10 +1175,8 @@ FlRunResult FlCoordinator::run() {
   };
 
   open_round = [&](bool initial) {
-    record = RoundRecord{};
-    record.round = completed;
+    record = open_record(completed, tree_.get());
     root_folded = 0;
-    merged_partials = 0;
     server_.begin_round();
     if (scheduler_->continuous() && !initial) {
       // Clients redispatch themselves on arrival; just reset the buffer.
@@ -1061,30 +1186,8 @@ FlRunResult FlCoordinator::run() {
     }
     std::fill(phase.begin(), phase.end(), Phase::kIdle);
     std::fill(dropped.begin(), dropped.end(), 0);
-    std::fill(eligible.begin(), eligible.end(), 1);
-    // Zero-eligible fallback: when every availability draw failed,
-    // deterministically wake the most-available client (tie-break lowest
-    // index) so a campaign can never stall on an unlucky night. Consumes no
-    // randomness, so the stream stays aligned with luckier trajectories.
-    const auto ensure_some_eligible = [&] {
-      if (!population_) return;
-      for (std::size_t i = 0; i < clients_.size(); ++i)
-        if (eligible[i]) return;
-      std::size_t best = 0;
-      double best_p = -1.0;
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
-        const double p = population_->availability(i, queue.now());
-        if (p > best_p) {
-          best_p = p;
-          best = i;
-        }
-      }
-      eligible[best] = 1;
-    };
     std::vector<std::size_t> cohort;
     if (tree_) {
-      record.backhaul_tier_bytes.assign(levels, 0);
-      record.backhaul_tier_raw_bytes.assign(levels, 0);
       std::fill(node_downlink_bytes.begin(), node_downlink_bytes.end(), 0);
       std::fill(node_downlink_seconds.begin(), node_downlink_seconds.end(),
                 0.0);
@@ -1132,42 +1235,17 @@ FlRunResult FlCoordinator::run() {
       }
       for (std::size_t e = 0; e < edge_count; ++e)
         for (const std::size_t i : edge_members[e]) owner_round[i] = e;
-      if (population_) {
-        // Availability draws in (edge order, member order) — exactly the
-        // sequence the federation root replays, so both transports consume
-        // the eligibility stream identically.
-        for (std::size_t e = 0; e < edge_count; ++e)
-          for (const std::size_t i : edge_members[e])
-            eligible[i] = eligibility_rng.uniform() <
-                          population_->availability(i, queue.now());
-        ensure_some_eligible();
-      }
-      // Per-cohort sampling: the scheduler draws within each edge's member
-      // set (cohort-relative indices) in edge order — the same stream and
-      // order as the single-tier runtime when nothing crashed. With a
-      // population active the member set shrinks to the eligible clients
-      // BEFORE the draw (the scheduler never sees offline devices).
-      root_goal = 0;
+      // One scheduler draw per edge cohort, in edge order — the same stream
+      // and order as the single-tier runtime when nothing crashed.
+      edge_cohort = draw_cohorts(edge_members, tree_.get(), *scheduler_,
+                                 population_.get(), queue.now(), streams,
+                                 record);
       for (std::size_t e = 0; e < edge_count; ++e) {
-        edge_cohort[e].clear();
-        if (edge_members[e].empty()) continue;
-        std::vector<std::size_t> pool;
-        if (population_) {
-          for (const std::size_t i : edge_members[e])
-            if (eligible[i]) pool.push_back(i);
-        } else {
-          pool = edge_members[e];
-        }
-        if (pool.empty()) continue;
-        const std::vector<std::size_t> draw =
-            scheduler_->cohort(completed, pool.size(), cohort_rng);
-        if (draw.empty()) continue;
+        if (edge_cohort[e].empty()) continue;
         NodeRound& s = nodes[0][e];
         s.participating = s.open = true;
-        s.expected = draw.size();
+        s.expected = edge_cohort[e].size();
         tree_->node(0, e).begin_round(server_.global_state());
-        for (const std::size_t idx : draw)
-          edge_cohort[e].push_back(pool[idx]);
       }
       // Upper tiers participate when anything below them does; their
       // expectation is the participating child count.
@@ -1184,52 +1262,17 @@ FlRunResult FlCoordinator::run() {
           tree_->node(l, n).begin_round(server_.global_state());
         }
       }
+      root_goal = 0;
       for (std::size_t n = 0; n < nodes[levels - 1].size(); ++n)
         if (nodes[levels - 1][n].participating) ++root_goal;
       for (std::size_t e = 0; e < edge_count; ++e)
         cohort.insert(cohort.end(), edge_cohort[e].begin(),
                       edge_cohort[e].end());
     } else {
-      if (population_) {
-        for (std::size_t i = 0; i < clients_.size(); ++i)
-          eligible[i] = eligibility_rng.uniform() <
-                        population_->availability(i, queue.now());
-        ensure_some_eligible();
-        std::vector<std::size_t> pool;
-        for (std::size_t i = 0; i < clients_.size(); ++i)
-          if (eligible[i]) pool.push_back(i);
-        const std::vector<std::size_t> draw =
-            scheduler_->cohort(completed, pool.size(), cohort_rng);
-        cohort.reserve(draw.size());
-        for (const std::size_t idx : draw) cohort.push_back(pool[idx]);
-      } else {
-        cohort = scheduler_->cohort(completed, clients_.size(), cohort_rng);
-      }
+      cohort = std::move(draw_cohorts(everyone, nullptr, *scheduler_,
+                                      population_.get(), queue.now(),
+                                      streams, record)[0]);
       root_goal = scheduler_->aggregation_goal(cohort.size());
-    }
-    if (population_) {
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
-        if (eligible[i]) {
-          ++record.eligible_clients;
-          continue;
-        }
-        ++record.ineligible_clients;
-        // Offline devices stay visible in the per-round export: one
-        // weight-0 entry each, appended in client order at round open (the
-        // same order the federation root emits them).
-        ClientTraceEntry trace;
-        trace.client = i;
-        trace.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
-        trace.dispatch_round = completed;
-        trace.dispatch_seconds = queue.now();
-        trace.arrival_seconds = queue.now();
-        trace.status = DeliveryStatus::kIneligible;
-        trace.device_class = population_->class_name(i);
-        trace.eligible = false;
-        record.clients.push_back(std::move(trace));
-      }
-    } else {
-      record.eligible_clients = clients_.size();
     }
     if (config_.failures.dropout_rate > 0.0)
       for (const std::size_t i : cohort)
@@ -1241,7 +1284,8 @@ FlRunResult FlCoordinator::run() {
     // machinery.
     if (population_ && population_->config().dropout_rate > 0.0)
       for (const std::size_t i : cohort)
-        if (eligibility_rng.uniform() < population_->config().dropout_rate)
+        if (streams.eligibility.uniform() <
+            population_->config().dropout_rate)
           dropped[i] = 1;
     if (config_.failures.straggler_deadline_seconds > 0.0)
       queue.schedule_after(config_.failures.straggler_deadline_seconds,
@@ -1293,9 +1337,9 @@ FlRunResult FlCoordinator::run() {
       ByteReader aggregator_in(
           {ck.aggregator_state.data(), ck.aggregator_state.size()});
       server_.aggregator().load_state(aggregator_in);
-      cohort_rng.restore(ck.cohort_rng);
+      streams.cohort.restore(ck.cohort_rng);
       failure_rng.restore(ck.failure_rng);
-      eligibility_rng.restore(ck.eligibility_rng);
+      streams.eligibility.restore(ck.eligibility_rng);
       for (std::size_t i = 0; i < feedback_.size(); ++i)
         feedback_[i].restore_residual(std::move(ck.client_residuals[i]));
       if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)

@@ -25,6 +25,7 @@
 // fan out the other way (root->edge->client), charged per hop.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "core/error_feedback.hpp"
@@ -356,6 +357,152 @@ net::HeterogeneousNetwork build_population_network(
 std::vector<std::vector<std::size_t>> build_client_shards(
     const data::Dataset& train, const FlRunConfig& config,
     const ClientPopulation* population);
+
+// ---- Round decisions shared by both transports ----
+//
+// FlCoordinator::run() and the distributed runtime (core/fl/federation.hpp)
+// call the functions below, so the seed derivations, cohort draws, client
+// update, trace rows, record sums and round close each exist once.
+
+/// Deterministic virtual training time per client: seconds_per_sample x
+/// shard size x local epochs x a speed factor drawn from
+/// [1 - jitter, 1 + jitter] on its own stream, x the device class's compute
+/// multiplier (applied after the draw, so the stream never depends on the
+/// population).
+std::vector<double> client_compute_seconds(
+    const FlRunConfig& config,
+    const std::vector<std::vector<std::size_t>>& shards,
+    const ClientPopulation* population);
+
+/// Client `i` training on `shard` of `train`, seeded from the run seed.
+std::unique_ptr<FlClient> make_client(std::size_t i, const FlRunConfig& config,
+                                      const nn::ModelConfig& model,
+                                      const data::DatasetPtr& train,
+                                      const std::vector<std::size_t>& shard);
+
+/// config.topology with a kShuffled shard seed of 0 derived from the run
+/// seed, so every process builds the same tree.
+TopologyConfig resolved_topology(const FlRunConfig& config);
+
+/// The run-seed-derived streams a round open draws from, checkpointed
+/// mid-sequence: the scheduler's cohort sampling and population
+/// availability.
+struct RoundStreams {
+  explicit RoundStreams(std::uint64_t seed);
+  Rng cohort;
+  Rng eligibility;
+};
+
+/// Round `round`'s empty record; the per-tier backhaul tallies are sized to
+/// `tree` (null on flat runs).
+RoundRecord open_record(int round, const AggregationTree* tree);
+
+/// Round open over `groups`: the tier-1 member lists after any re-homing
+/// (a flat run passes one group holding every client in index order). With
+/// a population, availability is drawn in (group, member) order and, when
+/// every draw failed, the most-available client (lowest index on ties)
+/// wakes without a draw. Each group's scheduler draw then runs over its
+/// eligible members, skipping groups left with none. Appends one
+/// kIneligible row per offline client, in client order, and counts
+/// record.eligible_clients / ineligible_clients. Returns each group's
+/// cohort, global client ids in dispatch order.
+std::vector<std::vector<std::size_t>> draw_cohorts(
+    const std::vector<std::vector<std::size_t>>& groups,
+    const AggregationTree* tree, Scheduler& scheduler,
+    const ClientPopulation* population, double now, RoundStreams& streams,
+    RoundRecord& record);
+
+/// What a client's local round hands back: the encoded update and the
+/// per-update terms its trace row and the round record need.
+struct ClientUpdate {
+  Bytes payload;
+  std::size_t samples = 0;
+  CompressionStats stats;  // the encode pass (bytes, plan census, timing)
+  double train_seconds = 0.0;
+  double mean_loss = 0.0;
+  double downlink_decode_seconds = 0.0;  // per-client broadcast decode
+  double ef_residual_norm = 0.0;         // after this update's encode
+  double ef_decode_seconds = 0.0;  // decoding own payload for the residual
+};
+
+/// Train `client` on `model`, fold in the carried error-feedback residual,
+/// encode, and absorb what the encoder dropped (the reconstruction read
+/// back from the payload) into the residual. `feedback` is null when EF is
+/// off or the codec is lossless (a provably zero residual).
+ClientUpdate train_and_encode(FlClient& client, const UpdateCodec& codec,
+                              ErrorFeedbackAccumulator* feedback,
+                              const StateDict& model, int round);
+
+/// A client's dispatch: who, under which aggregation point (trace node
+/// id), in which round and when, and its downlink leg (zeros when the
+/// broadcast is free). Everything a trace row knows before training.
+struct Dispatch {
+  std::size_t client = 0;
+  std::size_t node = 0;
+  int round = 0;
+  double seconds = 0.0;
+  std::size_t downlink_bytes = 0;
+  std::size_t downlink_raw_bytes = 0;
+  double downlink_seconds = 0.0;
+  double downlink_encode_seconds = 0.0;
+  double downlink_decode_seconds = 0.0;  // the shared kFull decode
+};
+
+/// One update at its aggregation point: its trace row plus the per-update
+/// terms of the round record's sums the row does not carry. Over TCP this
+/// is what PARTIAL ships for each client.
+struct Delivery {
+  ClientTraceEntry trace;
+  double train_seconds = 0.0;
+  double mean_loss = 0.0;
+  double compress_seconds = 0.0;
+  double decompress_seconds = 0.0;  // aggregation-point decode
+  double ef_decode_seconds = 0.0;
+  std::size_t downlink_raw_bytes = 0;
+  double downlink_encode_seconds = 0.0;
+  double downlink_decode_seconds = 0.0;
+};
+
+/// The row of `dispatch` leaving the round with `status` at `now`: weight 0
+/// and no payload, as for dropped, evicted and ineligible clients
+/// (make_delivery fills in an update that arrived).
+ClientTraceEntry client_trace(const Dispatch& dispatch, DeliveryStatus status,
+                              double now, const ClientPopulation* population);
+
+/// The delivery of `update`, which reached its aggregation point at
+/// `arrival` after `transfer` seconds on its link. Weight and the Eqn (1)
+/// decision stay unset until settle_delivery.
+Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
+                       double arrival, double transfer,
+                       const ClientPopulation* population);
+
+/// A folded delivery's weight, its decode time, and its Eqn (1) decision
+/// scored on the client's own `link`.
+void settle_delivery(Delivery& delivery, double weight, double decode_seconds,
+                     const net::SimulatedNetwork& link);
+
+/// Append a settled delivery's row to `record` and add its terms to the
+/// per-participant sums (callers keep arrival order: the sums are doubles).
+void record_delivery(RoundRecord& record, Delivery delivery);
+
+/// The row of the partial node (`level`, `node`) shipped; it crossed its
+/// uplink in `transfer` seconds and arrived at `arrival`.
+EdgeTraceEntry partial_trace(const AggregationTree& tree, std::size_t level,
+                             std::size_t node, const EncodedPartial& partial,
+                             double transfer, double arrival);
+
+/// Append a merged partial's row to `record` and add it to the backhaul
+/// sums; `at_root` partials also add their weight to aggregate_weight.
+void record_partial(RoundRecord& record, EdgeTraceEntry trace,
+                    double decode_seconds, bool at_root);
+
+/// Close the round: finalize the server's aggregation (abort it when
+/// nothing folded), turn the sums into means per participant and per
+/// merged partial, stamp the virtual clock, and evaluate on `test` when
+/// the config asks for this round.
+void close_record(RoundRecord& record, FlServer& server,
+                  const FlRunConfig& config, double now,
+                  const data::Dataset& test);
 
 class FlCoordinator {
  public:

@@ -11,19 +11,25 @@
 //   worker -> root   ACK        fingerprint echo + assigned edge index
 //   root -> worker   ROUND_OPEN round index, virtual open time, cohort
 //   root -> worker   BROADCAST  the serialized global model (bit-exact)
-//   worker -> root   PARTIAL    one re-encoded partial mean + per-client
-//                               virtual-time trace, ordering keys included
+//   worker -> root   PARTIAL    one re-encoded partial mean + each client's
+//                               Delivery, replay keys included
 //   worker -> root   HEARTBEAT  liveness beacon (wall-clock cadence)
 //   root -> worker   BYE        campaign over
 //
-// Determinism contract: the virtual clock never crosses the wire as a
-// dependency — workers REPLICATE the event-runtime schedule analytically
-// (upload = t_open + compute_i, arrival = upload + link_i(bytes)) and the
-// root re-sorts everything it merges by the exact (time, tie-break) order
-// the in-process event queue would have used. A TCP run with W workers is
+// Shared code: both sides make every round decision with the functions
+// FlCoordinator::run() uses (core/fl/coordinator.hpp) — seed derivations,
+// the round open's availability and cohort draws, the client's
+// train/EF/encode step, every trace row and record sum, and the round
+// close. What stays here is what is actually distributed: the handshake,
+// the reader and heartbeat threads, crash detection and re-homing, the
+// frame I/O, and the replay. The virtual clock never crosses the wire as
+// a dependency: workers compute the event times analytically
+// (upload = t_open + compute_i, arrival = upload + link_i(bytes)) and fold
+// in (arrival, upload, dispatch position) order, and the root re-sorts
+// the deliveries and partials it merges into the exact order the
+// in-process event queue would have used. A TCP run with W workers is
 // therefore BIT-IDENTICAL, round for round, to FlCoordinator::run() on the
-// same config (the federation equality tests pin accuracy, bytes, virtual
-// seconds, and aggregate weight).
+// same config (federation_test pins every virtual-clock field).
 //
 // Churn: a worker that disconnects or misses heartbeats past the timeout
 // is declared crashed; its outstanding cohort is traced as dropped and its
@@ -96,6 +102,40 @@ struct RunManifest {
 Bytes serialize_manifest(const RunManifest& manifest);
 /// Throws CorruptStream on truncation or malformed fields.
 RunManifest parse_manifest(ByteSpan bytes);
+
+/// ROUND_OPEN: the round, its virtual open time, and one edge's cohort.
+struct RoundOpenMsg {
+  int round = 0;
+  double t_open = 0.0;
+  std::vector<std::size_t> cohort;  // global client ids, dispatch order
+};
+
+/// One client inside PARTIAL: the Delivery the worker built with the
+/// coordinator's code, plus the keys that replay the in-process event
+/// order — the upload time and the client's dispatch position WITHIN its
+/// edge cohort (the root adds the edge's global offset).
+struct WireDelivery {
+  Delivery delivery;
+  double upload_seconds = 0.0;
+  std::size_t pos = 0;
+};
+
+/// PARTIAL: a worker's whole round. The last delivery, in edge fold order,
+/// is the fold that shipped the partial.
+struct WirePartial {
+  int round = 0;
+  EncodedPartial partial;
+  std::vector<WireDelivery> deliveries;
+};
+
+Bytes serialize_round_open(const RoundOpenMsg& msg);
+/// Throws CorruptStream on truncation, trailing bytes, or a cohort client
+/// id >= `clients`.
+RoundOpenMsg parse_round_open(ByteSpan bytes, std::size_t clients);
+Bytes serialize_partial(const WirePartial& partial);
+/// Throws CorruptStream on truncation, trailing bytes, an out-of-range
+/// enum or flag byte, or an empty delivery list.
+WirePartial parse_partial(ByteSpan bytes);
 
 /// The server process of a distributed campaign. Restrictions (enforced in
 /// the constructor) keep the replicated schedule exact: single-tier

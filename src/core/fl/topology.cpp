@@ -47,20 +47,14 @@ std::string shard_strategy_name(ShardStrategy strategy) {
   throw InvalidArgument("shard_strategy_name: unknown strategy");
 }
 
-std::vector<std::size_t> TopologyConfig::resolved_tiers() const {
-  if (!tiers.empty()) return tiers;
-  if (fanout != 0) return {fanout};
-  return {};
-}
-
 void TopologyConfig::validate() const {
   if (mode == TopologyMode::kFlat) {
     // A flat run silently dropping hier-only options is the
     // downmode=delta-without-downlink mistake all over again; refuse each
     // one loudly, naming the escape hatch.
-    if (!tiers.empty() || fanout != 0)
+    if (!tiers.empty())
       throw InvalidArgument(
-          "TopologyConfig: tiers/fanout require mode=kHier "
+          "TopologyConfig: tiers require mode=kHier "
           "(topology=hier:<N>[x<M>...])");
     if (!backhaul_spec.empty() || !tier_backhaul_specs.empty())
       throw InvalidArgument(
@@ -79,26 +73,21 @@ void TopologyConfig::validate() const {
           "(shard=contiguous|shuffled)");
     return;
   }
-  if (!tiers.empty() && fanout != 0)
-    throw InvalidArgument(
-        "TopologyConfig: set tiers OR the deprecated fanout, not both "
-        "(fanout=N is sugar for tiers={N})");
-  const std::vector<std::size_t> resolved = resolved_tiers();
-  if (resolved.empty())
+  if (tiers.empty())
     throw InvalidArgument(
         "TopologyConfig: kHier needs at least one tier "
         "(topology=hier:<N>[x<M>...], every fan-in >= 1)");
-  for (const std::size_t fan : resolved)
+  for (const std::size_t fan : tiers)
     if (fan == 0)
       throw InvalidArgument(
           "TopologyConfig: every tier fan-in must be >= 1 "
           "(topology=hier:<N>[x<M>...])");
-  if (tier_backhaul_specs.size() > resolved.size())
+  if (tier_backhaul_specs.size() > tiers.size())
     throw InvalidArgument(
         "TopologyConfig: more per-tier backhaul overrides (" +
         std::to_string(tier_backhaul_specs.size()) + ") than tiers (" +
-        std::to_string(resolved.size()) + "); backhaul<k> wants 1 <= k <= " +
-        std::to_string(resolved.size()));
+        std::to_string(tiers.size()) + "); backhaul<k> wants 1 <= k <= " +
+        std::to_string(tiers.size()));
   if (!backhaul_spec.empty()) {
     // Malformed specs throw InvalidArgument from the parser itself.
     if (parse_codec_spec(backhaul_spec).has_comm_keys())
@@ -239,14 +228,11 @@ AggregationTree::AggregationTree(const TopologyConfig& config,
     throw InvalidArgument("AggregationTree: config must be mode=kHier");
   if (clients == 0)
     throw InvalidArgument("AggregationTree: need at least one client");
-  const std::vector<std::size_t> tiers = config.resolved_tiers();
+  const std::vector<std::size_t>& tiers = config.tiers;
   const std::uint64_t shard_seed =
       config.shard_seed != 0 ? config.shard_seed : kDefaultShardSeed;
   base_shards_ =
       shard_clients(clients, tiers[0], config.sharding, shard_seed);
-  owner_.resize(clients);
-  for (std::size_t e = 0; e < base_shards_.size(); ++e)
-    for (const std::size_t client : base_shards_[e]) owner_[client] = e;
 
   levels_.reserve(tiers.size());
   std::size_t below = clients;  // children available to the next level
@@ -332,17 +318,6 @@ StateDict AggregationTree::decode_partial(std::size_t level, ByteSpan payload,
   if (level >= levels_.size())
     throw InvalidArgument("AggregationTree: level out of range");
   return levels_[level].codec->decode(payload, stats);
-}
-
-std::size_t AggregationTree::edge_of(std::size_t client) const {
-  if (client >= owner_.size())
-    throw InvalidArgument("AggregationTree: client index out of range");
-  return owner_[client];
-}
-
-StateDict AggregationTree::decode_partial(ByteSpan payload,
-                                          CompressionStats* stats) const {
-  return levels_.back().codec->decode(payload, stats);
 }
 
 }  // namespace fedsz::core

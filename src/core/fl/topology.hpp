@@ -63,10 +63,6 @@ struct TopologyConfig {
   /// The top tier's nodes ship straight to the root. Spec grammar:
   /// topology=hier:<N>[x<M>...].
   std::vector<std::size_t> tiers;
-  /// DEPRECATED single-level sugar: fanout == N behaves exactly like
-  /// tiers == {N}. Kept so pre-tiers call sites and spec strings stay
-  /// source-compatible; setting both fanout and tiers is an error.
-  std::size_t fanout = 0;
   /// Default codec spec for every tier's partial re-encode (the
   /// parse_codec_spec grammar). Empty = "identity": partials ship
   /// uncompressed but are still charged on their links.
@@ -102,16 +98,11 @@ struct TopologyConfig {
   /// the run seed (standalone trees fall back to a fixed constant).
   std::uint64_t shard_seed = 0;
 
-  /// The tier vector after resolving the deprecated `fanout` sugar:
-  /// tiers when set, {fanout} when only fanout is, empty otherwise.
-  std::vector<std::size_t> resolved_tiers() const;
-
   /// Throws InvalidArgument on degenerate specs, naming the valid options:
-  /// kHier without tiers (or with a zero tier, or with both fanout and
-  /// tiers set), kFlat carrying any hier-only option (a loud error beats
-  /// silently ignoring them), more tier backhaul overrides than tiers,
-  /// malformed/comm-carrying backhaul specs, or a buffered edge mode
-  /// without a buffer size (and vice versa).
+  /// kHier without tiers (or with a zero tier), kFlat carrying any
+  /// hier-only option (a loud error beats silently ignoring them), more
+  /// tier backhaul overrides than tiers, malformed/comm-carrying backhaul
+  /// specs, or a buffered edge mode without a buffer size (and vice versa).
   void validate() const;
 };
 
@@ -198,7 +189,7 @@ class EdgeAggregator {
 };
 
 /// The interior of a multi-tier aggregation tree: one level of
-/// EdgeAggregators per tier, the static client->edge ownership map, one
+/// EdgeAggregators per tier, the static client shards under tier 1, one
 /// uplink per node, and one codec per tier.
 class AggregationTree {
  public:
@@ -211,6 +202,8 @@ class AggregationTree {
   /// Number of interior levels (tiers.size()).
   std::size_t levels() const { return levels_.size(); }
   std::size_t level_size(std::size_t level) const;
+  /// Number of tier-1 edges (level_size(0)).
+  std::size_t edge_count() const { return level_size(0); }
   /// Total interior nodes across every level.
   std::size_t interior_nodes() const { return total_nodes_; }
   /// Tree-wide flat index of node `i` at `level` (level-0 nodes first,
@@ -236,19 +229,6 @@ class AggregationTree {
     return base_shards_;
   }
 
-  // ---- single-level conveniences (tier 1), kept from the one-level API --
-  std::size_t edge_count() const { return level_size(0); }
-  EdgeAggregator& edge(std::size_t index) { return node(0, index); }
-  const EdgeAggregator& edge(std::size_t index) const { return node(0, index); }
-  /// The tier-1 edge that statically owns `client`.
-  std::size_t edge_of(std::size_t client) const;
-  const net::SimulatedNetwork& backhaul_link(std::size_t edge) const {
-    return uplink(0, edge);
-  }
-  /// Root-side decode of a TOP-level partial (flat trees: the only level).
-  StateDict decode_partial(ByteSpan payload,
-                           CompressionStats* stats = nullptr) const;
-
  private:
   struct Level {
     UpdateCodecPtr codec;
@@ -259,7 +239,6 @@ class AggregationTree {
   };
   std::vector<Level> levels_;
   std::vector<std::vector<std::size_t>> base_shards_;
-  std::vector<std::size_t> owner_;  // client index -> tier-1 edge index
   std::size_t total_nodes_ = 0;
 };
 

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -94,7 +93,13 @@ class TcpStream final : public Stream {
     int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
-  ~TcpStream() override { close(); }
+  // The fd is released only here, once every thread that could still be
+  // blocked on it has been joined: a number freed while a reader sits in
+  // recv() could be reused by the next accept/open under that reader.
+  ~TcpStream() override {
+    close();
+    ::close(fd_);
+  }
 
   void write_all(ByteSpan data) override {
     const std::uint8_t* p = data.data();
@@ -123,16 +128,12 @@ class TcpStream final : public Stream {
     }
   }
 
-  void close() override {
-    int fd = fd_.exchange(-1);
-    if (fd >= 0) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-    }
-  }
+  // Wakes a blocked reader (EOF) and sends FIN to the peer; the fd itself
+  // stays open until destruction.
+  void close() override { ::shutdown(fd_, SHUT_RDWR); }
 
  private:
-  std::atomic<int> fd_;
+  const int fd_;
 };
 
 }  // namespace

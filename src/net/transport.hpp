@@ -45,7 +45,9 @@ class Stream {
   /// Read at least 1 and at most `capacity` bytes into `out` (blocking).
   /// Returns 0 on end-of-stream (peer closed). Throws TransportError.
   virtual std::size_t read_some(std::uint8_t* out, std::size_t capacity) = 0;
-  /// Close both directions; unblocks a peer blocked in read_some.
+  /// Close both directions; unblocks a peer blocked in read_some, and a
+  /// local reader too. Safe to call while another thread reads or writes:
+  /// resources are released only by the destructor.
   virtual void close() = 0;
 };
 

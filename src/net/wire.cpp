@@ -114,8 +114,9 @@ std::optional<Frame> FrameDecoder::next() {
     corrupt("unknown frame type " + std::to_string(raw_type));
   }
   if (flags != 0) {
-    // Reserved-zero in version 1: a set bit means a future (incompatible)
-    // writer or corruption, either way not a frame this decoder can trust.
+    // Reserved-zero in every version so far: a set bit means a future
+    // (incompatible) writer or corruption, either way not a frame this
+    // decoder can trust.
     poisoned_ = true;
     corrupt("nonzero reserved flags " + std::to_string(flags));
   }

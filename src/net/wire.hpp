@@ -44,7 +44,9 @@ enum class FrameType : std::uint8_t {
 std::string frame_type_name(FrameType type);
 
 inline constexpr std::uint32_t kWireMagic = 0x31575346u;  // "FSW1" LE
-inline constexpr std::uint8_t kWireVersion = 1;
+/// v2: PARTIAL carries each client's full trace row and record terms (the
+/// federation Delivery) instead of a hand-picked subset.
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kWireHeaderBytes = 16;
 /// Default decoder payload cap. Generous (a paper-scale AlexNet broadcast
 /// is ~200 MB raw) but bounded, so a corrupt or hostile length prefix can

@@ -234,6 +234,13 @@ TEST(CheckpointTest, ResumeRejectsMismatchedConfig) {
   EXPECT_THROW(run_campaign(2, ck.path.string(), 1, true, "fedsz:eb=rel:1e-2",
                             /*lr=*/0.01f),
                InvalidArgument);
+  // A different Dirichlet alpha deals different client shards.
+  TempFile skewed("mismatch_alpha.ck");
+  run_campaign(1, skewed.path.string(), 1, false,
+               "fedsz:eb=rel:1e-2,data=dirichlet:0.5");
+  EXPECT_THROW(run_campaign(2, skewed.path.string(), 1, true,
+                            "fedsz:eb=rel:1e-2,data=dirichlet:0.1"),
+               InvalidArgument);
 }
 
 // ---- kill -9 mid-campaign, through the real binary ----

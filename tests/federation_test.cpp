@@ -4,6 +4,8 @@
 // real TCP with fedsz_edge_worker processes (when the build provides
 // FEDSZ_BIN_DIR), and through churn (a worker that dies after the
 // handshake gets its cohort dropped for the round and re-homed after).
+// The manifest, ROUND_OPEN and PARTIAL parsers are fuzzed like wire_test
+// fuzzes frames: truncations and bit flips must surface as CorruptStream.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -79,19 +81,46 @@ void expect_rounds_identical(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.backhaul_raw_bytes, b.backhaul_raw_bytes);
   EXPECT_EQ(a.mean_ef_residual_norm, b.mean_ef_residual_norm);
   EXPECT_EQ(a.mean_loss, b.mean_loss);
+  EXPECT_EQ(a.backhaul_tier_bytes, b.backhaul_tier_bytes);
+  EXPECT_EQ(a.backhaul_tier_raw_bytes, b.backhaul_tier_raw_bytes);
+  EXPECT_EQ(a.crashed_nodes, b.crashed_nodes);
   ASSERT_EQ(a.clients.size(), b.clients.size());
   for (std::size_t k = 0; k < a.clients.size(); ++k) {
     const ClientTraceEntry& x = a.clients[k];
     const ClientTraceEntry& y = b.clients[k];
     EXPECT_EQ(x.client, y.client) << "trace " << k;
+    EXPECT_EQ(x.node, y.node) << "trace " << k;
+    EXPECT_EQ(x.dispatch_round, y.dispatch_round) << "trace " << k;
+    EXPECT_EQ(x.dispatch_seconds, y.dispatch_seconds) << "trace " << k;
     EXPECT_EQ(x.arrival_seconds, y.arrival_seconds) << "trace " << k;
+    EXPECT_EQ(x.transfer_seconds, y.transfer_seconds) << "trace " << k;
     EXPECT_EQ(x.payload_bytes, y.payload_bytes) << "trace " << k;
+    EXPECT_EQ(x.raw_bytes, y.raw_bytes) << "trace " << k;
     EXPECT_EQ(x.weight, y.weight) << "trace " << k;
+    EXPECT_EQ(x.bound_value, y.bound_value) << "trace " << k;
+    EXPECT_EQ(x.lossy_tensors, y.lossy_tensors) << "trace " << k;
+    EXPECT_EQ(x.lossless_tensors, y.lossless_tensors) << "trace " << k;
+    EXPECT_EQ(x.raw_tensors, y.raw_tensors) << "trace " << k;
+    EXPECT_EQ(x.sparse_tensors, y.sparse_tensors) << "trace " << k;
+    EXPECT_EQ(x.ef_residual_norm, y.ef_residual_norm) << "trace " << k;
     EXPECT_EQ(x.status, y.status) << "trace " << k;
     EXPECT_EQ(x.device_class, y.device_class) << "trace " << k;
     EXPECT_EQ(x.eligible, y.eligible) << "trace " << k;
   }
-  EXPECT_EQ(a.edges.size(), b.edges.size());
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t k = 0; k < a.edges.size(); ++k) {
+    const EdgeTraceEntry& x = a.edges[k];
+    const EdgeTraceEntry& y = b.edges[k];
+    EXPECT_EQ(x.edge, y.edge) << "edge " << k;
+    EXPECT_EQ(x.tier, y.tier) << "edge " << k;
+    EXPECT_EQ(x.cohort, y.cohort) << "edge " << k;
+    EXPECT_EQ(x.weight, y.weight) << "edge " << k;
+    EXPECT_EQ(x.payload_bytes, y.payload_bytes) << "edge " << k;
+    EXPECT_EQ(x.raw_bytes, y.raw_bytes) << "edge " << k;
+    EXPECT_EQ(x.transfer_seconds, y.transfer_seconds) << "edge " << k;
+    EXPECT_EQ(x.arrival_seconds, y.arrival_seconds) << "edge " << k;
+    EXPECT_EQ(x.status, y.status) << "edge " << k;
+  }
 }
 
 void expect_results_identical(const FlRunResult& a, const FlRunResult& b) {
@@ -131,6 +160,107 @@ TEST(FederationTest, ManifestRoundtrip) {
   EXPECT_THROW(parse_manifest({blob.data(), blob.size()}), CorruptStream);
 }
 
+// ---- payload parsers: every truncation and bit flip ----
+
+/// The intact `blob` must parse and re-serialize to the same bytes; every
+/// truncation must throw CorruptStream, and every single-bit flip must
+/// either throw CorruptStream or parse — nothing else.
+template <class Parse, class Serialize>
+void fuzz_payload(const Bytes& blob, Parse parse, Serialize serialize) {
+  EXPECT_EQ(serialize(parse(ByteSpan{blob.data(), blob.size()})), blob);
+  for (std::size_t keep = 0; keep < blob.size(); ++keep)
+    EXPECT_THROW(parse(ByteSpan{blob.data(), keep}), CorruptStream)
+        << "truncated to " << keep;
+  for (std::size_t bit = 0; bit < 8 * blob.size(); ++bit) {
+    Bytes damaged = blob;
+    damaged[bit / 8] =
+        static_cast<std::uint8_t>(damaged[bit / 8] ^ (1u << (bit % 8)));
+    try {
+      parse(ByteSpan{damaged.data(), damaged.size()});
+    } catch (const CorruptStream&) {
+      // The only failure a damaged payload may produce.
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "flip of bit " << bit << " threw " << error.what();
+    }
+  }
+}
+
+RunManifest sample_manifest() {
+  RunManifest manifest;
+  manifest.codec_spec = kSpec;
+  manifest.dataset = DatasetSpec{"cifar10", 7, kTake};
+  manifest.model = tiny_model();
+  manifest.clients = kClients;
+  manifest.rounds = kRounds;
+  manifest.seed = 42;
+  manifest.heterogeneous = net::HeterogeneousNetworkConfig{};
+  manifest.backhaul_heterogeneous = net::HeterogeneousNetworkConfig{};
+  manifest.edge = 1;
+  manifest.edges = 2;
+  manifest.fingerprint = 0x1234ABCDu;
+  return manifest;
+}
+
+WirePartial sample_partial() {
+  WirePartial wire;
+  wire.round = 3;
+  wire.partial.payload = {1, 2, 3, 4, 5};
+  wire.partial.stats.original_bytes = 40;
+  wire.partial.stats.sparse_tensors = 2;
+  wire.partial.weight = 32.0;
+  wire.partial.clients = 2;
+  for (std::size_t k = 0; k < 2; ++k) {
+    WireDelivery d;
+    d.delivery.trace.client = 2 + k;
+    d.delivery.trace.node = 2;
+    d.delivery.trace.arrival_seconds = 1.25 + static_cast<double>(k);
+    d.delivery.trace.sparse_tensors = 5;
+    d.delivery.trace.device_class = "phone";
+    d.delivery.trace.decision.worthwhile = true;
+    d.delivery.train_seconds = 0.5;
+    d.upload_seconds = 1.0 + static_cast<double>(k);
+    d.pos = k;
+    wire.deliveries.push_back(d);
+  }
+  return wire;
+}
+
+TEST(FederationTest, PayloadParsersRejectTruncationAndBitFlips) {
+  fuzz_payload(serialize_manifest(sample_manifest()), parse_manifest,
+               serialize_manifest);
+  fuzz_payload(
+      serialize_round_open({3, 1.5, {0, 3, 2}}),
+      [](ByteSpan bytes) { return parse_round_open(bytes, kClients); },
+      serialize_round_open);
+  fuzz_payload(serialize_partial(sample_partial()), parse_partial,
+               serialize_partial);
+}
+
+TEST(FederationTest, PayloadParsersRejectOutOfRangeValues) {
+  auto parses = [](const RunManifest& manifest) {
+    const Bytes blob = serialize_manifest(manifest);
+    parse_manifest({blob.data(), blob.size()});
+  };
+  RunManifest bad = sample_manifest();
+  bad.model.scale = static_cast<nn::ModelScale>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  bad = sample_manifest();
+  bad.heterogeneous->distribution = static_cast<net::LinkDistribution>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  bad = sample_manifest();
+  bad.backhaul_heterogeneous->distribution =
+      static_cast<net::LinkDistribution>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  // A cohort naming a client the run does not have.
+  const Bytes open = serialize_round_open({0, 0.0, {0, 3}});
+  EXPECT_THROW(parse_round_open({open.data(), open.size()}, 3), CorruptStream);
+  // A PARTIAL must carry the fold that shipped it.
+  WirePartial empty = sample_partial();
+  empty.deliveries.clear();
+  const Bytes blob = serialize_partial(empty);
+  EXPECT_THROW(parse_partial({blob.data(), blob.size()}), CorruptStream);
+}
+
 TEST(FederationTest, CtorRejectsUnsupportedConfigs) {
   auto [train, test] = data::make_dataset("cifar10", 7);
   (void)train;
@@ -155,28 +285,47 @@ TEST(FederationTest, CtorRejectsUnsupportedConfigs) {
       InvalidArgument);
 }
 
-TEST(FederationTest, LoopbackRunMatchesInProcess) {
-  const FlRunResult reference = run_in_process();
-  ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
+/// A loopback worker thread. Joined on scope exit even when the root
+/// throws; its own errors surface through the root (a dead worker is churn,
+/// which breaks the equality checks), so they never terminate the test.
+std::jthread spawn_worker(net::StreamPtr stream,
+                          void (*body)(net::StreamPtr) = run_edge_worker) {
+  return std::jthread([stream = std::move(stream), body]() mutable {
+    try {
+      body(std::move(stream));
+    } catch (const std::exception&) {
+      // Reported by the root as churn.
+    }
+  });
+}
 
-  const CodecSpec spec = parse_codec_spec(kSpec);
+/// `spec_string` through a FederatedRoot with one loopback worker per edge.
+FlRunResult run_loopback(const char* spec_string) {
+  const CodecSpec spec = parse_codec_spec(spec_string);
   auto [train, test] = data::make_dataset("cifar10", 7);
   (void)train;
   FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
                      data::take(test, 256), base_config(spec), spec);
   std::vector<net::StreamPtr> root_ends;
-  std::vector<std::thread> workers;
+  std::vector<std::jthread> workers;
   for (std::size_t e = 0; e < root.edge_count(); ++e) {
     auto [root_end, worker_end] = net::make_loopback_pair();
     root_ends.push_back(std::move(root_end));
-    workers.emplace_back(
-        [stream = std::move(worker_end)]() mutable {
-          run_edge_worker(std::move(stream));
-        });
+    workers.push_back(spawn_worker(std::move(worker_end)));
   }
-  const FlRunResult distributed = root.run_with_streams(std::move(root_ends));
-  for (std::thread& worker : workers) worker.join();
-  expect_results_identical(distributed, reference);
+  return root.run_with_streams(std::move(root_ends));
+}
+
+// The base spec, and a sparse-quantization campaign whose per-client
+// sparse tensor counts must cross the wire like every other trace field.
+TEST(FederationTest, LoopbackRunMatchesInProcess) {
+  for (const char* spec :
+       {kSpec, "sparse:eb=rel:1e-2,sparsity=0.9,topology=hier:2"}) {
+    SCOPED_TRACE(spec);
+    const FlRunResult reference = run_in_process(spec);
+    ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
+    expect_results_identical(run_loopback(spec), reference);
+  }
 }
 
 // A client population must cross the wire bit-identically: the manifest's
@@ -188,24 +337,7 @@ TEST(FederationTest, PopulationLoopbackMatchesInProcess) {
       "fedsz:eb=rel:1e-2,topology=hier:2,population=mixed:seed=9";
   const FlRunResult reference = run_in_process(pop_spec);
   ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
-
-  const CodecSpec spec = parse_codec_spec(pop_spec);
-  auto [train, test] = data::make_dataset("cifar10", 7);
-  (void)train;
-  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
-                     data::take(test, 256), base_config(spec), spec);
-  std::vector<net::StreamPtr> root_ends;
-  std::vector<std::thread> workers;
-  for (std::size_t e = 0; e < root.edge_count(); ++e) {
-    auto [root_end, worker_end] = net::make_loopback_pair();
-    root_ends.push_back(std::move(root_end));
-    workers.emplace_back(
-        [stream = std::move(worker_end)]() mutable {
-          run_edge_worker(std::move(stream));
-        });
-  }
-  const FlRunResult distributed = root.run_with_streams(std::move(root_ends));
-  for (std::thread& worker : workers) worker.join();
+  const FlRunResult distributed = run_loopback(pop_spec);
   expect_results_identical(distributed, reference);
   for (const RoundRecord& r : distributed.rounds)
     EXPECT_EQ(r.eligible_clients + r.ineligible_clients, kClients);
@@ -293,20 +425,14 @@ TEST(FederationTest, CrashedWorkerIsRehomed) {
 
   auto [root0, worker0] = net::make_loopback_pair();
   auto [root1, worker1] = net::make_loopback_pair();
-  std::thread survivor([stream = std::move(worker0)]() mutable {
-    run_edge_worker(std::move(stream));
-  });
-  std::thread deserter([stream = std::move(worker1)]() mutable {
-    ack_then_close(std::move(stream));
-  });
+  const std::jthread survivor = spawn_worker(std::move(worker0));
+  const std::jthread deserter =
+      spawn_worker(std::move(worker1), ack_then_close);
 
   std::vector<net::StreamPtr> streams;
   streams.push_back(std::move(root0));
   streams.push_back(std::move(root1));
-  const FlRunResult result = root.run_with_streams(std::move(streams));
-  survivor.join();
-  deserter.join();
-  expect_deserter_churn(result);
+  expect_deserter_churn(root.run_with_streams(std::move(streams)));
 }
 
 // The order CrashedWorkerIsRehomed only hits under load: the deserter's
@@ -327,26 +453,26 @@ TEST(FederationTest, DeathBeforePeerAckIsChurn) {
   auto [root0, worker0] = net::make_loopback_pair();
   auto [root1, worker1] = net::make_loopback_pair();
   auto deserter_side = std::make_shared<EofSignallingStream>(root1);
-  std::thread survivor([stream = std::move(worker0),
-                        eof = deserter_side->eof()]() mutable {
+  const std::jthread survivor([stream = std::move(worker0),
+                               eof = deserter_side->eof()]() mutable {
     eof.wait();
     // The root's reader queues the EOF event a few instructions after
     // read_some returns; the pause keeps a wake-up preemption of that
     // reader from letting this ACK overtake it.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    run_edge_worker(std::move(stream));
+    try {
+      run_edge_worker(std::move(stream));
+    } catch (const std::exception&) {
+      // Reported by the root as churn.
+    }
   });
-  std::thread deserter([stream = std::move(worker1)]() mutable {
-    ack_then_close(std::move(stream));
-  });
+  const std::jthread deserter =
+      spawn_worker(std::move(worker1), ack_then_close);
 
   std::vector<net::StreamPtr> streams;
   streams.push_back(std::move(root0));
   streams.push_back(deserter_side);
-  const FlRunResult result = root.run_with_streams(std::move(streams));
-  survivor.join();
-  deserter.join();
-  expect_deserter_churn(result);
+  expect_deserter_churn(root.run_with_streams(std::move(streams)));
 }
 
 #ifdef FEDSZ_BIN_DIR

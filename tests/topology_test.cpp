@@ -39,10 +39,9 @@ TEST(ShardClientsTest, ContiguousShardsCoverEveryClient) {
 TEST(TopologyConfigTest, ValidateRejectsDegenerateSpecs) {
   TopologyConfig config;
   EXPECT_NO_THROW(config.validate());  // flat default
-  config.mode = TopologyMode::kHier;
-  config.fanout = 0;  // hier without a fanout
+  config.mode = TopologyMode::kHier;  // hier without a tier
   EXPECT_THROW(config.validate(), InvalidArgument);
-  config.fanout = 4;
+  config.tiers = {4};
   EXPECT_NO_THROW(config.validate());
   config.backhaul_spec = "fedsz:eb=rel:1e-3";
   EXPECT_NO_THROW(config.validate());
@@ -51,9 +50,6 @@ TEST(TopologyConfigTest, ValidateRejectsDegenerateSpecs) {
   config.backhaul_spec = "fedsz:ef=on";  // comm keys cannot nest
   EXPECT_THROW(config.validate(), InvalidArgument);
   // Flat runs silently dropping hier-only options would mask mistakes.
-  config = TopologyConfig{};
-  config.fanout = 4;
-  EXPECT_THROW(config.validate(), InvalidArgument);
   config = TopologyConfig{};
   config.backhaul_spec = "identity";
   EXPECT_THROW(config.validate(), InvalidArgument);
@@ -72,18 +68,8 @@ TEST(TopologyConfigTest, ValidateRejectsDegenerateSpecs) {
 TEST(TopologyConfigTest, ValidateRejectsDegenerateTierVectors) {
   TopologyConfig config;
   config.mode = TopologyMode::kHier;
-  // fanout is one-tier sugar; spelling out BOTH is ambiguous.
-  config.fanout = 4;
   config.tiers = {8};
-  EXPECT_THROW(config.validate(), InvalidArgument);
-  config.fanout = 0;
   EXPECT_NO_THROW(config.validate());
-  EXPECT_EQ(config.resolved_tiers(), std::vector<std::size_t>{8});
-  // Sugar resolves exactly like the one-entry vector.
-  TopologyConfig sugar;
-  sugar.mode = TopologyMode::kHier;
-  sugar.fanout = 8;
-  EXPECT_EQ(sugar.resolved_tiers(), std::vector<std::size_t>{8});
   // Zero fan-ins are degenerate at any depth.
   config.tiers = {8, 0};
   EXPECT_THROW(config.validate(), InvalidArgument);
@@ -114,7 +100,6 @@ TEST(TopologyConfigTest, FlRunConfigValidateAndCommSpecRoundTrip) {
       parse_codec_spec("fedsz:topology=hier:8,backhaul=fedsz:eb=rel:1e-3"));
   EXPECT_EQ(config.topology.mode, TopologyMode::kHier);
   EXPECT_EQ(config.topology.tiers, std::vector<std::size_t>{8});
-  EXPECT_EQ(config.topology.fanout, 0u);  // the grammar resolves to tiers
   EXPECT_EQ(parse_codec_spec(config.topology.backhaul_spec).bound.value,
             1e-3);
   EXPECT_NO_THROW(config.validate());
@@ -145,16 +130,14 @@ TEST(TopologyConfigTest, FlRunConfigValidateAndCommSpecRoundTrip) {
 TEST(AggregationTreeTest, OwnershipAndConstructionGuards) {
   TopologyConfig config;
   config.mode = TopologyMode::kHier;
-  config.fanout = 3;
+  config.tiers = {3};
   const AggregationTree tree(config, 7);
   EXPECT_EQ(tree.edge_count(), 3u);
-  EXPECT_EQ(tree.edge_of(0), 0u);
-  EXPECT_EQ(tree.edge_of(2), 0u);
-  EXPECT_EQ(tree.edge_of(3), 1u);
-  EXPECT_EQ(tree.edge_of(6), 2u);
-  EXPECT_THROW(tree.edge_of(7), InvalidArgument);
-  EXPECT_EQ(tree.edge(2).members().size(), 1u);
-  EXPECT_THROW(tree.edge(3), InvalidArgument);
+  EXPECT_EQ(tree.base_shards()[0], (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(tree.base_shards()[1], (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(tree.base_shards()[2], std::vector<std::size_t>{6});
+  EXPECT_EQ(tree.node(0, 2).members().size(), 1u);
+  EXPECT_THROW(tree.node(0, 3), InvalidArgument);
   // Flat configs cannot build a tree, and zero clients cannot shard.
   EXPECT_THROW(AggregationTree(TopologyConfig{}, 4), InvalidArgument);
   EXPECT_THROW(AggregationTree(config, 0), InvalidArgument);
@@ -210,8 +193,13 @@ TEST(AggregationTreeTest, MultiTierShapeParentsAndFlatIndexing) {
             (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(tree.node(1, 1).members(), (std::vector<std::size_t>{3, 4, 5}));
   EXPECT_EQ(tree.node(2, 0).tier(), 3u);
-  // The short tail still lands somewhere: every client has an owner.
-  for (std::size_t i = 0; i < 23; ++i) EXPECT_LT(tree.edge_of(i), 6u);
+  // The short tail still lands somewhere: the tier-1 shards cover every
+  // client exactly once.
+  ASSERT_EQ(tree.base_shards().size(), 6u);
+  std::vector<int> owners(23, 0);
+  for (const std::vector<std::size_t>& shard : tree.base_shards())
+    for (const std::size_t i : shard) ++owners[i];
+  EXPECT_EQ(owners, std::vector<int>(23, 1));
 }
 
 TEST(PartialAggregateTest, MergedPartialsReproduceTheFlatWeightedMean) {
@@ -301,7 +289,7 @@ FlRunConfig hier_config(std::size_t clients, int rounds, std::size_t fanout,
   config.seed = 123;
   config.client.batch_size = 16;
   config.topology.mode = TopologyMode::kHier;
-  config.topology.fanout = fanout;
+  config.topology.tiers = {fanout};
   config.topology.backhaul_spec = backhaul;
   return config;
 }
@@ -445,7 +433,7 @@ TEST(TopologyCoordinatorTest, StreamingKeepsEveryNodeAtOneDecodedUpdate) {
   ASSERT_EQ(result.peak_decoded_per_node.size(), 3u);  // root + 2 edges
   for (const std::size_t peak : result.peak_decoded_per_node) {
     EXPECT_EQ(peak, 1u);
-    EXPECT_LE(peak, config.topology.fanout);
+    EXPECT_LE(peak, config.topology.tiers[0]);
   }
   EXPECT_EQ(result.peak_decoded_updates, 1u);
 }

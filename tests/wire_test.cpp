@@ -172,8 +172,8 @@ TEST(WireTest, UnknownVersionAndTypeRejected) {
 }
 
 TEST(WireTest, NonZeroFlagsRejected) {
-  // Flags are reserved-zero in version 1; a frame carrying any flag bit
-  // comes from a future (incompatible) writer.
+  // Flags are reserved-zero in every version so far; a frame carrying any
+  // flag bit comes from a future (incompatible) writer.
   const Bytes payload = make_payload(8, 19);
   Bytes framed =
       encode_frame(FrameType::kBye, {payload.data(), payload.size()});
