@@ -88,7 +88,7 @@ class BloscLzCodec final : public LosslessCodec {
   LosslessId id() const override { return LosslessId::kBloscLz; }
   std::string name() const override { return "blosc-lz"; }
 
-  Bytes compress(ByteSpan data) const override {
+  void compress_into(ByteSpan data, Bytes& out) const override {
     ByteWriter header;
     std::uint8_t flags = 0;
     Bytes shuffled;
@@ -109,12 +109,13 @@ class BloscLzCodec final : public LosslessCodec {
       header.put_u8(kFlagStoredRaw);
       header.put_varint(data.size());
       header.put_bytes(data);
-      return header.finish();
+      out = header.finish();
+      return;
     }
     header.put_u8(flags);
     header.put_varint(data.size());
     header.put_bytes({body.data(), body.size()});
-    return header.finish();
+    out = header.finish();
   }
 
   Bytes decompress(ByteSpan data) const override {

@@ -102,12 +102,6 @@ class DeflateLikeCodec final : public LosslessCodec {
   LosslessId id() const override { return id_; }
   std::string name() const override { return name_; }
 
-  Bytes compress(ByteSpan data) const override {
-    ByteWriter w;
-    encode_frame(data, w);
-    return w.finish();
-  }
-
   void compress_into(ByteSpan data, Bytes& out) const override {
     ByteWriter& w = t_scratch().framed;
     w.reset();

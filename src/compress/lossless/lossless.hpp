@@ -36,11 +36,15 @@ class LosslessCodec {
   virtual ~LosslessCodec() = default;
   virtual LosslessId id() const = 0;
   virtual std::string name() const = 0;
-  virtual Bytes compress(ByteSpan data) const = 0;
-  /// Arena-backed variant: bytes identical to compress(), written into
-  /// `out` (contents replaced, capacity reused). The default copies
-  /// through compress(); hot codecs override it to reuse scratch.
-  virtual void compress_into(ByteSpan data, Bytes& out) const;
+  /// Compress into `out` (contents replaced, capacity reused, so hot
+  /// callers can keep one buffer per slot).
+  virtual void compress_into(ByteSpan data, Bytes& out) const = 0;
+  /// Allocating wrapper around compress_into.
+  Bytes compress(ByteSpan data) const {
+    Bytes out;
+    compress_into(data, out);
+    return out;
+  }
   virtual Bytes decompress(ByteSpan data) const = 0;
 };
 

@@ -9,11 +9,6 @@ const LosslessCodec& gzip_codec_instance();
 const LosslessCodec& zstd_codec_instance();
 const LosslessCodec& xz_codec_instance();
 
-void LosslessCodec::compress_into(ByteSpan data, Bytes& out) const {
-  const Bytes fresh = compress(data);
-  out.assign(fresh.begin(), fresh.end());
-}
-
 const LosslessCodec& lossless_codec(LosslessId id) {
   switch (id) {
     case LosslessId::kBloscLz:

@@ -54,12 +54,13 @@ class XzLikeCodec final : public LosslessCodec {
   LosslessId id() const override { return LosslessId::kXz; }
   std::string name() const override { return "xz"; }
 
-  Bytes compress(ByteSpan data) const override {
+  void compress_into(ByteSpan data, Bytes& out) const override {
     ByteWriter w;
     w.put_varint(data.size());
     if (data.empty()) {
       w.put_u8(kModeRaw);
-      return w.finish();
+      out = w.finish();
+      return;
     }
     LzParams params;
     params.window_log = 22;  // 4 MiB window
@@ -110,7 +111,7 @@ class XzLikeCodec final : public LosslessCodec {
       w.put_u8(kModeCompressed);
       w.put_bytes({body.data(), body.size()});
     }
-    return w.finish();
+    out = w.finish();
   }
 
   Bytes decompress(ByteSpan data) const override {

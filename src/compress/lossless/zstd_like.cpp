@@ -67,12 +67,6 @@ class ZstdLikeCodec final : public LosslessCodec {
   LosslessId id() const override { return LosslessId::kZstd; }
   std::string name() const override { return "zstd"; }
 
-  Bytes compress(ByteSpan data) const override {
-    ByteWriter w;
-    encode_frame(data, w);
-    return w.finish();
-  }
-
   void compress_into(ByteSpan data, Bytes& out) const override {
     ByteWriter& w = t_scratch().framed;
     w.reset();

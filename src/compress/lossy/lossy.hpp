@@ -42,14 +42,18 @@ class LossyCodec {
   /// True if every reconstructed element is guaranteed within epsilon.
   virtual bool strictly_bounded() const = 0;
 
-  /// Compress. Input must be finite (NaN/Inf rejected with InvalidArgument).
-  virtual Bytes compress(FloatSpan data, const ErrorBound& bound) const = 0;
-  /// Arena-backed variant: produces bytes identical to compress() into
-  /// `out` (contents replaced, capacity reused), drawing working buffers
-  /// from the calling thread's EncodeArena. The hot codecs (SZ2/SZ3/SZx)
-  /// override this allocation-free; the default copies through compress().
+  /// Compress into `out` (contents replaced, capacity reused). Input must
+  /// be finite (NaN/Inf rejected with InvalidArgument). The hot codecs
+  /// (SZ2/SZ3/SZx) draw working buffers from the calling thread's
+  /// EncodeArena and allocate nothing once `out` has grown.
   virtual void compress_into(FloatSpan data, const ErrorBound& bound,
-                             Bytes& out) const;
+                             Bytes& out) const = 0;
+  /// Allocating wrapper around compress_into.
+  Bytes compress(FloatSpan data, const ErrorBound& bound) const {
+    Bytes out;
+    compress_into(data, bound, out);
+    return out;
+  }
   /// Decompress a buffer produced by the same codec.
   virtual std::vector<float> decompress(ByteSpan data) const = 0;
 };

@@ -45,12 +45,6 @@ bool is_lossy_id(std::uint8_t raw) {
   return false;
 }
 
-void LossyCodec::compress_into(FloatSpan data, const ErrorBound& bound,
-                               Bytes& out) const {
-  const Bytes fresh = compress(data, bound);
-  out.assign(fresh.begin(), fresh.end());
-}
-
 void require_finite(FloatSpan data, const std::string& codec_name) {
   for (const float v : data)
     if (!std::isfinite(v))

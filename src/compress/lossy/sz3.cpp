@@ -32,12 +32,6 @@ class Sz3Codec final : public LossyCodec {
   std::string name() const override { return "sz3"; }
   bool strictly_bounded() const override { return true; }
 
-  Bytes compress(FloatSpan data, const ErrorBound& bound) const override {
-    Bytes out;
-    compress_into(data, bound, out);
-    return out;
-  }
-
   void compress_into(FloatSpan data, const ErrorBound& bound,
                      Bytes& out) const override {
     require_finite(data, name());

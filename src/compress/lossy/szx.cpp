@@ -34,12 +34,6 @@ class SzxCodec final : public LossyCodec {
   std::string name() const override { return "szx"; }
   bool strictly_bounded() const override { return true; }
 
-  Bytes compress(FloatSpan data, const ErrorBound& bound) const override {
-    Bytes out;
-    compress_into(data, bound, out);
-    return out;
-  }
-
   void compress_into(FloatSpan data, const ErrorBound& bound,
                      Bytes& out) const override {
     require_finite(data, name());

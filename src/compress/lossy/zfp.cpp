@@ -83,7 +83,8 @@ class ZfpCodec final : public LossyCodec {
     return static_cast<unsigned>(std::clamp(p, 4, 32));
   }
 
-  Bytes compress(FloatSpan data, const ErrorBound& bound) const override {
+  void compress_into(FloatSpan data, const ErrorBound& bound,
+                     Bytes& out) const override {
     require_finite(data, name());
     bound.validate();
     double rel = bound.value;
@@ -97,10 +98,13 @@ class ZfpCodec final : public LossyCodec {
     }
     const unsigned precision = precision_for(rel);
 
-    ByteWriter out;
-    out.put_varint(data.size());
-    out.put_u8(static_cast<std::uint8_t>(precision));
-    if (data.empty()) return out.finish();
+    ByteWriter w;
+    w.put_varint(data.size());
+    w.put_u8(static_cast<std::uint8_t>(precision));
+    if (data.empty()) {
+      out = w.finish();
+      return;
+    }
 
     BitWriter bw;
     const std::size_t n_blocks = (data.size() + kBlockSize - 1) / kBlockSize;
@@ -157,8 +161,8 @@ class ZfpCodec final : public LossyCodec {
         }
       }
     }
-    out.put_bytes({bw.finish()});
-    return out.finish();
+    w.put_bytes({bw.finish()});
+    out = w.finish();
   }
 
   std::vector<float> decompress(ByteSpan stream) const override {

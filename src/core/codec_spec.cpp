@@ -231,7 +231,6 @@ void apply_key(CodecSpec& spec, const std::string& key,
       bad_spec("unknown policy '" + name + "' (expected " + policy_options() +
                ")");
     spec.policy = name;
-    spec.policy_explicit = true;
   } else if (key == "chunk") {
     spec.chunk_elements = parse_count(value, "chunk", /*allow_suffix=*/true);
     if (spec.chunk_elements == 0) bad_spec("'chunk' must be >= 1");
@@ -437,10 +436,10 @@ void parse_options(CodecSpec& out, const std::string& body,
 
 }  // namespace
 
-CodecSpec parse_codec_spec(const std::string& spec, CodecSpec defaults) {
+CodecSpec parse_codec_spec(const std::string& spec) {
   const std::size_t colon = spec.find(':');
   const std::string family = spec.substr(0, colon);
-  CodecSpec out = defaults;
+  CodecSpec out;
   if (family == "identity" || family == "uncompressed") {
     out.identity = true;
     out.sparse = false;
@@ -458,10 +457,6 @@ CodecSpec parse_codec_spec(const std::string& spec, CodecSpec defaults) {
   if (colon == std::string::npos) return out;
   parse_options(out, spec.substr(colon + 1), family, /*comm_only=*/false);
   return out;
-}
-
-CodecSpec parse_codec_spec(const std::string& spec) {
-  return parse_codec_spec(spec, CodecSpec{});
 }
 
 namespace {

@@ -1,5 +1,5 @@
 // Spec-string codec construction: one grammar that names every update-codec
-// configuration, used by make_codec_by_name, the bench --codec flag and the
+// configuration, used by make_codec, the bench --codec flag and the
 // examples, so there is a single construction path from text to codec.
 //
 //   spec     := family [ ":" kv ("," kv)* ]
@@ -119,9 +119,6 @@ struct CodecSpec {
   lossy::ErrorBound bound = lossy::ErrorBound::relative(1e-2);
   /// One of compression_policy_names().
   std::string policy = "threshold";
-  /// True when the spec spelled out `policy=` (an explicit policy must not
-  /// be overridden by caller-side defaults in make_codec_by_name).
-  bool policy_explicit = false;
   /// Per-round multiplier for policy=schedule (the optional :FACTOR arg).
   double schedule_factor = 0.7;
   /// Sensitivity-EMA smoothing for policy=gradaware (the optional :BETA
@@ -189,7 +186,7 @@ struct CodecSpec {
   /// population) is set — the keys that configure an
   /// FL run rather than a codec. The single predicate behind every "this
   /// spec cannot carry comm keys" rejection (nested downlink/backhaul
-  /// specs, make_codec_by_name), so a future comm key only needs adding
+  /// specs, make_codec), so a future comm key only needs adding
   /// here.
   bool has_comm_keys() const {
     return !downlink.empty() || downlink_delta || error_feedback ||
@@ -204,10 +201,6 @@ struct CodecSpec {
 /// Parse `spec` against library defaults. Throws InvalidArgument on
 /// malformed input, naming the valid families/keys/values.
 CodecSpec parse_codec_spec(const std::string& spec);
-
-/// Parse `spec` with explicit defaults for every omitted key (how
-/// make_codec_by_name folds a caller-supplied FedSzConfig in).
-CodecSpec parse_codec_spec(const std::string& spec, CodecSpec defaults);
 
 /// Canonical normalized rendering: "identity", or "fedsz:" followed by
 /// every key in fixed order with canonical value spelling.

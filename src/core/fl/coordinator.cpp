@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <future>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "core/codec_spec.hpp"
@@ -226,19 +226,48 @@ TopologyConfig resolved_topology(const FlRunConfig& config) {
   return topology;
 }
 
-RoundStreams::RoundStreams(std::uint64_t seed)
-    : cohort(seed ^ 0x5C4ED11Eull), eligibility(seed ^ 0xE11D1B1Eull) {}
+namespace {
 
-RoundRecord open_record(int round, const AggregationTree* tree) {
-  RoundRecord record;
-  record.round = round;
-  if (tree) {
-    record.backhaul_tier_bytes.assign(tree->levels(), 0);
-    record.backhaul_tier_raw_bytes.assign(tree->levels(), 0);
-  }
-  return record;
+// ---- Round decisions of the engine below ----
+
+/// The row of `dispatch` leaving the round with `status` at `now`: weight 0
+/// and no payload, as for dropped, evicted and ineligible clients
+/// (make_delivery fills in an update that arrived).
+ClientTraceEntry client_trace(const Dispatch& dispatch, DeliveryStatus status,
+                              double now, const ClientPopulation* population) {
+  ClientTraceEntry trace;
+  trace.client = dispatch.client;
+  trace.node = dispatch.node;
+  trace.dispatch_round = dispatch.round;
+  trace.dispatch_seconds = dispatch.seconds;
+  trace.arrival_seconds = now;
+  trace.downlink_bytes = dispatch.downlink_bytes;
+  trace.downlink_seconds = dispatch.downlink_seconds;
+  trace.status = status;
+  trace.eligible = status != DeliveryStatus::kIneligible;
+  if (population) trace.device_class = population->class_name(dispatch.client);
+  return trace;
 }
 
+/// The run-seed-derived streams a round open draws from, checkpointed
+/// mid-sequence: the scheduler's cohort sampling and population
+/// availability.
+struct RoundStreams {
+  explicit RoundStreams(std::uint64_t seed)
+      : cohort(seed ^ 0x5C4ED11Eull), eligibility(seed ^ 0xE11D1B1Eull) {}
+  Rng cohort;
+  Rng eligibility;
+};
+
+/// Round open over `groups`: the tier-1 member lists after any re-homing
+/// (a flat run passes one group holding every client in index order). With
+/// a population, availability is drawn in (group, member) order and, when
+/// every draw failed, the most-available client (lowest index on ties)
+/// wakes without a draw. Each group's scheduler draw then runs over its
+/// eligible members, skipping groups left with none. Appends one
+/// kIneligible row per offline client, in client order, and counts
+/// record.eligible_clients / ineligible_clients. Returns each group's
+/// cohort, global client ids in dispatch order.
 std::vector<std::vector<std::size_t>> draw_cohorts(
     const std::vector<std::vector<std::size_t>>& groups,
     const AggregationTree* tree, Scheduler& scheduler,
@@ -305,6 +334,46 @@ std::vector<std::vector<std::size_t>> draw_cohorts(
   return cohorts;
 }
 
+/// Append a settled delivery's row to `record` and add its terms to the
+/// per-participant sums (the sums are doubles, so arrival order matters).
+void record_delivery(RoundRecord& record, Delivery delivery) {
+  const ClientTraceEntry& trace = delivery.trace;
+  record.train_seconds += delivery.train_seconds;
+  record.compress_seconds += delivery.compress_seconds;
+  record.decompress_seconds += delivery.decompress_seconds;
+  record.comm_seconds += trace.transfer_seconds;
+  record.mean_loss += delivery.mean_loss;
+  record.bytes_sent += trace.payload_bytes;
+  record.raw_bytes += trace.raw_bytes;
+  record.downlink_bytes += trace.downlink_bytes;
+  record.downlink_raw_bytes += delivery.downlink_raw_bytes;
+  record.downlink_seconds += trace.downlink_seconds;
+  record.downlink_encode_seconds += delivery.downlink_encode_seconds;
+  record.downlink_decode_seconds += delivery.downlink_decode_seconds;
+  record.mean_ef_residual_norm += trace.ef_residual_norm;
+  record.ef_decode_seconds += delivery.ef_decode_seconds;
+  record.participants += 1;
+  record.clients.push_back(std::move(delivery.trace));
+}
+
+/// Append a merged partial's row to `record` and add it to the backhaul
+/// sums; `at_root` partials also add their weight to aggregate_weight.
+void record_partial(RoundRecord& record, EdgeTraceEntry trace,
+                    double decode_seconds, bool at_root) {
+  trace.decode_seconds = decode_seconds;
+  if (at_root) record.aggregate_weight += trace.weight;
+  record.backhaul_bytes += trace.payload_bytes;
+  record.backhaul_raw_bytes += trace.raw_bytes;
+  record.backhaul_seconds += trace.transfer_seconds;
+  record.backhaul_encode_seconds += trace.encode_seconds;
+  record.backhaul_decode_seconds += trace.decode_seconds;
+  record.backhaul_tier_bytes[trace.tier - 1] += trace.payload_bytes;
+  record.backhaul_tier_raw_bytes[trace.tier - 1] += trace.raw_bytes;
+  record.edges.push_back(std::move(trace));
+}
+
+}  // namespace
+
 ClientUpdate train_and_encode(FlClient& client, const UpdateCodec& codec,
                               ErrorFeedbackAccumulator* feedback,
                               const StateDict& model, int round) {
@@ -334,30 +403,13 @@ ClientUpdate train_and_encode(FlClient& client, const UpdateCodec& codec,
   return out;
 }
 
-ClientTraceEntry client_trace(const Dispatch& dispatch,
-                                DeliveryStatus status, double now,
-                                const ClientPopulation* population) {
-  ClientTraceEntry trace;
-  trace.client = dispatch.client;
-  trace.node = dispatch.node;
-  trace.dispatch_round = dispatch.round;
-  trace.dispatch_seconds = dispatch.seconds;
-  trace.arrival_seconds = now;
-  trace.downlink_bytes = dispatch.downlink_bytes;
-  trace.downlink_seconds = dispatch.downlink_seconds;
-  trace.status = status;
-  trace.eligible = status != DeliveryStatus::kIneligible;
-  if (population) trace.device_class = population->class_name(dispatch.client);
-  return trace;
-}
-
 Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
                        double arrival, double transfer,
                        const ClientPopulation* population) {
   Delivery delivery;
   ClientTraceEntry& trace = delivery.trace;
   trace = client_trace(dispatch, DeliveryStatus::kAggregated, arrival,
-                         population);
+                       population);
   trace.transfer_seconds = transfer;
   trace.payload_bytes = update.payload.size();
   trace.raw_bytes = update.stats.original_bytes;
@@ -386,97 +438,6 @@ void settle_delivery(Delivery& delivery, double weight, double decode_seconds,
       trace.raw_bytes, trace.payload_bytes, delivery.compress_seconds,
       decode_seconds, link);
   delivery.decompress_seconds = decode_seconds;
-}
-
-void record_delivery(RoundRecord& record, Delivery delivery) {
-  const ClientTraceEntry& trace = delivery.trace;
-  record.train_seconds += delivery.train_seconds;
-  record.compress_seconds += delivery.compress_seconds;
-  record.decompress_seconds += delivery.decompress_seconds;
-  record.comm_seconds += trace.transfer_seconds;
-  record.mean_loss += delivery.mean_loss;
-  record.bytes_sent += trace.payload_bytes;
-  record.raw_bytes += trace.raw_bytes;
-  record.downlink_bytes += trace.downlink_bytes;
-  record.downlink_raw_bytes += delivery.downlink_raw_bytes;
-  record.downlink_seconds += trace.downlink_seconds;
-  record.downlink_encode_seconds += delivery.downlink_encode_seconds;
-  record.downlink_decode_seconds += delivery.downlink_decode_seconds;
-  record.mean_ef_residual_norm += trace.ef_residual_norm;
-  record.ef_decode_seconds += delivery.ef_decode_seconds;
-  record.participants += 1;
-  record.clients.push_back(std::move(delivery.trace));
-}
-
-EdgeTraceEntry partial_trace(const AggregationTree& tree, std::size_t level,
-                             std::size_t node, const EncodedPartial& partial,
-                             double transfer, double arrival) {
-  EdgeTraceEntry trace;
-  trace.edge = tree.flat_index(level, node);
-  trace.tier = level + 1;
-  trace.cohort = partial.clients;
-  trace.weight = partial.weight;
-  trace.payload_bytes = partial.payload.size();
-  trace.raw_bytes = partial.stats.original_bytes;
-  trace.encode_seconds = partial.stats.compress_seconds;
-  trace.transfer_seconds = transfer;
-  trace.arrival_seconds = arrival;
-  trace.ef_residual_norm = partial.ef_residual_norm;
-  return trace;
-}
-
-void record_partial(RoundRecord& record, EdgeTraceEntry trace,
-                    double decode_seconds, bool at_root) {
-  trace.decode_seconds = decode_seconds;
-  if (at_root) record.aggregate_weight += trace.weight;
-  record.backhaul_bytes += trace.payload_bytes;
-  record.backhaul_raw_bytes += trace.raw_bytes;
-  record.backhaul_seconds += trace.transfer_seconds;
-  record.backhaul_encode_seconds += trace.encode_seconds;
-  record.backhaul_decode_seconds += trace.decode_seconds;
-  record.backhaul_tier_bytes[trace.tier - 1] += trace.payload_bytes;
-  record.backhaul_tier_raw_bytes[trace.tier - 1] += trace.raw_bytes;
-  record.edges.push_back(std::move(trace));
-}
-
-void close_record(RoundRecord& record, FlServer& server,
-                  const FlRunConfig& config, double now,
-                  const data::Dataset& test) {
-  if (record.participants == 0) {
-    // Everything churned away: keep the global untouched this round.
-    server.abort_round();
-  } else {
-    server.finalize_round();
-    const double inv = 1.0 / static_cast<double>(record.participants);
-    record.train_seconds *= inv;
-    record.compress_seconds *= inv;
-    record.decompress_seconds *= inv;
-    record.comm_seconds *= inv;
-    record.mean_loss *= inv;
-    record.downlink_seconds *= inv;
-    record.downlink_encode_seconds *= inv;
-    record.downlink_decode_seconds *= inv;
-    record.mean_ef_residual_norm *= inv;
-    record.ef_decode_seconds *= inv;
-  }
-  const auto merged = static_cast<std::size_t>(
-      std::count_if(record.edges.begin(), record.edges.end(),
-                    [](const EdgeTraceEntry& edge) {
-                      return edge.status == DeliveryStatus::kAggregated;
-                    }));
-  if (merged > 0) {
-    const double inv = 1.0 / static_cast<double>(merged);
-    record.backhaul_seconds *= inv;
-    record.backhaul_encode_seconds *= inv;
-    record.backhaul_decode_seconds *= inv;
-    record.backhaul_downlink_seconds *= inv;
-  }
-  record.virtual_seconds = now;
-  if (config.evaluate_every_round || record.round + 1 == config.rounds) {
-    Timer eval_timer;
-    record.accuracy = server.evaluate(test, config.eval_limit);
-    record.eval_seconds = eval_timer.seconds();
-  }
 }
 
 FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
@@ -552,116 +513,401 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
         make_client(i, config_, model_config_, train, shards[i]));
 }
 
-FlRunResult FlCoordinator::run() {
-  Timer wall;
-  FlRunResult result;
-  result.scheduler = scheduler_->name();
+// ---- The round engine ----
 
+namespace {
+
+using Snapshot = std::shared_ptr<const StateDict>;
+using PayloadPtr = std::shared_ptr<const Bytes>;
+
+}  // namespace
+
+/// The virtual-clock event pump behind FlCoordinator::run() and the
+/// distributed root (run_remote_edges). A round opens (re-home crashed
+/// edges, draw cohorts, broadcast) and dispatches its cohort; each
+/// update's upload and arrival are events. An arrival folds at the
+/// client's aggregation point, full interior nodes ship re-encoded partials
+/// that merge one tier up, and the round closes once the root has merged
+/// everything it still expects. Each handler is a member function; each
+/// scheduled event is a closure calling one.
+///
+/// Tier-1 edge work has two sides. In process (`local_`), the pool trains
+/// and encodes every client, the engine decodes and folds at the edge, and
+/// the edge's finalize_and_encode ships the partial. Over the wire
+/// (`remote_`), every live edge runs its whole round on its worker at round
+/// open; the engine schedules each reported delivery's upload at the
+/// worker's upload time, in cohort order, and its arrival one link transfer
+/// later, then ships the worker's partial when the edge's last delivery
+/// lands. Either way the event queue decides every fold and merge order.
+class RoundEngine {
+ public:
+  RoundEngine(FlCoordinator* local, RemoteEdges* remote,
+              const FlRunConfig& config, Scheduler& scheduler,
+              FlServer& server, const ClientPopulation* population,
+              AggregationTree* tree, const data::Dataset& test)
+      : config_(config),
+        scheduler_(scheduler),
+        server_(server),
+        population_(population),
+        tree_(tree),
+        test_(test),
+        local_(local),
+        remote_(remote),
+        downlink_(local ? local->downlink_.get() : nullptr),
+        levels_(tree ? tree->levels() : 0),
+        edge_count_(tree ? tree->edge_count() : 0),
+        ef_on_(local && config.error_feedback && !local->codec_->lossless()),
+        flights_(config.clients),
+        streams_(config.seed),
+        failure_rng_(config.failures.seed ? config.failures.seed
+                                          : (config.seed ^ 0xFA17A1E5ull)),
+        phase_(config.clients, Phase::kIdle),
+        generation_(config.clients, 0),
+        dropped_(config.clients, 0),
+        owner_round_(config.clients, 0),
+        live_(1 + (tree ? tree->interior_nodes() : 0), 0),
+        peak_(live_.size(), 0),
+        nodes_(levels_),
+        edge_members_(edge_count_),
+        edge_cohort_(edge_count_),
+        children_part_(levels_),
+        node_downlink_bytes_(live_.size() - 1, 0),
+        node_downlink_seconds_(live_.size() - 1, 0.0),
+        edge_partials_(remote ? edge_count_ : 0) {
+    result_.scheduler = scheduler_.name();
+    for (std::size_t l = 0; l < levels_; ++l) {
+      nodes_[l].resize(tree_->level_size(l));
+      if (l > 0) children_part_[l].resize(tree_->level_size(l));
+    }
+    if (!tree_) {
+      everyone_.assign(1, std::vector<std::size_t>(config_.clients));
+      std::iota(everyone_[0].begin(), everyone_[0].end(), std::size_t{0});
+    }
+    if (local_) pool_.emplace(std::max<std::size_t>(1, config_.threads));
+  }
+
+  /// Pump events until config.rounds aggregations complete.
+  FlRunResult run() {
+    Timer wall;
+    if (resume()) {
+      open_round(true);
+      while (!stopped_ && queue_.run_next()) {
+      }
+    }
+    // A buffered ancestor can ship early enough that the run's final close
+    // leaves weighted partials mid-transfer; their arrival events never
+    // run, so account for them here.
+    result_.late_events += partials_in_flight_;
+    result_.final_accuracy =
+        result_.rounds.empty() ? 0.0 : result_.rounds.back().accuracy;
+    result_.peak_decoded_updates = peak_[0];
+    result_.peak_decoded_per_node = std::move(peak_);
+    result_.total_virtual_seconds = queue_.now();
+    result_.total_wall_seconds = wall.seconds();
+    return std::move(result_);
+  }
+
+ private:
   // One slot per client; a client has at most one update in flight. `out`
   // is what its real work (broadcast decode + local SGD + update encoding
-  // on the pool) hands back.
+  // on the pool) hands back; `reported` what its remote edge reported.
   struct InFlight {
     std::future<ClientUpdate> future;
     ClientUpdate out;
+    WireDelivery reported;
     Dispatch sent;
     double transfer_seconds = 0.0;
   };
   // Shared kFull broadcast product: encoded once, decoded once, delivered
-  // down the tree. Hoisted so the recursive fan-out handler can name it.
+  // down the tree.
   struct BroadcastReady {
     Bytes payload;
     CompressionStats stats;
-    std::shared_ptr<const StateDict> model;  // the shared reconstruction
+    Snapshot model;  // the shared reconstruction
     double decode_seconds = 0.0;
   };
-
-  net::EventQueue queue;
-  std::vector<InFlight> flights(clients_.size());
-  RoundStreams streams(config_.seed);
-  // Churn draws ride their own stream: a failure-free run consumes exactly
-  // the randomness it did before churn existed, keeping trajectory pins.
-  Rng failure_rng(config_.failures.seed
-                      ? config_.failures.seed
-                      : (config_.seed ^ 0xFA17A1E5ull));
-  int completed = 0;  // aggregations finished so far
-  bool stopped = false;
-  RoundRecord record;
-
   // Per-client lifecycle. Every scheduled client event carries the
-  // generation it was dispatched under; eviction or redispatch bumps it, so
-  // stale upload/arrival events for a superseded dispatch become no-ops.
-  enum class Phase : std::uint8_t { kIdle, kPending, kDone, kDropped,
-                                    kEvicted };
-  std::vector<Phase> phase(clients_.size(), Phase::kIdle);
-  std::vector<std::uint64_t> generation(clients_.size(), 0);
-  std::vector<char> dropped(clients_.size(), 0);  // this round's dropout draws
-  // Tier-1 edge owning each client THIS round (crash re-sharding moves it).
-  std::vector<std::size_t> owner_round(clients_.size(), 0);
-
-  // Root state: arrivals folded/merged since the round opened and the count
-  // that closes it (updates when flat, top-tier partials when hier).
-  std::size_t root_folded = 0;
-  std::size_t root_goal = 0;
-  // Shipped partials whose arrival event has not executed yet. Whatever is
-  // still in flight when the run stops never merges anywhere — fold those
-  // into late_events at exit so weight that left an edge is always either
-  // merged, traced kLate, or counted late.
-  std::size_t partials_in_flight = 0;
-
-  const std::size_t levels = tree_ ? tree_->levels() : 0;
-  const std::size_t interior = tree_ ? tree_->interior_nodes() : 0;
-  const std::size_t edge_count = tree_ ? tree_->edge_count() : 0;
-  const bool buffered =
-      tree_ && config_.topology.edge_mode == EdgeMode::kBuffered;
-  const std::size_t buffer_k = config_.topology.edge_buffer;
-
-  // Per-aggregation-point decoded-payload accounting: node 0 = the root,
-  // 1 + flat_index for interior nodes. Streaming keeps every live count
-  // at <= 1.
-  std::vector<std::size_t> live(1 + interior, 0);
-  std::vector<std::size_t> peak(1 + interior, 0);
-
+  // generation it was dispatched under; eviction or redispatch bumps it,
+  // so stale upload/arrival events for a superseded dispatch are no-ops.
+  enum class Phase { kIdle, kPending, kDone, kDropped, kEvicted };
   // Per-node round state (hier only). `expected` counts the children still
   // promised this round — it starts at the cohort/child draw and shrinks
-  // when a child drops, is evicted or withdraws, while `folded` only grows;
-  // folded >= expected is the sync ship condition.
+  // when a child drops, is evicted or withdraws, while `folded` only
+  // grows; folded >= expected is the sync ship condition.
   struct NodeRound {
     bool participating = false;  // had >= 1 expected child this round
     bool open = false;           // still accepting folds
     std::size_t expected = 0;
     std::size_t folded = 0;
   };
-  std::vector<std::vector<NodeRound>> nodes(levels);
-  for (std::size_t l = 0; l < levels; ++l) nodes[l].resize(tree_->level_size(l));
-  // This round's member set per tier-1 edge (after crash re-sharding) and
-  // the drawn cohort, in dispatch order; a flat run draws from one group of
-  // every client.
-  std::vector<std::vector<std::size_t>> edge_members(edge_count);
-  std::vector<std::vector<std::size_t>> edge_cohort(edge_count);
-  std::vector<std::vector<std::size_t>> everyone(
-      1, std::vector<std::size_t>(clients_.size()));
-  std::iota(everyone[0].begin(), everyone[0].end(), std::size_t{0});
-  // Participating children of each node above tier 1 (level l-1 indices).
-  std::vector<std::vector<std::vector<std::size_t>>> children_part(levels);
-  for (std::size_t l = 1; l < levels; ++l)
-    children_part[l].resize(tree_->level_size(l));
-  // Broadcast traffic charged to each interior node's link this round.
-  std::vector<std::size_t> node_downlink_bytes(interior, 0);
-  std::vector<double> node_downlink_seconds(interior, 0.0);
 
-  using Snapshot = std::shared_ptr<const StateDict>;
-  using PayloadPtr = std::shared_ptr<const Bytes>;
+  // Restore everything a checkpoint captured before the first round opens.
+  // The remaining rounds then replay the exact event sequence of an
+  // uninterrupted run — same RNG streams mid-sequence, same clock, same
+  // tie-break counter — so the finished trajectory is bit-identical.
+  // Returns false when the checkpointed campaign already finished.
+  bool resume() {
+    if (!config_.resume || config_.checkpoint_path.empty()) return true;
+    std::optional<CheckpointState> loaded =
+        read_checkpoint(config_.checkpoint_path);
+    // No checkpoint on disk yet (killed before the first save): run fresh.
+    if (!loaded) return true;
+    CheckpointState& ck = *loaded;
+    if (ck.config_fingerprint !=
+        run_fingerprint(config_, local_->model_config_))
+      throw InvalidArgument("FlCoordinator: checkpoint at '" +
+                            config_.checkpoint_path +
+                            "' was written by a differently-configured run");
+    if (ck.aggregator_name != server_.aggregator().name())
+      throw InvalidArgument("FlCoordinator: checkpoint aggregator '" +
+                            ck.aggregator_name + "' does not match '" +
+                            server_.aggregator().name() + "'");
+    std::vector<ErrorFeedbackAccumulator>& feedback = local_->feedback_;
+    if (ck.client_residuals.size() != feedback.size())
+      throw CorruptStream(
+          "checkpoint: client residual count does not match the run");
+    server_.restore_global_state(std::move(ck.global_state));
+    ByteReader aggregator_in(
+        {ck.aggregator_state.data(), ck.aggregator_state.size()});
+    server_.aggregator().load_state(aggregator_in);
+    streams_.cohort.restore(ck.cohort_rng);
+    failure_rng_.restore(ck.failure_rng);
+    streams_.eligibility.restore(ck.eligibility_rng);
+    for (std::size_t i = 0; i < feedback.size(); ++i)
+      feedback[i].restore_residual(std::move(ck.client_residuals[i]));
+    if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)
+      downlink_->restore_sessions(std::move(ck.downlink_sessions));
+    if (tree_ && config_.topology.edge_error_feedback) {
+      if (ck.edge_residuals.size() != tree_->interior_nodes())
+        throw CorruptStream(
+            "checkpoint: edge residual count does not match the tree");
+      std::size_t flat = 0;
+      for (std::size_t l = 0; l < levels_; ++l)
+        for (std::size_t n = 0; n < tree_->level_size(l); ++n)
+          tree_->node(l, n).feedback().restore_residual(
+              std::move(ck.edge_residuals[flat++]));
+    }
+    completed_ = static_cast<int>(ck.completed_rounds);
+    queue_.restore_clock(ck.virtual_now, ck.clock_next_seq);
+    return completed_ < config_.rounds;
+  }
+
+  // Snapshot everything that evolves across rounds. Only called between
+  // rounds (from close_round, before the next open), where the barrier
+  // restrictions enforced in the FlCoordinator constructor guarantee an
+  // empty queue — the virtual clock pair (now, next_seq) then fully
+  // determines resumed event ordering.
+  void save_checkpoint() {
+    if (queue_.pending() != 0)
+      throw InvalidArgument(
+          "FlCoordinator: internal error -- pending events at checkpoint");
+    CheckpointState state;
+    state.completed_rounds = static_cast<std::uint64_t>(completed_);
+    state.virtual_now = queue_.now();
+    state.clock_next_seq = queue_.next_seq();
+    state.config_fingerprint = run_fingerprint(config_, local_->model_config_);
+    state.global_state = server_.global_state();
+    state.aggregator_name = server_.aggregator().name();
+    ByteWriter aggregator_out;
+    server_.aggregator().save_state(aggregator_out);
+    state.aggregator_state = aggregator_out.finish();
+    state.cohort_rng = streams_.cohort.state();
+    state.failure_rng = failure_rng_.state();
+    state.eligibility_rng = streams_.eligibility.state();
+    state.client_residuals.reserve(local_->feedback_.size());
+    for (const ErrorFeedbackAccumulator& fb : local_->feedback_)
+      state.client_residuals.push_back(fb.residual());
+    if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)
+      state.downlink_sessions = downlink_->sessions();
+    if (tree_ && config_.topology.edge_error_feedback)
+      for (std::size_t l = 0; l < levels_; ++l)
+        for (std::size_t n = 0; n < tree_->level_size(l); ++n)
+          state.edge_residuals.push_back(
+              tree_->node(l, n).feedback().residual());
+    write_checkpoint(config_.checkpoint_path, state);
+  }
+
+  void open_round(bool initial) {
+    record_ = RoundRecord{};
+    record_.round = completed_;
+    record_.backhaul_tier_bytes.assign(levels_, 0);
+    record_.backhaul_tier_raw_bytes.assign(levels_, 0);
+    root_folded_ = 0;
+    server_.begin_round();
+    if (scheduler_.continuous() && !initial) {
+      // Clients redispatch themselves on arrival; just reset the buffer.
+      root_goal_ = scheduler_.aggregation_goal(config_.clients);
+      record_.eligible_clients = config_.clients;
+      return;
+    }
+    std::fill(phase_.begin(), phase_.end(), Phase::kIdle);
+    std::fill(dropped_.begin(), dropped_.end(), 0);
+    std::vector<std::size_t> cohort;
+    if (tree_) {
+      cohort = open_tree();
+    } else {
+      cohort = std::move(draw_cohorts(everyone_, nullptr, scheduler_,
+                                      population_, queue_.now(), streams_,
+                                      record_)[0]);
+      root_goal_ = scheduler_.aggregation_goal(cohort.size());
+    }
+    if (config_.failures.dropout_rate > 0.0)
+      for (const std::size_t i : cohort)
+        dropped_[i] = failure_rng_.uniform() < config_.failures.dropout_rate;
+    // Population mid-round offline draws ride the eligibility stream (one
+    // unconditional draw per cohort member, so the stream advances the same
+    // way whatever the outcomes) and surface through the dropout machinery.
+    if (population_ && population_->config().dropout_rate > 0.0)
+      for (const std::size_t i : cohort)
+        if (streams_.eligibility.uniform() <
+            population_->config().dropout_rate)
+          dropped_[i] = 1;
+    if (remote_) collect_remote();
+    if (config_.failures.straggler_deadline_seconds > 0.0)
+      queue_.schedule_after(config_.failures.straggler_deadline_seconds,
+                            [this, round = completed_] {
+                              if (!stopped_ && round == completed_)
+                                evict_stragglers();
+                            });
+    if (cohort.empty()) {
+      // Every draw came back empty: nothing will ever arrive, so close on
+      // a zero-delay event (the pump still has to see the round).
+      queue_.schedule_after(0.0, [this, round = completed_] {
+        if (!stopped_ && round == completed_) close_round();
+      });
+      return;
+    }
+    const auto snapshot =
+        std::make_shared<const StateDict>(server_.global_state());
+    if (!downlink_) {
+      // Free lossless broadcast: clients start on the exact global at once.
+      for (const std::size_t i : cohort)
+        dispatch(i, completed_, snapshot, nullptr);
+    } else if (downlink_->mode() == DownlinkMode::kFull) {
+      broadcast_to(cohort, completed_, snapshot);
+    } else {
+      for (const std::size_t i : cohort) send_to(i, completed_, snapshot);
+    }
+  }
+
+  // Open the tree for the round: reset every node, re-home crashed edges'
+  // members, draw one cohort per tier-1 edge, and open the participating
+  // nodes tier by tier. Returns the cohorts concatenated in edge order.
+  std::vector<std::size_t> open_tree() {
+    std::fill(node_downlink_bytes_.begin(), node_downlink_bytes_.end(), 0);
+    std::fill(node_downlink_seconds_.begin(), node_downlink_seconds_.end(),
+              0.0);
+    for (std::size_t l = 0; l < levels_; ++l)
+      for (std::size_t n = 0; n < nodes_[l].size(); ++n) {
+        // A buffered round can close with interior rounds still open;
+        // abort leftovers before reopening.
+        tree_->node(l, n).abort_round();
+        nodes_[l][n] = NodeRound{};
+      }
+    rehome_crashed_edges();
+    for (std::size_t e = 0; e < edge_count_; ++e)
+      for (const std::size_t i : edge_members_[e]) owner_round_[i] = e;
+    // One scheduler draw per edge cohort, in edge order — the same stream
+    // and order as the single-tier runtime when nothing crashed.
+    edge_cohort_ = draw_cohorts(edge_members_, tree_, scheduler_, population_,
+                                queue_.now(), streams_, record_);
+    for (std::size_t e = 0; e < edge_count_; ++e) {
+      if (edge_cohort_[e].empty()) continue;
+      NodeRound& s = nodes_[0][e];
+      s.participating = s.open = true;
+      s.expected = edge_cohort_[e].size();
+      // A remote edge opens its round on its worker.
+      if (local_) tree_->node(0, e).begin_round(server_.global_state());
+    }
+    // Upper tiers participate when anything below them does; their
+    // expectation is the participating child count.
+    for (std::size_t l = 1; l < levels_; ++l) {
+      for (auto& part : children_part_[l]) part.clear();
+      for (std::size_t c = 0; c < nodes_[l - 1].size(); ++c)
+        if (nodes_[l - 1][c].participating)
+          children_part_[l][tree_->parent_of(l - 1, c)].push_back(c);
+      for (std::size_t n = 0; n < nodes_[l].size(); ++n) {
+        if (children_part_[l][n].empty()) continue;
+        NodeRound& s = nodes_[l][n];
+        s.participating = s.open = true;
+        s.expected = children_part_[l][n].size();
+        tree_->node(l, n).begin_round(server_.global_state());
+      }
+    }
+    root_goal_ = 0;
+    for (const NodeRound& top : nodes_[levels_ - 1])
+      if (top.participating) ++root_goal_;
+    std::vector<std::size_t> cohort;
+    for (const auto& edge : edge_cohort_)
+      cohort.insert(cohort.end(), edge.begin(), edge.end());
+    return cohort;
+  }
+
+  // Tier-1 edges start from their static shards. A crashed edge — drawn
+  // from the failure schedule in process, or one whose remote worker is
+  // gone — hands its members to a seeded shuffle dealt round-robin across
+  // the surviving siblings, and is listed in the record.
+  void rehome_crashed_edges() {
+    for (std::size_t e = 0; e < edge_count_; ++e)
+      edge_members_[e] = tree_->base_shards()[e];
+    std::vector<char> crashed(edge_count_, 0);
+    if (config_.failures.edge_failure_rate > 0.0) {
+      bool any_alive = false;
+      for (std::size_t e = 0; e < edge_count_; ++e) {
+        crashed[e] =
+            failure_rng_.uniform() < config_.failures.edge_failure_rate;
+        any_alive = any_alive || !crashed[e];
+      }
+      if (!any_alive) crashed[0] = 0;  // at least one edge survives
+    }
+    if (remote_) crashed = remote_->dead_edges();
+    std::vector<std::size_t> displaced;
+    std::vector<std::size_t> alive;
+    for (std::size_t e = 0; e < edge_count_; ++e) {
+      if (crashed[e]) {
+        record_.crashed_nodes.push_back(tree_->flat_index(0, e));
+        displaced.insert(displaced.end(), edge_members_[e].begin(),
+                         edge_members_[e].end());
+        edge_members_[e].clear();
+      } else {
+        alive.push_back(e);
+      }
+    }
+    if (displaced.empty() || alive.empty()) return;
+    // Seeded shuffle so re-homing is deterministic but uncorrelated with
+    // index order, then round-robin over the survivors.
+    for (std::size_t k = displaced.size(); k > 1; --k)
+      std::swap(displaced[k - 1], displaced[failure_rng_.uniform_index(k)]);
+    for (std::size_t k = 0; k < displaced.size(); ++k)
+      edge_members_[alive[k % alive.size()]].push_back(displaced[k]);
+  }
+
+  // Over the wire, every live edge runs the round on its worker now; the
+  // dispatches then replay what each reported. An edge that crashed took
+  // its whole cohort down with it: those clients drop at round open.
+  void collect_remote() {
+    std::vector<std::optional<WirePartial>> reports = remote_->run_round(
+        completed_, queue_.now(), server_.global_state(), edge_cohort_);
+    for (std::size_t e = 0; e < edge_count_; ++e) {
+      const std::vector<std::size_t>& cohort = edge_cohort_[e];
+      if (cohort.empty()) continue;
+      if (!reports[e]) {
+        for (const std::size_t i : cohort) dropped_[i] = 1;
+        continue;
+      }
+      for (std::size_t k = 0; k < cohort.size(); ++k)
+        flights_[cohort[k]].reported = std::move(reports[e]->deliveries[k]);
+      edge_partials_[e] = std::move(reports[e]->partial);
+    }
+  }
 
   // The client's real work, run on the pool: decode the broadcast payload
   // when one was delivered (per-client path), then train and encode on the
   // resulting model. Per-client state (feedback_[i], downlink session i) is
   // safe without locks because a client never has two tasks alive at once
   // (dispatch waits out a stale evicted task before reusing the slot).
-  // EF against a lossless uplink is provably a zero residual forever; skip
-  // the per-round payload decode and residual passes outright.
-  const bool ef_on = config_.error_feedback && !codec_->lossless();
-  auto client_work = [this, ef_on](std::size_t i, int round, Snapshot model,
-                                   PayloadPtr broadcast) -> ClientUpdate {
+  ClientUpdate client_work(std::size_t i, int round, const Snapshot& model,
+                           const PayloadPtr& broadcast) {
     StateDict decoded_model;
     const StateDict* train_on = model.get();
     CompressionStats downlink_stats;
@@ -672,134 +918,73 @@ FlRunResult FlCoordinator::run() {
                           : downlink_->decode_broadcast(span, &downlink_stats);
       train_on = &decoded_model;
     }
-    ClientUpdate out =
-        train_and_encode(*clients_[i], *codec_, ef_on ? &feedback_[i] : nullptr,
-                         *train_on, round);
+    ClientUpdate out = train_and_encode(
+        *local_->clients_[i], *local_->codec_,
+        ef_on_ ? &local_->feedback_[i] : nullptr, *train_on, round);
     out.downlink_decode_seconds = downlink_stats.decompress_seconds;
     return out;
-  };
+  }
 
-  // Declared after client_work (and the flight/record state above) so the
-  // pool destructor can still drain in-flight tasks that reference them.
-  ThreadPool pool(std::max<std::size_t>(1, config_.threads));
-  std::function<void(std::size_t, int, Snapshot, PayloadPtr)> dispatch;
-  std::function<void(std::size_t, int, Snapshot)> send_to;
-  std::function<void(std::size_t, std::size_t, int,
-                     std::shared_ptr<const std::vector<std::size_t>>,
-                     PayloadPtr)>
-      send_hop;
-  std::function<void(const std::vector<std::size_t>&, int, Snapshot)>
-      broadcast_to;
-  std::function<void(std::size_t, int, std::shared_ptr<const BroadcastReady>)>
-      deliver_client;
-  std::function<void(std::size_t, std::size_t, int,
-                     std::shared_ptr<const BroadcastReady>)>
-      deliver_subtree;
-  std::function<void(std::size_t, std::uint64_t)> on_upload;
-  std::function<void(std::size_t, std::uint64_t)> on_arrival;
-  std::function<void(std::size_t, std::uint64_t)> on_drop;
-  std::function<void(std::size_t, std::size_t)> check_node;
-  std::function<void(std::size_t, std::size_t)> ship_node;
-  std::function<void(std::size_t, std::size_t)> withdraw_node;
-  std::function<void(std::size_t, std::size_t)> node_lost_child;
-  std::function<void(std::size_t, std::size_t, int, double,
-                     std::shared_ptr<const EncodedPartial>)>
-      on_partial;
-  std::function<void()> maybe_close_root;
-  std::function<void()> evict_stragglers;
-  std::function<void()> close_round;
-  std::function<void(bool)> open_round;
-
-  // Snapshot everything that evolves across rounds. Only called between
-  // rounds (from close_round, before the next open), where the barrier
-  // restrictions enforced in the constructor guarantee an empty queue —
-  // the virtual clock pair (now, next_seq) then fully determines resumed
-  // event ordering.
-  auto save_checkpoint = [&] {
-    if (queue.pending() != 0)
-      throw InvalidArgument(
-          "FlCoordinator: internal error -- pending events at checkpoint");
-    CheckpointState state;
-    state.completed_rounds = static_cast<std::uint64_t>(completed);
-    state.virtual_now = queue.now();
-    state.clock_next_seq = queue.next_seq();
-    state.config_fingerprint = run_fingerprint(config_, model_config_);
-    state.global_state = server_.global_state();
-    state.aggregator_name = server_.aggregator().name();
-    ByteWriter aggregator_out;
-    server_.aggregator().save_state(aggregator_out);
-    state.aggregator_state = aggregator_out.finish();
-    state.cohort_rng = streams.cohort.state();
-    state.failure_rng = failure_rng.state();
-    state.eligibility_rng = streams.eligibility.state();
-    state.client_residuals.reserve(feedback_.size());
-    for (const ErrorFeedbackAccumulator& fb : feedback_)
-      state.client_residuals.push_back(fb.residual());
-    if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)
-      state.downlink_sessions = downlink_->sessions();
-    if (tree_ && config_.topology.edge_error_feedback)
-      for (std::size_t l = 0; l < levels; ++l)
-        for (std::size_t n = 0; n < tree_->level_size(l); ++n)
-          state.edge_residuals.push_back(
-              tree_->node(l, n).feedback().residual());
-    write_checkpoint(config_.checkpoint_path, state);
-  };
-
-  // Start a client's real work on the pool and its virtual compute timer.
-  // `model` is the state it trains on (the global snapshot, or the shared
-  // kFull broadcast reconstruction); `broadcast` (per-client downlink path)
-  // makes the worker decode its own payload first. A client drawn as a
-  // dropout this round never reaches the pool: it "trains" for half its
-  // compute budget and vanishes.
-  dispatch = [&](std::size_t i, int round, Snapshot model,
-                 PayloadPtr broadcast) {
-    InFlight& flight = flights[i];
+  // Start a client: in process, its real work on the pool and its virtual
+  // compute timer; over the wire, its reported upload. `model` is the state
+  // it trains on (the global snapshot, or the shared kFull broadcast
+  // reconstruction); `broadcast` (per-client downlink path) makes the
+  // worker decode its own payload first. A dropout never uploads: in
+  // process it "trains" for half its compute budget and vanishes; a
+  // crashed remote edge's clients vanish at once.
+  void dispatch(std::size_t i, int round, Snapshot model,
+                PayloadPtr broadcast) {
+    InFlight& flight = flights_[i];
     // An evicted client's pool task may still be running; finish it before
     // reusing the per-client state it touches (feedback_, the client).
     if (flight.future.valid()) flight.future.wait();
     flight.sent.client = i;
-    flight.sent.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
+    flight.sent.node = tree_ ? 1 + tree_->flat_index(0, owner_round_[i]) : 0;
     flight.sent.round = round;
-    flight.sent.seconds = queue.now();
-    const std::uint64_t gen = ++generation[i];
-    phase[i] = Phase::kPending;
-    if (dropped[i]) {
-      queue.schedule_after(0.5 * compute_seconds_[i],
-                           [&, i, gen] { on_drop(i, gen); });
-      return;
+    flight.sent.seconds = queue_.now();
+    const std::uint64_t gen = ++generation_[i];
+    phase_[i] = Phase::kPending;
+    if (dropped_[i]) {
+      const double silent = local_ ? 0.5 * local_->compute_seconds_[i] : 0.0;
+      queue_.schedule_after(silent, [this, i, gen] { on_drop(i, gen); });
+    } else if (remote_) {
+      queue_.schedule_at(flight.reported.upload_seconds,
+                         [this, i, gen] { on_upload(i, gen); });
+    } else {
+      flight.future = pool_->submit([this, i, round, model, broadcast] {
+        return client_work(i, round, model, broadcast);
+      });
+      queue_.schedule_after(local_->compute_seconds_[i],
+                            [this, i, gen] { on_upload(i, gen); });
     }
-    flight.future = pool.submit([&client_work, i, round, model, broadcast] {
-      return client_work(i, round, std::move(model), std::move(broadcast));
-    });
-    queue.schedule_after(compute_seconds_[i],
-                         [&, i, gen] { on_upload(i, gen); });
-  };
+  }
 
   // Per-client downlink: encode this client's broadcast on the pool (the
   // whole global, or its session delta in kDelta mode), then charge the
   // payload against every hop on its path — each ancestor node's own link
   // top-down under a hierarchical topology — before the client's own link
   // and compute may start.
-  send_to = [&](std::size_t i, int round, Snapshot snapshot) {
+  void send_to(std::size_t i, int round, const Snapshot& snapshot) {
     const bool delta = downlink_->mode() == DownlinkMode::kDelta;
     auto pending = std::make_shared<std::future<BroadcastPayload>>(
-        pool.submit([this, delta, i, round, snapshot] {
+        pool_->submit([this, delta, i, round, snapshot] {
           return delta ? downlink_->encode_for_client(i, *snapshot, round)
                        : downlink_->encode_broadcast(*snapshot, round);
         }));
-    queue.schedule_after(0.0, [&, i, round, pending] {
+    queue_.schedule_after(0.0, [this, i, round, pending] {
       BroadcastPayload broadcast = pending->get();
-      Dispatch& sent = flights[i].sent;
-      auto payload = std::make_shared<const Bytes>(
-          std::move(broadcast.payload));
+      Dispatch& sent = flights_[i].sent;
+      auto payload =
+          std::make_shared<const Bytes>(std::move(broadcast.payload));
       sent.downlink_bytes = payload->size();
       sent.downlink_raw_bytes = broadcast.stats.original_bytes;
       sent.downlink_encode_seconds = broadcast.stats.compress_seconds;
       sent.downlink_decode_seconds = 0.0;
       sent.downlink_seconds =
-          network_.link(i).transfer_seconds(payload->size());
+          local_->network_.link(i).transfer_seconds(payload->size());
       if (!tree_) {
-        queue.schedule_after(sent.downlink_seconds, [&, i, round, payload] {
+        queue_.schedule_after(sent.downlink_seconds, [this, i, round,
+                                                      payload] {
           dispatch(i, round, nullptr, payload);
         });
         return;
@@ -807,86 +992,86 @@ FlRunResult FlCoordinator::run() {
       // The client's ancestor chain, bottom-up: path[l] is the node at
       // level l the payload crosses on its way down.
       auto path = std::make_shared<std::vector<std::size_t>>();
-      path->push_back(owner_round[i]);
-      for (std::size_t l = 1; l < levels; ++l)
+      path->push_back(owner_round_[i]);
+      for (std::size_t l = 1; l < levels_; ++l)
         path->push_back(tree_->parent_of(l - 1, path->back()));
       send_hop(0, i, round, path, payload);
     });
-  };
+  }
 
   // Hop `k` (0 = topmost: root -> top-tier node) of a per-client downlink
   // path; after the last interior hop comes the client's own link.
-  send_hop = [&](std::size_t k, std::size_t i, int round,
-                 std::shared_ptr<const std::vector<std::size_t>> path,
-                 PayloadPtr payload) {
-    if (k == levels) {
-      queue.schedule_after(flights[i].sent.downlink_seconds,
-                           [&, i, round, payload] {
-                             dispatch(i, round, nullptr, payload);
-                           });
+  void send_hop(std::size_t k, std::size_t i, int round,
+                std::shared_ptr<const std::vector<std::size_t>> path,
+                PayloadPtr payload) {
+    if (k == levels_) {
+      queue_.schedule_after(flights_[i].sent.downlink_seconds,
+                            [this, i, round, payload] {
+                              dispatch(i, round, nullptr, payload);
+                            });
       return;
     }
-    const std::size_t l = levels - 1 - k;
-    const std::size_t n = (*path)[l];
-    const std::size_t flat = tree_->flat_index(l, n);
-    const double hop = tree_->uplink(l, n).transfer_seconds(payload->size());
-    node_downlink_bytes[flat] += payload->size();
-    node_downlink_seconds[flat] += hop;
-    record.backhaul_downlink_bytes += payload->size();
-    record.backhaul_downlink_seconds += hop;
-    queue.schedule_after(hop, [&, k, i, round, path, payload] {
+    const std::size_t l = levels_ - 1 - k;
+    const double hop = charge_hop(l, (*path)[l], payload->size());
+    queue_.schedule_after(hop, [this, k, i, round, path, payload] {
       send_hop(k + 1, i, round, path, payload);
     });
-  };
+  }
+
+  // A downlink hop of `bytes` over node (l, n)'s own link: charge it to the
+  // node and the round, and return its virtual seconds.
+  double charge_hop(std::size_t l, std::size_t n, std::size_t bytes) {
+    const std::size_t flat = tree_->flat_index(l, n);
+    const double hop = tree_->uplink(l, n).transfer_seconds(bytes);
+    node_downlink_bytes_[flat] += bytes;
+    node_downlink_seconds_[flat] += hop;
+    record_.backhaul_downlink_bytes += bytes;
+    record_.backhaul_downlink_seconds += hop;
+    return hop;
+  }
 
   // The last downlink leg: charge the shared broadcast payload against the
   // client's own link, then dispatch on the shared reconstruction.
-  deliver_client = [&](std::size_t i, int round,
-                       std::shared_ptr<const BroadcastReady> ready) {
-    Dispatch& sent = flights[i].sent;
+  void deliver_client(std::size_t i, int round,
+                      std::shared_ptr<const BroadcastReady> ready) {
+    Dispatch& sent = flights_[i].sent;
     sent.downlink_bytes = ready->payload.size();
     sent.downlink_raw_bytes = ready->stats.original_bytes;
     sent.downlink_encode_seconds = ready->stats.compress_seconds;
     sent.downlink_decode_seconds = ready->decode_seconds;
     sent.downlink_seconds =
-        network_.link(i).transfer_seconds(ready->payload.size());
-    queue.schedule_after(sent.downlink_seconds,
-                         [&, i, round, model = ready->model] {
-                           dispatch(i, round, model, nullptr);
-                         });
-  };
+        local_->network_.link(i).transfer_seconds(ready->payload.size());
+    queue_.schedule_after(sent.downlink_seconds,
+                          [this, i, round, model = ready->model] {
+                            dispatch(i, round, model, nullptr);
+                          });
+  }
 
   // Hierarchical kFull fan-out: ONE copy of the broadcast crosses each
   // participating node's link, recursing level by level; a subtree's
   // clients start their own downlink legs when it reaches their edge.
-  deliver_subtree = [&](std::size_t l, std::size_t n, int round,
-                        std::shared_ptr<const BroadcastReady> ready) {
-    const std::size_t flat = tree_->flat_index(l, n);
-    const double hop =
-        tree_->uplink(l, n).transfer_seconds(ready->payload.size());
-    node_downlink_bytes[flat] += ready->payload.size();
-    node_downlink_seconds[flat] += hop;
-    record.backhaul_downlink_bytes += ready->payload.size();
-    record.backhaul_downlink_seconds += hop;
-    queue.schedule_after(hop, [&, l, n, round, ready] {
+  void deliver_subtree(std::size_t l, std::size_t n, int round,
+                       std::shared_ptr<const BroadcastReady> ready) {
+    const double hop = charge_hop(l, n, ready->payload.size());
+    queue_.schedule_after(hop, [this, l, n, round, ready] {
       if (l == 0) {
-        for (const std::size_t i : edge_cohort[n])
+        for (const std::size_t i : edge_cohort_[n])
           deliver_client(i, round, ready);
       } else {
-        for (const std::size_t c : children_part[l][n])
+        for (const std::size_t c : children_part_[l][n])
           deliver_subtree(l - 1, c, round, ready);
       }
     });
-  };
+  }
 
   // kFull cohort broadcast: encode the global ONCE on the pool (overlapped
   // with the event pump), decode it once — every client reconstructs the
   // same model — and fan the same payload out (flat: straight to each
   // client; hier: down the participating subtrees).
-  broadcast_to = [&](const std::vector<std::size_t>& cohort, int round,
-                     Snapshot snapshot) {
+  void broadcast_to(const std::vector<std::size_t>& cohort, int round,
+                    const Snapshot& snapshot) {
     auto pending = std::make_shared<std::future<BroadcastReady>>(
-        pool.submit([this, round, snapshot]() -> BroadcastReady {
+        pool_->submit([this, round, snapshot]() -> BroadcastReady {
           BroadcastReady ready;
           BroadcastPayload broadcast =
               downlink_->encode_broadcast(*snapshot, round);
@@ -900,490 +1085,413 @@ FlRunResult FlCoordinator::run() {
           ready.decode_seconds = decode_stats.decompress_seconds;
           return ready;
         }));
-    queue.schedule_after(0.0, [&, cohort, round, pending] {
+    queue_.schedule_after(0.0, [this, cohort, round, pending] {
       auto ready = std::make_shared<const BroadcastReady>(pending->get());
       if (!tree_) {
         for (const std::size_t i : cohort) deliver_client(i, round, ready);
         return;
       }
-      const std::size_t top = levels - 1;
-      for (std::size_t n = 0; n < nodes[top].size(); ++n)
-        if (nodes[top][n].participating)
-          deliver_subtree(top, n, round, ready);
+      const std::size_t top = levels_ - 1;
+      for (std::size_t n = 0; n < nodes_[top].size(); ++n)
+        if (nodes_[top][n].participating) deliver_subtree(top, n, round, ready);
     });
-  };
+  }
+
+  // True when an upload/arrival event no longer applies: the run stopped,
+  // a later dispatch superseded it, or the client already left the round.
+  // A kIdle client means its round closed under it — counted as late,
+  // since the record is immutable.
+  bool superseded(std::size_t i, std::uint64_t gen) {
+    if (stopped_ || gen != generation_[i]) return true;
+    if (phase_[i] == Phase::kIdle) {
+      ++result_.late_events;
+      return true;
+    }
+    return phase_[i] != Phase::kPending;
+  }
 
   // Virtual compute done: collect the encoded update (waiting for the real
-  // work if it is still running) and put it on this client's link. A stale
-  // generation or a non-pending phase means this dispatch was superseded
-  // (evicted, or its round closed under it); kIdle specifically means the
-  // round already closed — count it, the record is immutable.
-  on_upload = [&](std::size_t i, std::uint64_t gen) {
-    if (stopped) return;
-    if (gen != generation[i]) return;
-    if (phase[i] == Phase::kIdle) {
-      ++result.late_events;
+  // work if it is still running) and put it on this client's link.
+  void on_upload(std::size_t i, std::uint64_t gen) {
+    if (superseded(i, gen)) return;
+    InFlight& flight = flights_[i];
+    if (remote_) {
+      flight.transfer_seconds = flight.reported.delivery.trace.transfer_seconds;
+    } else {
+      flight.out = flight.future.get();
+      flight.transfer_seconds =
+          local_->network_.link(i).transfer_seconds(flight.out.payload.size());
+    }
+    queue_.schedule_after(flight.transfer_seconds,
+                          [this, i, gen] { on_arrival(i, gen); });
+  }
+
+  // An update reached its aggregation point — the root (flat) or the
+  // owning edge (hier): fold it there, record it, and trigger the node's
+  // close-out once its goal is met.
+  void on_arrival(std::size_t i, std::uint64_t gen) {
+    if (superseded(i, gen)) return;
+    phase_[i] = Phase::kDone;
+    InFlight& flight = flights_[i];
+    const std::size_t e = tree_ ? owner_round_[i] : 0;
+    Delivery delivery =
+        remote_ ? std::move(flight.reported.delivery)
+                : make_delivery(flight.sent, flight.out, queue_.now(),
+                                flight.transfer_seconds, population_);
+    if (tree_ && !nodes_[0][e].open) {
+      // Its buffered edge already shipped: the update landed with nowhere
+      // to fold. Trace it, but keep it out of every round total.
+      flight.out = ClientUpdate{};
+      delivery.trace.status = DeliveryStatus::kLate;
+      record_.clients.push_back(std::move(delivery.trace));
       return;
     }
-    if (phase[i] != Phase::kPending) return;
-    InFlight& flight = flights[i];
-    flight.out = flight.future.get();
-    flight.transfer_seconds =
-        network_.link(i).transfer_seconds(flight.out.payload.size());
-    queue.schedule_after(flight.transfer_seconds,
-                         [&, i, gen] { on_arrival(i, gen); });
-  };
+    const std::size_t node_id = flight.sent.node;
+    ++live_[node_id];
+    peak_[node_id] = std::max(peak_[node_id], live_[node_id]);
+    // A remote edge's worker already decoded, folded and settled it.
+    if (local_) fold_local(i, delivery);
+    --live_[node_id];
+    record_delivery(record_, std::move(delivery));
 
-  // Close the current aggregation once everything the root still expects
-  // has merged. Guarded so churn paths can call it opportunistically.
-  maybe_close_root = [&] {
-    if (!stopped && root_folded >= root_goal) close_round();
-  };
+    if (!tree_) {
+      ++root_folded_;
+      if (root_folded_ >= root_goal_) close_round();
+    } else {
+      ++nodes_[0][e].folded;
+      check_node(0, e);
+    }
+    if (!stopped_ && scheduler_.continuous()) {
+      const auto snapshot =
+          std::make_shared<const StateDict>(server_.global_state());
+      // Continuous policies leave with the freshest global, so every
+      // redispatch is its own (per-client) broadcast.
+      if (downlink_)
+        send_to(i, completed_, snapshot);
+      else
+        dispatch(i, completed_, snapshot, nullptr);
+    }
+  }
 
-  close_round = [&] {
-    close_record(record, server_, config_, queue.now(), *test_);
-    result.rounds.push_back(std::move(record));
-    ++completed;
-    if (!config_.checkpoint_path.empty() &&
-        static_cast<std::size_t>(completed) % config_.checkpoint_every == 0)
-      save_checkpoint();
-    if (completed >= config_.rounds)
-      stopped = true;
-    else
-      open_round(false);
-  };
+  // In process: decode client `i`'s update (serially per node — at most
+  // one decoded update is ever alive there), fold it into its aggregation
+  // point, free it, and score its Eqn (1) decision on the client's link.
+  void fold_local(std::size_t i, Delivery& delivery) {
+    InFlight& flight = flights_[i];
+    const ClientUpdate out = std::move(flight.out);
+    flight.out = ClientUpdate{};
+    CompressionStats decode_stats;
+    const StateDict update = local_->codec_->decode(
+        {out.payload.data(), out.payload.size()}, &decode_stats);
+    const double weight =
+        static_cast<double>(out.samples) *
+        scheduler_.staleness_scale(flight.sent.round, completed_);
+    if (tree_) {
+      tree_->node(0, owner_round_[i]).fold(update, weight);
+    } else {
+      server_.accumulate(update, weight);
+      record_.aggregate_weight += weight;
+    }
+    settle_delivery(delivery, weight, decode_stats.decompress_seconds,
+                    local_->network_.link(i));
+  }
+
+  // A client drawn as a dropout vanished mid-round: trace it (weight 0)
+  // and release its aggregation point from waiting on it.
+  void on_drop(std::size_t i, std::uint64_t gen) {
+    if (stopped_) return;
+    if (gen != generation_[i] || phase_[i] != Phase::kPending) return;
+    phase_[i] = Phase::kDropped;
+    // Traced at the moment the client went silent.
+    record_.clients.push_back(client_trace(
+        flights_[i].sent, DeliveryStatus::kDropped, queue_.now(),
+        population_));
+    if (!tree_) {
+      // Barrier goals equal the cohort size, so one fewer possible arrival
+      // is one fewer to wait for.
+      if (root_goal_ > 0) --root_goal_;
+      maybe_close_root();
+    } else {
+      node_lost_child(0, owner_round_[i]);
+    }
+  }
 
   // Per-node ship/withdraw machinery (hier only). A node ships when every
   // still-promised child delivered (or, buffered, after min(K, expected)
   // folds); a node whose whole expectation churned away withdraws, which
   // cascades one level up.
-  check_node = [&](std::size_t l, std::size_t n) {
-    NodeRound& s = nodes[l][n];
+  void check_node(std::size_t l, std::size_t n) {
+    NodeRound& s = nodes_[l][n];
     if (!s.participating || !s.open) return;
     if (s.folded == 0) {
       if (s.expected == 0) withdraw_node(l, n);
       return;
     }
+    const bool buffered = config_.topology.edge_mode == EdgeMode::kBuffered;
     const std::size_t target =
-        buffered ? std::min(buffer_k, s.expected) : s.expected;
+        buffered ? std::min(config_.topology.edge_buffer, s.expected)
+                 : s.expected;
     if (s.folded >= target) ship_node(l, n);
-  };
+  }
 
-  ship_node = [&](std::size_t l, std::size_t n) {
-    nodes[l][n].open = false;
+  void ship_node(std::size_t l, std::size_t n) {
+    nodes_[l][n].open = false;
+    // A remote edge's worker already finalized and re-encoded its partial.
     auto partial = std::make_shared<const EncodedPartial>(
-        tree_->node(l, n).finalize_and_encode(completed));
-    ++partials_in_flight;
+        remote_ && l == 0 ? std::move(edge_partials_[n])
+                          : tree_->node(l, n).finalize_and_encode(completed_));
+    ++partials_in_flight_;
     const double transfer =
         tree_->uplink(l, n).transfer_seconds(partial->payload.size());
-    queue.schedule_after(transfer,
-                         [&, l, n, round = completed, transfer, partial] {
-                           on_partial(l, n, round, transfer, partial);
-                         });
-  };
+    queue_.schedule_after(transfer,
+                          [this, l, n, round = completed_, transfer, partial] {
+                            on_partial(l, n, round, transfer, *partial);
+                          });
+  }
 
-  withdraw_node = [&](std::size_t l, std::size_t n) {
-    NodeRound& s = nodes[l][n];
+  void withdraw_node(std::size_t l, std::size_t n) {
+    NodeRound& s = nodes_[l][n];
     s.open = false;
     s.participating = false;
     tree_->node(l, n).abort_round();
-    if (l + 1 == levels) {
-      if (root_goal > 0) --root_goal;
+    if (l + 1 == levels_) {
+      if (root_goal_ > 0) --root_goal_;
       maybe_close_root();
     } else {
       node_lost_child(l + 1, tree_->parent_of(l, n));
     }
-  };
+  }
 
-  node_lost_child = [&](std::size_t l, std::size_t n) {
-    NodeRound& s = nodes[l][n];
+  void node_lost_child(std::size_t l, std::size_t n) {
+    NodeRound& s = nodes_[l][n];
     if (s.expected > 0) --s.expected;
     check_node(l, n);
-  };
-
-  // A client drawn as a dropout vanished mid-round: trace it (weight 0) and
-  // release its aggregation point from waiting on it.
-  on_drop = [&](std::size_t i, std::uint64_t gen) {
-    if (stopped) return;
-    if (gen != generation[i] || phase[i] != Phase::kPending) return;
-    phase[i] = Phase::kDropped;
-    // Traced at the moment the client went silent.
-    record.clients.push_back(client_trace(flights[i].sent,
-                                          DeliveryStatus::kDropped,
-                                          queue.now(), population_.get()));
-    if (!tree_) {
-      // Barrier goals equal the cohort size, so one fewer possible arrival
-      // is one fewer to wait for.
-      if (root_goal > 0) --root_goal;
-      maybe_close_root();
-    } else {
-      node_lost_child(0, owner_round[i]);
-    }
-  };
-
-  // An update reached its aggregation point — the root (flat) or the
-  // owning edge (hier): decode it (serially per node — at most one decoded
-  // update is ever alive there), fold it into that node's streaming
-  // accumulator, score the Eqn (1) decision against this client's own
-  // link, and trigger the node's close-out once its goal is met.
-  on_arrival = [&](std::size_t i, std::uint64_t gen) {
-    if (stopped) return;
-    if (gen != generation[i]) return;
-    if (phase[i] == Phase::kIdle) {
-      ++result.late_events;
-      return;
-    }
-    if (phase[i] != Phase::kPending) return;
-    phase[i] = Phase::kDone;
-    InFlight& flight = flights[i];
-    ClientUpdate out = std::move(flight.out);
-    flight.out = ClientUpdate{};
-    const std::size_t e = tree_ ? owner_round[i] : 0;
-    const std::size_t node_id = flight.sent.node;
-    Delivery delivery = make_delivery(flight.sent, out, queue.now(),
-                                      flight.transfer_seconds,
-                                      population_.get());
-    if (tree_ && !nodes[0][e].open) {
-      // Its buffered edge already shipped: the update landed with nowhere
-      // to fold. Trace it, but keep it out of every round total.
-      delivery.trace.status = DeliveryStatus::kLate;
-      record.clients.push_back(std::move(delivery.trace));
-      return;
-    }
-
-    CompressionStats decode_stats;
-    StateDict update = codec_->decode({out.payload.data(), out.payload.size()},
-                                      &decode_stats);
-    ++live[node_id];
-    peak[node_id] = std::max(peak[node_id], live[node_id]);
-    const double weight =
-        static_cast<double>(out.samples) *
-        scheduler_->staleness_scale(flight.sent.round, completed);
-    if (tree_) {
-      tree_->node(0, e).fold(update, weight);
-    } else {
-      server_.accumulate(update, weight);
-      record.aggregate_weight += weight;
-    }
-    update = StateDict();  // folded; free it before anything else arrives
-    --live[node_id];
-    settle_delivery(delivery, weight, decode_stats.decompress_seconds,
-                    network_.link(i));
-    record_delivery(record, std::move(delivery));
-
-    if (!tree_) {
-      ++root_folded;
-      if (root_folded >= root_goal) close_round();
-    } else {
-      ++nodes[0][e].folded;
-      check_node(0, e);
-    }
-    if (!stopped && scheduler_->continuous()) {
-      const auto snapshot =
-          std::make_shared<const StateDict>(server_.global_state());
-      if (downlink_) {
-        // Continuous policies leave with the freshest global, so every
-        // redispatch is its own (per-client) broadcast.
-        send_to(i, completed, snapshot);
-      } else {
-        dispatch(i, completed, snapshot, nullptr);
-      }
-    }
-  };
+  }
 
   // A node's re-encoded partial crossed its uplink: merge it one level up —
   // into its parent's streaming accumulator, or into the server when it
-  // shipped from the top tier. Partials for a closed round or a parent that
-  // already shipped merge nowhere (counted/traced, never totaled).
-  on_partial = [&](std::size_t l, std::size_t n, int round, double transfer,
-                   std::shared_ptr<const EncodedPartial> partial) {
-    --partials_in_flight;
-    if (stopped) return;
-    if (round != completed) {
-      ++result.late_events;
+  // shipped from the top tier. Partials for a closed round or a parent
+  // that already shipped merge nowhere (counted/traced, never totaled).
+  void on_partial(std::size_t l, std::size_t n, int round, double transfer,
+                  const EncodedPartial& partial) {
+    --partials_in_flight_;
+    if (stopped_) return;
+    if (round != completed_) {
+      ++result_.late_events;
       return;
     }
-    const std::size_t flat = tree_->flat_index(l, n);
-    EdgeTraceEntry trace =
-        partial_trace(*tree_, l, n, *partial, transfer, queue.now());
-    trace.downlink_bytes = node_downlink_bytes[flat];
-    trace.downlink_seconds = node_downlink_seconds[flat];
+    EdgeTraceEntry trace;
+    trace.edge = tree_->flat_index(l, n);
+    trace.tier = l + 1;
+    trace.cohort = partial.clients;
+    trace.weight = partial.weight;
+    trace.payload_bytes = partial.payload.size();
+    trace.raw_bytes = partial.stats.original_bytes;
+    trace.encode_seconds = partial.stats.compress_seconds;
+    trace.transfer_seconds = transfer;
+    trace.arrival_seconds = queue_.now();
+    trace.downlink_bytes = node_downlink_bytes_[trace.edge];
+    trace.downlink_seconds = node_downlink_seconds_[trace.edge];
+    trace.ef_residual_norm = partial.ef_residual_norm;
 
-    const bool at_root = l + 1 == levels;
+    const bool at_root = l + 1 == levels_;
     std::size_t parent = 0;
     std::size_t decode_node = 0;  // the root
     if (!at_root) {
       parent = tree_->parent_of(l, n);
-      if (!nodes[l + 1][parent].open) {
+      if (!nodes_[l + 1][parent].open) {
         trace.status = DeliveryStatus::kLate;
-        record.edges.push_back(std::move(trace));
+        record_.edges.push_back(std::move(trace));
         return;
       }
       decode_node = 1 + tree_->flat_index(l + 1, parent);
     }
     CompressionStats decode_stats;
-    ++live[decode_node];
-    peak[decode_node] = std::max(peak[decode_node], live[decode_node]);
+    ++live_[decode_node];
+    peak_[decode_node] = std::max(peak_[decode_node], live_[decode_node]);
     StateDict mean = tree_->decode_partial(
-        l, {partial->payload.data(), partial->payload.size()}, &decode_stats);
+        l, {partial.payload.data(), partial.payload.size()}, &decode_stats);
     if (at_root)
-      server_.merge_partial(mean, partial->weight);
+      server_.merge_partial(mean, partial.weight);
     else
-      tree_->node(l + 1, parent).fold(mean, partial->weight,
-                                      partial->clients);
+      tree_->node(l + 1, parent).fold(mean, partial.weight, partial.clients);
     mean = StateDict();  // merged; free it before anything else arrives
-    --live[decode_node];
-    record_partial(record, std::move(trace), decode_stats.decompress_seconds,
+    --live_[decode_node];
+    record_partial(record_, std::move(trace), decode_stats.decompress_seconds,
                    at_root);
     if (at_root) {
-      ++root_folded;
+      ++root_folded_;
       maybe_close_root();
     } else {
-      ++nodes[l + 1][parent].folded;
+      ++nodes_[l + 1][parent].folded;
       check_node(l + 1, parent);
     }
-  };
+  }
 
-  // The straggler deadline: every client still in flight is evicted (traced
-  // with the marker), and open tier-1 edges force-ship what they have (or
-  // withdraw empty-handed) — the cascade then resolves the upper tiers.
-  evict_stragglers = [&] {
-    const int round = completed;
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (phase[i] != Phase::kPending) continue;
-      phase[i] = Phase::kEvicted;
+  // Close the current aggregation once everything the root still expects
+  // has merged. Guarded so churn paths can call it opportunistically.
+  void maybe_close_root() {
+    if (!stopped_ && root_folded_ >= root_goal_) close_round();
+  }
+
+  // The straggler deadline: every client still in flight is evicted
+  // (traced with the marker), and open tier-1 edges force-ship what they
+  // have (or withdraw empty-handed) — the cascade then resolves the upper
+  // tiers.
+  void evict_stragglers() {
+    const int round = completed_;
+    for (std::size_t i = 0; i < config_.clients; ++i) {
+      if (phase_[i] != Phase::kPending) continue;
+      phase_[i] = Phase::kEvicted;
       // Traced at the moment the server gave up on it.
-      record.clients.push_back(client_trace(flights[i].sent,
-                                            DeliveryStatus::kEvicted,
-                                            queue.now(), population_.get()));
+      record_.clients.push_back(client_trace(flights_[i].sent,
+                                             DeliveryStatus::kEvicted,
+                                             queue_.now(), population_));
     }
     if (!tree_) {
-      root_goal = root_folded;
+      root_goal_ = root_folded_;
       maybe_close_root();
-    } else {
-      // Withdrawal cascades can close (and reopen) the round synchronously;
-      // the round guard stops the sweep the moment that happens.
-      for (std::size_t e = 0; e < edge_count && completed == round; ++e) {
-        NodeRound& s = nodes[0][e];
-        if (!s.participating || !s.open) continue;
-        if (s.folded > 0)
-          ship_node(0, e);
-        else
-          withdraw_node(0, e);
-      }
-    }
-  };
-
-  open_round = [&](bool initial) {
-    record = open_record(completed, tree_.get());
-    root_folded = 0;
-    server_.begin_round();
-    if (scheduler_->continuous() && !initial) {
-      // Clients redispatch themselves on arrival; just reset the buffer.
-      root_goal = scheduler_->aggregation_goal(clients_.size());
-      record.eligible_clients = clients_.size();
       return;
     }
-    std::fill(phase.begin(), phase.end(), Phase::kIdle);
-    std::fill(dropped.begin(), dropped.end(), 0);
-    std::vector<std::size_t> cohort;
-    if (tree_) {
-      std::fill(node_downlink_bytes.begin(), node_downlink_bytes.end(), 0);
-      std::fill(node_downlink_seconds.begin(), node_downlink_seconds.end(),
-                0.0);
-      for (std::size_t l = 0; l < levels; ++l)
-        for (std::size_t n = 0; n < nodes[l].size(); ++n) {
-          // A buffered round can close with interior rounds still open;
-          // abort leftovers before reopening.
-          tree_->node(l, n).abort_round();
-          nodes[l][n] = NodeRound{};
-        }
-      // Static shards first; this round's crash draws then re-shard the
-      // victims' clients round-robin across the surviving siblings.
-      for (std::size_t e = 0; e < edge_count; ++e)
-        edge_members[e] = tree_->base_shards()[e];
-      if (config_.failures.edge_failure_rate > 0.0) {
-        std::vector<char> crashed(edge_count, 0);
-        bool any_alive = false;
-        for (std::size_t e = 0; e < edge_count; ++e) {
-          crashed[e] =
-              failure_rng.uniform() < config_.failures.edge_failure_rate;
-          any_alive = any_alive || !crashed[e];
-        }
-        if (!any_alive) crashed[0] = 0;  // at least one edge survives
-        std::vector<std::size_t> displaced;
-        std::vector<std::size_t> alive;
-        for (std::size_t e = 0; e < edge_count; ++e) {
-          if (crashed[e]) {
-            record.crashed_nodes.push_back(tree_->flat_index(0, e));
-            displaced.insert(displaced.end(), edge_members[e].begin(),
-                             edge_members[e].end());
-            edge_members[e].clear();
-          } else {
-            alive.push_back(e);
-          }
-        }
-        if (!displaced.empty()) {
-          // Seeded shuffle so re-homing is deterministic but uncorrelated
-          // with index order, then round-robin over the survivors.
-          for (std::size_t k = displaced.size(); k > 1; --k)
-            std::swap(displaced[k - 1],
-                      displaced[failure_rng.uniform_index(k)]);
-          for (std::size_t k = 0; k < displaced.size(); ++k)
-            edge_members[alive[k % alive.size()]].push_back(displaced[k]);
-        }
-      }
-      for (std::size_t e = 0; e < edge_count; ++e)
-        for (const std::size_t i : edge_members[e]) owner_round[i] = e;
-      // One scheduler draw per edge cohort, in edge order — the same stream
-      // and order as the single-tier runtime when nothing crashed.
-      edge_cohort = draw_cohorts(edge_members, tree_.get(), *scheduler_,
-                                 population_.get(), queue.now(), streams,
-                                 record);
-      for (std::size_t e = 0; e < edge_count; ++e) {
-        if (edge_cohort[e].empty()) continue;
-        NodeRound& s = nodes[0][e];
-        s.participating = s.open = true;
-        s.expected = edge_cohort[e].size();
-        tree_->node(0, e).begin_round(server_.global_state());
-      }
-      // Upper tiers participate when anything below them does; their
-      // expectation is the participating child count.
-      for (std::size_t l = 1; l < levels; ++l) {
-        for (auto& part : children_part[l]) part.clear();
-        for (std::size_t c = 0; c < nodes[l - 1].size(); ++c)
-          if (nodes[l - 1][c].participating)
-            children_part[l][tree_->parent_of(l - 1, c)].push_back(c);
-        for (std::size_t n = 0; n < nodes[l].size(); ++n) {
-          if (children_part[l][n].empty()) continue;
-          NodeRound& s = nodes[l][n];
-          s.participating = s.open = true;
-          s.expected = children_part[l][n].size();
-          tree_->node(l, n).begin_round(server_.global_state());
-        }
-      }
-      root_goal = 0;
-      for (std::size_t n = 0; n < nodes[levels - 1].size(); ++n)
-        if (nodes[levels - 1][n].participating) ++root_goal;
-      for (std::size_t e = 0; e < edge_count; ++e)
-        cohort.insert(cohort.end(), edge_cohort[e].begin(),
-                      edge_cohort[e].end());
-    } else {
-      cohort = std::move(draw_cohorts(everyone, nullptr, *scheduler_,
-                                      population_.get(), queue.now(),
-                                      streams, record)[0]);
-      root_goal = scheduler_->aggregation_goal(cohort.size());
+    // Withdrawal cascades can close (and reopen) the round synchronously;
+    // the round guard stops the sweep the moment that happens.
+    for (std::size_t e = 0; e < edge_count_ && completed_ == round; ++e) {
+      NodeRound& s = nodes_[0][e];
+      if (!s.participating || !s.open) continue;
+      if (s.folded > 0)
+        ship_node(0, e);
+      else
+        withdraw_node(0, e);
     }
-    if (config_.failures.dropout_rate > 0.0)
-      for (const std::size_t i : cohort)
-        dropped[i] =
-            failure_rng.uniform() < config_.failures.dropout_rate;
-    // Population mid-round offline draws ride the eligibility stream (one
-    // unconditional draw per cohort member, so the stream advances the same
-    // way whatever the outcomes) and surface through the existing dropout
-    // machinery.
-    if (population_ && population_->config().dropout_rate > 0.0)
-      for (const std::size_t i : cohort)
-        if (streams.eligibility.uniform() <
-            population_->config().dropout_rate)
-          dropped[i] = 1;
-    if (config_.failures.straggler_deadline_seconds > 0.0)
-      queue.schedule_after(config_.failures.straggler_deadline_seconds,
-                           [&, round = completed] {
-                             if (!stopped && round == completed)
-                               evict_stragglers();
-                           });
-    if (cohort.empty()) {
-      // Every draw came back empty: nothing will ever arrive, so close on
-      // a zero-delay event (the pump still has to see the round).
-      queue.schedule_after(0.0, [&, round = completed] {
-        if (!stopped && round == completed) close_round();
-      });
-      return;
-    }
-    const auto snapshot =
-        std::make_shared<const StateDict>(server_.global_state());
-    if (!downlink_) {
-      // Free lossless broadcast: clients start on the exact global at once.
-      for (const std::size_t i : cohort)
-        dispatch(i, completed, snapshot, nullptr);
-    } else if (downlink_->mode() == DownlinkMode::kFull) {
-      broadcast_to(cohort, completed, snapshot);
-    } else {
-      for (const std::size_t i : cohort) send_to(i, completed, snapshot);
-    }
-  };
-
-  // Resume: restore everything a checkpoint captured before the first
-  // round opens. The remaining rounds then replay the exact event sequence
-  // of an uninterrupted run — same RNG streams mid-sequence, same clock,
-  // same tie-break counter — so the finished trajectory is bit-identical.
-  if (config_.resume && !config_.checkpoint_path.empty()) {
-    if (std::optional<CheckpointState> loaded =
-            read_checkpoint(config_.checkpoint_path)) {
-      CheckpointState& ck = *loaded;
-      if (ck.config_fingerprint != run_fingerprint(config_, model_config_))
-        throw InvalidArgument(
-            "FlCoordinator: checkpoint at '" + config_.checkpoint_path +
-            "' was written by a differently-configured run");
-      if (ck.aggregator_name != server_.aggregator().name())
-        throw InvalidArgument("FlCoordinator: checkpoint aggregator '" +
-                              ck.aggregator_name + "' does not match '" +
-                              server_.aggregator().name() + "'");
-      if (ck.client_residuals.size() != feedback_.size())
-        throw CorruptStream(
-            "checkpoint: client residual count does not match the run");
-      server_.restore_global_state(std::move(ck.global_state));
-      ByteReader aggregator_in(
-          {ck.aggregator_state.data(), ck.aggregator_state.size()});
-      server_.aggregator().load_state(aggregator_in);
-      streams.cohort.restore(ck.cohort_rng);
-      failure_rng.restore(ck.failure_rng);
-      streams.eligibility.restore(ck.eligibility_rng);
-      for (std::size_t i = 0; i < feedback_.size(); ++i)
-        feedback_[i].restore_residual(std::move(ck.client_residuals[i]));
-      if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)
-        downlink_->restore_sessions(std::move(ck.downlink_sessions));
-      if (tree_ && config_.topology.edge_error_feedback) {
-        if (ck.edge_residuals.size() != interior)
-          throw CorruptStream(
-              "checkpoint: edge residual count does not match the tree");
-        std::size_t flat = 0;
-        for (std::size_t l = 0; l < levels; ++l)
-          for (std::size_t n = 0; n < tree_->level_size(l); ++n)
-            tree_->node(l, n).feedback().restore_residual(
-                std::move(ck.edge_residuals[flat++]));
-      }
-      completed = static_cast<int>(ck.completed_rounds);
-      queue.restore_clock(ck.virtual_now, ck.clock_next_seq);
-      if (completed >= config_.rounds) {
-        // The checkpointed campaign already finished; nothing to replay.
-        result.total_wall_seconds = wall.seconds();
-        result.total_virtual_seconds = queue.now();
-        result.peak_decoded_per_node = std::move(peak);
-        return result;
-      }
-    }
-    // No checkpoint on disk yet (killed before the first save): run fresh.
   }
 
-  open_round(true);
-  while (!stopped && queue.run_next()) {
+  // Close the round: finalize the server's aggregation (abort it when
+  // nothing folded), turn the sums into means per participant and per
+  // merged partial, stamp the virtual clock, evaluate when the config asks
+  // for this round, and open the next one.
+  void close_round() {
+    RoundRecord& r = record_;
+    if (r.participants == 0) {
+      // Everything churned away: keep the global untouched this round.
+      server_.abort_round();
+    } else {
+      server_.finalize_round();
+      const double inv = 1.0 / static_cast<double>(r.participants);
+      r.train_seconds *= inv;
+      r.compress_seconds *= inv;
+      r.decompress_seconds *= inv;
+      r.comm_seconds *= inv;
+      r.mean_loss *= inv;
+      r.downlink_seconds *= inv;
+      r.downlink_encode_seconds *= inv;
+      r.downlink_decode_seconds *= inv;
+      r.mean_ef_residual_norm *= inv;
+      r.ef_decode_seconds *= inv;
+    }
+    const auto merged = static_cast<std::size_t>(std::count_if(
+        r.edges.begin(), r.edges.end(), [](const EdgeTraceEntry& edge) {
+          return edge.status == DeliveryStatus::kAggregated;
+        }));
+    if (merged > 0) {
+      const double inv = 1.0 / static_cast<double>(merged);
+      r.backhaul_seconds *= inv;
+      r.backhaul_encode_seconds *= inv;
+      r.backhaul_decode_seconds *= inv;
+      r.backhaul_downlink_seconds *= inv;
+    }
+    r.virtual_seconds = queue_.now();
+    if (config_.evaluate_every_round || r.round + 1 == config_.rounds) {
+      Timer eval_timer;
+      r.accuracy = server_.evaluate(test_, config_.eval_limit);
+      r.eval_seconds = eval_timer.seconds();
+    }
+    result_.rounds.push_back(std::move(record_));
+    ++completed_;
+    if (!config_.checkpoint_path.empty() &&
+        static_cast<std::size_t>(completed_) % config_.checkpoint_every == 0)
+      save_checkpoint();
+    if (completed_ >= config_.rounds)
+      stopped_ = true;
+    else
+      open_round(false);
   }
-  // A buffered ancestor can ship early enough that the run's final close
-  // leaves weighted partials mid-transfer; their arrival events never run,
-  // so account for them here.
-  result.late_events += partials_in_flight;
 
-  result.final_accuracy =
-      result.rounds.empty() ? 0.0 : result.rounds.back().accuracy;
-  result.peak_decoded_updates = peak[0];
-  result.peak_decoded_per_node = std::move(peak);
-  result.total_virtual_seconds = queue.now();
-  result.total_wall_seconds = wall.seconds();
-  return result;
-  // ~ThreadPool drains any still-running client tasks (async policies stop
-  // mid-flight once the configured number of aggregations completes).
+  const FlRunConfig& config_;
+  Scheduler& scheduler_;
+  FlServer& server_;
+  const ClientPopulation* population_;
+  AggregationTree* tree_;  // null = flat star
+  const data::Dataset& test_;
+  FlCoordinator* local_;       // in process: clients, codec, links
+  RemoteEdges* remote_;        // over the wire: every tier-1 edge
+  DownlinkChannel* downlink_;  // null = free broadcast
+  const std::size_t levels_;
+  const std::size_t edge_count_;
+  // EF against a lossless uplink is provably a zero residual forever; skip
+  // the per-round payload decode and residual passes outright.
+  const bool ef_on_;
+
+  FlRunResult result_;
+  net::EventQueue queue_;
+  std::vector<InFlight> flights_;
+  RoundStreams streams_;
+  // Churn draws ride their own stream: a failure-free run consumes exactly
+  // the randomness it did before churn existed, keeping trajectory pins.
+  Rng failure_rng_;
+  int completed_ = 0;  // aggregations finished so far
+  bool stopped_ = false;
+  RoundRecord record_;
+  std::vector<Phase> phase_;
+  std::vector<std::uint64_t> generation_;
+  std::vector<char> dropped_;  // this round's dropout draws
+  // Tier-1 edge owning each client THIS round (crash re-sharding moves it).
+  std::vector<std::size_t> owner_round_;
+  // Arrivals folded/merged at the root since the round opened and the count
+  // that closes it (updates when flat, top-tier partials when hier).
+  std::size_t root_folded_ = 0;
+  std::size_t root_goal_ = 0;
+  // Shipped partials whose arrival event has not executed yet. Whatever is
+  // still in flight when the run stops never merges anywhere — fold those
+  // into late_events at exit so weight that left an edge is always either
+  // merged, traced kLate, or counted late.
+  std::size_t partials_in_flight_ = 0;
+  // Decoded payloads alive per aggregation point: node 0 = the root,
+  // 1 + flat_index for interior nodes. Streaming keeps every count <= 1.
+  std::vector<std::size_t> live_;
+  std::vector<std::size_t> peak_;
+  std::vector<std::vector<NodeRound>> nodes_;
+  // This round's member set per tier-1 edge (after crash re-sharding) and
+  // the drawn cohort, in dispatch order; a flat run draws from one group of
+  // every client.
+  std::vector<std::vector<std::size_t>> edge_members_;
+  std::vector<std::vector<std::size_t>> edge_cohort_;
+  std::vector<std::vector<std::size_t>> everyone_;
+  // Participating children of each node above tier 1 (level l-1 indices).
+  std::vector<std::vector<std::vector<std::size_t>>> children_part_;
+  // Broadcast traffic charged to each interior node's link this round.
+  std::vector<std::size_t> node_downlink_bytes_;
+  std::vector<double> node_downlink_seconds_;
+  // The partial each remote edge reported this round.
+  std::vector<EncodedPartial> edge_partials_;
+  // Declared last, so its destructor drains in-flight client tasks (async
+  // policies stop mid-flight) while the state they touch still exists.
+  std::optional<ThreadPool> pool_;
+};
+
+FlRunResult FlCoordinator::run() {
+  return RoundEngine(this, nullptr, config_, *scheduler_, server_,
+                     population_.get(), tree_.get(), *test_)
+      .run();
+}
+
+FlRunResult run_remote_edges(const FlRunConfig& config, Scheduler& scheduler,
+                             FlServer& server,
+                             const ClientPopulation* population,
+                             AggregationTree& tree, const data::Dataset& test,
+                             RemoteEdges& remote) {
+  return RoundEngine(nullptr, &remote, config, scheduler, server, population,
+                     &tree, test)
+      .run();
 }
 
 }  // namespace fedsz::core

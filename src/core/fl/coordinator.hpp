@@ -22,7 +22,9 @@
 // re-encodes it through its backhaul codec spec, and a new edge-arrival
 // event delivers it over the edge's own backhaul link; the root merges
 // partials and aggregates when every edge reported. Downlink broadcasts
-// fan out the other way (root->edge->client), charged per hop.
+// fan out the other way (root->edge->client), charged per hop. The same
+// event pump runs a distributed campaign whose tier-1 edges are remote
+// workers (run_remote_edges below; core/fl/federation.hpp).
 #pragma once
 
 #include <memory>
@@ -358,11 +360,11 @@ std::vector<std::vector<std::size_t>> build_client_shards(
     const data::Dataset& train, const FlRunConfig& config,
     const ClientPopulation* population);
 
-// ---- Round decisions shared by both transports ----
+// ---- Round decisions shared with the edge worker ----
 //
-// FlCoordinator::run() and the distributed runtime (core/fl/federation.hpp)
-// call the functions below, so the seed derivations, cohort draws, client
-// update, trace rows, record sums and round close each exist once.
+// The round engine behind FlCoordinator::run() and the distributed edge
+// worker (core/fl/federation.hpp) both call the functions below, so the
+// seed derivations, the client update and its trace row exist once.
 
 /// Deterministic virtual training time per client: seconds_per_sample x
 /// shard size x local epochs x a speed factor drawn from
@@ -383,34 +385,6 @@ std::unique_ptr<FlClient> make_client(std::size_t i, const FlRunConfig& config,
 /// config.topology with a kShuffled shard seed of 0 derived from the run
 /// seed, so every process builds the same tree.
 TopologyConfig resolved_topology(const FlRunConfig& config);
-
-/// The run-seed-derived streams a round open draws from, checkpointed
-/// mid-sequence: the scheduler's cohort sampling and population
-/// availability.
-struct RoundStreams {
-  explicit RoundStreams(std::uint64_t seed);
-  Rng cohort;
-  Rng eligibility;
-};
-
-/// Round `round`'s empty record; the per-tier backhaul tallies are sized to
-/// `tree` (null on flat runs).
-RoundRecord open_record(int round, const AggregationTree* tree);
-
-/// Round open over `groups`: the tier-1 member lists after any re-homing
-/// (a flat run passes one group holding every client in index order). With
-/// a population, availability is drawn in (group, member) order and, when
-/// every draw failed, the most-available client (lowest index on ties)
-/// wakes without a draw. Each group's scheduler draw then runs over its
-/// eligible members, skipping groups left with none. Appends one
-/// kIneligible row per offline client, in client order, and counts
-/// record.eligible_clients / ineligible_clients. Returns each group's
-/// cohort, global client ids in dispatch order.
-std::vector<std::vector<std::size_t>> draw_cohorts(
-    const std::vector<std::vector<std::size_t>>& groups,
-    const AggregationTree* tree, Scheduler& scheduler,
-    const ClientPopulation* population, double now, RoundStreams& streams,
-    RoundRecord& record);
 
 /// What a client's local round hands back: the encoded update and the
 /// per-update terms its trace row and the round record need.
@@ -463,12 +437,6 @@ struct Delivery {
   double downlink_decode_seconds = 0.0;
 };
 
-/// The row of `dispatch` leaving the round with `status` at `now`: weight 0
-/// and no payload, as for dropped, evicted and ineligible clients
-/// (make_delivery fills in an update that arrived).
-ClientTraceEntry client_trace(const Dispatch& dispatch, DeliveryStatus status,
-                              double now, const ClientPopulation* population);
-
 /// The delivery of `update`, which reached its aggregation point at
 /// `arrival` after `transfer` seconds on its link. Weight and the Eqn (1)
 /// decision stay unset until settle_delivery.
@@ -481,28 +449,50 @@ Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
 void settle_delivery(Delivery& delivery, double weight, double decode_seconds,
                      const net::SimulatedNetwork& link);
 
-/// Append a settled delivery's row to `record` and add its terms to the
-/// per-participant sums (callers keep arrival order: the sums are doubles).
-void record_delivery(RoundRecord& record, Delivery delivery);
+// ---- The round engine's wire side ----
 
-/// The row of the partial node (`level`, `node`) shipped; it crossed its
-/// uplink in `transfer` seconds and arrived at `arrival`.
-EdgeTraceEntry partial_trace(const AggregationTree& tree, std::size_t level,
-                             std::size_t node, const EncodedPartial& partial,
-                             double transfer, double arrival);
+/// One client inside a remote edge's report: the Delivery its worker built
+/// and settled, and the virtual time its upload left the client.
+struct WireDelivery {
+  Delivery delivery;
+  double upload_seconds = 0.0;
+};
 
-/// Append a merged partial's row to `record` and add it to the backhaul
-/// sums; `at_root` partials also add their weight to aggregate_weight.
-void record_partial(RoundRecord& record, EdgeTraceEntry trace,
-                    double decode_seconds, bool at_root);
+/// A remote edge's whole round (the PARTIAL frame): one delivery per cohort
+/// client and the partial the edge shipped after its last fold.
+struct WirePartial {
+  int round = 0;
+  EncodedPartial partial;
+  std::vector<WireDelivery> deliveries;
+};
 
-/// Close the round: finalize the server's aggregation (abort it when
-/// nothing folded), turn the sums into means per participant and per
-/// merged partial, stamp the virtual clock, and evaluate on `test` when
-/// the config asks for this round.
-void close_record(RoundRecord& record, FlServer& server,
-                  const FlRunConfig& config, double now,
-                  const data::Dataset& test);
+/// The round engine's tier-1 edges when they run remotely, one worker per
+/// edge (core/fl/federation.hpp implements it over framed streams).
+class RemoteEdges {
+ public:
+  virtual ~RemoteEdges() = default;
+  /// Open `round` at virtual time `t_open` on `global`: ship each non-empty
+  /// cohort to its edge and wait for every live edge's report, deliveries
+  /// in cohort order. An edge whose worker died answers nullopt.
+  virtual std::vector<std::optional<WirePartial>> run_round(
+      int round, double t_open, const StateDict& global,
+      const std::vector<std::vector<std::size_t>>& cohorts) = 0;
+  /// Which edges' workers are gone, asked at every round open: the engine
+  /// re-homes their members like in-process edge crashes. Throws when none
+  /// is left.
+  virtual std::vector<char> dead_edges() const = 0;
+};
+
+/// The round engine FlCoordinator::run() pumps, with every tier-1 edge run
+/// by `remote` (the distributed root's campaign). It builds no client,
+/// dataset or thread pool; the server merges partials and evaluates on
+/// `test`. Requires a barrier scheduler, sync edges, a free broadcast, no
+/// failure schedule, no population dropout and no checkpointing.
+FlRunResult run_remote_edges(const FlRunConfig& config, Scheduler& scheduler,
+                             FlServer& server,
+                             const ClientPopulation* population,
+                             AggregationTree& tree, const data::Dataset& test,
+                             RemoteEdges& remote);
 
 class FlCoordinator {
  public:
@@ -517,14 +507,8 @@ class FlCoordinator {
   /// return the full trace.
   FlRunResult run();
 
-  FlServer& server() { return server_; }
-  const net::HeterogeneousNetwork& network() const { return network_; }
-  /// Null when the broadcast is free (no downlink_spec configured).
-  const DownlinkChannel* downlink() const { return downlink_.get(); }
-  /// Null on flat runs; the edge tier under TopologyMode::kHier.
-  const AggregationTree* topology() const { return tree_.get(); }
-
  private:
+  friend class RoundEngine;  // the event pump run() drives
   nn::ModelConfig model_config_;
   data::DatasetPtr test_;
   FlRunConfig config_;

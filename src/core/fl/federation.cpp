@@ -82,8 +82,8 @@ void visit(D& d, F& f) {
 
 template <Either<WireDelivery> W, class F>
 void visit(W& w, F& f) {
-  auto& [delivery, upload_seconds, pos] = w;
-  each(f, delivery, upload_seconds, pos);
+  auto& [delivery, upload_seconds] = w;
+  each(f, delivery, upload_seconds);
 }
 
 template <Either<EncodedPartial> P, class F>
@@ -450,7 +450,7 @@ WirePartial process_round(EdgeRuntime& rt, const RoundOpenMsg& open,
                                       rt.population.get());
     settle_delivery(delivery, weight, decode_stats.decompress_seconds,
                     rt.network.link(p.sent.client));
-    wire.deliveries.push_back({std::move(delivery), p.upload, k});
+    wire.deliveries.push_back({std::move(delivery), p.upload});
   }
   wire.partial = edge.finalize_and_encode(open.round);
   return wire;
@@ -534,8 +534,7 @@ struct FederatedRoot::Impl {
   SchedulerPtr scheduler;
   FederationOptions options;
   FlServer server;
-  std::unique_ptr<ClientPopulation> population;  // before network: links
-  net::HeterogeneousNetwork network;  // client links (Eqn-1 decisions)
+  std::unique_ptr<ClientPopulation> population;
   std::unique_ptr<AggregationTree> tree;
   std::unique_ptr<net::TcpListener> listener;
   std::uint32_t fingerprint = 0;
@@ -552,8 +551,8 @@ struct FederatedRoot::Impl {
         population(config.population.empty()
                        ? nullptr
                        : std::make_unique<ClientPopulation>(
-                             config.population, config.clients, config.seed)),
-        network(build_population_network(config, population.get())) {}
+                             config.population, config.clients,
+                             config.seed)) {}
 
   RunManifest make_manifest(std::uint32_t edge) const {
     RunManifest m;
@@ -589,11 +588,10 @@ FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
   Impl& impl = *impl_;
   impl.config.validate();
   impl.spec_string = format_codec_spec(spec);
-  if (impl.config.topology.mode != TopologyMode::kHier ||
-      impl.config.topology.tiers.size() != 1)
+  if (impl.config.topology.mode != TopologyMode::kHier)
     throw InvalidArgument(
-        "FederatedRoot: distributed runs need a single-tier hierarchy "
-        "(topology=hier:<N>) -- one worker process per tier-1 edge");
+        "FederatedRoot: distributed runs need a hierarchy "
+        "(topology=hier:<N>[x<M>...]) -- one worker process per tier-1 edge");
   if (impl.scheduler->continuous())
     throw InvalidArgument(
         "FederatedRoot: distributed runs require a barrier scheduler "
@@ -675,216 +673,140 @@ struct InboxEvent {
   std::string error;
 };
 
-}  // namespace
+/// `wire`'s deliveries put in `cohort` order, matched by client id. A
+/// PARTIAL that misses, repeats or adds a client, or whose partial folded
+/// a different number of clients, does not answer the cohort it was sent.
+void match_cohort(WirePartial& wire, const std::vector<std::size_t>& cohort,
+                  std::size_t edge) {
+  const std::string from = "federation: PARTIAL from edge " +
+                           std::to_string(edge) + " ";
+  if (wire.deliveries.size() != cohort.size() ||
+      wire.partial.clients != cohort.size())
+    throw CorruptStream(from + "does not match its cohort size");
+  std::vector<std::optional<WireDelivery>> slots(cohort.size());
+  for (WireDelivery& d : wire.deliveries) {
+    const std::size_t client = d.delivery.trace.client;
+    const auto at = std::find(cohort.begin(), cohort.end(), client);
+    if (at == cohort.end() || slots[at - cohort.begin()])
+      throw CorruptStream(from + "repeats or adds client " +
+                          std::to_string(client));
+    slots[at - cohort.begin()] = std::move(d);
+  }
+  for (std::size_t k = 0; k < cohort.size(); ++k)
+    wire.deliveries[k] = std::move(*slots[k]);
+}
 
-FlRunResult FederatedRoot::run_with_streams(
-    std::vector<net::StreamPtr> streams) {
-  Impl& impl = *impl_;
-  const std::size_t edges = edge_count_;
-  if (streams.size() != edges)
-    throw InvalidArgument("FederatedRoot: got " +
-                          std::to_string(streams.size()) + " streams for " +
-                          std::to_string(edges) + " edges");
-
-  Timer wall;
-  std::mutex inbox_mutex;
-  std::condition_variable inbox_cv;
-  std::deque<InboxEvent> inbox;
-
-  auto push_event = [&](InboxEvent event) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mutex);
-      inbox.push_back(std::move(event));
+/// The root's side of the wire: one connection per tier-1 edge, a reader
+/// thread per connection draining frames into one inbox, the handshake,
+/// and per round the ROUND_OPEN/BROADCAST fan-out and the PARTIAL
+/// collection, with crash detection by heartbeat timeout or EOF.
+class WireEdges final : public RemoteEdges {
+ public:
+  /// Send worker e its HELLO (`manifest(e)`) and start its reader, then
+  /// wait until every worker echoed `fingerprint` and its edge — a worker
+  /// built from different code (or fed a different manifest) fails here,
+  /// not 40 rounds in.
+  template <class Manifest>
+  WireEdges(std::vector<net::StreamPtr> streams, double heartbeat_timeout,
+            std::uint32_t fingerprint, const Manifest& manifest)
+      : dead_(streams.size(), 0),
+        timeout_(std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(std::max(0.1, heartbeat_timeout)))),
+        conns_(streams.size()) {
+    const std::size_t edges = conns_.size();
+    const auto start = Clock::now();
+    for (std::size_t e = 0; e < edges; ++e) {
+      conns_[e].chan = std::make_unique<net::FrameChannel>(streams[e]);
+      conns_[e].last_seen = start;
+      const Bytes hello =
+          serialize_manifest(manifest(static_cast<std::uint32_t>(e)));
+      conns_[e].chan->send(net::FrameType::kHello, view(hello));
+      conns_[e].reader.emplace(*conns_[e].chan, [this, e] { read(e); });
     }
-    inbox_cv.notify_all();
-  };
-  auto wait_event =
-      [&](std::chrono::milliseconds timeout) -> std::optional<InboxEvent> {
-    std::unique_lock<std::mutex> lock(inbox_mutex);
-    if (!inbox_cv.wait_for(lock, timeout, [&] { return !inbox.empty(); }))
-      return std::nullopt;
-    InboxEvent event = std::move(inbox.front());
-    inbox.pop_front();
-    return event;
-  };
-
-  // Declared after everything its readers touch: every exit path destroys
-  // it first, closing each channel and joining its reader.
-  std::vector<Conn> conns(edges);
-  const auto start = Clock::now();
-  for (std::size_t e = 0; e < edges; ++e) {
-    conns[e].chan = std::make_unique<net::FrameChannel>(streams[e]);
-    conns[e].last_seen = start;
-    const Bytes hello = serialize_manifest(
-        impl.make_manifest(static_cast<std::uint32_t>(e)));
-    conns[e].chan->send(net::FrameType::kHello, view(hello));
-    conns[e].reader.emplace(*conns[e].chan, [&, e] {
-      try {
-        while (std::optional<net::Frame> frame = conns[e].chan->recv()) {
-          const bool beat = frame->type == net::FrameType::kHeartbeat;
-          {
-            std::lock_guard<std::mutex> lock(inbox_mutex);
-            conns[e].last_seen = Clock::now();
-            if (!beat) inbox.push_back({e, std::move(*frame), ""});
-          }
-          if (!beat) inbox_cv.notify_all();
-        }
-        push_event({e, std::nullopt, ""});
-      } catch (const std::exception& error) {
-        push_event({e, std::nullopt, error.what()});
+    std::vector<char> acked(edges, 0);
+    std::size_t acks = 0;
+    std::vector<InboxEvent> acked_then_died;
+    while (acks < edges) {
+      std::optional<InboxEvent> event = wait(std::chrono::milliseconds(500));
+      if (!event) continue;
+      if (!event->frame && acked[event->edge]) {
+        // A worker that acked and then died is churn, not a failed
+        // handshake: its EOF goes back to the campaign, which sees it just
+        // as if it had arrived after a slower peer's ACK.
+        acked_then_died.push_back(std::move(*event));
+        continue;
       }
-    });
-  }
-
-  // Handshake: every worker must echo the fingerprint and its edge before
-  // the first round — a worker built from different code (or fed a
-  // different manifest) fails here, not 40 rounds in.
-  std::vector<char> acked(edges, 0);
-  std::size_t acks = 0;
-  std::vector<InboxEvent> acked_then_died;
-  while (acks < edges) {
-    std::optional<InboxEvent> event =
-        wait_event(std::chrono::milliseconds(500));
-    if (!event) continue;
-    if (!event->frame && acked[event->edge]) {
-      // A worker that acked and then died is churn, not a failed
-      // handshake: its EOF goes back to the campaign, which sees it just
-      // as if it had arrived after a slower peer's ACK.
-      acked_then_died.push_back(std::move(*event));
-      continue;
-    }
-    if (!event->frame)
-      throw net::TransportError(
-          "federation: worker " + std::to_string(event->edge) +
-          " died during handshake" +
-          (event->error.empty() ? "" : ": " + event->error));
-    if (event->frame->type != net::FrameType::kAck)
-      throw CorruptStream("federation: expected ACK, got " +
-                          net::frame_type_name(event->frame->type));
-    ByteReader in(view(event->frame->payload));
-    const std::uint32_t fp = in.get_u32();
-    const std::uint64_t edge = in.get_varint();
-    if (fp != impl.fingerprint || edge != event->edge)
-      throw net::TransportError(
-          "federation: worker " + std::to_string(event->edge) +
-          " acked a mismatched fingerprint/edge -- incompatible build or "
-          "manifest");
-    if (!acked[event->edge]) {
-      acked[event->edge] = 1;
-      ++acks;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex);
-    inbox.insert(inbox.begin(),
-                 std::make_move_iterator(acked_then_died.begin()),
-                 std::make_move_iterator(acked_then_died.end()));
-  }
-
-  // ---- the campaign ----
-  FlRunResult result;
-  result.scheduler = impl.scheduler->name();
-  RoundStreams draws(impl.config.seed);
-  std::vector<std::vector<std::size_t>> members = impl.tree->base_shards();
-  std::vector<std::size_t> peak(1 + edges, 0);
-  std::vector<char> dead(edges, 0);
-  std::vector<char> rehomed(edges, 0);
-  double virtual_now = 0.0;
-  int completed = 0;
-  const auto timeout = std::chrono::duration<double>(
-      std::max(0.1, impl.options.heartbeat_timeout_seconds));
-
-  while (completed < impl.config.rounds) {
-    RoundRecord record = open_record(completed, impl.tree.get());
-
-    // Re-home the members of every edge that died since the last open:
-    // round-robin over the survivors, without the in-process seeded
-    // shuffle (a real crash is not a seeded draw; determinism across runs
-    // ends where real failures begin).
-    {
-      std::vector<std::size_t> displaced;
-      for (std::size_t e = 0; e < edges; ++e) {
-        if (!dead[e] || rehomed[e]) continue;
-        rehomed[e] = 1;
-        record.crashed_nodes.push_back(impl.tree->flat_index(0, e));
-        displaced.insert(displaced.end(), members[e].begin(),
-                         members[e].end());
-        members[e].clear();
-      }
-      std::vector<std::size_t> alive;
-      for (std::size_t e = 0; e < edges; ++e)
-        if (!dead[e]) alive.push_back(e);
-      if (alive.empty())
+      if (!event->frame)
         throw net::TransportError(
-            "federation: every edge worker died with rounds remaining");
-      for (std::size_t k = 0; k < displaced.size(); ++k)
-        members[alive[k % alive.size()]].push_back(displaced[k]);
+            "federation: worker " + std::to_string(event->edge) +
+            " died during handshake" +
+            (event->error.empty() ? "" : ": " + event->error));
+      if (event->frame->type != net::FrameType::kAck)
+        throw CorruptStream("federation: expected ACK, got " +
+                            net::frame_type_name(event->frame->type));
+      ByteReader in(view(event->frame->payload));
+      const std::uint32_t fp = in.get_u32();
+      const std::uint64_t edge = in.get_varint();
+      if (fp != fingerprint || edge != event->edge)
+        throw net::TransportError(
+            "federation: worker " + std::to_string(event->edge) +
+            " acked a mismatched fingerprint/edge -- incompatible build or "
+            "manifest");
+      if (!acked[event->edge]) {
+        acked[event->edge] = 1;
+        ++acks;
+      }
     }
+    std::lock_guard<std::mutex> lock(mutex_);
+    inbox_.insert(inbox_.begin(),
+                  std::make_move_iterator(acked_then_died.begin()),
+                  std::make_move_iterator(acked_then_died.end()));
+  }
 
-    impl.server.begin_round();
-    const double t_open = virtual_now;
-    // A dead edge's members were re-homed above, so it draws nothing.
-    const std::vector<std::vector<std::size_t>> cohort =
-        draw_cohorts(members, impl.tree.get(), *impl.scheduler,
-                     impl.population.get(), t_open, draws, record);
-    std::vector<std::size_t> offset(edges, 0);
-    for (std::size_t e = 1; e < edges; ++e)
-      offset[e] = offset[e - 1] + cohort[e - 1].size();
-
-    const Bytes global_blob = impl.server.global_state().serialize();
+  std::vector<std::optional<WirePartial>> run_round(
+      int round, double t_open, const StateDict& global,
+      const std::vector<std::vector<std::size_t>>& cohorts) override {
+    const std::size_t edges = conns_.size();
+    ByteWriter broadcast_out;
+    broadcast_out.put_varint(static_cast<std::uint64_t>(round));
+    broadcast_out.put_blob(view(global.serialize()));
+    const Bytes broadcast = broadcast_out.finish();
     std::vector<char> expected(edges, 0);
     std::size_t outstanding = 0;
-    for (std::size_t e = 0; e < edges; ++e) {
-      if (cohort[e].empty()) continue;
-      const Bytes open_bytes =
-          serialize_round_open({completed, t_open, cohort[e]});
-      ByteWriter bw;
-      bw.put_varint(static_cast<std::uint64_t>(completed));
-      bw.put_blob(view(global_blob));
-      const Bytes broadcast = bw.finish();
-      expected[e] = 1;
-      ++outstanding;
-      try {
-        conns[e].chan->send(net::FrameType::kRoundOpen, view(open_bytes));
-        conns[e].chan->send(net::FrameType::kBroadcast, view(broadcast));
-      } catch (const std::exception&) {
-        dead[e] = 1;  // crash handling below traces the cohort
-      }
-    }
-
+    std::vector<std::optional<WirePartial>> got(edges);
     auto crash = [&](std::size_t e) {
-      dead[e] = 1;
-      conns[e].chan->close();
+      dead_[e] = 1;
+      conns_[e].chan->close();
       if (!expected[e]) return;
       expected[e] = 0;
       --outstanding;
-      // The cohort this worker was running vanishes mid-round: trace it
-      // like an in-process dropout sweep (weight 0, nothing totaled).
-      for (const std::size_t i : cohort[e])
-        record.clients.push_back(client_trace(
-            Dispatch{.client = i, .node = 1 + impl.tree->flat_index(0, e),
-                     .round = completed, .seconds = t_open},
-            DeliveryStatus::kDropped, t_open, impl.population.get()));
     };
-    for (std::size_t e = 0; e < edges; ++e)
-      if (expected[e] && dead[e]) crash(e);
+    for (std::size_t e = 0; e < edges; ++e) {
+      if (cohorts[e].empty()) continue;
+      expected[e] = 1;
+      ++outstanding;
+      try {
+        const Bytes open = serialize_round_open({round, t_open, cohorts[e]});
+        conns_[e].chan->send(net::FrameType::kRoundOpen, view(open));
+        conns_[e].chan->send(net::FrameType::kBroadcast, view(broadcast));
+      } catch (const std::exception&) {
+        crash(e);
+      }
+    }
 
-    std::vector<std::optional<WirePartial>> got(edges);
     const auto round_start = Clock::now();
     while (outstanding > 0) {
-      std::optional<InboxEvent> event =
-          wait_event(std::chrono::milliseconds(200));
+      std::optional<InboxEvent> event = wait(std::chrono::milliseconds(200));
       if (!event) {
         const auto now = Clock::now();
         for (std::size_t e = 0; e < edges; ++e) {
-          if (!expected[e] || dead[e]) continue;
+          if (!expected[e]) continue;
           Clock::time_point seen;
           {
-            std::lock_guard<std::mutex> lock(inbox_mutex);
-            seen = conns[e].last_seen;
+            std::lock_guard<std::mutex> lock(mutex_);
+            seen = conns_[e].last_seen;
           }
-          if (now - std::max(seen, round_start) >
-              std::chrono::duration_cast<Clock::duration>(timeout))
+          if (now - std::max(seen, round_start) > timeout_)
             crash(e);  // heartbeat timeout
         }
         continue;
@@ -898,111 +820,105 @@ FlRunResult FederatedRoot::run_with_streams(
         throw CorruptStream("federation: expected PARTIAL, got " +
                             net::frame_type_name(event->frame->type));
       WirePartial partial = parse_partial(view(event->frame->payload));
-      if (partial.round != completed)
+      if (partial.round != round)
         throw CorruptStream("federation: PARTIAL for round " +
                             std::to_string(partial.round) + " while round " +
-                            std::to_string(completed) + " is open");
+                            std::to_string(round) + " is open");
       if (!expected[e])
         throw CorruptStream("federation: unsolicited PARTIAL from edge " +
                             std::to_string(e));
+      match_cohort(partial, cohorts[e], e);
       got[e] = std::move(partial);
       expected[e] = 0;
       --outstanding;
     }
-
-    // ---- merge, replaying the in-process event order ----
-    struct Arrived {
-      std::size_t edge = 0;
-      double transfer = 0.0;
-      double arrival = 0.0;
-      WirePartial wire;
-      // The partial shipped at its last fold: that delivery's keys.
-      const WireDelivery& last() const { return wire.deliveries.back(); }
-      double ship() const { return last().delivery.trace.arrival_seconds; }
-    };
-    std::vector<Arrived> arrived;
-    for (std::size_t e = 0; e < edges; ++e) {
-      if (!got[e]) continue;
-      Arrived a;
-      a.edge = e;
-      a.wire = std::move(*got[e]);
-      a.transfer = impl.tree->uplink(0, e).transfer_seconds(
-          a.wire.partial.payload.size());
-      a.arrival = a.ship() + a.transfer;
-      arrived.push_back(std::move(a));
-    }
-    // Partial events sort by (arrival, schedule order); ship events were
-    // scheduled in last-fold order, which is itself the global
-    // (arrival, upload, dispatch-position) order of the final folds.
-    std::sort(arrived.begin(), arrived.end(),
-              [&](const Arrived& x, const Arrived& y) {
-                if (x.arrival != y.arrival) return x.arrival < y.arrival;
-                if (x.ship() != y.ship()) return x.ship() < y.ship();
-                if (x.last().upload_seconds != y.last().upload_seconds)
-                  return x.last().upload_seconds < y.last().upload_seconds;
-                return offset[x.edge] + x.last().pos <
-                       offset[y.edge] + y.last().pos;
-              });
-
-    // Client deliveries across ALL edges, re-sorted into the global arrival
-    // order the in-process pump folded them in, so every non-associative
-    // double sum in the record accumulates identically.
-    struct Fold {
-      std::size_t global_pos = 0;
-      WireDelivery* d = nullptr;
-    };
-    std::vector<Fold> folds;
-    for (Arrived& a : arrived)
-      for (WireDelivery& d : a.wire.deliveries)
-        folds.push_back({offset[a.edge] + d.pos, &d});
-    std::sort(folds.begin(), folds.end(), [](const Fold& x, const Fold& y) {
-      const double xa = x.d->delivery.trace.arrival_seconds;
-      const double ya = y.d->delivery.trace.arrival_seconds;
-      if (xa != ya) return xa < ya;
-      if (x.d->upload_seconds != y.d->upload_seconds)
-        return x.d->upload_seconds < y.d->upload_seconds;
-      return x.global_pos < y.global_pos;
-    });
-    for (const Fold& fold : folds)
-      record_delivery(record, std::move(fold.d->delivery));
-
-    for (const Arrived& a : arrived) {
-      const EncodedPartial& partial = a.wire.partial;
-      EdgeTraceEntry trace =
-          partial_trace(*impl.tree, 0, a.edge, partial, a.transfer, a.arrival);
-      CompressionStats decode_stats;
-      StateDict mean =
-          impl.tree->decode_partial(0, view(partial.payload), &decode_stats);
-      impl.server.merge_partial(mean, partial.weight);
-      record_partial(record, std::move(trace), decode_stats.decompress_seconds,
-                     /*at_root=*/true);
-      peak[0] = std::max<std::size_t>(peak[0], 1);
-      if (partial.clients > 0)
-        peak[1 + a.edge] = std::max<std::size_t>(peak[1 + a.edge], 1);
-      virtual_now = std::max(virtual_now, a.arrival);
-    }
-
-    close_record(record, impl.server, impl.config, virtual_now, *impl.test);
-    result.rounds.push_back(std::move(record));
-    ++completed;
+    return got;
   }
 
-  const Bytes empty;
-  for (std::size_t e = 0; e < edges; ++e) {
-    if (dead[e]) continue;
+  std::vector<char> dead_edges() const override {
+    if (std::find(dead_.begin(), dead_.end(), 0) == dead_.end())
+      throw net::TransportError(
+          "federation: every edge worker died with rounds remaining");
+    return dead_;
+  }
+
+  /// Campaign over: tell every live worker.
+  void bye() {
+    for (std::size_t e = 0; e < conns_.size(); ++e) {
+      if (dead_[e]) continue;
+      try {
+        conns_[e].chan->send(net::FrameType::kBye, ByteSpan{});
+      } catch (const std::exception&) {
+        // A worker that died between its last partial and BYE changes
+        // nothing; the campaign is complete.
+      }
+    }
+  }
+
+ private:
+  // Reader thread body: heartbeats only refresh last_seen; every other
+  // frame, and the final EOF or error, goes to the inbox.
+  void read(std::size_t e) {
     try {
-      conns[e].chan->send(net::FrameType::kBye, view(empty));
-    } catch (const std::exception&) {
-      // A worker that died between its last partial and BYE changes
-      // nothing; the campaign is complete.
+      while (std::optional<net::Frame> frame = conns_[e].chan->recv()) {
+        const bool beat = frame->type == net::FrameType::kHeartbeat;
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          conns_[e].last_seen = Clock::now();
+          if (!beat) inbox_.push_back({e, std::move(*frame), ""});
+        }
+        if (!beat) cv_.notify_all();
+      }
+      push({e, std::nullopt, ""});
+    } catch (const std::exception& error) {
+      push({e, std::nullopt, error.what()});
     }
   }
 
-  result.final_accuracy =
-      result.rounds.empty() ? 0.0 : result.rounds.back().accuracy;
-  result.peak_decoded_updates = peak[0];
-  result.peak_decoded_per_node = std::move(peak);
-  result.total_virtual_seconds = virtual_now;
+  void push(InboxEvent event) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      inbox_.push_back(std::move(event));
+    }
+    cv_.notify_all();
+  }
+
+  std::optional<InboxEvent> wait(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!cv_.wait_for(lock, timeout, [&] { return !inbox_.empty(); }))
+      return std::nullopt;
+    InboxEvent event = std::move(inbox_.front());
+    inbox_.pop_front();
+    return event;
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<InboxEvent> inbox_;
+  std::vector<char> dead_;
+  Clock::duration timeout_;
+  // Declared last: destroyed first, closing each channel and joining its
+  // reader while everything the readers touch still exists.
+  std::vector<Conn> conns_;
+};
+
+}  // namespace
+
+FlRunResult FederatedRoot::run_with_streams(
+    std::vector<net::StreamPtr> streams) {
+  Impl& impl = *impl_;
+  if (streams.size() != edge_count_)
+    throw InvalidArgument("FederatedRoot: got " +
+                          std::to_string(streams.size()) + " streams for " +
+                          std::to_string(edge_count_) + " edges");
+  Timer wall;
+  WireEdges wire(std::move(streams), impl.options.heartbeat_timeout_seconds,
+                 impl.fingerprint,
+                 [&](std::uint32_t e) { return impl.make_manifest(e); });
+  FlRunResult result =
+      run_remote_edges(impl.config, *impl.scheduler, impl.server,
+                       impl.population.get(), *impl.tree, *impl.test, wire);
+  wire.bye();
   result.total_wall_seconds = wall.seconds();
   return result;
 }

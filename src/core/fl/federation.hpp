@@ -1,10 +1,10 @@
-// Cross-process federation: the distributed twin of the in-process
-// hierarchical coordinator. A FederatedRoot owns the server side of a
-// single-tier `topology=hier:<N>` campaign — the global model, the cohort
-// RNG, the aggregation strategy, evaluation — while each tier-1 edge
-// cohort runs inside its own WORKER (a thread over a loopback stream in
-// tests, a separate `fedsz_edge_worker` process over TCP in production)
-// speaking the versioned frame protocol from net/wire.hpp:
+// Cross-process federation: the wire side of the round engine. A
+// FederatedRoot owns the server side of a `topology=hier:<N>[x<M>...]`
+// campaign — the global model, the cohort RNG, the aggregation strategy,
+// every tier above 1, evaluation — while each tier-1 edge cohort runs
+// inside its own WORKER (a thread over a loopback stream in tests, a
+// separate `fedsz_edge_worker` process over TCP in production) speaking
+// the versioned frame protocol from net/wire.hpp:
 //
 //   root -> worker   HELLO      run manifest (everything the worker needs
 //                               to rebuild its deterministic slice)
@@ -12,31 +12,29 @@
 //   root -> worker   ROUND_OPEN round index, virtual open time, cohort
 //   root -> worker   BROADCAST  the serialized global model (bit-exact)
 //   worker -> root   PARTIAL    one re-encoded partial mean + each client's
-//                               Delivery, replay keys included
+//                               Delivery and upload time
 //   worker -> root   HEARTBEAT  liveness beacon (wall-clock cadence)
 //   root -> worker   BYE        campaign over
 //
-// Shared code: both sides make every round decision with the functions
-// FlCoordinator::run() uses (core/fl/coordinator.hpp) — seed derivations,
-// the round open's availability and cohort draws, the client's
-// train/EF/encode step, every trace row and record sum, and the round
-// close. What stays here is what is actually distributed: the handshake,
-// the reader and heartbeat threads, crash detection and re-homing, the
-// frame I/O, and the replay. The virtual clock never crosses the wire as
-// a dependency: workers compute the event times analytically
-// (upload = t_open + compute_i, arrival = upload + link_i(bytes)) and fold
-// in (arrival, upload, dispatch position) order, and the root re-sorts
-// the deliveries and partials it merges into the exact order the
-// in-process event queue would have used. A TCP run with W workers is
-// therefore BIT-IDENTICAL, round for round, to FlCoordinator::run() on the
-// same config (federation_test pins every virtual-clock field).
+// One round engine: the root runs the same event pump as
+// FlCoordinator::run() (run_remote_edges in core/fl/coordinator.hpp); only
+// the tier-1 edge work crosses the wire. At each round open the root ships
+// every cohort and waits for every live edge's PARTIAL, matched to the
+// cohort it sent by client id. The worker trains its cohort, folds in the
+// order its edge's arrival events would run, and re-encodes the partial;
+// the engine then schedules each reported upload and arrival on the
+// virtual clock and merges the partial when the edge's last delivery
+// lands. A TCP run with W workers is therefore BIT-IDENTICAL, round for
+// round, to FlCoordinator::run() on the same config (federation_test pins
+// every virtual-clock field). What stays here is what is actually
+// distributed: the handshake, the reader and heartbeat threads, crash
+// detection and the frame I/O.
 //
 // Churn: a worker that disconnects or misses heartbeats past the timeout
-// is declared crashed; its outstanding cohort is traced as dropped and its
-// members re-shard round-robin across the surviving workers for later
-// rounds — the wire analogue of the in-process edge-failure machinery
-// (workers train whatever cohort the root assigns, so re-homing needs no
-// data movement).
+// is declared crashed; its outstanding cohort is traced as dropped, and at
+// every later round open the engine re-homes its members like an
+// in-process edge crash (workers train whatever cohort the root assigns,
+// so re-homing needs no data movement).
 #pragma once
 
 #include <cstdint>
@@ -110,39 +108,24 @@ struct RoundOpenMsg {
   std::vector<std::size_t> cohort;  // global client ids, dispatch order
 };
 
-/// One client inside PARTIAL: the Delivery the worker built with the
-/// coordinator's code, plus the keys that replay the in-process event
-/// order — the upload time and the client's dispatch position WITHIN its
-/// edge cohort (the root adds the edge's global offset).
-struct WireDelivery {
-  Delivery delivery;
-  double upload_seconds = 0.0;
-  std::size_t pos = 0;
-};
-
-/// PARTIAL: a worker's whole round. The last delivery, in edge fold order,
-/// is the fold that shipped the partial.
-struct WirePartial {
-  int round = 0;
-  EncodedPartial partial;
-  std::vector<WireDelivery> deliveries;
-};
-
 Bytes serialize_round_open(const RoundOpenMsg& msg);
 /// Throws CorruptStream on truncation, trailing bytes, or a cohort client
 /// id >= `clients`.
 RoundOpenMsg parse_round_open(ByteSpan bytes, std::size_t clients);
+/// PARTIAL is a WirePartial, declared with the round engine's wire side
+/// in core/fl/coordinator.hpp.
 Bytes serialize_partial(const WirePartial& partial);
 /// Throws CorruptStream on truncation, trailing bytes, an out-of-range
 /// enum or flag byte, or an empty delivery list.
 WirePartial parse_partial(ByteSpan bytes);
 
 /// The server process of a distributed campaign. Restrictions (enforced in
-/// the constructor) keep the replicated schedule exact: single-tier
-/// hierarchy, barrier scheduler, sync edges, free lossless broadcast (no
-/// downlink spec), no injected failure schedule (wire churn IS the failure
-/// model here), no checkpointing (the root holds no client state to lose —
-/// checkpoint in-process runs instead).
+/// the constructor): a hierarchical topology (its tier-1 edges are the
+/// workers), a barrier scheduler and sync edges (a worker runs its whole
+/// cohort at round open), a free lossless broadcast (no downlink spec), no
+/// injected failure schedule or population dropout (wire churn IS the
+/// failure model here), no checkpointing (the root holds no client state
+/// to lose — checkpoint in-process runs instead).
 class FederatedRoot {
  public:
   /// `spec` is the FULL parsed codec spec (codec + comm keys); `config`
@@ -174,8 +157,8 @@ class FederatedRoot {
   std::size_t edge_count_ = 0;
 };
 
-/// The entire worker side: handshake, per-round replication of the edge
-/// schedule (train cohort, encode, fold in event order, re-encode the
+/// The entire worker side: handshake, per round its edge's share of the
+/// engine (train the cohort, encode, fold in event order, re-encode the
 /// partial), heartbeats, clean BYE/EOF exit. Blocks until the campaign
 /// ends or the stream dies; throws TransportError/CorruptStream on a
 /// broken or malformed peer.

@@ -1,6 +1,5 @@
 #include "core/update_codec.hpp"
 
-#include "core/codec_spec.hpp"
 #include "util/timer.hpp"
 
 namespace fedsz::core {
@@ -62,38 +61,6 @@ UpdateCodecPtr make_parallel_fedsz_codec(std::size_t parallelism,
                                          FedSzConfig config) {
   config.parallelism = parallelism;
   return std::make_shared<FedSzCodec>(std::move(config));
-}
-
-UpdateCodecPtr make_codec_by_name(const std::string& name,
-                                  FedSzConfig config) {
-  // Seed the spec defaults from the caller's config so bare families keep
-  // behaving exactly as before the spec grammar existed.
-  CodecSpec defaults;
-  defaults.lossy_id = config.lossy_id;
-  defaults.lossless_id = config.lossless_id;
-  defaults.bound = config.bound;
-  defaults.lossy_threshold = config.lossy_threshold;
-  defaults.chunk_elements = config.chunk_elements;
-  defaults.threads = config.parallelism;
-  const CodecSpec spec = parse_codec_spec(name, defaults);
-  // Comm-level keys configure an FL run, not a codec; building only the
-  // uplink codec here would silently drop them. Callers that support them
-  // parse the spec themselves and fold the comm keys into an FlRunConfig
-  // via apply_comm_spec.
-  if (spec.has_comm_keys())
-    throw InvalidArgument(
-        "make_codec_by_name: spec carries comm-level keys (downlink/"
-        "downmode/ef/topology/backhaul) this entry point cannot honor — "
-        "parse the spec and use FlRunConfig::apply_comm_spec, or drop the "
-        "keys");
-  if (spec.identity) return make_identity_codec();
-  // A caller-constructed policy object wins only when the spec did not
-  // spell out `policy=` at all; an explicit `policy=threshold` request
-  // stays the byte-stable Algorithm-1 default.
-  FedSzConfig resolved = codec_spec_config(spec);
-  if (!resolved.policy && !spec.policy_explicit && config.policy)
-    resolved.policy = config.policy;
-  return make_fedsz_codec(std::move(resolved));
 }
 
 }  // namespace fedsz::core

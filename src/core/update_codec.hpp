@@ -84,16 +84,4 @@ UpdateCodecPtr make_fedsz_codec(FedSzConfig config = {});
 UpdateCodecPtr make_parallel_fedsz_codec(std::size_t parallelism,
                                          FedSzConfig config = {});
 
-/// DEPRECATED: prefer make_codec(spec_string) in core/codec_spec.hpp,
-/// which rejects comm-key-carrying specs loudly instead of silently
-/// building just the uplink codec. This entry point survives only for
-/// callers that seed spec defaults from a caller-supplied FedSzConfig;
-/// `name` is a codec spec string (core/codec_spec.hpp) — a bare family
-/// ("identity", "uncompressed", "fedsz", "fedsz-parallel") or a full spec
-/// such as "fedsz:lossy=sz3,eb=rel:1e-3,lossless=zstd,policy=schedule".
-/// `config` seeds the defaults for every omitted key. Throws
-/// InvalidArgument (listing the valid options) on malformed specs.
-UpdateCodecPtr make_codec_by_name(const std::string& name,
-                                  FedSzConfig config = {});
-
 }  // namespace fedsz::core

@@ -36,8 +36,8 @@ enum class FrameType : std::uint8_t {
   kUpdate = 3,     // reserved: a single client update routed upstream
   kPartial = 4,    // edge->root: the round's folded, re-encoded partial
   kBroadcast = 5,  // root->edge: the serialized global model
-  kAck = 6,        // root->edge: partial merged
-  kHeartbeat = 7,  // edge->root: liveness (payload: virtual round index)
+  kAck = 6,        // edge->root: handshake reply (fingerprint + edge echo)
+  kHeartbeat = 7,  // edge->root: liveness (empty payload)
   kBye = 8,        // either side: orderly shutdown
 };
 
@@ -45,8 +45,10 @@ std::string frame_type_name(FrameType type);
 
 inline constexpr std::uint32_t kWireMagic = 0x31575346u;  // "FSW1" LE
 /// v2: PARTIAL carries each client's full trace row and record terms (the
-/// federation Delivery) instead of a hand-picked subset.
-inline constexpr std::uint8_t kWireVersion = 2;
+/// federation Delivery) instead of a hand-picked subset. v3: PARTIAL
+/// deliveries drop the dispatch position; the root matches them to the
+/// cohort it sent by client id.
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kWireHeaderBytes = 16;
 /// Default decoder payload cap. Generous (a paper-scale AlexNet broadcast
 /// is ~200 MB raw) but bounded, so a corrupt or hostile length prefix can

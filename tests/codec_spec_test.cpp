@@ -1,7 +1,7 @@
 // Tests for the codec spec grammar: parse/format normalization (format of a
 // parse is a fixed point), a seeded fuzz round-trip over random CodecSpecs,
 // malformed-spec errors that list the valid options, and the
-// make_codec_by_name construction path built on top of it.
+// make_codec(spec_string) construction path built on top of it.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -211,14 +211,14 @@ TEST(CodecSpecErrors, ConfigRejectsSparseKnobsOnNonSparseSpecs) {
   EXPECT_THROW(codec_spec_config(bits_only), InvalidArgument);
 }
 
-TEST(MakeCodecByName, SparseFamilyWrapsThePolicyInTheOverlay) {
-  const auto codec = make_codec_by_name("sparse:eb=rel:1e-2,sparsity=0.9");
+TEST(MakeCodecFromString, SparseFamilyWrapsThePolicyInTheOverlay) {
+  const auto codec = make_codec("sparse:eb=rel:1e-2,sparsity=0.9");
   const auto* fedsz = dynamic_cast<const FedSzCodec*>(codec.get());
   ASSERT_NE(fedsz, nullptr);
   EXPECT_EQ(fedsz->fedsz().policy().name(), "sparse+threshold");
 
   const auto gradaware =
-      make_codec_by_name("sparse:eb=rel:1e-2,policy=gradaware:0.5");
+      make_codec("sparse:eb=rel:1e-2,policy=gradaware:0.5");
   const auto* gradaware_fedsz =
       dynamic_cast<const FedSzCodec*>(gradaware.get());
   ASSERT_NE(gradaware_fedsz, nullptr);
@@ -375,16 +375,6 @@ TEST(CodecSpecParse, ChunkSuffixes) {
   EXPECT_EQ(parse_codec_spec("fedsz:chunk=16k").chunk_elements, 16u * 1024u);
   EXPECT_EQ(parse_codec_spec("fedsz:chunk=2m").chunk_elements,
             2u * 1024u * 1024u);
-}
-
-TEST(CodecSpecParse, ExplicitDefaultsSeedOmittedKeys) {
-  CodecSpec defaults;
-  defaults.lossy_id = lossy::LossyId::kZfp;
-  defaults.bound = lossy::ErrorBound::relative(1e-5);
-  const CodecSpec spec = parse_codec_spec("fedsz:lossless=xz", defaults);
-  EXPECT_EQ(spec.lossy_id, lossy::LossyId::kZfp);       // from defaults
-  EXPECT_DOUBLE_EQ(spec.bound.value, 1e-5);             // from defaults
-  EXPECT_EQ(spec.lossless_id, lossless::LosslessId::kXz);  // overridden
 }
 
 // ---- malformed specs: InvalidArgument naming the valid options ----
@@ -599,66 +589,34 @@ TEST(MakeCodecFromSpecString, CommKeysAreRejected) {
   }
 }
 
-TEST(MakeCodecByName, LegacyNamesStillResolve) {
-  EXPECT_EQ(make_codec_by_name("identity")->name(), "uncompressed");
-  EXPECT_EQ(make_codec_by_name("uncompressed")->name(), "uncompressed");
-  EXPECT_EQ(make_codec_by_name("fedsz")->name(), "fedsz-sz2");
-  EXPECT_EQ(make_codec_by_name("fedsz-parallel")->name(), "fedsz-sz2");
+TEST(MakeCodecFromString, LegacyNamesStillResolve) {
+  EXPECT_EQ(make_codec("identity")->name(), "uncompressed");
+  EXPECT_EQ(make_codec("uncompressed")->name(), "uncompressed");
+  EXPECT_EQ(make_codec("fedsz")->name(), "fedsz-sz2");
+  EXPECT_EQ(make_codec("fedsz-parallel")->name(), "fedsz-sz2");
 }
 
-TEST(MakeCodecByName, SpecStringsConfigureTheCodec) {
-  const auto codec = make_codec_by_name("fedsz:lossy=sz3,eb=rel:1e-3");
+TEST(MakeCodecFromString, SpecStringsConfigureTheCodec) {
+  const auto codec = make_codec("fedsz:lossy=sz3,eb=rel:1e-3");
   EXPECT_EQ(codec->name(), "fedsz-sz3");
   const auto* fedsz = dynamic_cast<const FedSzCodec*>(codec.get());
   ASSERT_NE(fedsz, nullptr);
   EXPECT_DOUBLE_EQ(fedsz->fedsz().config().bound.value, 1e-3);
   EXPECT_EQ(fedsz->fedsz().policy().name(), "threshold");
 
-  const auto scheduled = make_codec_by_name("fedsz:policy=schedule:0.5");
+  const auto scheduled = make_codec("fedsz:policy=schedule:0.5");
   const auto* scheduled_fedsz =
       dynamic_cast<const FedSzCodec*>(scheduled.get());
   ASSERT_NE(scheduled_fedsz, nullptr);
   EXPECT_EQ(scheduled_fedsz->fedsz().policy().name(), "schedule");
 }
 
-TEST(MakeCodecByName, CallerConfigSeedsDefaults) {
-  FedSzConfig config;
-  config.bound = lossy::ErrorBound::relative(1e-4);
-  config.parallelism = 3;
-  const auto codec = make_codec_by_name("fedsz:lossless=zstd", config);
-  const auto* fedsz = dynamic_cast<const FedSzCodec*>(codec.get());
-  ASSERT_NE(fedsz, nullptr);
-  EXPECT_DOUBLE_EQ(fedsz->fedsz().config().bound.value, 1e-4);
-  EXPECT_EQ(fedsz->fedsz().config().parallelism, 3u);
-  EXPECT_EQ(fedsz->fedsz().config().lossless_id, lossless::LosslessId::kZstd);
+TEST(MakeCodecFromString, UnknownNameThrowsWithOptions) {
+  EXPECT_THROW(make_codec("gzip-only"), InvalidArgument);
+  EXPECT_THROW(make_codec(""), InvalidArgument);
 }
 
-TEST(MakeCodecByName, ExplicitThresholdBeatsCallerPolicy) {
-  // An explicit policy=threshold request must stay the Algorithm-1 default
-  // even when the caller's config carries a policy object; only a spec
-  // that omits `policy=` inherits it.
-  FedSzConfig config;
-  config.policy = make_bound_schedule_policy({});
-  const auto explicit_codec =
-      make_codec_by_name("fedsz:policy=threshold", config);
-  const auto* explicit_fedsz =
-      dynamic_cast<const FedSzCodec*>(explicit_codec.get());
-  ASSERT_NE(explicit_fedsz, nullptr);
-  EXPECT_EQ(explicit_fedsz->fedsz().policy().name(), "threshold");
-
-  const auto inherited_codec = make_codec_by_name("fedsz", config);
-  const auto* inherited_fedsz =
-      dynamic_cast<const FedSzCodec*>(inherited_codec.get());
-  ASSERT_NE(inherited_fedsz, nullptr);
-  EXPECT_EQ(inherited_fedsz->fedsz().policy().name(), "schedule");
-}
-
-TEST(MakeCodecByName, UnknownNameThrowsWithOptions) {
-  EXPECT_THROW(make_codec_by_name("gzip-only"), InvalidArgument);
-  EXPECT_THROW(make_codec_by_name(""), InvalidArgument);
-}
-
-TEST(MakeCodecByName, CommKeysItCannotHonorAreRejected) {
+TEST(MakeCodecFromString, CommKeysItCannotHonorAreRejected) {
   // A bare codec entry point would silently drop downlink/downmode/ef;
   // refuse instead so harnesses either honor them via apply_comm_spec or
   // fail loudly.
@@ -667,7 +625,7 @@ TEST(MakeCodecByName, CommKeysItCannotHonorAreRejected) {
         "identity:downlink=fedsz:eb=rel:1e-3",
         "fedsz:eb=rel:1e-2,downmode=delta", "fedsz:topology=hier:8",
         "identity:backhaul=fedsz:eb=rel:1e-3,topology=hier:4"}) {
-    EXPECT_THROW(make_codec_by_name(spec), InvalidArgument) << spec;
+    EXPECT_THROW(make_codec(std::string(spec)), InvalidArgument) << spec;
   }
 }
 

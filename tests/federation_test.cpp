@@ -5,7 +5,8 @@
 // FEDSZ_BIN_DIR), and through churn (a worker that dies after the
 // handshake gets its cohort dropped for the round and re-homed after).
 // The manifest, ROUND_OPEN and PARTIAL parsers are fuzzed like wire_test
-// fuzzes frames: truncations and bit flips must surface as CorruptStream.
+// fuzzes frames: truncations and bit flips must surface as CorruptStream,
+// and so must a PARTIAL that does not answer the cohort it was sent.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "core/fl/federation.hpp"
 #include "data/synthetic.hpp"
 #include "net/transport.hpp"
+#include "net/wire.hpp"
 #include "util/bytebuffer.hpp"
 
 namespace fedsz::core {
@@ -79,6 +82,7 @@ void expect_rounds_identical(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.aggregate_weight, b.aggregate_weight);
   EXPECT_EQ(a.backhaul_bytes, b.backhaul_bytes);
   EXPECT_EQ(a.backhaul_raw_bytes, b.backhaul_raw_bytes);
+  EXPECT_EQ(a.backhaul_seconds, b.backhaul_seconds);
   EXPECT_EQ(a.mean_ef_residual_norm, b.mean_ef_residual_norm);
   EXPECT_EQ(a.mean_loss, b.mean_loss);
   EXPECT_EQ(a.backhaul_tier_bytes, b.backhaul_tier_bytes);
@@ -119,6 +123,7 @@ void expect_rounds_identical(const RoundRecord& a, const RoundRecord& b) {
     EXPECT_EQ(x.raw_bytes, y.raw_bytes) << "edge " << k;
     EXPECT_EQ(x.transfer_seconds, y.transfer_seconds) << "edge " << k;
     EXPECT_EQ(x.arrival_seconds, y.arrival_seconds) << "edge " << k;
+    EXPECT_EQ(x.ef_residual_norm, y.ef_residual_norm) << "edge " << k;
     EXPECT_EQ(x.status, y.status) << "edge " << k;
   }
 }
@@ -129,6 +134,8 @@ void expect_results_identical(const FlRunResult& a, const FlRunResult& b) {
     expect_rounds_identical(a.rounds[r], b.rounds[r]);
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
   EXPECT_EQ(a.total_virtual_seconds, b.total_virtual_seconds);
+  EXPECT_EQ(a.late_events, b.late_events);
+  EXPECT_EQ(a.peak_decoded_per_node, b.peak_decoded_per_node);
 }
 
 TEST(FederationTest, ManifestRoundtrip) {
@@ -219,7 +226,6 @@ WirePartial sample_partial() {
     d.delivery.trace.decision.worthwhile = true;
     d.delivery.train_seconds = 0.5;
     d.upload_seconds = 1.0 + static_cast<double>(k);
-    d.pos = k;
     wire.deliveries.push_back(d);
   }
   return wire;
@@ -272,9 +278,6 @@ TEST(FederationTest, CtorRejectsUnsupportedConfigs) {
   };
   // Flat topology: nothing to distribute.
   EXPECT_THROW(make_root("fedsz:eb=rel:1e-2"), InvalidArgument);
-  // Multi-tier trees stay in process.
-  EXPECT_THROW(make_root("fedsz:eb=rel:1e-2,topology=hier:2x2"),
-               InvalidArgument);
   // Checkpointing is the in-process coordinator's job.
   EXPECT_THROW(
       make_root("fedsz:eb=rel:1e-2,topology=hier:2,checkpoint=/tmp/x.ck:1"),
@@ -316,11 +319,16 @@ FlRunResult run_loopback(const char* spec_string) {
   return root.run_with_streams(std::move(root_ends));
 }
 
-// The base spec, and a sparse-quantization campaign whose per-client
-// sparse tensor counts must cross the wire like every other trace field.
+// The base spec; a sparse-quantization campaign whose per-client sparse
+// tensor counts must cross the wire like every other trace field; client
+// and edge error feedback over a compressed backhaul with skewed shards;
+// and a two-tier tree whose upper tier runs inside the root's engine.
 TEST(FederationTest, LoopbackRunMatchesInProcess) {
   for (const char* spec :
-       {kSpec, "sparse:eb=rel:1e-2,sparsity=0.9,topology=hier:2"}) {
+       {kSpec, "sparse:eb=rel:1e-2,sparsity=0.9,topology=hier:2",
+        "fedsz:eb=rel:1e-2,topology=hier:2,ef=on,edgeef=on,"
+        "backhaul=fedsz:eb=rel:1e-1,data=dirichlet:0.5+sizeskew:1.2",
+        "fedsz:eb=rel:1e-2,topology=hier:2x2"}) {
     SCOPED_TRACE(spec);
     const FlRunResult reference = run_in_process(spec);
     ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
@@ -330,8 +338,8 @@ TEST(FederationTest, LoopbackRunMatchesInProcess) {
 
 // A client population must cross the wire bit-identically: the manifest's
 // codec spec rebuilds the same device classes, links, and data weights on
-// every worker, and the root replays the in-process availability draws in
-// the same (edge, member) order.
+// every worker, and the root's engine makes the in-process availability
+// draws in the same (edge, member) order.
 TEST(FederationTest, PopulationLoopbackMatchesInProcess) {
   const char* pop_spec =
       "fedsz:eb=rel:1e-2,topology=hier:2,population=mixed:seed=9";
@@ -355,10 +363,10 @@ TEST(FederationTest, CtorRejectsPopulationDropout) {
                InvalidArgument);
 }
 
-// A worker that completes the handshake and then dies: its round-0 cohort
-// is traced as dropped, and from round 1 its members are re-homed onto the
-// survivor — the campaign finishes with full participation.
-/// A worker that completes the handshake and dies before round 0.
+/// A worker that completes the handshake and then dies before round 0: its
+/// round-0 cohort is traced as dropped, and from round 1 its members are
+/// re-homed onto the survivor — the campaign finishes with full
+/// participation.
 void ack_then_close(net::StreamPtr stream) {
   net::FrameChannel chan(std::move(stream));
   const auto hello = chan.recv();
@@ -473,6 +481,59 @@ TEST(FederationTest, DeathBeforePeerAckIsChurn) {
   streams.push_back(std::move(root0));
   streams.push_back(deserter_side);
   expect_deserter_churn(root.run_with_streams(std::move(streams)));
+}
+
+/// Worker-side stream that rewrites the first delivery of every PARTIAL it
+/// carries to name client 3. FrameChannel::send writes one whole frame per
+/// write_all, so each call decodes to exactly one frame.
+class CohortTamperingStream final : public net::Stream {
+ public:
+  explicit CohortTamperingStream(net::StreamPtr inner)
+      : inner_(std::move(inner)) {}
+  void write_all(ByteSpan data) override {
+    decoder_.feed(data);
+    const std::optional<net::Frame> frame = decoder_.next();
+    if (!frame || frame->type != net::FrameType::kPartial)
+      return inner_->write_all(data);
+    WirePartial partial =
+        parse_partial({frame->payload.data(), frame->payload.size()});
+    partial.deliveries[0].delivery.trace.client = 3;
+    const Bytes body = serialize_partial(partial);
+    const Bytes tampered = net::encode_frame(net::FrameType::kPartial,
+                                             {body.data(), body.size()});
+    inner_->write_all({tampered.data(), tampered.size()});
+  }
+  std::size_t read_some(std::uint8_t* out, std::size_t capacity) override {
+    return inner_->read_some(out, capacity);
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  net::StreamPtr inner_;
+  net::FrameDecoder decoder_;
+};
+
+// Edge 0's cohort is clients {0, 1}; its worker claims one of them was
+// client 3, which edge 1 holds. The root must reject that PARTIAL instead
+// of tracing client 3 twice.
+TEST(FederationTest, PartialMustAnswerItsCohort) {
+  const CodecSpec spec = parse_codec_spec(kSpec);
+  auto [train, test] = data::make_dataset("cifar10", 7);
+  (void)train;
+  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
+                     data::take(test, 256), base_config(spec), spec);
+  ASSERT_EQ(root.edge_count(), 2u);
+
+  auto [root0, worker0] = net::make_loopback_pair();
+  auto [root1, worker1] = net::make_loopback_pair();
+  const std::jthread liar = spawn_worker(
+      std::make_shared<CohortTamperingStream>(std::move(worker0)));
+  const std::jthread honest = spawn_worker(std::move(worker1));
+
+  std::vector<net::StreamPtr> streams;
+  streams.push_back(std::move(root0));
+  streams.push_back(std::move(root1));
+  EXPECT_THROW(root.run_with_streams(std::move(streams)), CorruptStream);
 }
 
 #ifdef FEDSZ_BIN_DIR
