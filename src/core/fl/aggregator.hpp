@@ -66,7 +66,6 @@ class StreamingMean {
   void abort();
 
   bool active() const { return active_; }
-  std::size_t count() const { return count_; }
   double total_weight() const { return total_; }
 
  private:
@@ -103,7 +102,6 @@ class Aggregator {
   /// path under failure injection.
   void abort_round();
 
-  std::size_t accumulated() const { return mean_.count(); }
   bool round_open() const { return mean_.active(); }
 
   // ---- checkpoint path ----

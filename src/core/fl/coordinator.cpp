@@ -135,24 +135,6 @@ void FlRunConfig::validate() const {
   }
 }
 
-namespace {
-
-FlRunConfig validated(FlRunConfig config) {
-  config.validate();
-  return config;
-}
-
-}  // namespace
-
-net::HeterogeneousNetwork build_population_network(
-    const FlRunConfig& config, const ClientPopulation* population) {
-  if (population)
-    return net::HeterogeneousNetwork::from_profiles(
-        population->link_profiles());
-  return net::build_links(config.heterogeneous, config.network,
-                          config.clients);
-}
-
 std::vector<std::vector<std::size_t>> build_client_shards(
     const data::Dataset& train, const FlRunConfig& config,
     const ClientPopulation* population) {
@@ -188,37 +170,6 @@ std::vector<std::vector<std::size_t>> build_client_shards(
   return shards;
 }
 
-std::vector<double> client_compute_seconds(
-    const FlRunConfig& config,
-    const std::vector<std::vector<std::size_t>>& shards,
-    const ClientPopulation* population) {
-  Rng speed_rng(config.seed ^ 0xC0DEC10Cull);
-  std::vector<double> seconds;
-  seconds.reserve(config.clients);
-  for (std::size_t i = 0; i < config.clients; ++i) {
-    const double factor = speed_rng.uniform(1.0 - config.compute_jitter,
-                                            1.0 + config.compute_jitter);
-    const double class_multiplier =
-        population ? population->compute_multiplier(i) : 1.0;
-    seconds.push_back(config.compute_seconds_per_sample *
-                      static_cast<double>(shards[i].size()) *
-                      static_cast<double>(config.client.local_epochs) *
-                      factor * class_multiplier);
-  }
-  return seconds;
-}
-
-std::unique_ptr<FlClient> make_client(std::size_t i, const FlRunConfig& config,
-                                      const nn::ModelConfig& model,
-                                      const data::DatasetPtr& train,
-                                      const std::vector<std::size_t>& shard) {
-  ClientConfig client_config = config.client;
-  client_config.seed = config.seed ^ (0xC11E47ull * (i + 1));
-  return std::make_unique<FlClient>(
-      static_cast<int>(i), model,
-      std::make_shared<data::SubsetDataset>(train, shard), client_config);
-}
-
 TopologyConfig resolved_topology(const FlRunConfig& config) {
   TopologyConfig topology = config.topology;
   if (topology.sharding == ShardStrategy::kShuffled && topology.shard_seed == 0)
@@ -228,7 +179,52 @@ TopologyConfig resolved_topology(const FlRunConfig& config) {
 
 namespace {
 
+FlRunConfig validated(FlRunConfig config) {
+  config.validate();
+  return config;
+}
+
+/// One simulated link per client: the population's correlated device-class
+/// profiles when `population` is non-null, else the heterogeneous config or
+/// the shared fallback profile.
+net::HeterogeneousNetwork build_population_network(
+    const FlRunConfig& config, const ClientPopulation* population) {
+  if (population)
+    return net::HeterogeneousNetwork::from_profiles(
+        population->link_profiles());
+  return net::build_links(config.heterogeneous, config.network,
+                          config.clients);
+}
+
 // ---- Round decisions of the engine below ----
+
+/// What a client's local round hands back: the encoded update and the
+/// per-update terms its trace row and the round record need.
+struct ClientUpdate {
+  Bytes payload;
+  std::size_t samples = 0;
+  CompressionStats stats;  // the encode pass (bytes, plan census, timing)
+  double train_seconds = 0.0;
+  double mean_loss = 0.0;
+  double downlink_decode_seconds = 0.0;  // per-client broadcast decode
+  double ef_residual_norm = 0.0;         // after this update's encode
+  double ef_decode_seconds = 0.0;  // decoding own payload for the residual
+};
+
+/// A client's dispatch: who, under which aggregation point (trace node
+/// id), in which round and when, and its downlink leg (zeros when the
+/// broadcast is free). Everything a trace row knows before training.
+struct Dispatch {
+  std::size_t client = 0;
+  std::size_t node = 0;
+  int round = 0;
+  double seconds = 0.0;
+  std::size_t downlink_bytes = 0;
+  std::size_t downlink_raw_bytes = 0;
+  double downlink_seconds = 0.0;
+  double downlink_encode_seconds = 0.0;
+  double downlink_decode_seconds = 0.0;  // the shared kFull decode
+};
 
 /// The row of `dispatch` leaving the round with `status` at `now`: weight 0
 /// and no payload, as for dropped, evicted and ineligible clients
@@ -247,6 +243,36 @@ ClientTraceEntry client_trace(const Dispatch& dispatch, DeliveryStatus status,
   trace.eligible = status != DeliveryStatus::kIneligible;
   if (population) trace.device_class = population->class_name(dispatch.client);
   return trace;
+}
+
+/// The delivery of `update`, which reached its aggregation point at
+/// `arrival` after `transfer` seconds on its link. Weight, decode time and
+/// the Eqn (1) decision stay unset until it folds.
+Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
+                       double arrival, double transfer,
+                       const ClientPopulation* population) {
+  Delivery delivery;
+  ClientTraceEntry& trace = delivery.trace;
+  trace = client_trace(dispatch, DeliveryStatus::kAggregated, arrival,
+                       population);
+  trace.transfer_seconds = transfer;
+  trace.payload_bytes = update.payload.size();
+  trace.raw_bytes = update.stats.original_bytes;
+  trace.bound_value = update.stats.mean_bound_value;
+  trace.lossy_tensors = update.stats.lossy_tensors;
+  trace.lossless_tensors = update.stats.lossless_tensors;
+  trace.raw_tensors = update.stats.raw_tensors;
+  trace.sparse_tensors = update.stats.sparse_tensors;
+  trace.ef_residual_norm = update.ef_residual_norm;
+  delivery.train_seconds = update.train_seconds;
+  delivery.mean_loss = update.mean_loss;
+  delivery.compress_seconds = update.stats.compress_seconds;
+  delivery.ef_decode_seconds = update.ef_decode_seconds;
+  delivery.downlink_raw_bytes = dispatch.downlink_raw_bytes;
+  delivery.downlink_encode_seconds = dispatch.downlink_encode_seconds;
+  delivery.downlink_decode_seconds =
+      dispatch.downlink_decode_seconds + update.downlink_decode_seconds;
+  return delivery;
 }
 
 /// The run-seed-derived streams a round open draws from, checkpointed
@@ -334,28 +360,6 @@ std::vector<std::vector<std::size_t>> draw_cohorts(
   return cohorts;
 }
 
-/// Append a settled delivery's row to `record` and add its terms to the
-/// per-participant sums (the sums are doubles, so arrival order matters).
-void record_delivery(RoundRecord& record, Delivery delivery) {
-  const ClientTraceEntry& trace = delivery.trace;
-  record.train_seconds += delivery.train_seconds;
-  record.compress_seconds += delivery.compress_seconds;
-  record.decompress_seconds += delivery.decompress_seconds;
-  record.comm_seconds += trace.transfer_seconds;
-  record.mean_loss += delivery.mean_loss;
-  record.bytes_sent += trace.payload_bytes;
-  record.raw_bytes += trace.raw_bytes;
-  record.downlink_bytes += trace.downlink_bytes;
-  record.downlink_raw_bytes += delivery.downlink_raw_bytes;
-  record.downlink_seconds += trace.downlink_seconds;
-  record.downlink_encode_seconds += delivery.downlink_encode_seconds;
-  record.downlink_decode_seconds += delivery.downlink_decode_seconds;
-  record.mean_ef_residual_norm += trace.ef_residual_norm;
-  record.ef_decode_seconds += delivery.ef_decode_seconds;
-  record.participants += 1;
-  record.clients.push_back(std::move(delivery.trace));
-}
-
 /// Append a merged partial's row to `record` and add it to the backhaul
 /// sums; `at_root` partials also add their weight to aggregate_weight.
 void record_partial(RoundRecord& record, EdgeTraceEntry trace,
@@ -372,73 +376,10 @@ void record_partial(RoundRecord& record, EdgeTraceEntry trace,
   record.edges.push_back(std::move(trace));
 }
 
+using Snapshot = std::shared_ptr<const StateDict>;
+using PayloadPtr = std::shared_ptr<const Bytes>;
+
 }  // namespace
-
-ClientUpdate train_and_encode(FlClient& client, const UpdateCodec& codec,
-                              ErrorFeedbackAccumulator* feedback,
-                              const StateDict& model, int round) {
-  ClientRoundResult round_result = client.run_round(model);
-  EncodeContext ctx;
-  ctx.round = round;
-  ctx.client_id = client.id();
-  ctx.steps = round_result.steps;
-  StateDict update = std::move(round_result.update);
-  if (feedback) update = feedback->apply(update);
-  UpdateCodec::Encoded encoded = codec.encode(update, ctx);
-  ClientUpdate out;
-  if (feedback) {
-    // The server will decode exactly this; what it misses is carried over.
-    CompressionStats ef_stats;
-    const StateDict reconstruction = codec.decode(
-        {encoded.payload.data(), encoded.payload.size()}, &ef_stats);
-    feedback->absorb(update, reconstruction);
-    out.ef_residual_norm = feedback->residual_norm();
-    out.ef_decode_seconds = ef_stats.decompress_seconds;
-  }
-  out.samples = round_result.samples;
-  out.stats = encoded.stats;
-  out.train_seconds = round_result.train_seconds;
-  out.mean_loss = round_result.mean_loss;
-  out.payload = std::move(encoded.payload);
-  return out;
-}
-
-Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
-                       double arrival, double transfer,
-                       const ClientPopulation* population) {
-  Delivery delivery;
-  ClientTraceEntry& trace = delivery.trace;
-  trace = client_trace(dispatch, DeliveryStatus::kAggregated, arrival,
-                       population);
-  trace.transfer_seconds = transfer;
-  trace.payload_bytes = update.payload.size();
-  trace.raw_bytes = update.stats.original_bytes;
-  trace.bound_value = update.stats.mean_bound_value;
-  trace.lossy_tensors = update.stats.lossy_tensors;
-  trace.lossless_tensors = update.stats.lossless_tensors;
-  trace.raw_tensors = update.stats.raw_tensors;
-  trace.sparse_tensors = update.stats.sparse_tensors;
-  trace.ef_residual_norm = update.ef_residual_norm;
-  delivery.train_seconds = update.train_seconds;
-  delivery.mean_loss = update.mean_loss;
-  delivery.compress_seconds = update.stats.compress_seconds;
-  delivery.ef_decode_seconds = update.ef_decode_seconds;
-  delivery.downlink_raw_bytes = dispatch.downlink_raw_bytes;
-  delivery.downlink_encode_seconds = dispatch.downlink_encode_seconds;
-  delivery.downlink_decode_seconds =
-      dispatch.downlink_decode_seconds + update.downlink_decode_seconds;
-  return delivery;
-}
-
-void settle_delivery(Delivery& delivery, double weight, double decode_seconds,
-                     const net::SimulatedNetwork& link) {
-  ClientTraceEntry& trace = delivery.trace;
-  trace.weight = weight;
-  trace.decision = net::evaluate_compression(
-      trace.raw_bytes, trace.payload_bytes, delivery.compress_seconds,
-      decode_seconds, link);
-  delivery.decompress_seconds = decode_seconds;
-}
 
 FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
                              data::DatasetPtr train, data::DatasetPtr test,
@@ -506,39 +447,54 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
         config_.clients);
   feedback_.resize(config_.clients);
   const auto shards = build_client_shards(*train, config_, population_.get());
-  compute_seconds_ =
-      client_compute_seconds(config_, shards, population_.get());
-  for (std::size_t i = 0; i < config_.clients; ++i)
-    clients_.push_back(
-        make_client(i, config_, model_config_, train, shards[i]));
+  // Virtual training time: seconds_per_sample x shard size x local epochs x
+  // a speed factor drawn from [1 - jitter, 1 + jitter] on its own stream, x
+  // the device class's compute multiplier (applied after the draw, so the
+  // stream never depends on the population).
+  Rng speed_rng(config_.seed ^ 0xC0DEC10Cull);
+  for (std::size_t i = 0; i < config_.clients; ++i) {
+    const double factor = speed_rng.uniform(1.0 - config_.compute_jitter,
+                                            1.0 + config_.compute_jitter);
+    const double class_multiplier =
+        population_ ? population_->compute_multiplier(i) : 1.0;
+    compute_seconds_.push_back(
+        config_.compute_seconds_per_sample *
+        static_cast<double>(shards[i].size()) *
+        static_cast<double>(config_.client.local_epochs) * factor *
+        class_multiplier);
+    ClientConfig client_config = config_.client;
+    client_config.seed = config_.seed ^ (0xC11E47ull * (i + 1));
+    clients_.push_back(std::make_unique<FlClient>(
+        static_cast<int>(i), model_config_,
+        std::make_shared<data::SubsetDataset>(train, shards[i]),
+        client_config));
+  }
 }
 
 // ---- The round engine ----
 
-namespace {
-
-using Snapshot = std::shared_ptr<const StateDict>;
-using PayloadPtr = std::shared_ptr<const Bytes>;
-
-}  // namespace
-
-/// The virtual-clock event pump behind FlCoordinator::run() and the
-/// distributed root (run_remote_edges). A round opens (re-home crashed
-/// edges, draw cohorts, broadcast) and dispatches its cohort; each
-/// update's upload and arrival are events. An arrival folds at the
-/// client's aggregation point, full interior nodes ship re-encoded partials
-/// that merge one tier up, and the round closes once the root has merged
-/// everything it still expects. Each handler is a member function; each
-/// scheduled event is a closure calling one.
+/// The virtual-clock event pump behind FlCoordinator::run(), the
+/// distributed root (run_remote_edges) and each edge worker
+/// (FlCoordinator::run_edge). A round opens (re-home crashed edges, draw
+/// cohorts, broadcast) and dispatches its cohort; each update's upload and
+/// arrival are events. An arrival folds at the client's aggregation point,
+/// full interior nodes ship re-encoded partials that merge one tier up, and
+/// the round closes once the root has merged everything it still expects.
+/// Each handler is a member function; each scheduled event is a closure
+/// calling one.
 ///
 /// Tier-1 edge work has two sides. In process (`local_`), the pool trains
 /// and encodes every client, the engine decodes and folds at the edge, and
-/// the edge's finalize_and_encode ships the partial. Over the wire
-/// (`remote_`), every live edge runs its whole round on its worker at round
-/// open; the engine schedules each reported delivery's upload at the
-/// worker's upload time, in cohort order, and its arrival one link transfer
-/// later, then ships the worker's partial when the edge's last delivery
-/// lands. Either way the event queue decides every fold and merge order.
+/// the edge's finalize_and_encode ships the partial. An edge worker runs
+/// exactly that for its one edge and round, but reports (`report_`) each
+/// arrival's delivery with its upload time and the partial its edge
+/// shipped, instead of recording and merging them. Over the wire
+/// (`remote_`), the root collects every live edge's report at round open;
+/// the engine schedules each reported delivery's upload at the worker's
+/// upload time, in cohort order, and its arrival one link transfer later,
+/// and ships the worker's partial when its edge's ship rule fires. Both
+/// sides run the same handlers, so one set of rules decides every fold,
+/// ship and merge order.
 class RoundEngine {
  public:
   RoundEngine(FlCoordinator* local, RemoteEdges* remote,
@@ -607,10 +563,35 @@ class RoundEngine {
     return std::move(result_);
   }
 
+  /// Tier-1 edge `e` alone runs `round` on `global` from virtual time
+  /// `t_open` (an edge worker's round): open the edge, dispatch `cohort`,
+  /// and pump until no event is left, so every late arrival is in the
+  /// report too.
+  WirePartial run_edge(std::size_t e, int round, double t_open,
+                       const std::vector<std::size_t>& cohort,
+                       const StateDict& global) {
+    report_.emplace().round = round;
+    completed_ = round;
+    queue_.restore_clock(t_open, 0);
+    NodeRound& s = nodes_[0][e];
+    s.participating = s.open = true;
+    s.expected = cohort.size();
+    tree_->node(0, e).begin_round(global);
+    const auto snapshot = std::make_shared<const StateDict>(global);
+    for (const std::size_t i : cohort) {
+      owner_round_[i] = e;
+      dispatch(i, round, snapshot, nullptr);
+    }
+    while (queue_.run_next()) {
+    }
+    return std::move(*report_);
+  }
+
  private:
   // One slot per client; a client has at most one update in flight. `out`
   // is what its real work (broadcast decode + local SGD + update encoding
-  // on the pool) hands back; `reported` what its remote edge reported.
+  // on the pool) hands back; `reported` what its remote edge reported, or
+  // on an edge worker the upload time it will report.
   struct InFlight {
     std::future<ClientUpdate> future;
     ClientUpdate out;
@@ -902,10 +883,12 @@ class RoundEngine {
   }
 
   // The client's real work, run on the pool: decode the broadcast payload
-  // when one was delivered (per-client path), then train and encode on the
-  // resulting model. Per-client state (feedback_[i], downlink session i) is
-  // safe without locks because a client never has two tasks alive at once
-  // (dispatch waits out a stale evicted task before reusing the slot).
+  // when one was delivered (per-client path), train on the resulting model,
+  // fold in the carried error-feedback residual, encode, and absorb what
+  // the encoder dropped (the reconstruction read back from the payload)
+  // into the residual. Per-client state (feedback_[i], downlink session i)
+  // is safe without locks because a client never has two tasks alive at
+  // once (dispatch waits out a stale evicted task before reusing the slot).
   ClientUpdate client_work(std::size_t i, int round, const Snapshot& model,
                            const PayloadPtr& broadcast) {
     StateDict decoded_model;
@@ -918,10 +901,33 @@ class RoundEngine {
                           : downlink_->decode_broadcast(span, &downlink_stats);
       train_on = &decoded_model;
     }
-    ClientUpdate out = train_and_encode(
-        *local_->clients_[i], *local_->codec_,
-        ef_on_ ? &local_->feedback_[i] : nullptr, *train_on, round);
+    FlClient& client = *local_->clients_[i];
+    const UpdateCodec& codec = *local_->codec_;
+    ClientRoundResult trained = client.run_round(*train_on);
+    EncodeContext ctx;
+    ctx.round = round;
+    ctx.client_id = client.id();
+    ctx.steps = trained.steps;
+    StateDict update = std::move(trained.update);
+    if (ef_on_) update = local_->feedback_[i].apply(update);
+    UpdateCodec::Encoded encoded = codec.encode(update, ctx);
+    ClientUpdate out;
+    if (ef_on_) {
+      // The server will decode exactly this; what it misses is carried over.
+      ErrorFeedbackAccumulator& feedback = local_->feedback_[i];
+      CompressionStats ef_stats;
+      const StateDict reconstruction = codec.decode(
+          {encoded.payload.data(), encoded.payload.size()}, &ef_stats);
+      feedback.absorb(update, reconstruction);
+      out.ef_residual_norm = feedback.residual_norm();
+      out.ef_decode_seconds = ef_stats.decompress_seconds;
+    }
+    out.samples = trained.samples;
+    out.stats = encoded.stats;
+    out.train_seconds = trained.train_seconds;
+    out.mean_loss = trained.mean_loss;
     out.downlink_decode_seconds = downlink_stats.decompress_seconds;
+    out.payload = std::move(encoded.payload);
     return out;
   }
 
@@ -1121,6 +1127,7 @@ class RoundEngine {
       flight.out = flight.future.get();
       flight.transfer_seconds =
           local_->network_.link(i).transfer_seconds(flight.out.payload.size());
+      flight.reported.upload_seconds = queue_.now();
     }
     queue_.schedule_after(flight.transfer_seconds,
                           [this, i, gen] { on_arrival(i, gen); });
@@ -1143,7 +1150,7 @@ class RoundEngine {
       // to fold. Trace it, but keep it out of every round total.
       flight.out = ClientUpdate{};
       delivery.trace.status = DeliveryStatus::kLate;
-      record_.clients.push_back(std::move(delivery.trace));
+      record_arrival(i, std::move(delivery));
       return;
     }
     const std::size_t node_id = flight.sent.node;
@@ -1152,7 +1159,7 @@ class RoundEngine {
     // A remote edge's worker already decoded, folded and settled it.
     if (local_) fold_local(i, delivery);
     --live_[node_id];
-    record_delivery(record_, std::move(delivery));
+    record_arrival(i, std::move(delivery));
 
     if (!tree_) {
       ++root_folded_;
@@ -1192,8 +1199,44 @@ class RoundEngine {
       server_.accumulate(update, weight);
       record_.aggregate_weight += weight;
     }
-    settle_delivery(delivery, weight, decode_stats.decompress_seconds,
-                    local_->network_.link(i));
+    ClientTraceEntry& trace = delivery.trace;
+    trace.weight = weight;
+    trace.decision = net::evaluate_compression(
+        trace.raw_bytes, trace.payload_bytes, delivery.compress_seconds,
+        decode_stats.decompress_seconds, local_->network_.link(i));
+    delivery.decompress_seconds = decode_stats.decompress_seconds;
+  }
+
+  // An arrived delivery's row into the round record and, unless it came
+  // late, its terms into the per-participant sums (doubles, so arrival
+  // order matters). An edge worker reports it instead, with its upload
+  // time, for the root to record.
+  void record_arrival(std::size_t i, Delivery delivery) {
+    if (report_) {
+      report_->deliveries.push_back(
+          {std::move(delivery), flights_[i].reported.upload_seconds});
+      return;
+    }
+    RoundRecord& r = record_;
+    const ClientTraceEntry& trace = delivery.trace;
+    if (trace.status != DeliveryStatus::kLate) {
+      r.train_seconds += delivery.train_seconds;
+      r.compress_seconds += delivery.compress_seconds;
+      r.decompress_seconds += delivery.decompress_seconds;
+      r.comm_seconds += trace.transfer_seconds;
+      r.mean_loss += delivery.mean_loss;
+      r.bytes_sent += trace.payload_bytes;
+      r.raw_bytes += trace.raw_bytes;
+      r.downlink_bytes += trace.downlink_bytes;
+      r.downlink_raw_bytes += delivery.downlink_raw_bytes;
+      r.downlink_seconds += trace.downlink_seconds;
+      r.downlink_encode_seconds += delivery.downlink_encode_seconds;
+      r.downlink_decode_seconds += delivery.downlink_decode_seconds;
+      r.mean_ef_residual_norm += trace.ef_residual_norm;
+      r.ef_decode_seconds += delivery.ef_decode_seconds;
+      r.participants += 1;
+    }
+    r.clients.push_back(std::move(delivery.trace));
   }
 
   // A client drawn as a dropout vanished mid-round: trace it (weight 0)
@@ -1227,15 +1270,16 @@ class RoundEngine {
       if (s.expected == 0) withdraw_node(l, n);
       return;
     }
-    const bool buffered = config_.topology.edge_mode == EdgeMode::kBuffered;
-    const std::size_t target =
-        buffered ? std::min(config_.topology.edge_buffer, s.expected)
-                 : s.expected;
-    if (s.folded >= target) ship_node(l, n);
+    if (s.folded >= config_.topology.ship_after(s.expected)) ship_node(l, n);
   }
 
   void ship_node(std::size_t l, std::size_t n) {
     nodes_[l][n].open = false;
+    if (report_) {
+      // An edge worker ships in its PARTIAL; the root merges it.
+      report_->partial = tree_->node(l, n).finalize_and_encode(completed_);
+      return;
+    }
     // A remote edge's worker already finalized and re-encoded its partial.
     auto partial = std::make_shared<const EncodedPartial>(
         remote_ && l == 0 ? std::move(edge_partials_[n])
@@ -1473,6 +1517,8 @@ class RoundEngine {
   std::vector<double> node_downlink_seconds_;
   // The partial each remote edge reported this round.
   std::vector<EncodedPartial> edge_partials_;
+  // An edge worker's round (run_edge): what its PARTIAL reports.
+  std::optional<WirePartial> report_;
   // Declared last, so its destructor drains in-flight client tasks (async
   // policies stop mid-flight) while the state they touch still exists.
   std::optional<ThreadPool> pool_;
@@ -1482,6 +1528,16 @@ FlRunResult FlCoordinator::run() {
   return RoundEngine(this, nullptr, config_, *scheduler_, server_,
                      population_.get(), tree_.get(), *test_)
       .run();
+}
+
+WirePartial FlCoordinator::run_edge(std::size_t edge, int round, double t_open,
+                                    const std::vector<std::size_t>& cohort,
+                                    const StateDict& global) {
+  if (edge >= edge_count())
+    throw InvalidArgument("FlCoordinator: edge index out of range");
+  return RoundEngine(this, nullptr, config_, *scheduler_, server_,
+                     population_.get(), tree_.get(), *test_)
+      .run_edge(edge, round, t_open, cohort, global);
 }
 
 FlRunResult run_remote_edges(const FlRunConfig& config, Scheduler& scheduler,

@@ -23,8 +23,10 @@
 // event delivers it over the edge's own backhaul link; the root merges
 // partials and aggregates when every edge reported. Downlink broadcasts
 // fan out the other way (root->edge->client), charged per hop. The same
-// event pump runs a distributed campaign whose tier-1 edges are remote
-// workers (run_remote_edges below; core/fl/federation.hpp).
+// event pump runs both sides of a distributed campaign
+// (core/fl/federation.hpp): the root's, whose tier-1 edges are remote
+// (run_remote_edges below), and each worker's, which runs one tier-1
+// edge's rounds (FlCoordinator::run_edge).
 #pragma once
 
 #include <memory>
@@ -344,15 +346,7 @@ struct FlRunResult {
   std::string scheduler;
 };
 
-/// One simulated link per client: the population's correlated device-class
-/// profiles when `population` is non-null, else the heterogeneous config or
-/// the shared fallback profile. Shared by the in-process coordinator and
-/// the distributed edge runtime so both transports see identical links.
-net::HeterogeneousNetwork build_population_network(
-    const FlRunConfig& config, const ClientPopulation* population);
-
-/// The full client-shard pipeline, shared by the in-process coordinator and
-/// the distributed edge runtime: IID deal or Dirichlet label skew from
+/// The full client-shard pipeline: IID deal or Dirichlet label skew from
 /// Rng(config.seed), optional power-law size skew from its own stream, then
 /// per-client population data_weight truncation (deterministic prefix of
 /// the already-shuffled shard — no extra randomness).
@@ -360,67 +354,9 @@ std::vector<std::vector<std::size_t>> build_client_shards(
     const data::Dataset& train, const FlRunConfig& config,
     const ClientPopulation* population);
 
-// ---- Round decisions shared with the edge worker ----
-//
-// The round engine behind FlCoordinator::run() and the distributed edge
-// worker (core/fl/federation.hpp) both call the functions below, so the
-// seed derivations, the client update and its trace row exist once.
-
-/// Deterministic virtual training time per client: seconds_per_sample x
-/// shard size x local epochs x a speed factor drawn from
-/// [1 - jitter, 1 + jitter] on its own stream, x the device class's compute
-/// multiplier (applied after the draw, so the stream never depends on the
-/// population).
-std::vector<double> client_compute_seconds(
-    const FlRunConfig& config,
-    const std::vector<std::vector<std::size_t>>& shards,
-    const ClientPopulation* population);
-
-/// Client `i` training on `shard` of `train`, seeded from the run seed.
-std::unique_ptr<FlClient> make_client(std::size_t i, const FlRunConfig& config,
-                                      const nn::ModelConfig& model,
-                                      const data::DatasetPtr& train,
-                                      const std::vector<std::size_t>& shard);
-
 /// config.topology with a kShuffled shard seed of 0 derived from the run
 /// seed, so every process builds the same tree.
 TopologyConfig resolved_topology(const FlRunConfig& config);
-
-/// What a client's local round hands back: the encoded update and the
-/// per-update terms its trace row and the round record need.
-struct ClientUpdate {
-  Bytes payload;
-  std::size_t samples = 0;
-  CompressionStats stats;  // the encode pass (bytes, plan census, timing)
-  double train_seconds = 0.0;
-  double mean_loss = 0.0;
-  double downlink_decode_seconds = 0.0;  // per-client broadcast decode
-  double ef_residual_norm = 0.0;         // after this update's encode
-  double ef_decode_seconds = 0.0;  // decoding own payload for the residual
-};
-
-/// Train `client` on `model`, fold in the carried error-feedback residual,
-/// encode, and absorb what the encoder dropped (the reconstruction read
-/// back from the payload) into the residual. `feedback` is null when EF is
-/// off or the codec is lossless (a provably zero residual).
-ClientUpdate train_and_encode(FlClient& client, const UpdateCodec& codec,
-                              ErrorFeedbackAccumulator* feedback,
-                              const StateDict& model, int round);
-
-/// A client's dispatch: who, under which aggregation point (trace node
-/// id), in which round and when, and its downlink leg (zeros when the
-/// broadcast is free). Everything a trace row knows before training.
-struct Dispatch {
-  std::size_t client = 0;
-  std::size_t node = 0;
-  int round = 0;
-  double seconds = 0.0;
-  std::size_t downlink_bytes = 0;
-  std::size_t downlink_raw_bytes = 0;
-  double downlink_seconds = 0.0;
-  double downlink_encode_seconds = 0.0;
-  double downlink_decode_seconds = 0.0;  // the shared kFull decode
-};
 
 /// One update at its aggregation point: its trace row plus the per-update
 /// terms of the round record's sums the row does not carry. Over TCP this
@@ -437,29 +373,19 @@ struct Delivery {
   double downlink_decode_seconds = 0.0;
 };
 
-/// The delivery of `update`, which reached its aggregation point at
-/// `arrival` after `transfer` seconds on its link. Weight and the Eqn (1)
-/// decision stay unset until settle_delivery.
-Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
-                       double arrival, double transfer,
-                       const ClientPopulation* population);
-
-/// A folded delivery's weight, its decode time, and its Eqn (1) decision
-/// scored on the client's own `link`.
-void settle_delivery(Delivery& delivery, double weight, double decode_seconds,
-                     const net::SimulatedNetwork& link);
-
 // ---- The round engine's wire side ----
 
-/// One client inside a remote edge's report: the Delivery its worker built
-/// and settled, and the virtual time its upload left the client.
+/// One client inside a remote edge's report: the Delivery its worker's
+/// engine built — settled when it folded, unsettled (weight 0, no Eqn (1)
+/// decision) when it arrived after its buffered edge had shipped — and the
+/// virtual time its upload left the client.
 struct WireDelivery {
   Delivery delivery;
   double upload_seconds = 0.0;
 };
 
 /// A remote edge's whole round (the PARTIAL frame): one delivery per cohort
-/// client and the partial the edge shipped after its last fold.
+/// client and the partial the edge shipped.
 struct WirePartial {
   int round = 0;
   EncodedPartial partial;
@@ -486,8 +412,8 @@ class RemoteEdges {
 /// The round engine FlCoordinator::run() pumps, with every tier-1 edge run
 /// by `remote` (the distributed root's campaign). It builds no client,
 /// dataset or thread pool; the server merges partials and evaluates on
-/// `test`. Requires a barrier scheduler, sync edges, a free broadcast, no
-/// failure schedule, no population dropout and no checkpointing.
+/// `test`. Requires a barrier scheduler, a free broadcast, no failure
+/// schedule, no population dropout and no checkpointing.
 FlRunResult run_remote_edges(const FlRunConfig& config, Scheduler& scheduler,
                              FlServer& server,
                              const ClientPopulation* population,
@@ -507,8 +433,21 @@ class FlCoordinator {
   /// return the full trace.
   FlRunResult run();
 
+  /// Tier-1 edges of the run's tree (0 for a flat star).
+  std::size_t edge_count() const { return tree_ ? tree_->edge_count() : 0; }
+
+  /// Tier-1 edge `edge` alone runs `round` on `global`, as a distributed
+  /// edge worker does (core/fl/federation.hpp): the clock starts at
+  /// `t_open`, `cohort` is dispatched to the pool, and the same event pump
+  /// as run() folds each arrival and ships the edge's partial, until no
+  /// event is left. Returns every cohort client's delivery, in arrival
+  /// order, and that partial.
+  WirePartial run_edge(std::size_t edge, int round, double t_open,
+                       const std::vector<std::size_t>& cohort,
+                       const StateDict& global);
+
  private:
-  friend class RoundEngine;  // the event pump run() drives
+  friend class RoundEngine;  // the event pump run() and run_edge() drive
   nn::ModelConfig model_config_;
   data::DatasetPtr test_;
   FlRunConfig config_;

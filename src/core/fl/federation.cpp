@@ -217,9 +217,14 @@ Bytes serialize_round_open(const RoundOpenMsg& msg) { return serialize(msg); }
 
 RoundOpenMsg parse_round_open(ByteSpan bytes, std::size_t clients) {
   RoundOpenMsg msg = parse<RoundOpenMsg>(bytes, "ROUND_OPEN");
-  for (const std::size_t id : msg.cohort)
+  std::vector<char> seen(clients, 0);
+  for (const std::size_t id : msg.cohort) {
     if (id >= clients)
       throw CorruptStream("federation: cohort client id out of range");
+    if (seen[id]++)
+      throw CorruptStream("federation: cohort repeats client " +
+                          std::to_string(id));
+  }
   return msg;
 }
 
@@ -264,7 +269,6 @@ Bytes serialize_manifest(const RunManifest& manifest) {
   put_heterogeneous(out, manifest.backhaul_heterogeneous);
   out.put_u64(manifest.shard_seed);
   out.put_u32(manifest.edge);
-  out.put_u32(manifest.edges);
   out.put_f64(manifest.heartbeat_interval_seconds);
   out.put_u32(manifest.fingerprint);
   return out.finish();
@@ -303,7 +307,6 @@ RunManifest parse_manifest(ByteSpan bytes) {
     m.backhaul_heterogeneous = get_heterogeneous(in);
     m.shard_seed = in.get_u64();
     m.edge = in.get_u32();
-    m.edges = in.get_u32();
     m.heartbeat_interval_seconds = in.get_f64();
     m.fingerprint = in.get_u32();
     if (!in.done())
@@ -320,140 +323,30 @@ RunManifest parse_manifest(ByteSpan bytes) {
 
 namespace {
 
-/// The worker's rebuilt slice of the run: the same deterministic
-/// derivations the in-process coordinator constructor performs (dataset,
-/// shards, per-client compute budgets, per-client links, codecs), minus
-/// everything server-side. Clients materialize lazily — with crash
-/// re-homing a worker can be asked to train ANY client, but usually only
-/// its own shard.
-struct EdgeRuntime {
-  RunManifest manifest;
+/// The FlCoordinator an in-process run of `m` builds. The worker runs its
+/// edge's rounds on it (run_edge) and never evaluates.
+FlCoordinator edge_coordinator(const RunManifest& m) {
+  const CodecSpec spec = parse_codec_spec(m.codec_spec);
   FlRunConfig config;
-  UpdateCodecPtr codec;
-  bool ef_on = false;
-  std::unique_ptr<AggregationTree> tree;
-  std::unique_ptr<ClientPopulation> population;  // before network: links
-  net::HeterogeneousNetwork network;
-  data::DatasetPtr train;
-  std::vector<std::vector<std::size_t>> shards;
-  std::vector<double> compute_seconds;
-  std::vector<std::unique_ptr<FlClient>> clients;  // lazy, index = id
-  std::vector<ErrorFeedbackAccumulator> feedback;
-
-  explicit EdgeRuntime(RunManifest m)
-      : manifest(std::move(m)),
-        config(config_from(manifest)),
-        codec(make_codec(parse_codec_spec(manifest.codec_spec))),
-        ef_on(config.error_feedback && !codec->lossless()),
-        tree(std::make_unique<AggregationTree>(resolved_topology(config),
-                                               config.clients)),
-        population(config.population.empty()
-                       ? nullptr
-                       : std::make_unique<ClientPopulation>(
-                             config.population, config.clients, config.seed)),
-        network(build_population_network(config, population.get())),
-        train(build_train(manifest.dataset)),
-        shards(build_client_shards(*train, config, population.get())),
-        compute_seconds(
-            client_compute_seconds(config, shards, population.get())),
-        clients(config.clients),
-        feedback(config.clients) {
-    if (manifest.edge >= tree->edge_count())
-      throw CorruptStream("manifest: edge index out of range");
-  }
-
-  static data::DatasetPtr build_train(const DatasetSpec& dataset) {
-    data::DatasetPtr train =
-        data::make_dataset(dataset.name, dataset.seed).first;
-    if (dataset.take > 0) train = data::take(train, dataset.take);
-    return train;
-  }
-
-  static FlRunConfig config_from(const RunManifest& m) {
-    FlRunConfig config;
-    config.apply_comm_spec(parse_codec_spec(m.codec_spec));
-    config.clients = m.clients;
-    config.rounds = m.rounds;
-    config.seed = m.seed;
-    config.client = m.client;
-    config.network = m.network;
-    config.heterogeneous = m.heterogeneous;
-    config.compute_seconds_per_sample = m.compute_seconds_per_sample;
-    config.compute_jitter = m.compute_jitter;
-    config.topology.backhaul_network = m.backhaul_network;
-    config.topology.backhaul_heterogeneous = m.backhaul_heterogeneous;
-    config.topology.shard_seed = m.shard_seed;
-    config.validate();
-    return config;
-  }
-
-  FlClient& client(std::size_t i) {
-    if (!clients[i])
-      clients[i] = make_client(i, config, manifest.model, train, shards[i]);
-    return *clients[i];
-  }
-};
-
-/// Run one cohort: train every client serially (training is deterministic
-/// per client, so serial vs pooled changes nothing but wall time), compute
-/// each update's virtual upload/arrival analytically, then fold in the
-/// exact order the in-process event queue would have processed the
-/// arrivals — (arrival time, upload time, dispatch position).
-WirePartial process_round(EdgeRuntime& rt, const RoundOpenMsg& open,
-                          const StateDict& global) {
-  struct Produced {
-    Dispatch sent;
-    ClientUpdate update;
-    double upload = 0.0;
-    double transfer = 0.0;
-    double arrival = 0.0;
-  };
-  const std::size_t node = 1 + rt.tree->flat_index(0, rt.manifest.edge);
-  std::vector<Produced> produced(open.cohort.size());
-  for (std::size_t pos = 0; pos < open.cohort.size(); ++pos) {
-    const std::size_t i = open.cohort[pos];
-    Produced& p = produced[pos];
-    p.sent = Dispatch{.client = i, .node = node, .round = open.round,
-                      .seconds = open.t_open};
-    p.update = train_and_encode(rt.client(i), *rt.codec,
-                                rt.ef_on ? &rt.feedback[i] : nullptr, global,
-                                open.round);
-    p.upload = open.t_open + rt.compute_seconds[i];
-    p.transfer = rt.network.link(i).transfer_seconds(p.update.payload.size());
-    p.arrival = p.upload + p.transfer;
-  }
-
-  std::vector<std::size_t> order(produced.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Produced& x = produced[a];
-    const Produced& y = produced[b];
-    if (x.arrival != y.arrival) return x.arrival < y.arrival;
-    if (x.upload != y.upload) return x.upload < y.upload;
-    return a < b;
-  });
-
-  EdgeAggregator& edge = rt.tree->node(0, rt.manifest.edge);
-  edge.begin_round(global);
-  WirePartial wire;
-  wire.round = open.round;
-  wire.deliveries.reserve(produced.size());
-  for (const std::size_t k : order) {
-    const Produced& p = produced[k];
-    CompressionStats decode_stats;
-    StateDict update = rt.codec->decode(view(p.update.payload), &decode_stats);
-    // Barrier schedulers fold in-round, so the staleness scale is 1 and
-    // the aggregation weight is the bare sample count.
-    const double weight = static_cast<double>(p.update.samples);
-    edge.fold(update, weight);
-    Delivery delivery = make_delivery(p.sent, p.update, p.arrival, p.transfer,
-                                      rt.population.get());
-    settle_delivery(delivery, weight, decode_stats.decompress_seconds,
-                    rt.network.link(p.sent.client));
-    wire.deliveries.push_back({std::move(delivery), p.upload});
-  }
-  wire.partial = edge.finalize_and_encode(open.round);
-  return wire;
+  config.apply_comm_spec(spec);
+  config.clients = m.clients;
+  config.rounds = m.rounds;
+  config.seed = m.seed;
+  config.client = m.client;
+  config.network = m.network;
+  config.heterogeneous = m.heterogeneous;
+  config.compute_seconds_per_sample = m.compute_seconds_per_sample;
+  config.compute_jitter = m.compute_jitter;
+  config.topology.backhaul_network = m.backhaul_network;
+  config.topology.backhaul_heterogeneous = m.backhaul_heterogeneous;
+  config.topology.shard_seed = m.shard_seed;
+  // The manifest carries no pool size. One pool thread keeps one training's
+  // working set alive at a time; four cost tcp_tree 10% more peak memory.
+  config.threads = 1;
+  auto [train, test] = data::make_dataset(m.dataset.name, m.dataset.seed);
+  if (m.dataset.take > 0) train = data::take(train, m.dataset.take);
+  return FlCoordinator(m.model, std::move(train), std::move(test),
+                       std::move(config), make_codec(spec));
 }
 
 }  // namespace
@@ -465,11 +358,14 @@ void run_edge_worker(net::StreamPtr stream) {
   if (hello->type != net::FrameType::kHello)
     throw CorruptStream("federation: expected HELLO, got " +
                         net::frame_type_name(hello->type));
-  EdgeRuntime rt(parse_manifest(view(hello->payload)));
+  const RunManifest manifest = parse_manifest(view(hello->payload));
+  FlCoordinator coordinator = edge_coordinator(manifest);
+  if (manifest.edge >= coordinator.edge_count())
+    throw CorruptStream("manifest: edge index out of range");
 
   ByteWriter ack;
-  ack.put_u32(rt.manifest.fingerprint);
-  ack.put_varint(rt.manifest.edge);
+  ack.put_u32(manifest.fingerprint);
+  ack.put_varint(manifest.edge);
   const Bytes ack_bytes = ack.finish();
   chan.send(net::FrameType::kAck, view(ack_bytes));
 
@@ -477,7 +373,7 @@ void run_edge_worker(net::StreamPtr stream) {
   // real processes, not the simulation). FrameChannel::send serializes
   // with the round loop's PARTIAL sends.
   const auto interval = std::chrono::duration<double>(
-      std::max(0.01, rt.manifest.heartbeat_interval_seconds));
+      std::max(0.01, manifest.heartbeat_interval_seconds));
   const ChannelThread heartbeat(chan, [&chan, interval](std::stop_token stop) {
     std::mutex mutex;
     std::condition_variable_any wake;
@@ -497,7 +393,7 @@ void run_edge_worker(net::StreamPtr stream) {
   while (std::optional<net::Frame> frame = chan.recv()) {
     switch (frame->type) {
       case net::FrameType::kRoundOpen:
-        pending = parse_round_open(view(frame->payload), rt.config.clients);
+        pending = parse_round_open(view(frame->payload), manifest.clients);
         break;
       case net::FrameType::kBroadcast: {
         ByteReader in(view(frame->payload));
@@ -506,8 +402,9 @@ void run_edge_worker(net::StreamPtr stream) {
         if (!pending || pending->round != round)
           throw CorruptStream(
               "federation: BROADCAST without a matching ROUND_OPEN");
-        const Bytes out =
-            serialize_partial(process_round(rt, *pending, global));
+        const Bytes out = serialize_partial(
+            coordinator.run_edge(manifest.edge, round, pending->t_open,
+                                 pending->cohort, global));
         chan.send(net::FrameType::kPartial, view(out));
         pending.reset();
         break;
@@ -571,7 +468,6 @@ struct FederatedRoot::Impl {
     m.backhaul_heterogeneous = config.topology.backhaul_heterogeneous;
     m.shard_seed = config.topology.shard_seed;
     m.edge = edge;
-    m.edges = static_cast<std::uint32_t>(tree->edge_count());
     m.heartbeat_interval_seconds = options.heartbeat_interval_seconds;
     m.fingerprint = fingerprint;
     return m;
@@ -608,10 +504,6 @@ FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
     throw InvalidArgument(
         "FederatedRoot: population mid-round dropout is in-process only; "
         "remove drop= from population= when using transport=tcp");
-  if (impl.config.topology.edge_mode != EdgeMode::kSync)
-    throw InvalidArgument(
-        "FederatedRoot: distributed edges are sync-only (a buffered edge "
-        "would need late client arrivals crossing the wire)");
   if (!impl.config.checkpoint_path.empty())
     throw InvalidArgument(
         "FederatedRoot: checkpoint/resume is in-process only for now -- "
@@ -675,13 +567,13 @@ struct InboxEvent {
 
 /// `wire`'s deliveries put in `cohort` order, matched by client id. A
 /// PARTIAL that misses, repeats or adds a client, or whose partial folded
-/// a different number of clients, does not answer the cohort it was sent.
+/// other than the `folds` clients the edge ships after, does not answer the
+/// cohort it was sent.
 void match_cohort(WirePartial& wire, const std::vector<std::size_t>& cohort,
-                  std::size_t edge) {
+                  std::size_t folds, std::size_t edge) {
   const std::string from = "federation: PARTIAL from edge " +
                            std::to_string(edge) + " ";
-  if (wire.deliveries.size() != cohort.size() ||
-      wire.partial.clients != cohort.size())
+  if (wire.deliveries.size() != cohort.size() || wire.partial.clients != folds)
     throw CorruptStream(from + "does not match its cohort size");
   std::vector<std::optional<WireDelivery>> slots(cohort.size());
   for (WireDelivery& d : wire.deliveries) {
@@ -705,11 +597,14 @@ class WireEdges final : public RemoteEdges {
   /// Send worker e its HELLO (`manifest(e)`) and start its reader, then
   /// wait until every worker echoed `fingerprint` and its edge — a worker
   /// built from different code (or fed a different manifest) fails here,
-  /// not 40 rounds in.
+  /// not 40 rounds in. `topology`'s ship rule says how many clients each
+  /// edge's partial folds.
   template <class Manifest>
   WireEdges(std::vector<net::StreamPtr> streams, double heartbeat_timeout,
-            std::uint32_t fingerprint, const Manifest& manifest)
-      : dead_(streams.size(), 0),
+            std::uint32_t fingerprint, const Manifest& manifest,
+            const TopologyConfig& topology)
+      : topology_(topology),
+        dead_(streams.size(), 0),
         timeout_(std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(std::max(0.1, heartbeat_timeout)))),
         conns_(streams.size()) {
@@ -827,7 +722,8 @@ class WireEdges final : public RemoteEdges {
       if (!expected[e])
         throw CorruptStream("federation: unsolicited PARTIAL from edge " +
                             std::to_string(e));
-      match_cohort(partial, cohorts[e], e);
+      match_cohort(partial, cohorts[e],
+                   topology_.ship_after(cohorts[e].size()), e);
       got[e] = std::move(partial);
       expected[e] = 0;
       --outstanding;
@@ -892,6 +788,7 @@ class WireEdges final : public RemoteEdges {
     return event;
   }
 
+  const TopologyConfig& topology_;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<InboxEvent> inbox_;
@@ -914,7 +811,8 @@ FlRunResult FederatedRoot::run_with_streams(
   Timer wall;
   WireEdges wire(std::move(streams), impl.options.heartbeat_timeout_seconds,
                  impl.fingerprint,
-                 [&](std::uint32_t e) { return impl.make_manifest(e); });
+                 [&](std::uint32_t e) { return impl.make_manifest(e); },
+                 impl.config.topology);
   FlRunResult result =
       run_remote_edges(impl.config, *impl.scheduler, impl.server,
                        impl.population.get(), *impl.tree, *impl.test, wire);

@@ -16,15 +16,18 @@
 //   worker -> root   HEARTBEAT  liveness beacon (wall-clock cadence)
 //   root -> worker   BYE        campaign over
 //
-// One round engine: the root runs the same event pump as
+// One round engine on both sides: the root runs the same event pump as
 // FlCoordinator::run() (run_remote_edges in core/fl/coordinator.hpp); only
 // the tier-1 edge work crosses the wire. At each round open the root ships
 // every cohort and waits for every live edge's PARTIAL, matched to the
-// cohort it sent by client id. The worker trains its cohort, folds in the
-// order its edge's arrival events would run, and re-encodes the partial;
-// the engine then schedules each reported upload and arrival on the
-// virtual clock and merges the partial when the edge's last delivery
-// lands. A TCP run with W workers is therefore BIT-IDENTICAL, round for
+// cohort it sent by client id. The worker builds the FlCoordinator an
+// in-process run builds and runs that pump over its one edge
+// (FlCoordinator::run_edge): the pool trains the cohort, arrival events
+// set the fold order, the edge's ship rule (sync, or buffered:K) sets when
+// the partial ships, and every arrival is reported, a late one too. The
+// root's engine then schedules each reported upload and arrival on the
+// virtual clock and merges the partial when the same ship rule fires
+// there. A TCP run with W workers is therefore BIT-IDENTICAL, round for
 // round, to FlCoordinator::run() on the same config (federation_test pins
 // every virtual-clock field). What stays here is what is actually
 // distributed: the handshake, the reader and heartbeat threads, crash
@@ -90,8 +93,7 @@ struct RunManifest {
   /// Resolved shard-shuffle seed (the coordinator's seed derivation
   /// applied root-side, so both sides build the same tree).
   std::uint64_t shard_seed = 0;
-  std::uint32_t edge = 0;   // this worker's tier-1 edge index
-  std::uint32_t edges = 0;  // total edge count
+  std::uint32_t edge = 0;  // this worker's tier-1 edge index
   /// Worker HEARTBEAT cadence (from the root's FederationOptions).
   double heartbeat_interval_seconds = 0.25;
   std::uint32_t fingerprint = 0;
@@ -110,7 +112,7 @@ struct RoundOpenMsg {
 
 Bytes serialize_round_open(const RoundOpenMsg& msg);
 /// Throws CorruptStream on truncation, trailing bytes, or a cohort client
-/// id >= `clients`.
+/// id that is >= `clients` or repeated.
 RoundOpenMsg parse_round_open(ByteSpan bytes, std::size_t clients);
 /// PARTIAL is a WirePartial, declared with the round engine's wire side
 /// in core/fl/coordinator.hpp.
@@ -121,11 +123,12 @@ WirePartial parse_partial(ByteSpan bytes);
 
 /// The server process of a distributed campaign. Restrictions (enforced in
 /// the constructor): a hierarchical topology (its tier-1 edges are the
-/// workers), a barrier scheduler and sync edges (a worker runs its whole
-/// cohort at round open), a free lossless broadcast (no downlink spec), no
-/// injected failure schedule or population dropout (wire churn IS the
-/// failure model here), no checkpointing (the root holds no client state
-/// to lose — checkpoint in-process runs instead).
+/// workers), a barrier scheduler (a worker runs its whole cohort at round
+/// open), a free lossless broadcast (a downlink needs the root's per-hop
+/// schedule), no injected failure schedule or population dropout (their
+/// draws come from the root's streams and the straggler deadline is the
+/// root's event; wire churn IS the failure model here), no checkpointing
+/// (the clients' error-feedback state lives on the workers).
 class FederatedRoot {
  public:
   /// `spec` is the FULL parsed codec spec (codec + comm keys); `config`
@@ -157,11 +160,11 @@ class FederatedRoot {
   std::size_t edge_count_ = 0;
 };
 
-/// The entire worker side: handshake, per round its edge's share of the
-/// engine (train the cohort, encode, fold in event order, re-encode the
-/// partial), heartbeats, clean BYE/EOF exit. Blocks until the campaign
-/// ends or the stream dies; throws TransportError/CorruptStream on a
-/// broken or malformed peer.
+/// The entire worker side: the handshake, which builds the run's
+/// FlCoordinator from the manifest; per round, FlCoordinator::run_edge over
+/// the worker's edge; heartbeats; a clean BYE/EOF exit. Blocks until the
+/// campaign ends or the stream dies; throws TransportError/CorruptStream on
+/// a broken or malformed peer.
 void run_edge_worker(net::StreamPtr stream);
 
 }  // namespace fedsz::core

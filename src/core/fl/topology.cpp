@@ -1,5 +1,6 @@
 #include "core/fl/topology.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -45,6 +46,11 @@ std::string shard_strategy_name(ShardStrategy strategy) {
       return "shuffled";
   }
   throw InvalidArgument("shard_strategy_name: unknown strategy");
+}
+
+std::size_t TopologyConfig::ship_after(std::size_t expected) const {
+  return edge_mode == EdgeMode::kBuffered ? std::min(edge_buffer, expected)
+                                          : expected;
 }
 
 void TopologyConfig::validate() const {
@@ -305,12 +311,6 @@ const net::SimulatedNetwork& AggregationTree::uplink(std::size_t level,
   if (level >= levels_.size() || i >= levels_[level].nodes.size())
     throw InvalidArgument("AggregationTree: node index out of range");
   return levels_[level].links.link(i);
-}
-
-const UpdateCodec& AggregationTree::tier_codec(std::size_t level) const {
-  if (level >= levels_.size())
-    throw InvalidArgument("AggregationTree: level out of range");
-  return *levels_[level].codec;
 }
 
 StateDict AggregationTree::decode_partial(std::size_t level, ByteSpan payload,

@@ -98,6 +98,11 @@ struct TopologyConfig {
   /// the run seed (standalone trees fall back to a fixed constant).
   std::uint64_t shard_seed = 0;
 
+  /// Folds after which an interior node still expecting `expected`
+  /// children ships: all of them under kSync, min(edge_buffer, expected)
+  /// under kBuffered.
+  std::size_t ship_after(std::size_t expected) const;
+
   /// Throws InvalidArgument on degenerate specs, naming the valid options:
   /// kHier without tiers (or with a zero tier), kFlat carrying any
   /// hier-only option (a loud error beats silently ignoring them), more
@@ -154,13 +159,11 @@ class EdgeAggregator {
 
   /// Open a round; the accumulator mirrors `reference`'s structure.
   void begin_round(const StateDict& reference);
-  bool round_open() const { return aggregator_->round_open(); }
   /// Fold one decoded child payload (the same streaming path as the root).
   /// `leaves` is the number of LEAF updates the payload carries — 1 for a
   /// client update, the child partial's own leaf count above tier 1 — so
   /// EncodedPartial::clients telescopes through the tree.
   void fold(const StateDict& update, double weight, std::size_t leaves = 1);
-  std::size_t folded() const { return aggregator_->accumulated(); }
   /// Abandon the open round (a node whose whole cohort churned away).
   void abort_round();
   /// Close the round: finalize the partial mean and re-encode it through
@@ -217,9 +220,6 @@ class AggregationTree {
   std::size_t parent_of(std::size_t level, std::size_t i) const;
   /// This node's uplink (to its parent, or to the root for the top level).
   const net::SimulatedNetwork& uplink(std::size_t level, std::size_t i) const;
-  /// The codec tier `level` re-encodes partials through (and its parent
-  /// decodes with).
-  const UpdateCodec& tier_codec(std::size_t level) const;
   /// Parent-side decode of a partial shipped from `level`.
   StateDict decode_partial(std::size_t level, ByteSpan payload,
                            CompressionStats* stats = nullptr) const;

@@ -47,8 +47,9 @@ inline constexpr std::uint32_t kWireMagic = 0x31575346u;  // "FSW1" LE
 /// v2: PARTIAL carries each client's full trace row and record terms (the
 /// federation Delivery) instead of a hand-picked subset. v3: PARTIAL
 /// deliveries drop the dispatch position; the root matches them to the
-/// cohort it sent by client id.
-inline constexpr std::uint8_t kWireVersion = 3;
+/// cohort it sent by client id. v4: the HELLO manifest drops the edge
+/// count, and a buffered edge's PARTIAL also reports its late clients.
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kWireHeaderBytes = 16;
 /// Default decoder payload cap. Generous (a paper-scale AlexNet broadcast
 /// is ~200 MB raw) but bounded, so a corrupt or hostile length prefix can

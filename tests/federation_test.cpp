@@ -148,7 +148,6 @@ TEST(FederationTest, ManifestRoundtrip) {
   for (std::uint32_t e = 0; e < 2; ++e) {
     const RunManifest manifest = root.manifest(e);
     EXPECT_EQ(manifest.edge, e);
-    EXPECT_EQ(manifest.edges, 2u);
     EXPECT_EQ(manifest.clients, kClients);
     EXPECT_EQ(manifest.dataset.take, kTake);
     EXPECT_NE(manifest.fingerprint, 0u);
@@ -203,7 +202,6 @@ RunManifest sample_manifest() {
   manifest.heterogeneous = net::HeterogeneousNetworkConfig{};
   manifest.backhaul_heterogeneous = net::HeterogeneousNetworkConfig{};
   manifest.edge = 1;
-  manifest.edges = 2;
   manifest.fingerprint = 0x1234ABCDu;
   return manifest;
 }
@@ -257,9 +255,12 @@ TEST(FederationTest, PayloadParsersRejectOutOfRangeValues) {
   bad.backhaul_heterogeneous->distribution =
       static_cast<net::LinkDistribution>(0xFF);
   EXPECT_THROW(parses(bad), CorruptStream);
-  // A cohort naming a client the run does not have.
+  // A cohort naming a client the run does not have, or one client twice.
   const Bytes open = serialize_round_open({0, 0.0, {0, 3}});
   EXPECT_THROW(parse_round_open({open.data(), open.size()}, 3), CorruptStream);
+  const Bytes twice = serialize_round_open({0, 0.0, {1, 2, 1}});
+  EXPECT_THROW(parse_round_open({twice.data(), twice.size()}, 3),
+               CorruptStream);
   // A PARTIAL must carry the fold that shipped it.
   WirePartial empty = sample_partial();
   empty.deliveries.clear();
@@ -319,19 +320,34 @@ FlRunResult run_loopback(const char* spec_string) {
   return root.run_with_streams(std::move(root_ends));
 }
 
+bool traces_late_client(const FlRunResult& result) {
+  for (const RoundRecord& r : result.rounds)
+    for (const ClientTraceEntry& t : r.clients)
+      if (t.status == DeliveryStatus::kLate) return true;
+  return false;
+}
+
 // The base spec; a sparse-quantization campaign whose per-client sparse
 // tensor counts must cross the wire like every other trace field; client
 // and edge error feedback over a compressed backhaul with skewed shards;
-// and a two-tier tree whose upper tier runs inside the root's engine.
+// a two-tier tree whose upper tier runs inside the root's engine; and
+// buffered edges that ship after one fold, whose workers must report the
+// clients that arrive late.
 TEST(FederationTest, LoopbackRunMatchesInProcess) {
+  const char* buffered =
+      "fedsz:eb=rel:1e-2,topology=hier:2,edgemode=buffered:1";
   for (const char* spec :
        {kSpec, "sparse:eb=rel:1e-2,sparsity=0.9,topology=hier:2",
         "fedsz:eb=rel:1e-2,topology=hier:2,ef=on,edgeef=on,"
         "backhaul=fedsz:eb=rel:1e-1,data=dirichlet:0.5+sizeskew:1.2",
-        "fedsz:eb=rel:1e-2,topology=hier:2x2"}) {
+        "fedsz:eb=rel:1e-2,topology=hier:2x2", buffered}) {
     SCOPED_TRACE(spec);
     const FlRunResult reference = run_in_process(spec);
     ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
+    // The buffered pin means nothing unless some client arrived late.
+    if (spec == buffered) {
+      EXPECT_TRUE(traces_late_client(reference));
+    }
     expect_results_identical(run_loopback(spec), reference);
   }
 }

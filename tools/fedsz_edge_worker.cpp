@@ -1,7 +1,8 @@
 // Edge worker process for distributed federation runs. Connects to a
 // FederatedRoot (see core/fl/federation.hpp), receives its manifest over
-// the wire, rebuilds its deterministic slice of the run, and trains
-// whatever cohorts the root assigns until BYE.
+// the wire, builds the run's FlCoordinator from it, and runs its tier-1
+// edge's share of each round on whatever cohort the root assigns until
+// BYE.
 //
 //   ./build/fedsz_edge_worker --connect 127.0.0.1:47001
 //
