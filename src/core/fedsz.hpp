@@ -136,15 +136,6 @@ struct CompressionStats {
                                       static_cast<double>(compressed_bytes)
                                 : 0.0;
   }
-  /// Effective on-wire bits per element over everything routed through the
-  /// sparse path (mask + quantized survivors + headers; 32 would mean no
-  /// gain over raw f32). 0 when the sparse partition is empty.
-  double sparse_bits_per_element() const {
-    return sparse_total_elements > 0
-               ? 8.0 * static_cast<double>(sparse_compressed_bytes) /
-                     static_cast<double>(sparse_total_elements)
-               : 0.0;
-  }
 };
 
 class FedSz {

@@ -30,7 +30,9 @@ namespace fedsz::core {
 inline constexpr std::uint32_t kCheckpointMagic = 0x314B4346u;  // "FCK1" LE
 /// v2 added the population-eligibility RNG stream after failure_rng; v3
 /// changed the config fingerprint (dirichlet_alpha in, topology fanout out).
-inline constexpr std::uint8_t kCheckpointVersion = 3;
+/// v4: the body is CheckpointState's layout (core/fl/layout.hpp), and the
+/// fingerprint is the CRC of the run configuration's layout.
+inline constexpr std::uint8_t kCheckpointVersion = 4;
 
 struct CheckpointState {
   /// Rounds fully aggregated when the checkpoint was taken; the resumed
@@ -77,24 +79,14 @@ void write_checkpoint(const std::string& path, const CheckpointState& state);
 /// throw CorruptStream.
 std::optional<CheckpointState> read_checkpoint(const std::string& path);
 
-/// Byte layouts of a link profile and of an optional per-node link
-/// distribution (presence flag, then every field), shared by
-/// run_fingerprint and the federation manifest. get_heterogeneous throws
-/// CorruptStream on a bad flag or an unknown distribution.
-void put_profile(ByteWriter& out, const net::NetworkProfile& profile);
-net::NetworkProfile get_profile(ByteReader& in);
-void put_heterogeneous(
-    ByteWriter& out,
-    const std::optional<net::HeterogeneousNetworkConfig>& config);
-std::optional<net::HeterogeneousNetworkConfig> get_heterogeneous(
-    ByteReader& in);
-
-/// CRC over every trajectory-determining knob of (config, model): seeds,
-/// client/optimizer settings, links, comm model, topology, churn schedule,
-/// population and data partition.
-/// Deliberately EXCLUDES rounds (a resume may extend the campaign),
-/// threads (trajectories are thread-count-invariant), transport, and the
-/// checkpoint settings themselves.
+/// CRC over the layout (core/fl/layout.hpp) of `model` and of every
+/// FlRunConfig member that can change a trajectory: seeds, client and
+/// optimizer settings, links, comm model, topology, churn schedule,
+/// population and data partition. Reset first, so deliberately EXCLUDED:
+/// rounds (a resume may extend the campaign), threads (trajectories are
+/// thread-count-invariant), transport, the checkpoint settings themselves,
+/// and client.seed (FlCoordinator gives each client its own). An edge
+/// worker ACKs this over the run it rebuilt from the HELLO manifest.
 std::uint32_t run_fingerprint(const FlRunConfig& config,
                               const nn::ModelConfig& model);
 

@@ -35,7 +35,6 @@ class FlClient {
   ClientRoundResult run_round(const StateDict& global_state);
 
   int id() const { return id_; }
-  std::size_t dataset_size() const { return shard_->size(); }
 
  private:
   int id_;

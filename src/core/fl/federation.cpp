@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <concepts>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -11,6 +10,7 @@
 
 #include "core/codec_spec.hpp"
 #include "core/fl/checkpoint.hpp"
+#include "core/fl/layout.hpp"
 #include "data/synthetic.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/timer.hpp"
@@ -22,177 +22,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 ByteSpan view(const Bytes& bytes) { return {bytes.data(), bytes.size()}; }
-
-// ---- ROUND_OPEN / PARTIAL layouts ----
-//
-// Each visit() names every member of its struct once, through a structured
-// binding, and hands them in wire order to a field codec (Put or Get). One
-// list fixes the layout in both directions, and a member added to any of
-// these structs breaks the build here until the wire carries it.
-
-template <class T, class U>
-concept Either = std::same_as<std::remove_const_t<T>, U>;
-
-template <class F, class... Fields>
-void each(F& f, Fields&... fields) { (f(fields), ...); }
-
-template <Either<CompressionStats> S, class F>
-void visit(S& s, F& f) {
-  auto& [original, compressed, lossy_original, lossy_compressed,
-         lossless_original, lossless_compressed, raw_original, sparse_original,
-         sparse_compressed, sparse_kept, sparse_total, lossy_tensors,
-         lossless_tensors, raw_tensors, sparse_tensors, lossy_chunks,
-         mean_bound, compress_seconds, decompress_seconds] = s;
-  each(f, original, compressed, lossy_original, lossy_compressed,
-       lossless_original, lossless_compressed, raw_original, sparse_original,
-       sparse_compressed, sparse_kept, sparse_total, lossy_tensors,
-       lossless_tensors, raw_tensors, sparse_tensors, lossy_chunks, mean_bound,
-       compress_seconds, decompress_seconds);
-}
-
-template <Either<net::CompressionDecision> D, class F>
-void visit(D& d, F& f) {
-  auto& [compressed_seconds, uncompressed_seconds, worthwhile] = d;
-  each(f, compressed_seconds, uncompressed_seconds, worthwhile);
-}
-
-template <Either<ClientTraceEntry> T, class F>
-void visit(T& t, F& f) {
-  auto& [client, dispatch_round, dispatch_seconds, arrival_seconds,
-         transfer_seconds, weight, payload_bytes, raw_bytes, bound_value,
-         lossy_tensors, lossless_tensors, raw_tensors, sparse_tensors,
-         downlink_bytes, downlink_seconds, ef_residual_norm, node, status,
-         device_class, eligible, decision] = t;
-  each(f, client, dispatch_round, dispatch_seconds, arrival_seconds,
-       transfer_seconds, weight, payload_bytes, raw_bytes, bound_value,
-       lossy_tensors, lossless_tensors, raw_tensors, sparse_tensors,
-       downlink_bytes, downlink_seconds, ef_residual_norm, node, status,
-       device_class, eligible, decision);
-}
-
-template <Either<Delivery> D, class F>
-void visit(D& d, F& f) {
-  auto& [trace, train_seconds, mean_loss, compress_seconds, decompress_seconds,
-         ef_decode_seconds, downlink_raw_bytes, downlink_encode_seconds,
-         downlink_decode_seconds] = d;
-  each(f, trace, train_seconds, mean_loss, compress_seconds,
-       decompress_seconds, ef_decode_seconds, downlink_raw_bytes,
-       downlink_encode_seconds, downlink_decode_seconds);
-}
-
-template <Either<WireDelivery> W, class F>
-void visit(W& w, F& f) {
-  auto& [delivery, upload_seconds] = w;
-  each(f, delivery, upload_seconds);
-}
-
-template <Either<EncodedPartial> P, class F>
-void visit(P& p, F& f) {
-  auto& [payload, stats, weight, clients, ef_residual_norm] = p;
-  each(f, payload, stats, weight, clients, ef_residual_norm);
-}
-
-template <Either<WirePartial> P, class F>
-void visit(P& p, F& f) {
-  auto& [round, partial, deliveries] = p;
-  each(f, round, partial, deliveries);
-}
-
-template <Either<RoundOpenMsg> M, class F>
-void visit(M& m, F& f) {
-  auto& [round, t_open, cohort] = m;
-  each(f, round, t_open, cohort);
-}
-
-struct Put {
-  ByteWriter& out;
-  void operator()(std::size_t v) { out.put_varint(v); }
-  void operator()(int v) { out.put_varint(static_cast<std::uint64_t>(v)); }
-  void operator()(double v) { out.put_f64(v); }
-  void operator()(bool v) { out.put_u8(v ? 1 : 0); }
-  void operator()(DeliveryStatus v) {
-    out.put_u8(static_cast<std::uint8_t>(v));
-  }
-  void operator()(const std::string& v) { out.put_string(v); }
-  void operator()(const Bytes& v) { out.put_blob(view(v)); }
-  template <class T>
-  void operator()(const std::vector<T>& v) {
-    out.put_varint(v.size());
-    for (const T& item : v) (*this)(item);
-  }
-  template <class T>
-  void operator()(const T& nested) {
-    visit(nested, *this);
-  }
-};
-
-struct Get {
-  ByteReader& in;
-  void operator()(std::size_t& v) {
-    v = static_cast<std::size_t>(in.get_varint());
-  }
-  void operator()(int& v) { v = static_cast<int>(in.get_varint()); }
-  void operator()(double& v) { v = in.get_f64(); }
-  void operator()(bool& v) { v = byte_at_most(1, "flag") != 0; }
-  void operator()(DeliveryStatus& v) {
-    v = static_cast<DeliveryStatus>(byte_at_most(
-        static_cast<std::uint8_t>(DeliveryStatus::kIneligible),
-        "delivery status"));
-  }
-  void operator()(std::string& v) { v = in.get_string(); }
-  void operator()(Bytes& v) {
-    const ByteSpan bytes = in.get_blob_view();
-    v.assign(bytes.begin(), bytes.end());
-  }
-  template <class T>
-  void operator()(std::vector<T>& v) {
-    // Every element takes at least one byte: a count past the payload is
-    // corrupt before it can drive an allocation.
-    const std::uint64_t count = in.get_varint();
-    if (count > in.remaining())
-      throw CorruptStream("federation: element count exceeds the payload");
-    v.resize(static_cast<std::size_t>(count));
-    for (T& item : v) (*this)(item);
-  }
-  template <class T>
-  void operator()(T& nested) {
-    visit(nested, *this);
-  }
-
-  std::uint8_t byte_at_most(std::uint8_t max, const char* what) {
-    const std::uint8_t byte = in.get_u8();
-    if (byte > max)
-      throw CorruptStream(std::string("federation: bad ") + what + " byte");
-    return byte;
-  }
-};
-
-template <class Msg>
-Bytes serialize(const Msg& msg) {
-  ByteWriter out;
-  Put put{out};
-  put(msg);
-  return out.finish();
-}
-
-template <class Msg>
-Msg parse(ByteSpan bytes, const char* frame) {
-  try {
-    ByteReader in(bytes);
-    Msg msg;
-    Get get{in};
-    get(msg);
-    if (!in.done())
-      throw CorruptStream(std::string("federation: trailing bytes after ") +
-                          frame);
-    return msg;
-  } catch (const CorruptStream&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw CorruptStream(std::string("federation: bad ") + frame + ": " +
-                        error.what());
-  }
-}
 
 /// Owns a thread that talks over `chan`. Destruction closes the channel —
 /// waking the thread from a blocking recv or send — then stops and joins
@@ -213,10 +42,13 @@ class ChannelThread {
 
 }  // namespace
 
-Bytes serialize_round_open(const RoundOpenMsg& msg) { return serialize(msg); }
+Bytes serialize_round_open(const RoundOpenMsg& msg) {
+  return layout::serialize(msg);
+}
 
 RoundOpenMsg parse_round_open(ByteSpan bytes, std::size_t clients) {
-  RoundOpenMsg msg = parse<RoundOpenMsg>(bytes, "ROUND_OPEN");
+  RoundOpenMsg msg =
+      layout::parse<RoundOpenMsg>(bytes, "federation: bad ROUND_OPEN");
   std::vector<char> seen(clients, 0);
   for (const std::size_t id : msg.cohort) {
     if (id >= clients)
@@ -229,11 +61,12 @@ RoundOpenMsg parse_round_open(ByteSpan bytes, std::size_t clients) {
 }
 
 Bytes serialize_partial(const WirePartial& partial) {
-  return serialize(partial);
+  return layout::serialize(partial);
 }
 
 WirePartial parse_partial(ByteSpan bytes) {
-  WirePartial partial = parse<WirePartial>(bytes, "PARTIAL");
+  WirePartial partial =
+      layout::parse<WirePartial>(bytes, "federation: bad PARTIAL");
   if (partial.deliveries.empty())
     throw CorruptStream("federation: PARTIAL without a delivery");
   return partial;
@@ -242,111 +75,26 @@ WirePartial parse_partial(ByteSpan bytes) {
 // ---- manifest ----
 
 Bytes serialize_manifest(const RunManifest& manifest) {
-  ByteWriter out;
-  out.put_string(manifest.codec_spec);
-  out.put_string(manifest.dataset.name);
-  out.put_u64(manifest.dataset.seed);
-  out.put_varint(manifest.dataset.take);
-  out.put_string(manifest.model.arch);
-  out.put_varint(static_cast<std::uint64_t>(manifest.model.in_channels));
-  out.put_varint(static_cast<std::uint64_t>(manifest.model.image_size));
-  out.put_varint(static_cast<std::uint64_t>(manifest.model.num_classes));
-  out.put_u8(static_cast<std::uint8_t>(manifest.model.scale));
-  out.put_u64(manifest.model.seed);
-  out.put_varint(manifest.clients);
-  out.put_varint(static_cast<std::uint64_t>(manifest.rounds));
-  out.put_u64(manifest.seed);
-  out.put_f32(manifest.client.sgd.learning_rate);
-  out.put_f32(manifest.client.sgd.momentum);
-  out.put_f32(manifest.client.sgd.weight_decay);
-  out.put_varint(manifest.client.batch_size);
-  out.put_varint(static_cast<std::uint64_t>(manifest.client.local_epochs));
-  put_profile(out, manifest.network);
-  put_heterogeneous(out, manifest.heterogeneous);
-  out.put_f64(manifest.compute_seconds_per_sample);
-  out.put_f64(manifest.compute_jitter);
-  put_profile(out, manifest.backhaul_network);
-  put_heterogeneous(out, manifest.backhaul_heterogeneous);
-  out.put_u64(manifest.shard_seed);
-  out.put_u32(manifest.edge);
-  out.put_f64(manifest.heartbeat_interval_seconds);
-  out.put_u32(manifest.fingerprint);
-  return out.finish();
+  return layout::serialize(manifest);
 }
 
 RunManifest parse_manifest(ByteSpan bytes) {
-  try {
-    ByteReader in(bytes);
-    RunManifest m;
-    m.codec_spec = in.get_string();
-    m.dataset.name = in.get_string();
-    m.dataset.seed = in.get_u64();
-    m.dataset.take = static_cast<std::size_t>(in.get_varint());
-    m.model.arch = in.get_string();
-    m.model.in_channels = static_cast<int>(in.get_varint());
-    m.model.image_size = static_cast<int>(in.get_varint());
-    m.model.num_classes = static_cast<int>(in.get_varint());
-    const std::uint8_t scale = in.get_u8();
-    if (scale > static_cast<std::uint8_t>(nn::ModelScale::kPaper))
-      throw CorruptStream("manifest: unknown model scale");
-    m.model.scale = static_cast<nn::ModelScale>(scale);
-    m.model.seed = in.get_u64();
-    m.clients = static_cast<std::size_t>(in.get_varint());
-    m.rounds = static_cast<int>(in.get_varint());
-    m.seed = in.get_u64();
-    m.client.sgd.learning_rate = in.get_f32();
-    m.client.sgd.momentum = in.get_f32();
-    m.client.sgd.weight_decay = in.get_f32();
-    m.client.batch_size = static_cast<std::size_t>(in.get_varint());
-    m.client.local_epochs = static_cast<int>(in.get_varint());
-    m.network = get_profile(in);
-    m.heterogeneous = get_heterogeneous(in);
-    m.compute_seconds_per_sample = in.get_f64();
-    m.compute_jitter = in.get_f64();
-    m.backhaul_network = get_profile(in);
-    m.backhaul_heterogeneous = get_heterogeneous(in);
-    m.shard_seed = in.get_u64();
-    m.edge = in.get_u32();
-    m.heartbeat_interval_seconds = in.get_f64();
-    m.fingerprint = in.get_u32();
-    if (!in.done())
-      throw CorruptStream("manifest: trailing bytes after the manifest");
-    return m;
-  } catch (const CorruptStream&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw CorruptStream(std::string("manifest: ") + error.what());
-  }
+  return layout::parse<RunManifest>(bytes, "manifest");
 }
 
 // ---- edge worker ----
 
 namespace {
 
-/// The FlCoordinator an in-process run of `m` builds. The worker runs its
-/// edge's rounds on it (run_edge) and never evaluates.
-FlCoordinator edge_coordinator(const RunManifest& m) {
-  const CodecSpec spec = parse_codec_spec(m.codec_spec);
-  FlRunConfig config;
-  config.apply_comm_spec(spec);
-  config.clients = m.clients;
-  config.rounds = m.rounds;
-  config.seed = m.seed;
-  config.client = m.client;
-  config.network = m.network;
-  config.heterogeneous = m.heterogeneous;
-  config.compute_seconds_per_sample = m.compute_seconds_per_sample;
-  config.compute_jitter = m.compute_jitter;
-  config.topology.backhaul_network = m.backhaul_network;
-  config.topology.backhaul_heterogeneous = m.backhaul_heterogeneous;
-  config.topology.shard_seed = m.shard_seed;
-  // The manifest carries no pool size. One pool thread keeps one training's
-  // working set alive at a time; four cost tcp_tree 10% more peak memory.
-  config.threads = 1;
+/// The FlCoordinator an in-process run of `m` builds, on `config` (the
+/// manifest's, with the worker's pool size). The worker runs its edge's
+/// rounds on it (run_edge) and never evaluates.
+FlCoordinator edge_coordinator(const RunManifest& m, FlRunConfig config) {
   auto [train, test] = data::make_dataset(m.dataset.name, m.dataset.seed);
   if (m.dataset.take > 0) train = data::take(train, m.dataset.take);
   return FlCoordinator(m.model, std::move(train), std::move(test),
-                       std::move(config), make_codec(spec));
+                       std::move(config),
+                       make_codec(parse_codec_spec(m.codec_spec)));
 }
 
 }  // namespace
@@ -359,12 +107,19 @@ void run_edge_worker(net::StreamPtr stream) {
     throw CorruptStream("federation: expected HELLO, got " +
                         net::frame_type_name(hello->type));
   const RunManifest manifest = parse_manifest(view(hello->payload));
-  FlCoordinator coordinator = edge_coordinator(manifest);
+  // One pool thread keeps one training's working set alive at a time; four
+  // cost tcp_tree 10% more peak memory. Trajectories do not depend on it.
+  FlRunConfig config = manifest.config;
+  config.threads = 1;
+  // The ACK names the run this worker rebuilt, not the one it was sent: a
+  // different build or a damaged manifest fails the root's comparison.
+  const std::uint32_t fingerprint = run_fingerprint(config, manifest.model);
+  FlCoordinator coordinator = edge_coordinator(manifest, std::move(config));
   if (manifest.edge >= coordinator.edge_count())
     throw CorruptStream("manifest: edge index out of range");
 
   ByteWriter ack;
-  ack.put_u32(manifest.fingerprint);
+  ack.put_u32(fingerprint);
   ack.put_varint(manifest.edge);
   const Bytes ack_bytes = ack.finish();
   chan.send(net::FrameType::kAck, view(ack_bytes));
@@ -393,7 +148,8 @@ void run_edge_worker(net::StreamPtr stream) {
   while (std::optional<net::Frame> frame = chan.recv()) {
     switch (frame->type) {
       case net::FrameType::kRoundOpen:
-        pending = parse_round_open(view(frame->payload), manifest.clients);
+        pending =
+            parse_round_open(view(frame->payload), manifest.config.clients);
         break;
       case net::FrameType::kBroadcast: {
         ByteReader in(view(frame->payload));
@@ -452,25 +208,8 @@ struct FederatedRoot::Impl {
                              config.seed)) {}
 
   RunManifest make_manifest(std::uint32_t edge) const {
-    RunManifest m;
-    m.codec_spec = spec_string;
-    m.dataset = train_spec;
-    m.model = model_config;
-    m.clients = config.clients;
-    m.rounds = config.rounds;
-    m.seed = config.seed;
-    m.client = config.client;
-    m.network = config.network;
-    m.heterogeneous = config.heterogeneous;
-    m.compute_seconds_per_sample = config.compute_seconds_per_sample;
-    m.compute_jitter = config.compute_jitter;
-    m.backhaul_network = config.topology.backhaul_network;
-    m.backhaul_heterogeneous = config.topology.backhaul_heterogeneous;
-    m.shard_seed = config.topology.shard_seed;
-    m.edge = edge;
-    m.heartbeat_interval_seconds = options.heartbeat_interval_seconds;
-    m.fingerprint = fingerprint;
-    return m;
+    return {spec_string, train_spec, model_config, config, edge,
+            options.heartbeat_interval_seconds};
   }
 };
 
@@ -595,10 +334,11 @@ void match_cohort(WirePartial& wire, const std::vector<std::size_t>& cohort,
 class WireEdges final : public RemoteEdges {
  public:
   /// Send worker e its HELLO (`manifest(e)`) and start its reader, then
-  /// wait until every worker echoed `fingerprint` and its edge — a worker
-  /// built from different code (or fed a different manifest) fails here,
-  /// not 40 rounds in. `topology`'s ship rule says how many clients each
-  /// edge's partial folds.
+  /// wait until every worker acked its edge and the run_fingerprint of the
+  /// run it rebuilt. A worker whose run differs from `fingerprint` (another
+  /// build, or a damaged manifest) fails here, not 40 rounds in.
+  /// `topology`'s ship rule says how many clients each edge's partial
+  /// folds.
   template <class Manifest>
   WireEdges(std::vector<net::StreamPtr> streams, double heartbeat_timeout,
             std::uint32_t fingerprint, const Manifest& manifest,

@@ -6,9 +6,10 @@
 // separate `fedsz_edge_worker` process over TCP in production) speaking
 // the versioned frame protocol from net/wire.hpp:
 //
-//   root -> worker   HELLO      run manifest (everything the worker needs
-//                               to rebuild its deterministic slice)
-//   worker -> root   ACK        fingerprint echo + assigned edge index
+//   root -> worker   HELLO      run manifest (codec spec, dataset recipe,
+//                               model, the whole FlRunConfig, edge index)
+//   worker -> root   ACK        run_fingerprint of the run the worker
+//                               rebuilt + its edge index
 //   root -> worker   ROUND_OPEN round index, virtual open time, cohort
 //   root -> worker   BROADCAST  the serialized global model (bit-exact)
 //   worker -> root   PARTIAL    one re-encoded partial mean + each client's
@@ -41,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,37 +70,26 @@ struct FederationOptions {
   double heartbeat_timeout_seconds = 60.0;
 };
 
-/// Everything an edge worker needs to rebuild its deterministic slice of
-/// the run: the canonical codec spec (comm keys included), the dataset
-/// recipe, the model/client/network/compute configuration, the topology
-/// knobs that live outside the spec grammar, and this worker's edge
-/// assignment. `fingerprint` is run_fingerprint(config, model) — the ACK
-/// echoes it so a mismatched worker build fails the handshake loudly.
+/// Everything an edge worker needs to rebuild the run: the canonical codec
+/// spec (it builds only the worker's codec), the dataset recipe, the model,
+/// the root's whole run configuration (comm model, links, topology with its
+/// shard seed resolved, population), this worker's tier-1 edge, and its
+/// HEARTBEAT cadence (the root's FederationOptions). Its layout is in
+/// core/fl/layout.hpp. The worker ACKs run_fingerprint of the config and
+/// model it built from this, so a worker that rebuilds a different run
+/// fails the handshake loudly.
 struct RunManifest {
   std::string codec_spec;
   DatasetSpec dataset;
   nn::ModelConfig model;
-  std::size_t clients = 0;
-  int rounds = 0;
-  std::uint64_t seed = 0;
-  ClientConfig client;
-  net::NetworkProfile network;
-  std::optional<net::HeterogeneousNetworkConfig> heterogeneous;
-  double compute_seconds_per_sample = 0.0;
-  double compute_jitter = 0.0;
-  net::NetworkProfile backhaul_network;
-  std::optional<net::HeterogeneousNetworkConfig> backhaul_heterogeneous;
-  /// Resolved shard-shuffle seed (the coordinator's seed derivation
-  /// applied root-side, so both sides build the same tree).
-  std::uint64_t shard_seed = 0;
-  std::uint32_t edge = 0;  // this worker's tier-1 edge index
-  /// Worker HEARTBEAT cadence (from the root's FederationOptions).
+  FlRunConfig config;
+  std::uint32_t edge = 0;
   double heartbeat_interval_seconds = 0.25;
-  std::uint32_t fingerprint = 0;
 };
 
 Bytes serialize_manifest(const RunManifest& manifest);
-/// Throws CorruptStream on truncation or malformed fields.
+/// Throws CorruptStream on truncation, trailing bytes, or an out-of-range
+/// enum, flag or integer.
 RunManifest parse_manifest(ByteSpan bytes);
 
 /// ROUND_OPEN: the round, its virtual open time, and one edge's cohort.
@@ -131,8 +120,9 @@ WirePartial parse_partial(ByteSpan bytes);
 /// (the clients' error-feedback state lives on the workers).
 class FederatedRoot {
  public:
-  /// `spec` is the FULL parsed codec spec (codec + comm keys); `config`
-  /// must already agree with it (apply_comm_spec). With
+  /// `spec` supplies only the workers' codec; `config` carries the comm
+  /// model (apply_comm_spec already applied) and reaches every worker
+  /// whole, in its HELLO manifest. With
   /// config.transport == "tcp:<port>" the constructor binds the listener
   /// immediately so port() is valid before any worker spawns.
   FederatedRoot(const nn::ModelConfig& model_config, DatasetSpec train,

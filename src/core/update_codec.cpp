@@ -57,10 +57,4 @@ UpdateCodecPtr make_fedsz_codec(FedSzConfig config) {
   return std::make_shared<FedSzCodec>(std::move(config));
 }
 
-UpdateCodecPtr make_parallel_fedsz_codec(std::size_t parallelism,
-                                         FedSzConfig config) {
-  config.parallelism = parallelism;
-  return std::make_shared<FedSzCodec>(std::move(config));
-}
-
 }  // namespace fedsz::core

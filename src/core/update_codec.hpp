@@ -78,10 +78,5 @@ class FedSzCodec final : public UpdateCodec {
 
 UpdateCodecPtr make_identity_codec();
 UpdateCodecPtr make_fedsz_codec(FedSzConfig config = {});
-/// FedSZ with the chunk pipeline fanned out over `parallelism` workers
-/// (0 = one per hardware thread). Output is byte-identical to the serial
-/// codec; only wall-clock changes.
-UpdateCodecPtr make_parallel_fedsz_codec(std::size_t parallelism,
-                                         FedSzConfig config = {});
 
 }  // namespace fedsz::core

@@ -163,11 +163,4 @@ HeterogeneousNetwork build_links(
   return HeterogeneousNetwork::homogeneous(fallback, nodes);
 }
 
-double HeterogeneousNetwork::mean_bandwidth_mbps() const {
-  double sum = 0.0;
-  for (const SimulatedNetwork& link : links_)
-    sum += link.profile().bandwidth_mbps;
-  return sum / static_cast<double>(links_.size());
-}
-
 }  // namespace fedsz::net

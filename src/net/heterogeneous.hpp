@@ -66,7 +66,6 @@ class HeterogeneousNetwork {
 
   double min_bandwidth_mbps() const;
   double max_bandwidth_mbps() const;
-  double mean_bandwidth_mbps() const;
 
  private:
   HeterogeneousNetwork() = default;

@@ -49,7 +49,10 @@ inline constexpr std::uint32_t kWireMagic = 0x31575346u;  // "FSW1" LE
 /// deliveries drop the dispatch position; the root matches them to the
 /// cohort it sent by client id. v4: the HELLO manifest drops the edge
 /// count, and a buffered edge's PARTIAL also reports its late clients.
-inline constexpr std::uint8_t kWireVersion = 4;
+/// v5: the HELLO manifest carries the root's whole run config in its
+/// layout (core/fl/layout.hpp) and no fingerprint; the ACK carries the
+/// fingerprint of the run the worker rebuilt.
+inline constexpr std::uint8_t kWireVersion = 5;
 inline constexpr std::size_t kWireHeaderBytes = 16;
 /// Default decoder payload cap. Generous (a paper-scale AlexNet broadcast
 /// is ~200 MB raw) but bounded, so a corrupt or hostile length prefix can

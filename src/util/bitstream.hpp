@@ -33,9 +33,6 @@ class BitWriter {
   /// Append a single bit.
   void write_bit(bool bit) { write(bit ? 1u : 0u, 1); }
 
-  /// Number of bits written so far.
-  std::size_t bit_count() const { return out_.size() * 8 + acc_bits_; }
-
   /// Flush any partial byte and return the buffer. The writer is left empty.
   Bytes finish();
 

@@ -129,6 +129,49 @@ TEST(CheckpointTest, AtomicWriteReadMissing) {
   EXPECT_EQ(serialize_checkpoint(*loaded), serialize_checkpoint(state));
 }
 
+// run_fingerprint hashes every trajectory-determining member and nothing
+// else: a resume may change the campaign length, the pool, the transport
+// and the checkpoint settings, and client.seed never reaches training.
+TEST(CheckpointTest, FingerprintCoversExactlyTheTrajectory) {
+  FlRunConfig base;
+  base.heterogeneous = net::HeterogeneousNetworkConfig{};
+  base.population.preset = "custom";
+  base.population.mix = {{"phone_lte", 1.0}, {"laptop", 2.0}};
+  const nn::ModelConfig model;
+  const std::uint32_t reference = run_fingerprint(base, model);
+  auto fingerprint = [&](auto edit) {
+    FlRunConfig config = base;
+    nn::ModelConfig changed = model;
+    edit(config, changed);
+    return run_fingerprint(config, changed);
+  };
+  using Edit = void (*)(FlRunConfig&, nn::ModelConfig&);
+  const Edit ignored[] = {
+      [](FlRunConfig& c, nn::ModelConfig&) { c.rounds = 99; },
+      [](FlRunConfig& c, nn::ModelConfig&) { c.threads = 1; },
+      [](FlRunConfig& c, nn::ModelConfig&) { c.transport = "tcp:0"; },
+      [](FlRunConfig& c, nn::ModelConfig&) { c.checkpoint_path = "x.ck"; },
+      [](FlRunConfig& c, nn::ModelConfig&) { c.checkpoint_every = 3; },
+      [](FlRunConfig& c, nn::ModelConfig&) { c.resume = true; },
+      [](FlRunConfig& c, nn::ModelConfig&) { c.client.seed = 77; },
+  };
+  for (std::size_t k = 0; k < std::size(ignored); ++k)
+    EXPECT_EQ(fingerprint(ignored[k]), reference) << "ignored edit " << k;
+  const Edit covered[] = {
+      [](FlRunConfig& c, nn::ModelConfig&) { c.topology.shard_seed = 5; },
+      [](FlRunConfig& c, nn::ModelConfig&) {
+        c.failures.straggler_deadline_seconds = 2.0;
+      },
+      [](FlRunConfig& c, nn::ModelConfig&) { c.population.mix[1].weight = 3; },
+      [](FlRunConfig& c, nn::ModelConfig&) {
+        c.heterogeneous->wan_log_sigma = 0.5;
+      },
+      [](FlRunConfig&, nn::ModelConfig& m) { m.num_classes = 100; },
+  };
+  for (std::size_t k = 0; k < std::size(covered); ++k)
+    EXPECT_NE(fingerprint(covered[k]), reference) << "covered edit " << k;
+}
+
 // ---- the resume property, in process ----
 
 FlRunResult run_campaign(int rounds, const std::string& checkpoint_path,

@@ -6,7 +6,8 @@
 // handshake gets its cohort dropped for the round and re-homed after).
 // The manifest, ROUND_OPEN and PARTIAL parsers are fuzzed like wire_test
 // fuzzes frames: truncations and bit flips must surface as CorruptStream,
-// and so must a PARTIAL that does not answer the cohort it was sent.
+// and so must a PARTIAL that does not answer the cohort it was sent. A
+// worker that rebuilds a different run from its HELLO fails the handshake.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "core/codec_spec.hpp"
+#include "core/fl/checkpoint.hpp"
 #include "core/fl/coordinator.hpp"
 #include "core/fl/federation.hpp"
 #include "data/synthetic.hpp"
@@ -148,16 +151,17 @@ TEST(FederationTest, ManifestRoundtrip) {
   for (std::uint32_t e = 0; e < 2; ++e) {
     const RunManifest manifest = root.manifest(e);
     EXPECT_EQ(manifest.edge, e);
-    EXPECT_EQ(manifest.clients, kClients);
+    EXPECT_EQ(manifest.config.clients, kClients);
     EXPECT_EQ(manifest.dataset.take, kTake);
-    EXPECT_NE(manifest.fingerprint, 0u);
     const Bytes blob = serialize_manifest(manifest);
     const RunManifest parsed = parse_manifest({blob.data(), blob.size()});
     EXPECT_EQ(parsed.codec_spec, manifest.codec_spec);
-    EXPECT_EQ(parsed.seed, manifest.seed);
-    EXPECT_EQ(parsed.shard_seed, manifest.shard_seed);
+    EXPECT_EQ(parsed.config.seed, manifest.config.seed);
+    EXPECT_EQ(parsed.config.topology.shard_seed,
+              manifest.config.topology.shard_seed);
     EXPECT_EQ(parsed.edge, manifest.edge);
-    EXPECT_EQ(parsed.fingerprint, manifest.fingerprint);
+    EXPECT_EQ(run_fingerprint(parsed.config, parsed.model),
+              run_fingerprint(manifest.config, manifest.model));
     EXPECT_EQ(serialize_manifest(parsed), blob);
   }
   // Corrupt manifests must throw, never construct a half-parsed run.
@@ -196,13 +200,13 @@ RunManifest sample_manifest() {
   manifest.codec_spec = kSpec;
   manifest.dataset = DatasetSpec{"cifar10", 7, kTake};
   manifest.model = tiny_model();
-  manifest.clients = kClients;
-  manifest.rounds = kRounds;
-  manifest.seed = 42;
-  manifest.heterogeneous = net::HeterogeneousNetworkConfig{};
-  manifest.backhaul_heterogeneous = net::HeterogeneousNetworkConfig{};
+  manifest.config = base_config(parse_codec_spec(kSpec));
+  manifest.config.heterogeneous = net::HeterogeneousNetworkConfig{};
+  manifest.config.topology.backhaul_heterogeneous =
+      net::HeterogeneousNetworkConfig{};
+  manifest.config.population.preset = "custom";
+  manifest.config.population.mix = {{"laptop", 2.0}};
   manifest.edge = 1;
-  manifest.fingerprint = 0x1234ABCDu;
   return manifest;
 }
 
@@ -249,11 +253,27 @@ TEST(FederationTest, PayloadParsersRejectOutOfRangeValues) {
   bad.model.scale = static_cast<nn::ModelScale>(0xFF);
   EXPECT_THROW(parses(bad), CorruptStream);
   bad = sample_manifest();
-  bad.heterogeneous->distribution = static_cast<net::LinkDistribution>(0xFF);
+  bad.config.heterogeneous->distribution =
+      static_cast<net::LinkDistribution>(0xFF);
   EXPECT_THROW(parses(bad), CorruptStream);
   bad = sample_manifest();
-  bad.backhaul_heterogeneous->distribution =
+  bad.config.topology.backhaul_heterogeneous->distribution =
       static_cast<net::LinkDistribution>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  bad = sample_manifest();
+  bad.config.downlink_mode = static_cast<DownlinkMode>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  bad = sample_manifest();
+  bad.config.topology.mode = static_cast<TopologyMode>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  bad = sample_manifest();
+  bad.config.topology.edge_mode = static_cast<EdgeMode>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  bad = sample_manifest();
+  bad.config.topology.sharding = static_cast<ShardStrategy>(0xFF);
+  EXPECT_THROW(parses(bad), CorruptStream);
+  bad = sample_manifest();
+  bad.config.population.availability = static_cast<AvailabilityMode>(0xFF);
   EXPECT_THROW(parses(bad), CorruptStream);
   // A cohort naming a client the run does not have, or one client twice.
   const Bytes open = serialize_round_open({0, 0.0, {0, 3}});
@@ -391,7 +411,7 @@ void ack_then_close(net::StreamPtr stream) {
   const RunManifest manifest =
       parse_manifest({hello->payload.data(), hello->payload.size()});
   ByteWriter ack;
-  ack.put_u32(manifest.fingerprint);
+  ack.put_u32(run_fingerprint(manifest.config, manifest.model));
   ack.put_varint(manifest.edge);
   const Bytes bytes = ack.finish();
   chan.send(net::FrameType::kAck, {bytes.data(), bytes.size()});
@@ -499,25 +519,23 @@ TEST(FederationTest, DeathBeforePeerAckIsChurn) {
   expect_deserter_churn(root.run_with_streams(std::move(streams)));
 }
 
-/// Worker-side stream that rewrites the first delivery of every PARTIAL it
-/// carries to name client 3. FrameChannel::send writes one whole frame per
+/// Stream that passes `rewrite(payload)` on in place of every `type` frame
+/// written through it. FrameChannel::send writes one whole frame per
 /// write_all, so each call decodes to exactly one frame.
-class CohortTamperingStream final : public net::Stream {
+class FrameRewritingStream final : public net::Stream {
  public:
-  explicit CohortTamperingStream(net::StreamPtr inner)
-      : inner_(std::move(inner)) {}
+  FrameRewritingStream(net::StreamPtr inner, net::FrameType type,
+                       std::function<Bytes(ByteSpan)> rewrite)
+      : inner_(std::move(inner)), type_(type), rewrite_(std::move(rewrite)) {}
   void write_all(ByteSpan data) override {
     decoder_.feed(data);
     const std::optional<net::Frame> frame = decoder_.next();
-    if (!frame || frame->type != net::FrameType::kPartial)
-      return inner_->write_all(data);
-    WirePartial partial =
-        parse_partial({frame->payload.data(), frame->payload.size()});
-    partial.deliveries[0].delivery.trace.client = 3;
-    const Bytes body = serialize_partial(partial);
-    const Bytes tampered = net::encode_frame(net::FrameType::kPartial,
-                                             {body.data(), body.size()});
-    inner_->write_all({tampered.data(), tampered.size()});
+    if (!frame || frame->type != type_) return inner_->write_all(data);
+    const Bytes body =
+        rewrite_({frame->payload.data(), frame->payload.size()});
+    const Bytes rewritten =
+        net::encode_frame(type_, {body.data(), body.size()});
+    inner_->write_all({rewritten.data(), rewritten.size()});
   }
   std::size_t read_some(std::uint8_t* out, std::size_t capacity) override {
     return inner_->read_some(out, capacity);
@@ -526,6 +544,8 @@ class CohortTamperingStream final : public net::Stream {
 
  private:
   net::StreamPtr inner_;
+  net::FrameType type_;
+  std::function<Bytes(ByteSpan)> rewrite_;
   net::FrameDecoder decoder_;
 };
 
@@ -542,14 +562,53 @@ TEST(FederationTest, PartialMustAnswerItsCohort) {
 
   auto [root0, worker0] = net::make_loopback_pair();
   auto [root1, worker1] = net::make_loopback_pair();
-  const std::jthread liar = spawn_worker(
-      std::make_shared<CohortTamperingStream>(std::move(worker0)));
+  const std::jthread liar = spawn_worker(std::make_shared<FrameRewritingStream>(
+      std::move(worker0), net::FrameType::kPartial, [](ByteSpan payload) {
+        WirePartial partial = parse_partial(payload);
+        partial.deliveries[0].delivery.trace.client = 3;
+        return serialize_partial(partial);
+      }));
   const std::jthread honest = spawn_worker(std::move(worker1));
 
   std::vector<net::StreamPtr> streams;
   streams.push_back(std::move(root0));
   streams.push_back(std::move(root1));
   EXPECT_THROW(root.run_with_streams(std::move(streams)), CorruptStream);
+}
+
+// Edge 0's HELLO reaches its worker with another compute jitter, so that
+// worker rebuilds a different run and ACKs that run's fingerprint. The root
+// must refuse it in the handshake, before round 0 opens.
+TEST(FederationTest, WorkerThatRebuildsAnotherRunFailsHandshake) {
+  const CodecSpec spec = parse_codec_spec(kSpec);
+  auto [train, test] = data::make_dataset("cifar10", 7);
+  (void)train;
+  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
+                     data::take(test, 256), base_config(spec), spec);
+  ASSERT_EQ(root.edge_count(), 2u);
+
+  auto [root0, worker0] = net::make_loopback_pair();
+  auto [root1, worker1] = net::make_loopback_pair();
+  const std::jthread misled = spawn_worker(std::move(worker0));
+  const std::jthread honest = spawn_worker(std::move(worker1));
+
+  std::vector<net::StreamPtr> streams;
+  streams.push_back(std::make_shared<FrameRewritingStream>(
+      std::move(root0), net::FrameType::kHello, [](ByteSpan payload) {
+        RunManifest manifest = parse_manifest(payload);
+        manifest.config.compute_jitter = 0.5;
+        return serialize_manifest(manifest);
+      }));
+  streams.push_back(std::move(root1));
+  try {
+    root.run_with_streams(std::move(streams));
+    ADD_FAILURE() << "the misled worker passed the handshake";
+  } catch (const net::TransportError& error) {
+    // Not "died during handshake": the worker acked, with another run.
+    EXPECT_NE(std::string(error.what()).find("mismatched fingerprint"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 #ifdef FEDSZ_BIN_DIR
