@@ -55,164 +55,4 @@ void StreamingMean::abort() {
   active_ = false;
 }
 
-void Aggregator::begin_round(const StateDict& global) { mean_.begin(global); }
-
-void Aggregator::accumulate(const StateDict& update, double weight) {
-  mean_.add(update, weight);
-}
-
-void Aggregator::finalize(StateDict& global) {
-  const StateDict mean = mean_.finalize();
-  apply_mean(global, mean);
-}
-
-PartialAggregate Aggregator::finalize_partial() {
-  return mean_.finalize_partial();
-}
-
-void Aggregator::merge_partial(const StateDict& mean, double weight) {
-  mean_.add(mean, weight);
-}
-
-void Aggregator::abort_round() { mean_.abort(); }
-
-void Aggregator::save_state(ByteWriter& out) const { out.put_varint(0); }
-
-void Aggregator::load_state(ByteReader& in) {
-  if (in.get_varint() != 0)
-    throw CorruptStream("Aggregator: unexpected state for a stateless rule");
-}
-
-void Aggregator::aggregate(
-    StateDict& global,
-    const std::vector<std::pair<StateDict, std::size_t>>& updates) {
-  begin_round(global);
-  try {
-    for (const auto& [update, samples] : updates)
-      accumulate(update, static_cast<double>(samples));
-    finalize(global);
-  } catch (...) {
-    mean_ = StreamingMean();  // abandon the round so the next one can begin
-    throw;
-  }
-}
-
-StateDict weighted_mean(
-    const StateDict& reference,
-    const std::vector<std::pair<StateDict, std::size_t>>& updates) {
-  StreamingMean mean;
-  mean.begin(reference);
-  for (const auto& [update, samples] : updates)
-    mean.add(update, static_cast<double>(samples));
-  return mean.finalize();
-}
-
-namespace {
-
-class FedAvg final : public Aggregator {
- public:
-  std::string name() const override { return "fedavg"; }
-
- protected:
-  void apply_mean(StateDict& global, const StateDict& mean) override {
-    global = mean;
-  }
-};
-
-class FedAvgM final : public Aggregator {
- public:
-  explicit FedAvgM(float beta) : beta_(beta) {
-    if (beta < 0.0f || beta >= 1.0f)
-      throw InvalidArgument("FedAvgM: beta must be in [0, 1)");
-  }
-  std::string name() const override { return "fedavgm"; }
-
-  void save_state(ByteWriter& out) const override {
-    out.put_varint(1);
-    out.put_blob(velocity_.serialize());
-  }
-  void load_state(ByteReader& in) override {
-    if (in.get_varint() != 1)
-      throw CorruptStream("FedAvgM: bad checkpoint section count");
-    velocity_ = StateDict::deserialize(in.get_blob_view());
-  }
-
- protected:
-  void apply_mean(StateDict& global, const StateDict& mean) override {
-    if (velocity_.empty()) velocity_ = global.zeros_like();
-    // v <- beta v + (mean - global); global <- global + v
-    for (std::size_t i = 0; i < velocity_.entries().size(); ++i) {
-      Tensor& v = velocity_.entries_mutable()[i].second;
-      const Tensor& m = mean.entries()[i].second;
-      Tensor& g = global.entries_mutable()[i].second;
-      for (std::size_t k = 0; k < v.numel(); ++k) {
-        v[k] = beta_ * v[k] + (m[k] - g[k]);
-        g[k] += v[k];
-      }
-    }
-  }
-
- private:
-  float beta_;
-  StateDict velocity_;
-};
-
-class FedAdam final : public Aggregator {
- public:
-  explicit FedAdam(FedAdamConfig config) : config_(config) {
-    if (!(config.learning_rate > 0.0f))
-      throw InvalidArgument("FedAdam: learning rate must be positive");
-  }
-  std::string name() const override { return "fedadam"; }
-
-  void save_state(ByteWriter& out) const override {
-    out.put_varint(2);
-    out.put_blob(m_.serialize());
-    out.put_blob(v_.serialize());
-  }
-  void load_state(ByteReader& in) override {
-    if (in.get_varint() != 2)
-      throw CorruptStream("FedAdam: bad checkpoint section count");
-    m_ = StateDict::deserialize(in.get_blob_view());
-    v_ = StateDict::deserialize(in.get_blob_view());
-  }
-
- protected:
-  void apply_mean(StateDict& global, const StateDict& mean) override {
-    if (m_.empty()) {
-      m_ = global.zeros_like();
-      v_ = global.zeros_like();
-    }
-    for (std::size_t i = 0; i < m_.entries().size(); ++i) {
-      Tensor& m = m_.entries_mutable()[i].second;
-      Tensor& v = v_.entries_mutable()[i].second;
-      const Tensor& avg = mean.entries()[i].second;
-      Tensor& g = global.entries_mutable()[i].second;
-      for (std::size_t k = 0; k < m.numel(); ++k) {
-        const float delta = avg[k] - g[k];  // round pseudo-gradient
-        m[k] = config_.beta1 * m[k] + (1.0f - config_.beta1) * delta;
-        v[k] = config_.beta2 * v[k] + (1.0f - config_.beta2) * delta * delta;
-        g[k] += config_.learning_rate * m[k] /
-                (std::sqrt(v[k]) + config_.epsilon);
-      }
-    }
-  }
-
- private:
-  FedAdamConfig config_;
-  StateDict m_, v_;
-};
-
-}  // namespace
-
-AggregatorPtr make_fedavg() { return std::make_shared<FedAvg>(); }
-
-AggregatorPtr make_fedavgm(float beta) {
-  return std::make_shared<FedAvgM>(beta);
-}
-
-AggregatorPtr make_fedadam(FedAdamConfig config) {
-  return std::make_shared<FedAdam>(config);
-}
-
 }  // namespace fedsz::core

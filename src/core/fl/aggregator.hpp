@@ -1,24 +1,16 @@
-// Server-side aggregation strategies. The paper evaluates FedAvg (McMahan
-// et al. 2017) through APPFL, whose server supports a family of aggregation
-// rules; this module provides the same pluggability so compression studies
-// can be repeated under momentum/adaptive servers:
+// Server-side aggregation. The paper evaluates FedAvg (McMahan et al. 2017)
+// through APPFL, and FedAvg is the one rule here: the new global model is
+// the sample-weighted mean of the round's client states.
 //
-//   FedAvg   weighted mean of client states (the paper's configuration)
-//   FedAvgM  server momentum over the aggregate pseudo-gradient
-//   FedAdam  Adam-style adaptive server step (Reddi et al. 2021)
-//
-// Every strategy is built on a *streaming* weighted mean: the event-driven
-// coordinator folds each decoded update into the accumulator the moment it
-// arrives (begin_round / accumulate / finalize), so peak decoded-update
-// memory is O(1) in the client count. The classic batch aggregate() — and
-// the weighted_mean() helper — are thin wrappers over the same path.
+// That mean is computed *streaming*: the event-driven coordinator folds
+// each decoded update into a StreamingMean the moment it arrives
+// (begin / add / finalize), so peak decoded-update memory is O(1) in the
+// client count. The root (FlServer) and every interior node of a tree
+// (EdgeAggregator) each hold one; an interior node closes it as a
+// weight-carrying PartialAggregate that its parent folds like any update.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "tensor/state_dict.hpp"
-#include "util/bytebuffer.hpp"
 
 namespace fedsz::core {
 
@@ -74,81 +66,5 @@ class StreamingMean {
   std::size_t count_ = 0;
   bool active_ = false;
 };
-
-class Aggregator {
- public:
-  virtual ~Aggregator() = default;
-  virtual std::string name() const = 0;
-
-  // ---- streaming path (fold updates as they arrive) ----
-  /// Open a round; the accumulator mirrors `global`'s structure.
-  void begin_round(const StateDict& global);
-  /// Fold one client update with aggregation weight `weight`.
-  void accumulate(const StateDict& update, double weight);
-  /// Apply the accumulated mean to `global` via the strategy's rule and
-  /// close the round. Throws InvalidArgument when nothing was accumulated.
-  void finalize(StateDict& global);
-
-  // ---- hierarchical (multi-tier) path ----
-  /// Close the round as an EDGE node: return the weight-carrying partial
-  /// mean instead of applying the strategy rule. The strategy rule only
-  /// ever runs at the root, where the global model lives.
-  PartialAggregate finalize_partial();
-  /// Root side: fold one edge's decoded partial `mean` carrying total
-  /// aggregation weight `weight`. Exact: merging every edge's partial
-  /// reproduces the weighted mean over all underlying client updates.
-  void merge_partial(const StateDict& mean, double weight);
-  /// Abandon the open round (no-op when none is open) — the empty-round
-  /// path under failure injection.
-  void abort_round();
-
-  bool round_open() const { return mean_.active(); }
-
-  // ---- checkpoint path ----
-  /// Serialize the strategy's mutable cross-round state (server momentum,
-  /// Adam moments). FedAvg carries none and writes an empty section; the
-  /// construction-time config (betas, learning rate) is NOT saved — the
-  /// resuming run rebuilds the aggregator from its own config and restores
-  /// only what training mutated. Must not be called mid-round.
-  virtual void save_state(ByteWriter& out) const;
-  /// Inverse of save_state. Throws CorruptStream on a malformed section.
-  virtual void load_state(ByteReader& in);
-
-  // ---- batch path: a thin wrapper over the streaming path ----
-  /// Fold one round of client updates (state, sample count) into `global`.
-  void aggregate(StateDict& global,
-                 const std::vector<std::pair<StateDict, std::size_t>>& updates);
-
- protected:
-  /// Strategy-specific rule folding the round's weighted mean into `global`.
-  virtual void apply_mean(StateDict& global, const StateDict& mean) = 0;
-
- private:
-  StreamingMean mean_;
-};
-
-using AggregatorPtr = std::shared_ptr<Aggregator>;
-
-/// Sample-count-weighted mean over full client states.
-AggregatorPtr make_fedavg();
-
-/// FedAvg with server momentum: v <- beta v + (avg - global); global += v.
-AggregatorPtr make_fedavgm(float beta = 0.9f);
-
-struct FedAdamConfig {
-  float learning_rate = 0.3f;  // server step size on the pseudo-gradient
-  float beta1 = 0.9f;
-  float beta2 = 0.99f;
-  float epsilon = 1e-3f;       // adaptivity floor (tau in Reddi et al.)
-};
-
-/// Adaptive server optimizer over the round's pseudo-gradient.
-AggregatorPtr make_fedadam(FedAdamConfig config = {});
-
-/// Helper shared by all strategies: the weighted mean of updates, with the
-/// structure of `reference`. Thin wrapper over StreamingMean.
-StateDict weighted_mean(
-    const StateDict& reference,
-    const std::vector<std::pair<StateDict, std::size_t>>& updates);
 
 }  // namespace fedsz::core

@@ -1,5 +1,7 @@
 #include "core/fl/checkpoint.hpp"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -74,11 +76,15 @@ void write_checkpoint(const std::string& path, const CheckpointState& state) {
     throw InvalidArgument("checkpoint: cannot open '" + tmp +
                           "': " + std::strerror(errno));
   const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool flushed = std::fflush(file) == 0;
-  std::fclose(file);
-  if (written != bytes.size() || !flushed) {
+  // The bytes must be on disk before the rename publishes them, or a crash
+  // could leave `path` naming a file whose data never landed.
+  const bool synced = std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+  const bool closed = std::fclose(file) == 0;
+  if (written != bytes.size() || !synced || !closed) {
+    const int error = errno;
     std::remove(tmp.c_str());
-    throw InvalidArgument("checkpoint: short write to '" + tmp + "'");
+    throw InvalidArgument("checkpoint: cannot write '" + tmp +
+                          "': " + std::strerror(error));
   }
   // rename(2) is atomic within a filesystem: observers see the old file or
   // the new one, never a torn mix — the kill-anywhere guarantee.
@@ -91,7 +97,15 @@ void write_checkpoint(const std::string& path, const CheckpointState& state) {
 
 std::optional<CheckpointState> read_checkpoint(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (!file) return std::nullopt;
+  if (!file) {
+    // Only a missing file means "no checkpoint yet"; anything else (a
+    // permission error, a path through a regular file) must not silently
+    // restart the campaign from round 0.
+    const int error = errno;
+    if (error == ENOENT) return std::nullopt;
+    throw InvalidArgument("checkpoint: cannot open '" + path +
+                          "': " + std::strerror(error));
+  }
   Bytes bytes;
   std::uint8_t buffer[1 << 16];
   std::size_t got = 0;

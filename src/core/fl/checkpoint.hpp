@@ -1,13 +1,12 @@
 // Checkpoint/resume serialization for the federation coordinator. A
 // checkpoint captures everything that evolves across rounds — the global
-// model, the aggregation strategy's cross-round state (server momentum /
-// Adam moments), per-client error-feedback residuals, kDelta downlink
-// sessions, edge-side EF residuals, both coordinator RNG streams
-// mid-sequence, and the virtual clock — so a run restored from it finishes
-// BIT-IDENTICAL to one that never stopped (the resume property test pins
-// this round for round). Clients themselves are stateless across rounds
-// (each round rebuilds its loader from a fixed seed), which is what keeps
-// this set sufficient.
+// model (FedAvg keeps no other server state), per-client error-feedback
+// residuals, kDelta downlink sessions, edge-side EF residuals, the
+// coordinator RNG streams mid-sequence, and the virtual clock — so a run
+// restored from it finishes BIT-IDENTICAL to one that never stopped (the
+// resume property test pins this round for round). Clients themselves are
+// stateless across rounds (each round rebuilds its loader from a fixed
+// seed), which is what keeps this set sufficient.
 //
 // On-disk container: magic/version header, CRC-32-guarded body, written
 // via a temp file + rename so a kill at any instant leaves either the
@@ -31,8 +30,10 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x314B4346u;  // "FCK1" LE
 /// v2 added the population-eligibility RNG stream after failure_rng; v3
 /// changed the config fingerprint (dirichlet_alpha in, topology fanout out).
 /// v4: the body is CheckpointState's layout (core/fl/layout.hpp), and the
-/// fingerprint is the CRC of the run configuration's layout.
-inline constexpr std::uint8_t kCheckpointVersion = 4;
+/// fingerprint is the CRC of the run configuration's layout. v5 dropped the
+/// aggregation-strategy name and state after global_state: FedAvg is the
+/// only rule, and it carries nothing across rounds.
+inline constexpr std::uint8_t kCheckpointVersion = 5;
 
 struct CheckpointState {
   /// Rounds fully aggregated when the checkpoint was taken; the resumed
@@ -47,9 +48,6 @@ struct CheckpointState {
   /// continuing a subtly different experiment.
   std::uint32_t config_fingerprint = 0;
   StateDict global_state;
-  /// Strategy guard + its serialized mutable state (Aggregator::save_state).
-  std::string aggregator_name;
-  Bytes aggregator_state;
   /// Coordinator RNG streams, mid-sequence.
   Rng::State cohort_rng;
   Rng::State failure_rng;
@@ -75,8 +73,9 @@ CheckpointState parse_checkpoint(ByteSpan bytes);
 void write_checkpoint(const std::string& path, const CheckpointState& state);
 
 /// Load the checkpoint at `path`; nullopt when the file does not exist
-/// (a resume before the first checkpoint starts fresh). Corrupt contents
-/// throw CorruptStream.
+/// (a resume before the first checkpoint starts fresh). Any other failure
+/// to open or read it throws InvalidArgument; corrupt contents throw
+/// CorruptStream.
 std::optional<CheckpointState> read_checkpoint(const std::string& path);
 
 /// CRC over the layout (core/fl/layout.hpp) of `model` and of every

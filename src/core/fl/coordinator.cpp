@@ -639,18 +639,11 @@ class RoundEngine {
       throw InvalidArgument("FlCoordinator: checkpoint at '" +
                             config_.checkpoint_path +
                             "' was written by a differently-configured run");
-    if (ck.aggregator_name != server_.aggregator().name())
-      throw InvalidArgument("FlCoordinator: checkpoint aggregator '" +
-                            ck.aggregator_name + "' does not match '" +
-                            server_.aggregator().name() + "'");
     std::vector<ErrorFeedbackAccumulator>& feedback = local_->feedback_;
     if (ck.client_residuals.size() != feedback.size())
       throw CorruptStream(
           "checkpoint: client residual count does not match the run");
     server_.restore_global_state(std::move(ck.global_state));
-    ByteReader aggregator_in(
-        {ck.aggregator_state.data(), ck.aggregator_state.size()});
-    server_.aggregator().load_state(aggregator_in);
     streams_.cohort.restore(ck.cohort_rng);
     failure_rng_.restore(ck.failure_rng);
     streams_.eligibility.restore(ck.eligibility_rng);
@@ -688,10 +681,6 @@ class RoundEngine {
     state.clock_next_seq = queue_.next_seq();
     state.config_fingerprint = run_fingerprint(config_, local_->model_config_);
     state.global_state = server_.global_state();
-    state.aggregator_name = server_.aggregator().name();
-    ByteWriter aggregator_out;
-    server_.aggregator().save_state(aggregator_out);
-    state.aggregator_state = aggregator_out.finish();
     state.cohort_rng = streams_.cohort.state();
     state.failure_rng = failure_rng_.state();
     state.eligibility_rng = streams_.eligibility.state();
@@ -1196,7 +1185,7 @@ class RoundEngine {
     if (tree_) {
       tree_->node(0, owner_round_[i]).fold(update, weight);
     } else {
-      server_.accumulate(update, weight);
+      server_.fold(update, weight);
       record_.aggregate_weight += weight;
     }
     ClientTraceEntry& trace = delivery.trace;
@@ -1356,7 +1345,7 @@ class RoundEngine {
     StateDict mean = tree_->decode_partial(
         l, {partial.payload.data(), partial.payload.size()}, &decode_stats);
     if (at_root)
-      server_.merge_partial(mean, partial.weight);
+      server_.fold(mean, partial.weight);
     else
       tree_->node(l + 1, parent).fold(mean, partial.weight, partial.clients);
     mean = StateDict();  // merged; free it before anything else arrives

@@ -207,13 +207,11 @@ void visit(S& s, F& f) {
 template <Either<CheckpointState> S, class F>
 void visit(S& s, F& f) {
   auto& [completed_rounds, virtual_now, clock_next_seq, config_fingerprint,
-         global_state, aggregator_name, aggregator_state, cohort_rng,
-         failure_rng, eligibility_rng, client_residuals, downlink_sessions,
-         edge_residuals] = s;
+         global_state, cohort_rng, failure_rng, eligibility_rng,
+         client_residuals, downlink_sessions, edge_residuals] = s;
   each(f, completed_rounds, virtual_now, clock_next_seq, config_fingerprint,
-       global_state, aggregator_name, aggregator_state, cohort_rng,
-       failure_rng, eligibility_rng, client_residuals, downlink_sessions,
-       edge_residuals);
+       global_state, cohort_rng, failure_rng, eligibility_rng,
+       client_residuals, downlink_sessions, edge_residuals);
 }
 
 // ---- field codecs ----

@@ -119,18 +119,6 @@ const DeviceClass* find_device_class(const std::string& name) {
   return nullptr;
 }
 
-std::string availability_mode_name(AvailabilityMode mode) {
-  switch (mode) {
-    case AvailabilityMode::kDiurnal:
-      return "diurnal";
-    case AvailabilityMode::kFlat:
-      return "flat";
-    case AvailabilityMode::kAlways:
-      return "always";
-  }
-  throw InvalidArgument("availability_mode_name: unknown mode");
-}
-
 void PopulationConfig::validate() const {
   if (preset.empty()) {
     if (!mix.empty())

@@ -71,8 +71,6 @@ enum class AvailabilityMode : std::uint8_t {
   kAlways = 2,   ///< everyone eligible every round (draws still consumed)
 };
 
-std::string availability_mode_name(AvailabilityMode mode);
-
 struct DeviceClassShare {
   std::string name;
   double weight = 1.0;

@@ -9,40 +9,31 @@ namespace fedsz::core {
 
 FlServer::FlServer(const nn::ModelConfig& model_config)
     : model_(nn::build_model(model_config).model),
-      global_state_(model_.state_dict()),
-      aggregator_(make_fedavg()) {}
-
-void FlServer::set_aggregator(AggregatorPtr aggregator) {
-  if (!aggregator) throw InvalidArgument("FlServer: null aggregator");
-  aggregator_ = std::move(aggregator);
-}
+      global_state_(model_.state_dict()) {}
 
 void FlServer::restore_global_state(StateDict state) {
-  if (aggregator_->round_open())
+  if (mean_.active())
     throw InvalidArgument("FlServer: restore_global_state mid-round");
   model_.load_state_dict(state);  // validates structure before we commit
   global_state_ = std::move(state);
 }
 
-void FlServer::begin_round() { aggregator_->begin_round(global_state_); }
-
-void FlServer::accumulate(const StateDict& update, double weight) {
-  aggregator_->accumulate(update, weight);
-}
-
-void FlServer::merge_partial(const StateDict& mean, double weight) {
-  aggregator_->merge_partial(mean, weight);
-}
-
 void FlServer::finalize_round() {
-  aggregator_->finalize(global_state_);
+  global_state_ = mean_.finalize();
   model_.load_state_dict(global_state_);
 }
 
 void FlServer::aggregate(
     const std::vector<std::pair<StateDict, std::size_t>>& updates) {
-  aggregator_->aggregate(global_state_, updates);
-  model_.load_state_dict(global_state_);
+  begin_round();
+  try {
+    for (const auto& [update, samples] : updates)
+      fold(update, static_cast<double>(samples));
+    finalize_round();
+  } catch (...) {
+    abort_round();
+    throw;
+  }
 }
 
 double FlServer::evaluate(const data::Dataset& test_set, std::size_t limit,

@@ -1,10 +1,13 @@
-// FL server: holds the global model, performs aggregation through a
-// pluggable Aggregator (default: FedAvg, McMahan et al. 2017) and evaluates
-// global accuracy on held-out data. The event-driven coordinator uses the
-// streaming begin_round / accumulate / finalize_round path so each decoded
-// update is folded on arrival and freed immediately; the batch aggregate()
-// remains for synchronous callers.
+// FL server: holds the global model, aggregates with FedAvg (McMahan et
+// al. 2017) through its StreamingMean and evaluates global accuracy on
+// held-out data. The event-driven coordinator uses the streaming
+// begin_round / fold / finalize_round path so each decoded update is
+// folded on arrival and freed immediately; the batch aggregate() runs the
+// same path over a vector of updates.
 #pragma once
+
+#include <utility>
+#include <vector>
 
 #include "core/fl/aggregator.hpp"
 #include "data/dataset.hpp"
@@ -18,35 +21,28 @@ class FlServer {
 
   const StateDict& global_state() const { return global_state_; }
 
-  /// Replace the aggregation rule (default: FedAvg, the paper's setting).
-  void set_aggregator(AggregatorPtr aggregator);
-
-  /// The active aggregation rule (checkpoint save/load goes through it).
-  Aggregator& aggregator() { return *aggregator_; }
-  const Aggregator& aggregator() const { return *aggregator_; }
-
   /// Overwrite the global model from a checkpoint. The restored state must
   /// match the configured model's structure (load_state_dict validates);
   /// only legal between rounds.
   void restore_global_state(StateDict state);
 
   // ---- streaming round (updates folded as they arrive) ----
-  void begin_round();
-  /// Fold one decoded update with aggregation weight `weight` (sample
-  /// count, optionally staleness-scaled). The update is not retained.
-  void accumulate(const StateDict& update, double weight);
-  /// Hierarchical root path: fold one edge's decoded partial mean carrying
-  /// total aggregation weight `weight` (Aggregator::merge_partial).
-  void merge_partial(const StateDict& mean, double weight);
-  /// Apply the accumulated mean to the global model and close the round.
+  void begin_round() { mean_.begin(global_state_); }
+  /// Fold one decoded payload with aggregation weight `weight`: a client
+  /// update (sample count, optionally staleness-scaled), or on a tree an
+  /// edge's partial mean carrying its total weight. It is not retained.
+  void fold(const StateDict& update, double weight) {
+    mean_.add(update, weight);
+  }
+  /// Make the folded mean the global model and close the round.
   void finalize_round();
   /// Abandon the open round, leaving the global model untouched — how the
   /// coordinator closes a round that lost every participant to churn.
-  void abort_round() { aggregator_->abort_round(); }
-  bool round_open() const { return aggregator_->round_open(); }
+  void abort_round() { mean_.abort(); }
 
-  /// Fold a round of updates into the global state via the configured
-  /// aggregation rule. Updates must share the global state's structure.
+  /// Fold a round of (state, sample count) updates into the global state
+  /// through the streaming path. Updates must share the global state's
+  /// structure. A round that throws is abandoned, so the next can begin.
   void aggregate(const std::vector<std::pair<StateDict, std::size_t>>& updates);
 
   /// Top-1 accuracy of the global model on (up to `limit` samples of) a
@@ -57,7 +53,7 @@ class FlServer {
  private:
   nn::Model model_;
   StateDict global_state_;
-  AggregatorPtr aggregator_;
+  StreamingMean mean_;
 };
 
 }  // namespace fedsz::core

@@ -18,16 +18,6 @@ constexpr std::uint64_t kDefaultShardSeed = 0x5AFEC0DEull;
 
 }  // namespace
 
-std::string topology_mode_name(TopologyMode mode) {
-  switch (mode) {
-    case TopologyMode::kFlat:
-      return "flat";
-    case TopologyMode::kHier:
-      return "hier";
-  }
-  throw InvalidArgument("topology_mode_name: unknown mode");
-}
-
 std::string edge_mode_name(EdgeMode mode) {
   switch (mode) {
     case EdgeMode::kSync:
@@ -153,8 +143,7 @@ EdgeAggregator::EdgeAggregator(std::size_t id, std::size_t tier,
     : id_(id),
       tier_(tier),
       members_(std::move(members)),
-      codec_(std::move(codec)),
-      aggregator_(make_fedavg()) {
+      codec_(std::move(codec)) {
   if (tier_ == 0) throw InvalidArgument("EdgeAggregator: tiers are 1-based");
   if (members_.empty())
     throw InvalidArgument("EdgeAggregator: empty member set");
@@ -164,23 +153,23 @@ EdgeAggregator::EdgeAggregator(std::size_t id, std::size_t tier,
 }
 
 void EdgeAggregator::begin_round(const StateDict& reference) {
-  aggregator_->begin_round(reference);
+  mean_.begin(reference);
   leaves_ = 0;
 }
 
 void EdgeAggregator::fold(const StateDict& update, double weight,
                           std::size_t leaves) {
-  aggregator_->accumulate(update, weight);
+  mean_.add(update, weight);
   leaves_ += leaves;
 }
 
 void EdgeAggregator::abort_round() {
-  aggregator_->abort_round();
+  mean_.abort();
   leaves_ = 0;
 }
 
 EncodedPartial EdgeAggregator::finalize_and_encode(int round) {
-  PartialAggregate partial = aggregator_->finalize_partial();
+  PartialAggregate partial = mean_.finalize_partial();
   EncodeContext ctx;
   ctx.round = round;
   ctx.client_id = -1 - static_cast<int>(id_);

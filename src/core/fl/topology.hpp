@@ -5,15 +5,15 @@
 // level bottom-up — tiers = {32, 16} shards clients into cohorts of 32
 // under tier-1 edges, groups those edges 16 apiece under tier-2 nodes, and
 // the root merges whatever the top tier ships. Every interior node
-// stream-folds its children's decoded payloads through the same Aggregator
-// begin_round/accumulate path as the root (so peak decoded-update memory
-// per NODE stays O(1)), finalizes a weight-carrying partial mean
-// (PartialAggregate), re-encodes it through its TIER's backhaul codec, and
-// ships it over its own link on the virtual clock. Parents merge partials
-// (merge_partial) instead of raw updates, so each link tier carries
-// O(nodes-below-it / fan-in) traffic — the paper's Eqn (1) cost model
-// telescoping per aggregation tier, with error-bounded lossy compression
-// paying once per lossy backhaul.
+// stream-folds its children's decoded payloads into a StreamingMean, as the
+// root does (so peak decoded-update memory per NODE stays O(1)), finalizes
+// a weight-carrying partial mean (PartialAggregate), re-encodes it through
+// its TIER's backhaul codec, and ships it over its own link on the virtual
+// clock. Parents fold partials, each with its carried weight, instead of
+// raw updates, so each link tier carries O(nodes-below-it / fan-in)
+// traffic — the paper's Eqn (1) cost model telescoping per aggregation
+// tier, with error-bounded lossy compression paying once per lossy
+// backhaul.
 //
 // Regression contract: kHier with identity backhauls and tiers == {clients}
 // (one edge folding everyone) reproduces the flat SyncScheduler
@@ -36,8 +36,6 @@
 namespace fedsz::core {
 
 enum class TopologyMode : std::uint8_t { kFlat = 0, kHier = 1 };
-
-std::string topology_mode_name(TopologyMode mode);
 
 /// How an interior node decides when to ship its partial upstream.
 enum class EdgeMode : std::uint8_t {
@@ -185,8 +183,8 @@ class EdgeAggregator {
   std::size_t tier_;
   std::vector<std::size_t> members_;
   UpdateCodecPtr codec_;
-  AggregatorPtr aggregator_;  // streaming mean; the strategy rule never runs
-  std::size_t leaves_ = 0;    // leaf updates folded this round
+  StreamingMean mean_;
+  std::size_t leaves_ = 0;  // leaf updates folded this round
   bool ef_on_ = false;
   ErrorFeedbackAccumulator feedback_;
 };

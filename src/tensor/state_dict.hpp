@@ -65,7 +65,7 @@ class StateDict {
   /// Entries of `other` absent from this dict throw InvalidArgument.
   void add_scaled_matched(const StateDict& other, float scale);
   /// this[k] += c * (other[k] - this[k]) per entry — the West online-mean
-  /// fold behind StreamingMean/merge_partial. Entries are matched by name
+  /// fold behind StreamingMean::add. Entries are matched by name
   /// with the same positional fast path as add_scaled_matched; `other` may
   /// carry extra entries (ignored), missing or misshapen ones throw.
   void fold_scaled(const StateDict& other, float c);

@@ -58,8 +58,8 @@ class Tensor {
   Tensor& operator*=(float scalar);
   void add_scaled(const Tensor& other, float scale);  // this += scale * other
   /// this[k] += c * (other[k] - this[k]) — the West online-mean fold, as one
-  /// contiguous kernel over the raw storage (autovectorizable; shared by
-  /// StreamingMean::add, merge_partial and the aggregation fast paths).
+  /// contiguous kernel over the raw storage (autovectorizable; the inner
+  /// loop of StreamingMean::add).
   void fold_scaled(const Tensor& other, float c);
 
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }

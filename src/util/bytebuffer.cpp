@@ -51,7 +51,9 @@ void ByteWriter::put_string(const std::string& s) {
 }
 
 void ByteReader::require(std::size_t count) const {
-  if (pos_ + count > data_.size())
+  // Subtract, never add: pos_ <= size() always holds, while pos_ + count
+  // wraps for a stream-borne count near 2^64.
+  if (count > data_.size() - pos_)
     throw CorruptStream("ByteReader: truncated stream");
 }
 

@@ -1,8 +1,6 @@
-// Tests for the server aggregation strategies (FedAvg / FedAvgM / FedAdam)
-// and the Laplace-mechanism noise codec.
+// Tests for the streaming FedAvg mean (StreamingMean) and the
+// Laplace-mechanism noise codec.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "core/dp_analysis.hpp"
 #include "core/dp_noise.hpp"
@@ -18,76 +16,24 @@ StateDict scalar_dict(float value) {
 }
 
 TEST(WeightedMean, ComputesSampleWeightedAverage) {
-  const StateDict reference = scalar_dict(0.0f);
-  const StateDict mean = weighted_mean(
-      reference, {{scalar_dict(1.0f), 10}, {scalar_dict(4.0f), 30}});
-  EXPECT_FLOAT_EQ(mean.get("w")[0], 0.25f * 1.0f + 0.75f * 4.0f);
+  StreamingMean mean;
+  mean.begin(scalar_dict(0.0f));
+  mean.add(scalar_dict(1.0f), 10.0);
+  mean.add(scalar_dict(4.0f), 30.0);
+  EXPECT_FLOAT_EQ(mean.finalize().get("w")[0], 0.25f * 1.0f + 0.75f * 4.0f);
 }
 
 TEST(WeightedMean, RejectsDegenerateInputs) {
-  const StateDict reference = scalar_dict(0.0f);
-  EXPECT_THROW(weighted_mean(reference, {}), InvalidArgument);
-  EXPECT_THROW(weighted_mean(reference, {{scalar_dict(1.0f), 0}}),
-               InvalidArgument);
+  StreamingMean empty;
+  empty.begin(scalar_dict(0.0f));
+  EXPECT_THROW(empty.finalize(), InvalidArgument);
+  StreamingMean weightless;
+  weightless.begin(scalar_dict(0.0f));
+  weightless.add(scalar_dict(1.0f), 0.0);
+  EXPECT_THROW(weightless.finalize(), InvalidArgument);
 }
 
-TEST(FedAvgAggregator, MatchesWeightedMean) {
-  auto aggregator = make_fedavg();
-  EXPECT_EQ(aggregator->name(), "fedavg");
-  StateDict global = scalar_dict(0.0f);
-  aggregator->aggregate(global, {{scalar_dict(2.0f), 1},
-                                 {scalar_dict(4.0f), 1}});
-  EXPECT_FLOAT_EQ(global.get("w")[0], 3.0f);
-}
-
-TEST(FedAvgMAggregator, FirstRoundEqualsFedAvg) {
-  auto aggregator = make_fedavgm(0.9f);
-  StateDict global = scalar_dict(0.0f);
-  aggregator->aggregate(global, {{scalar_dict(1.0f), 1}});
-  EXPECT_FLOAT_EQ(global.get("w")[0], 1.0f);  // v = 1-0, g = 0+1
-}
-
-TEST(FedAvgMAggregator, MomentumCarriesAcrossRounds) {
-  auto aggregator = make_fedavgm(0.5f);
-  StateDict global = scalar_dict(0.0f);
-  aggregator->aggregate(global, {{scalar_dict(1.0f), 1}});  // g=1, v=1
-  // Clients report the same state as the server: plain FedAvg would stop,
-  // momentum overshoots.
-  aggregator->aggregate(global, {{scalar_dict(1.0f), 1}});
-  // v = 0.5*1 + (1-1) = 0.5; g = 1.5
-  EXPECT_FLOAT_EQ(global.get("w")[0], 1.5f);
-}
-
-TEST(FedAvgMAggregator, InvalidBetaThrows) {
-  EXPECT_THROW(make_fedavgm(1.0f), InvalidArgument);
-  EXPECT_THROW(make_fedavgm(-0.1f), InvalidArgument);
-}
-
-TEST(FedAdamAggregator, ConvergesTowardUpdates) {
-  // Clients keep reporting 1.0; the adaptive server step overshoots then
-  // settles (Adam's momentum), so assert convergence, not monotonicity.
-  auto aggregator = make_fedadam({0.3f, 0.9f, 0.99f, 1e-3f});
-  EXPECT_EQ(aggregator->name(), "fedadam");
-  StateDict global = scalar_dict(0.0f);
-  double after_first = 0.0;
-  for (int round = 0; round < 60; ++round) {
-    aggregator->aggregate(global, {{scalar_dict(1.0f), 1}});
-    if (round == 0) after_first = global.get("w")[0];
-  }
-  const double final_value = global.get("w")[0];
-  EXPECT_LT(std::fabs(final_value - 1.0), std::fabs(after_first - 1.0));
-  EXPECT_NEAR(final_value, 1.0, 0.3);
-}
-
-TEST(FedAdamAggregator, InvalidLearningRateThrows) {
-  EXPECT_THROW(make_fedadam({0.0f, 0.9f, 0.99f, 1e-3f}), InvalidArgument);
-}
-
-// ---- streaming vs. batch equivalence ----
-// The event-driven coordinator folds updates through begin_round /
-// accumulate / finalize as they arrive; these tests pin that the streaming
-// path matches batch aggregate() on the same updates for every strategy,
-// including the stateful ones, across multiple rounds.
+// ---- streaming fold properties ----
 
 StateDict varied_dict(float base) {
   StateDict dict;
@@ -100,60 +46,6 @@ StateDict varied_dict(float base) {
     b[i] = -base + 0.05f * static_cast<float>(i);
   dict.set("layer.bias", b);
   return dict;
-}
-
-void expect_dicts_near(const StateDict& a, const StateDict& b,
-                       float tolerance) {
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [name, tensor] : a) {
-    const Tensor& other = b.get(name);
-    ASSERT_EQ(tensor.numel(), other.numel());
-    for (std::size_t k = 0; k < tensor.numel(); ++k)
-      EXPECT_NEAR(tensor[k], other[k], tolerance) << name << "[" << k << "]";
-  }
-}
-
-void expect_streaming_matches_batch(const AggregatorPtr& streaming,
-                                    const AggregatorPtr& batch) {
-  StateDict global_streaming = varied_dict(0.0f);
-  StateDict global_batch = varied_dict(0.0f);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::pair<StateDict, std::size_t>> updates;
-    for (int u = 0; u < 4; ++u)
-      updates.emplace_back(
-          varied_dict(0.5f * static_cast<float>(round + 1) +
-                      0.25f * static_cast<float>(u)),
-          static_cast<std::size_t>(3 * u + 1));  // uneven weights
-
-    streaming->begin_round(global_streaming);
-    for (const auto& [update, samples] : updates)
-      streaming->accumulate(update, static_cast<double>(samples));
-    streaming->finalize(global_streaming);
-
-    batch->aggregate(global_batch, updates);
-    expect_dicts_near(global_streaming, global_batch, 1e-5f);
-  }
-}
-
-TEST(StreamingAggregation, FedAvgMatchesBatch) {
-  expect_streaming_matches_batch(make_fedavg(), make_fedavg());
-}
-
-TEST(StreamingAggregation, FedAvgMMatchesBatch) {
-  expect_streaming_matches_batch(make_fedavgm(0.7f), make_fedavgm(0.7f));
-}
-
-TEST(StreamingAggregation, FedAdamMatchesBatch) {
-  expect_streaming_matches_batch(make_fedadam({0.3f, 0.9f, 0.99f, 1e-3f}),
-                                 make_fedadam({0.3f, 0.9f, 0.99f, 1e-3f}));
-}
-
-TEST(StreamingAggregation, BatchEqualsWeightedMeanForFedAvg) {
-  std::vector<std::pair<StateDict, std::size_t>> updates{
-      {varied_dict(1.0f), 10}, {varied_dict(2.5f), 30}};
-  StateDict global = varied_dict(0.0f);
-  make_fedavg()->aggregate(global, updates);
-  expect_dicts_near(global, weighted_mean(varied_dict(0.0f), updates), 0.0f);
 }
 
 TEST(StreamingAggregation, MeanOfIdenticalUpdatesIsBitExact) {
@@ -236,17 +128,6 @@ TEST(StreamingAggregation, ApiMisuseThrows) {
   // Zero accumulated weight is degenerate, as in the batch path.
   mean.add(scalar_dict(1.0f), 0.0);
   EXPECT_THROW(mean.finalize(), InvalidArgument);
-
-  auto aggregator = make_fedavg();
-  StateDict global = scalar_dict(0.0f);
-  EXPECT_THROW(aggregator->finalize(global), InvalidArgument);
-  EXPECT_THROW(aggregator->accumulate(scalar_dict(1.0f), 1.0),
-               InvalidArgument);
-  // A failed batch round must not leave the aggregator stuck open.
-  EXPECT_THROW(aggregator->aggregate(global, {}), InvalidArgument);
-  EXPECT_FALSE(aggregator->round_open());
-  aggregator->aggregate(global, {{scalar_dict(2.0f), 1}});
-  EXPECT_FLOAT_EQ(global.get("w")[0], 2.0f);
 }
 
 TEST(LaplaceNoise, PerturbsOnlyLossyEligibleTensors) {

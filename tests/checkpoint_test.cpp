@@ -12,6 +12,8 @@
 
 #include <fcntl.h>
 
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -46,8 +48,6 @@ CheckpointState sample_state() {
   state.config_fingerprint = 0xDEADBEEFu;
   state.global_state.set("conv.weight", Tensor::from_data({2, 2}, {1, 2, 3, 4}));
   state.global_state.set("conv.bias", Tensor::from_data({2}, {0.5f, -0.25f}));
-  state.aggregator_name = "fedavg";
-  state.aggregator_state = {0x01, 0x02, 0xFE};
   Rng cohort(7), failure(13), eligibility(21);
   cohort.next_u64();
   cohort.normal();  // populate the Box-Muller cache
@@ -62,6 +62,7 @@ CheckpointState sample_state() {
   StateDict residual;
   residual.set("conv.weight", Tensor::from_data({2, 2}, {0.1f, 0, -0.1f, 0}));
   state.client_residuals = {residual, StateDict{}};
+  state.downlink_sessions = {StateDict{}, state.global_state};
   state.edge_residuals = {StateDict{}, residual};
   return state;
 }
@@ -74,11 +75,11 @@ TEST(CheckpointTest, SerializeParseRoundtrip) {
   EXPECT_EQ(parsed.virtual_now, state.virtual_now);
   EXPECT_EQ(parsed.clock_next_seq, state.clock_next_seq);
   EXPECT_EQ(parsed.config_fingerprint, state.config_fingerprint);
-  EXPECT_EQ(parsed.aggregator_name, state.aggregator_name);
-  EXPECT_EQ(parsed.aggregator_state, state.aggregator_state);
   EXPECT_TRUE(parsed.global_state.equals(state.global_state));
   ASSERT_EQ(parsed.client_residuals.size(), 2u);
   EXPECT_TRUE(parsed.client_residuals[0].equals(state.client_residuals[0]));
+  ASSERT_EQ(parsed.downlink_sessions.size(), 2u);
+  EXPECT_TRUE(parsed.downlink_sessions[1].equals(state.global_state));
   ASSERT_EQ(parsed.edge_residuals.size(), 2u);
   // RNG streams resume mid-sequence: the restored generators must produce
   // the exact draws the originals would have.
@@ -117,6 +118,22 @@ TEST(CheckpointTest, CorruptAndTruncatedRejected) {
   }
 }
 
+TEST(CheckpointTest, OlderVersionRefusedByName) {
+  // The version byte follows the 4-byte magic. The CRC covers only the
+  // body, so a re-stamped header reaches the version check intact.
+  Bytes blob = serialize_checkpoint(sample_state());
+  blob[4] = static_cast<std::uint8_t>(kCheckpointVersion - 1);
+  const std::string expected =
+      "version " + std::to_string(kCheckpointVersion - 1);
+  try {
+    parse_checkpoint({blob.data(), blob.size()});
+    FAIL() << "a v" << kCheckpointVersion - 1 << " checkpoint was accepted";
+  } catch (const CorruptStream& error) {
+    EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(CheckpointTest, AtomicWriteReadMissing) {
   TempFile file("atomic.ck");
   EXPECT_FALSE(read_checkpoint(file.path.string()).has_value());
@@ -127,6 +144,22 @@ TEST(CheckpointTest, AtomicWriteReadMissing) {
   const auto loaded = read_checkpoint(file.path.string());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(serialize_checkpoint(*loaded), serialize_checkpoint(state));
+}
+
+TEST(CheckpointTest, UnopenablePathIsNotAMissingCheckpoint) {
+  // Only ENOENT means "no checkpoint yet". A path through a regular file
+  // (ENOTDIR) must throw, not let --resume restart from round 0.
+  TempFile file("not_a_dir");
+  std::ofstream(file.path) << "x";
+  const std::string path = (file.path / "run.ck").string();
+  try {
+    read_checkpoint(path);
+    FAIL() << "read_checkpoint accepted an unopenable path";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(ENOTDIR)), std::string::npos) << what;
+  }
 }
 
 // run_fingerprint hashes every trajectory-determining member and nothing
@@ -212,6 +245,7 @@ void expect_rounds_identical(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.backhaul_bytes, b.backhaul_bytes);
   EXPECT_EQ(a.backhaul_raw_bytes, b.backhaul_raw_bytes);
   EXPECT_EQ(a.mean_ef_residual_norm, b.mean_ef_residual_norm);
+  EXPECT_EQ(a.downlink_bytes, b.downlink_bytes);
   EXPECT_EQ(a.eligible_clients, b.eligible_clients);
   EXPECT_EQ(a.ineligible_clients, b.ineligible_clients);
   EXPECT_EQ(a.clients.size(), b.clients.size());
@@ -257,6 +291,15 @@ TEST(CheckpointTest, ResumeMatchesUninterruptedDiurnalPopulation) {
   // diurnal period makes eligibility actually change across the cut.
   check_resume_property(
       "fedsz:eb=rel:1e-2,population=mixed:period=25;jitter=0.5;seed=6");
+}
+
+TEST(CheckpointTest, ResumeMatchesUninterruptedDeltaDownlink) {
+  // A delta downlink keeps one session per client: the model that client
+  // last decoded, which the next broadcast is encoded against. Restoring
+  // the sessions is what keeps the resumed broadcasts (bytes) and the
+  // models clients train from (accuracy, loss) bit-identical.
+  check_resume_property(
+      "fedsz:eb=rel:1e-2,downlink=fedsz:eb=abs:1e-3,downmode=delta");
 }
 
 TEST(CheckpointTest, ResumeWithoutCheckpointRunsFresh) {

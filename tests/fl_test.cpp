@@ -56,6 +56,15 @@ TEST(FlServerTest, EmptyOrZeroWeightUpdatesThrow) {
                InvalidArgument);
 }
 
+TEST(FlServerTest, FailedBatchRoundLeavesNoRoundOpen) {
+  FlServer server(tiny_model());
+  EXPECT_THROW(server.aggregate({}), InvalidArgument);
+  StateDict update = server.global_state();
+  update.get_mutable(update.entries()[0].first)[0] = 7.0f;
+  server.aggregate({{update, 1}});
+  EXPECT_TRUE(server.global_state().equals(update));
+}
+
 TEST(FlServerTest, EvaluateReturnsFractionInRange) {
   FlServer server(tiny_model());
   auto [train, test] = data::make_dataset("cifar10");

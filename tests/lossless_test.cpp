@@ -3,6 +3,7 @@
 // and incompressible input, and stay within stored-raw overhead bounds.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include "compress/lossless/huffman.hpp"
@@ -218,6 +219,28 @@ TEST(Lossless, DecompressGarbageThrowsOrFailsSafely) {
 TEST(Lossless, DecompressEmptyBufferThrows) {
   for (const LosslessCodec* codec : all_lossless_codecs())
     EXPECT_THROW(codec->decompress({}), CorruptStream) << codec->name();
+}
+
+TEST(Lossless, StoredRawFrameDeclaringNearSizeMaxThrows) {
+  // A stored-raw frame that declares 2^64-1 or 2^64-2 bytes but carries
+  // one: the stream-borne size must not wrap the reader's bounds check.
+  for (const LosslessCodec* codec : all_lossless_codecs()) {
+    for (const std::uint64_t declared : {UINT64_MAX, UINT64_MAX - 1}) {
+      ByteWriter w;
+      if (codec->id() == LosslessId::kBloscLz) {
+        w.put_u8(0x02);  // flags: stored raw; the size follows
+        w.put_varint(declared);
+      } else {
+        w.put_varint(declared);
+        w.put_u8(0);  // mode: stored raw
+      }
+      w.put_u8(0xAB);  // the one byte actually present
+      const Bytes frame = w.finish();
+      EXPECT_THROW(codec->decompress({frame.data(), frame.size()}),
+                   CorruptStream)
+          << codec->name() << " declaring " << declared;
+    }
+  }
 }
 
 TEST(Lossless, LargeInputRoundTrips) {

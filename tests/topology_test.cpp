@@ -251,27 +251,25 @@ TEST(PartialAggregateTest, MergedPartialsReproduceTheFlatWeightedMean) {
   EXPECT_TRUE(relay.finalize().equals(flat_mean));
 }
 
-TEST(PartialAggregateTest, AggregatorPartialPathAndZeroWeight) {
-  auto aggregator = make_fedavg();
+TEST(PartialAggregateTest, StreamingPartialPathAndZeroWeight) {
   StateDict reference;
   reference.set("w", Tensor::from_data({2}, {0.0f, 0.0f}));
   StateDict update;
   update.set("w", Tensor::from_data({2}, {2.0f, 4.0f}));
-  aggregator->begin_round(reference);
-  EXPECT_THROW(aggregator->finalize_partial(),
-               InvalidArgument);  // nothing folded
-  aggregator->begin_round(reference);
-  aggregator->accumulate(update, 0.0);  // zero weight is a legal partial
-  const PartialAggregate partial = aggregator->finalize_partial();
+  StreamingMean edge;
+  edge.begin(reference);
+  EXPECT_THROW(edge.finalize_partial(), InvalidArgument);  // nothing folded
+  edge.begin(reference);
+  edge.add(update, 0.0);  // zero weight is a legal partial
+  const PartialAggregate partial = edge.finalize_partial();
   EXPECT_DOUBLE_EQ(partial.weight, 0.0);
   EXPECT_EQ(partial.count, 1u);
   // Root side: a zero-weight partial merges as a no-op.
-  auto root = make_fedavg();
-  StateDict global = reference;
-  root->begin_round(global);
-  root->merge_partial(partial.mean, partial.weight);
-  root->merge_partial(update, 8.0);
-  root->finalize(global);
+  StreamingMean root;
+  root.begin(reference);
+  root.add(partial.mean, partial.weight);
+  root.add(update, 8.0);
+  const StateDict global = root.finalize();
   EXPECT_FLOAT_EQ(global.get("w")[0], 2.0f);
   EXPECT_FLOAT_EQ(global.get("w")[1], 4.0f);
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 
 #include "util/bitstream.hpp"
@@ -228,6 +229,16 @@ TEST(ByteBuffer, OversizedBlobLengthThrows) {
   const Bytes bytes = w.finish();
   ByteReader r({bytes.data(), bytes.size()});
   EXPECT_THROW(r.get_blob(), CorruptStream);
+}
+
+TEST(ByteBuffer, CountNearSizeMaxDoesNotWrapTheBoundsCheck) {
+  // pos + SIZE_MAX wraps to pos - 1, which an overflowing bounds check
+  // would accept as "fits".
+  const Bytes bytes = {1, 2, 3};
+  ByteReader r({bytes.data(), bytes.size()});
+  r.get_u8();
+  EXPECT_THROW(r.get_bytes(SIZE_MAX), CorruptStream);
+  EXPECT_EQ(r.remaining(), 2u);
 }
 
 TEST(ByteBuffer, MalformedVarintThrows) {
