@@ -51,7 +51,9 @@ Bytes encode_lz4_style(ByteSpan data, const std::vector<LzSequence>& seqs) {
 
 Bytes decode_lz4_style(ByteReader& r, std::size_t raw_size) {
   Bytes out;
-  out.reserve(raw_size);
+  // raw_size is stream-borne: reserve no more than the body can produce
+  // (no sequence yields more than 256 bytes per byte it occupies).
+  out.reserve(std::min<std::size_t>(raw_size, r.remaining() * 256));
   while (out.size() < raw_size) {
     const std::uint8_t token = r.get_u8();
     std::uint32_t lit = token >> 4;

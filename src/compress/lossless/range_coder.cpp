@@ -73,9 +73,12 @@ RangeDecoder::RangeDecoder(ByteSpan data) : data_(data) {
 }
 
 std::uint8_t RangeDecoder::next_byte() {
-  // Reads past the flushed tail decode as zero; the caller stops at the
-  // recorded raw size, so trailing normalization reads are harmless.
-  return pos_ < data_.size() ? data_[pos_++] : 0;
+  // The decoder normalizes exactly when the encoder shifted a byte out, and
+  // the five constructor reads match finish()'s five flushed bytes, so a
+  // well-formed stream is never read past its end.
+  if (pos_ >= data_.size())
+    throw CorruptStream("range coder: read past the end of the stream");
+  return data_[pos_++];
 }
 
 void RangeDecoder::normalize() {

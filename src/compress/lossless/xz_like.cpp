@@ -3,6 +3,7 @@
 // probabilities (literal bytes conditioned on the previous byte's high bits,
 // LZMA-style length coder, offset-slot bit tree plus direct bits). Slowest of
 // the suite, best ratio: the xz row of Table II.
+#include <algorithm>
 #include <bit>
 
 #include "compress/lossless/lossless.hpp"
@@ -128,7 +129,10 @@ class XzLikeCodec final : public LosslessCodec {
     RangeDecoder rc(body);
     Contexts ctx;
     Bytes out;
-    out.reserve(raw_size);
+    // raw_size is stream-borne: reserve at most a generous multiple of the
+    // body (the vector grows past it on demand). The loop stops at
+    // raw_size, and the decoder throws once it reads past the body.
+    out.reserve(std::min<std::size_t>(raw_size, body.size() * 256));
     while (out.size() < raw_size) {
       if (rc.decode_bit(ctx.is_match) == 0) {
         const std::uint8_t prev = out.empty() ? 0 : out.back();

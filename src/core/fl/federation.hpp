@@ -1,6 +1,6 @@
 // Cross-process federation: the wire side of the round engine. A
 // FederatedRoot owns the server side of a `topology=hier:<N>[x<M>...]`
-// campaign — the global model, the cohort RNG, the aggregation strategy,
+// campaign — the global model and its StreamingMean, the cohort RNG,
 // every tier above 1, evaluation — while each tier-1 edge cohort runs
 // inside its own WORKER (a thread over a loopback stream in tests, a
 // separate `fedsz_edge_worker` process over TCP in production) speaking

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "core/fl/coordinator.hpp"
 #include "data/synthetic.hpp"
@@ -60,7 +61,16 @@ TEST(FlServerTest, FailedBatchRoundLeavesNoRoundOpen) {
   FlServer server(tiny_model());
   EXPECT_THROW(server.aggregate({}), InvalidArgument);
   StateDict update = server.global_state();
-  update.get_mutable(update.entries()[0].first)[0] = 7.0f;
+  const std::string name = update.entries()[0].first;
+  update.get_mutable(name)[0] = 7.0f;
+  // The second update is misshapen, so fold throws after the first one
+  // folded: aggregate must abandon a round that is under way.
+  StateDict misshapen = update;
+  Shape shape = misshapen.get(name).shape();
+  shape.push_back(2);
+  misshapen.set(name, Tensor::zeros(shape));
+  EXPECT_THROW(server.aggregate({{update, 1}, {misshapen, 1}}),
+               InvalidArgument);
   server.aggregate({{update, 1}});
   EXPECT_TRUE(server.global_state().equals(update));
 }

@@ -243,6 +243,36 @@ TEST(Lossless, StoredRawFrameDeclaringNearSizeMaxThrows) {
   }
 }
 
+TEST(Lossless, CompressedFrameDeclaringNearSizeMaxThrows) {
+  // A real compressed body under a declared size of 2^64-1 or 2^64-2: the
+  // decoder must neither reserve the declared size nor run past the body.
+  Bytes data(4096);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i % 7);
+  for (const LosslessId id : {LosslessId::kBloscLz, LosslessId::kXz}) {
+    const LosslessCodec& codec = lossless_codec(id);
+    const Bytes frame = codec.compress({data.data(), data.size()});
+    ByteReader r({frame.data(), frame.size()});
+    const bool flags_first = id == LosslessId::kBloscLz;
+    const std::uint8_t flags = flags_first ? r.get_u8() : 0;
+    r.get_varint();  // the true size, 4096
+    const std::uint8_t mode = flags_first ? 0 : r.get_u8();
+    const ByteSpan body = r.get_bytes(r.remaining());
+    ASSERT_LT(body.size(), data.size()) << codec.name();  // compressed
+    for (const std::uint64_t declared : {UINT64_MAX, UINT64_MAX - 1}) {
+      ByteWriter w;
+      if (flags_first) w.put_u8(flags);
+      w.put_varint(declared);
+      if (!flags_first) w.put_u8(mode);
+      w.put_bytes(body);
+      const Bytes forged = w.finish();
+      EXPECT_THROW(codec.decompress({forged.data(), forged.size()}),
+                   CorruptStream)
+          << codec.name() << " declaring " << declared;
+    }
+  }
+}
+
 TEST(Lossless, LargeInputRoundTrips) {
   Rng rng(2004);
   Bytes data(2 * 1024 * 1024);
