@@ -206,14 +206,14 @@ struct ClientUpdate {
   CompressionStats stats;  // the encode pass (bytes, plan census, timing)
   double train_seconds = 0.0;
   double mean_loss = 0.0;
-  double downlink_decode_seconds = 0.0;  // per-client broadcast decode
-  double ef_residual_norm = 0.0;         // after this update's encode
+  double ef_residual_norm = 0.0;   // after this update's encode
   double ef_decode_seconds = 0.0;  // decoding own payload for the residual
 };
 
 /// A client's dispatch: who, under which aggregation point (trace node
 /// id), in which round and when, and its downlink leg (zeros when the
-/// broadcast is free). Everything a trace row knows before training.
+/// broadcast is free). Everything a trace row knows before training. The
+/// downlink encode and decode are its group's, shared by every member.
 struct Dispatch {
   std::size_t client = 0;
   std::size_t node = 0;
@@ -223,7 +223,7 @@ struct Dispatch {
   std::size_t downlink_raw_bytes = 0;
   double downlink_seconds = 0.0;
   double downlink_encode_seconds = 0.0;
-  double downlink_decode_seconds = 0.0;  // the shared kFull decode
+  double downlink_decode_seconds = 0.0;
 };
 
 /// The row of `dispatch` leaving the round with `status` at `now`: weight 0
@@ -270,8 +270,7 @@ Delivery make_delivery(const Dispatch& dispatch, const ClientUpdate& update,
   delivery.ef_decode_seconds = update.ef_decode_seconds;
   delivery.downlink_raw_bytes = dispatch.downlink_raw_bytes;
   delivery.downlink_encode_seconds = dispatch.downlink_encode_seconds;
-  delivery.downlink_decode_seconds =
-      dispatch.downlink_decode_seconds + update.downlink_decode_seconds;
+  delivery.downlink_decode_seconds = dispatch.downlink_decode_seconds;
   return delivery;
 }
 
@@ -375,9 +374,6 @@ void record_partial(RoundRecord& record, EdgeTraceEntry trace,
   record.backhaul_tier_raw_bytes[trace.tier - 1] += trace.raw_bytes;
   record.edges.push_back(std::move(trace));
 }
-
-using Snapshot = std::shared_ptr<const StateDict>;
-using PayloadPtr = std::shared_ptr<const Bytes>;
 
 }  // namespace
 
@@ -580,7 +576,7 @@ class RoundEngine {
     const auto snapshot = std::make_shared<const StateDict>(global);
     for (const std::size_t i : cohort) {
       owner_round_[i] = e;
-      dispatch(i, round, snapshot, nullptr);
+      dispatch(i, round, snapshot);
     }
     while (queue_.run_next()) {
     }
@@ -589,9 +585,9 @@ class RoundEngine {
 
  private:
   // One slot per client; a client has at most one update in flight. `out`
-  // is what its real work (broadcast decode + local SGD + update encoding
-  // on the pool) hands back; `reported` what its remote edge reported, or
-  // on an edge worker the upload time it will report.
+  // is what its real work (local SGD + update encoding on the pool) hands
+  // back; `reported` what its remote edge reported, or on an edge worker
+  // the upload time it will report.
   struct InFlight {
     std::future<ClientUpdate> future;
     ClientUpdate out;
@@ -599,18 +595,15 @@ class RoundEngine {
     Dispatch sent;
     double transfer_seconds = 0.0;
   };
-  // Shared kFull broadcast product: encoded once, decoded once, delivered
-  // down the tree.
-  struct BroadcastReady {
-    Bytes payload;
-    CompressionStats stats;
-    Snapshot model;  // the shared reconstruction
-    double decode_seconds = 0.0;
-  };
-  // Per-client lifecycle. Every scheduled client event carries the
-  // generation it was dispatched under; eviction or redispatch bumps it,
-  // so stale upload/arrival events for a superseded dispatch are no-ops.
-  enum class Phase { kIdle, kPending, kDone, kDropped, kEvicted };
+  // One group's broadcast (DownlinkChannel::encode), shared by every
+  // member's downlink events.
+  using BroadcastPtr = std::shared_ptr<const Broadcast>;
+  // Per-client lifecycle: kSending while its broadcast is on the way, then
+  // kPending from dispatch until it uploads or leaves the round. Every
+  // scheduled client event carries the generation it was dispatched under;
+  // eviction or redispatch bumps it, so stale upload/arrival events for a
+  // superseded dispatch are no-ops.
+  enum class Phase { kIdle, kSending, kPending, kDone, kDropped, kEvicted };
   // Per-node round state (hier only). `expected` counts the children still
   // promised this round — it starts at the cohort/child draw and shrinks
   // when a child drops, is evicted or withdraws, while `folded` only
@@ -688,7 +681,8 @@ class RoundEngine {
     for (const ErrorFeedbackAccumulator& fb : local_->feedback_)
       state.client_residuals.push_back(fb.residual());
     if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)
-      state.downlink_sessions = downlink_->sessions();
+      for (const Snapshot& session : downlink_->sessions())
+        state.downlink_sessions.push_back(session ? *session : StateDict{});
     if (tree_ && config_.topology.edge_error_feedback)
       for (std::size_t l = 0; l < levels_; ++l)
         for (std::size_t n = 0; n < tree_->level_size(l); ++n)
@@ -749,14 +743,11 @@ class RoundEngine {
     }
     const auto snapshot =
         std::make_shared<const StateDict>(server_.global_state());
-    if (!downlink_) {
-      // Free lossless broadcast: clients start on the exact global at once.
-      for (const std::size_t i : cohort)
-        dispatch(i, completed_, snapshot, nullptr);
-    } else if (downlink_->mode() == DownlinkMode::kFull) {
-      broadcast_to(cohort, completed_, snapshot);
+    if (downlink_) {
+      broadcast(cohort, completed_, snapshot);
     } else {
-      for (const std::size_t i : cohort) send_to(i, completed_, snapshot);
+      // Free lossless broadcast: clients start on the exact global at once.
+      for (const std::size_t i : cohort) dispatch(i, completed_, snapshot);
     }
   }
 
@@ -871,28 +862,17 @@ class RoundEngine {
     }
   }
 
-  // The client's real work, run on the pool: decode the broadcast payload
-  // when one was delivered (per-client path), train on the resulting model,
-  // fold in the carried error-feedback residual, encode, and absorb what
-  // the encoder dropped (the reconstruction read back from the payload)
-  // into the residual. Per-client state (feedback_[i], downlink session i)
-  // is safe without locks because a client never has two tasks alive at
-  // once (dispatch waits out a stale evicted task before reusing the slot).
-  ClientUpdate client_work(std::size_t i, int round, const Snapshot& model,
-                           const PayloadPtr& broadcast) {
-    StateDict decoded_model;
-    const StateDict* train_on = model.get();
-    CompressionStats downlink_stats;
-    if (broadcast) {
-      const ByteSpan span{broadcast->data(), broadcast->size()};
-      decoded_model = downlink_->mode() == DownlinkMode::kDelta
-                          ? downlink_->receive(i, span, &downlink_stats)
-                          : downlink_->decode_broadcast(span, &downlink_stats);
-      train_on = &decoded_model;
-    }
+  // The client's real work, run on the pool: train on `model` (the global,
+  // or its broadcast group's reconstruction), fold in the carried
+  // error-feedback residual, encode, and absorb what the encoder dropped
+  // (the reconstruction read back from the payload) into the residual.
+  // Per-client state (feedback_[i]) is safe without locks because a client
+  // never has two tasks alive at once (dispatch waits out a stale evicted
+  // task before reusing the slot).
+  ClientUpdate client_work(std::size_t i, int round, const Snapshot& model) {
     FlClient& client = *local_->clients_[i];
     const UpdateCodec& codec = *local_->codec_;
-    ClientRoundResult trained = client.run_round(*train_on);
+    ClientRoundResult trained = client.run_round(*model);
     EncodeContext ctx;
     ctx.round = round;
     ctx.client_id = client.id();
@@ -915,26 +895,23 @@ class RoundEngine {
     out.stats = encoded.stats;
     out.train_seconds = trained.train_seconds;
     out.mean_loss = trained.mean_loss;
-    out.downlink_decode_seconds = downlink_stats.decompress_seconds;
     out.payload = std::move(encoded.payload);
     return out;
   }
 
   // Start a client: in process, its real work on the pool and its virtual
   // compute timer; over the wire, its reported upload. `model` is the state
-  // it trains on (the global snapshot, or the shared kFull broadcast
-  // reconstruction); `broadcast` (per-client downlink path) makes the
-  // worker decode its own payload first. A dropout never uploads: in
-  // process it "trains" for half its compute budget and vanishes; a
-  // crashed remote edge's clients vanish at once.
-  void dispatch(std::size_t i, int round, Snapshot model,
-                PayloadPtr broadcast) {
+  // it trains on (the global snapshot, or its broadcast group's
+  // reconstruction). A dropout never uploads: in process it "trains" for
+  // half its compute budget and vanishes; a crashed remote edge's clients
+  // vanish at once.
+  void dispatch(std::size_t i, int round, Snapshot model) {
     InFlight& flight = flights_[i];
     // An evicted client's pool task may still be running; finish it before
     // reusing the per-client state it touches (feedback_, the client).
     if (flight.future.valid()) flight.future.wait();
     flight.sent.client = i;
-    flight.sent.node = tree_ ? 1 + tree_->flat_index(0, owner_round_[i]) : 0;
+    flight.sent.node = node_of(i);
     flight.sent.round = round;
     flight.sent.seconds = queue_.now();
     const std::uint64_t gen = ++generation_[i];
@@ -946,70 +923,100 @@ class RoundEngine {
       queue_.schedule_at(flight.reported.upload_seconds,
                          [this, i, gen] { on_upload(i, gen); });
     } else {
-      flight.future = pool_->submit([this, i, round, model, broadcast] {
-        return client_work(i, round, model, broadcast);
+      flight.future = pool_->submit([this, i, round, model = std::move(model)] {
+        return client_work(i, round, model);
       });
       queue_.schedule_after(local_->compute_seconds_[i],
                             [this, i, gen] { on_upload(i, gen); });
     }
   }
 
-  // Per-client downlink: encode this client's broadcast on the pool (the
-  // whole global, or its session delta in kDelta mode), then charge the
-  // payload against every hop on its path — each ancestor node's own link
-  // top-down under a hierarchical topology — before the client's own link
-  // and compute may start.
-  void send_to(std::size_t i, int round, const Snapshot& snapshot) {
-    const bool delta = downlink_->mode() == DownlinkMode::kDelta;
-    auto pending = std::make_shared<std::future<BroadcastPayload>>(
-        pool_->submit([this, delta, i, round, snapshot] {
-          return delta ? downlink_->encode_for_client(i, *snapshot, round)
-                       : downlink_->encode_broadcast(*snapshot, round);
-        }));
-    queue_.schedule_after(0.0, [this, i, round, pending] {
-      BroadcastPayload broadcast = pending->get();
-      Dispatch& sent = flights_[i].sent;
-      auto payload =
-          std::make_shared<const Bytes>(std::move(broadcast.payload));
-      sent.downlink_bytes = payload->size();
-      sent.downlink_raw_bytes = broadcast.stats.original_bytes;
-      sent.downlink_encode_seconds = broadcast.stats.compress_seconds;
-      sent.downlink_decode_seconds = 0.0;
-      sent.downlink_seconds =
-          local_->network_.link(i).transfer_seconds(payload->size());
-      if (!tree_) {
-        queue_.schedule_after(sent.downlink_seconds, [this, i, round,
-                                                      payload] {
-          dispatch(i, round, nullptr, payload);
-        });
-        return;
-      }
-      // The client's ancestor chain, bottom-up: path[l] is the node at
-      // level l the payload crosses on its way down.
-      auto path = std::make_shared<std::vector<std::size_t>>();
-      path->push_back(owner_round_[i]);
-      for (std::size_t l = 1; l < levels_; ++l)
-        path->push_back(tree_->parent_of(l - 1, path->back()));
-      send_hop(0, i, round, path, payload);
-    });
+  // Trace node id of the aggregation point client `i` folds at this round.
+  std::size_t node_of(std::size_t i) const {
+    return tree_ ? 1 + tree_->flat_index(0, owner_round_[i]) : 0;
   }
 
-  // Hop `k` (0 = topmost: root -> top-tier node) of a per-client downlink
-  // path; after the last interior hop comes the client's own link.
+  // Send the global to `cohort` over the downlink. The channel splits the
+  // cohort into groups; each group's encode, one decode and reconstruction
+  // run as one pool task, overlapped with the event pump. kFull then fans
+  // its one payload out one copy per node (deliver_subtree). kDelta
+  // charges each member's payload against every hop on its own path
+  // (send_hop), in cohort order, as a per-client send would. Either way a
+  // client dispatches on its group's reconstruction when its payload lands.
+  void broadcast(const std::vector<std::size_t>& cohort, int round,
+                 const Snapshot& global) {
+    for (const std::size_t i : cohort) {
+      // The row an eviction before landing traces: this round's dispatch
+      // fields, with the downlink leg filled in once it reaches the client.
+      flights_[i].sent = Dispatch{
+          .client = i, .node = node_of(i), .round = round,
+          .seconds = queue_.now()};
+      phase_[i] = Phase::kSending;
+    }
+    // Each client's group product: one pool task per group.
+    std::vector<std::shared_future<BroadcastPtr>> ready(config_.clients);
+    for (const DownlinkChannel::Group& group : downlink_->groups(cohort)) {
+      const auto product = pool_
+                               ->submit([this, group, round, global] {
+                                 return std::make_shared<const Broadcast>(
+                                     downlink_->encode(group, *global, round));
+                               })
+                               .share();
+      for (const std::size_t i : group.members) ready[i] = product;
+    }
+    if (downlink_->mode() == DownlinkMode::kFull) {
+      queue_.schedule_after(
+          0.0, [this, cohort, round, ready = ready[cohort.front()]] {
+            const BroadcastPtr b = ready.get();
+            if (!tree_) {
+              for (const std::size_t i : cohort) deliver_client(i, round, b);
+              return;
+            }
+            const std::size_t top = levels_ - 1;
+            for (std::size_t n = 0; n < nodes_[top].size(); ++n)
+              if (nodes_[top][n].participating)
+                deliver_subtree(top, n, round, b);
+          });
+      return;
+    }
+    for (const std::size_t i : cohort)
+      queue_.schedule_after(0.0, [this, i, round, ready = ready[i]] {
+        // The client's ancestor chain, bottom-up: path[l] is the node at
+        // level l the payload crosses on its way down (none when flat).
+        auto path = std::make_shared<std::vector<std::size_t>>();
+        if (tree_) {
+          path->push_back(owner_round_[i]);
+          for (std::size_t l = 1; l < levels_; ++l)
+            path->push_back(tree_->parent_of(l - 1, path->back()));
+        }
+        send_hop(0, i, round, path, ready.get());
+      });
+  }
+
+  // A downlink event of a barrier round that already closed (at its
+  // straggler deadline, or when buffered edges shipped) goes nowhere: it
+  // counts as late, since the round's record is immutable. Continuous
+  // rounds close under in-flight broadcasts by design.
+  bool broadcast_late(int round) {
+    if (scheduler_.continuous() || round == completed_) return false;
+    ++result_.late_events;
+    return true;
+  }
+
+  // Hop `k` (0 = topmost: root -> top-tier node) of client i's own
+  // downlink path; after the last interior hop comes the client's link.
   void send_hop(std::size_t k, std::size_t i, int round,
                 std::shared_ptr<const std::vector<std::size_t>> path,
-                PayloadPtr payload) {
+                BroadcastPtr b) {
+    if (broadcast_late(round)) return;
     if (k == levels_) {
-      queue_.schedule_after(flights_[i].sent.downlink_seconds,
-                            [this, i, round, payload] {
-                              dispatch(i, round, nullptr, payload);
-                            });
+      deliver_client(i, round, b);
       return;
     }
     const std::size_t l = levels_ - 1 - k;
-    const double hop = charge_hop(l, (*path)[l], payload->size());
-    queue_.schedule_after(hop, [this, k, i, round, path, payload] {
-      send_hop(k + 1, i, round, path, payload);
+    const double hop = charge_hop(l, (*path)[l], b->payload.size());
+    queue_.schedule_after(hop, [this, k, i, round, path, b] {
+      send_hop(k + 1, i, round, path, b);
     });
   }
 
@@ -1025,20 +1032,19 @@ class RoundEngine {
     return hop;
   }
 
-  // The last downlink leg: charge the shared broadcast payload against the
-  // client's own link, then dispatch on the shared reconstruction.
-  void deliver_client(std::size_t i, int round,
-                      std::shared_ptr<const BroadcastReady> ready) {
+  // The last downlink leg: charge the group's payload against the client's
+  // own link, then land it there.
+  void deliver_client(std::size_t i, int round, const BroadcastPtr& b) {
     Dispatch& sent = flights_[i].sent;
-    sent.downlink_bytes = ready->payload.size();
-    sent.downlink_raw_bytes = ready->stats.original_bytes;
-    sent.downlink_encode_seconds = ready->stats.compress_seconds;
-    sent.downlink_decode_seconds = ready->decode_seconds;
+    sent.downlink_bytes = b->payload.size();
+    sent.downlink_raw_bytes = b->stats.original_bytes;
+    sent.downlink_encode_seconds = b->stats.compress_seconds;
+    sent.downlink_decode_seconds = b->decode_seconds;
     sent.downlink_seconds =
-        local_->network_.link(i).transfer_seconds(ready->payload.size());
+        local_->network_.link(i).transfer_seconds(b->payload.size());
     queue_.schedule_after(sent.downlink_seconds,
-                          [this, i, round, model = ready->model] {
-                            dispatch(i, round, model, nullptr);
+                          [this, i, round, model = b->model] {
+                            on_broadcast(i, round, model);
                           });
   }
 
@@ -1046,59 +1052,35 @@ class RoundEngine {
   // participating node's link, recursing level by level; a subtree's
   // clients start their own downlink legs when it reaches their edge.
   void deliver_subtree(std::size_t l, std::size_t n, int round,
-                       std::shared_ptr<const BroadcastReady> ready) {
-    const double hop = charge_hop(l, n, ready->payload.size());
-    queue_.schedule_after(hop, [this, l, n, round, ready] {
+                       const BroadcastPtr& b) {
+    const double hop = charge_hop(l, n, b->payload.size());
+    queue_.schedule_after(hop, [this, l, n, round, b] {
+      if (broadcast_late(round)) return;
       if (l == 0) {
-        for (const std::size_t i : edge_cohort_[n])
-          deliver_client(i, round, ready);
+        for (const std::size_t i : edge_cohort_[n]) deliver_client(i, round, b);
       } else {
         for (const std::size_t c : children_part_[l][n])
-          deliver_subtree(l - 1, c, round, ready);
+          deliver_subtree(l - 1, c, round, b);
       }
     });
   }
 
-  // kFull cohort broadcast: encode the global ONCE on the pool (overlapped
-  // with the event pump), decode it once — every client reconstructs the
-  // same model — and fan the same payload out (flat: straight to each
-  // client; hier: down the participating subtrees).
-  void broadcast_to(const std::vector<std::size_t>& cohort, int round,
-                    const Snapshot& snapshot) {
-    auto pending = std::make_shared<std::future<BroadcastReady>>(
-        pool_->submit([this, round, snapshot]() -> BroadcastReady {
-          BroadcastReady ready;
-          BroadcastPayload broadcast =
-              downlink_->encode_broadcast(*snapshot, round);
-          CompressionStats decode_stats;
-          ready.model = std::make_shared<const StateDict>(
-              downlink_->decode_broadcast(
-                  {broadcast.payload.data(), broadcast.payload.size()},
-                  &decode_stats));
-          ready.payload = std::move(broadcast.payload);
-          ready.stats = broadcast.stats;
-          ready.decode_seconds = decode_stats.decompress_seconds;
-          return ready;
-        }));
-    queue_.schedule_after(0.0, [this, cohort, round, pending] {
-      auto ready = std::make_shared<const BroadcastReady>(pending->get());
-      if (!tree_) {
-        for (const std::size_t i : cohort) deliver_client(i, round, ready);
-        return;
-      }
-      const std::size_t top = levels_ - 1;
-      for (std::size_t n = 0; n < nodes_[top].size(); ++n)
-        if (nodes_[top][n].participating) deliver_subtree(top, n, round, ready);
-    });
+  // Client i's broadcast landed: unless the client left the round while it
+  // was on the way (evicted at the deadline), it acknowledges the model it
+  // will train on — a dropout never does — and starts.
+  void on_broadcast(std::size_t i, int round, const Snapshot& model) {
+    if (broadcast_late(round) || phase_[i] != Phase::kSending) return;
+    if (!dropped_[i]) downlink_->acknowledge(i, model);
+    dispatch(i, round, model);
   }
 
   // True when an upload/arrival event no longer applies: the run stopped,
   // a later dispatch superseded it, or the client already left the round.
-  // A kIdle client means its round closed under it — counted as late,
-  // since the record is immutable.
+  // A client idle, or waiting for its next round's broadcast, had its
+  // round close under it — counted as late, since the record is immutable.
   bool superseded(std::size_t i, std::uint64_t gen) {
     if (stopped_ || gen != generation_[i]) return true;
-    if (phase_[i] == Phase::kIdle) {
+    if (phase_[i] == Phase::kIdle || phase_[i] == Phase::kSending) {
       ++result_.late_events;
       return true;
     }
@@ -1163,9 +1145,9 @@ class RoundEngine {
       // Continuous policies leave with the freshest global, so every
       // redispatch is its own (per-client) broadcast.
       if (downlink_)
-        send_to(i, completed_, snapshot);
+        broadcast({i}, completed_, snapshot);
       else
-        dispatch(i, completed_, snapshot, nullptr);
+        dispatch(i, completed_, snapshot);
     }
   }
 
@@ -1367,14 +1349,15 @@ class RoundEngine {
     if (!stopped_ && root_folded_ >= root_goal_) close_round();
   }
 
-  // The straggler deadline: every client still in flight is evicted
-  // (traced with the marker), and open tier-1 edges force-ship what they
-  // have (or withdraw empty-handed) — the cascade then resolves the upper
-  // tiers.
+  // The straggler deadline: every client still in flight — training, or
+  // still waiting for its broadcast — is evicted (traced with the marker),
+  // and open tier-1 edges force-ship what they have (or withdraw
+  // empty-handed) — the cascade then resolves the upper tiers.
   void evict_stragglers() {
     const int round = completed_;
     for (std::size_t i = 0; i < config_.clients; ++i) {
-      if (phase_[i] != Phase::kPending) continue;
+      if (phase_[i] != Phase::kPending && phase_[i] != Phase::kSending)
+        continue;
       phase_[i] = Phase::kEvicted;
       // Traced at the moment the server gave up on it.
       record_.clients.push_back(client_trace(flights_[i].sent,

@@ -61,9 +61,9 @@ struct FailureSchedule {
   /// surviving sibling edges; at least one edge always survives.
   double edge_failure_rate = 0.0;
   /// Virtual-time budget per round: clients still in flight this many
-  /// seconds after the round opened are evicted (traced with an eviction
-  /// marker) and open interior nodes force-ship what they have. 0 = no
-  /// deadline.
+  /// seconds after the round opened (training, or still waiting for their
+  /// broadcast) are evicted (traced with an eviction marker) and open
+  /// interior nodes force-ship what they have. 0 = no deadline.
   double straggler_deadline_seconds = 0.0;
   /// RNG stream for the draws above; 0 derives one from the run seed.
   std::uint64_t seed = 0;
@@ -102,8 +102,9 @@ struct FlRunConfig {
   /// own link BEFORE its local training starts, and clients train on the
   /// decoded (possibly lossy) model.
   std::string downlink_spec;
-  /// kFull encodes the whole global once per round; kDelta encodes each
-  /// client's delta against the model it last acknowledged.
+  /// kFull encodes the whole global once per round; kDelta encodes the
+  /// delta against the model each client last acknowledged, once per
+  /// acknowledged model.
   DownlinkMode downlink_mode = DownlinkMode::kFull;
   /// Per-client uplink error feedback: the residual the lossy encoder
   /// dropped is folded into the next round's update before encoding.
@@ -275,8 +276,10 @@ struct RoundRecord {
   std::size_t downlink_bytes = 0;      // total broadcast bytes delivered
   std::size_t downlink_raw_bytes = 0;  // total uncompressed broadcast bytes
   double downlink_seconds = 0.0;        // mean broadcast transfer / client
-  double downlink_encode_seconds = 0.0; // mean broadcast encode / client
-  double downlink_decode_seconds = 0.0; // mean client-side decode
+  /// Mean broadcast encode and decode per client. A broadcast group shares
+  /// one encode and one decode, and each member is charged all of both.
+  double downlink_encode_seconds = 0.0;
+  double downlink_decode_seconds = 0.0;
   /// Mean per-participant error-feedback residual norm (0 with EF off).
   double mean_ef_residual_norm = 0.0;
   /// Mean client-side seconds decoding the own payload for the EF residual
@@ -338,10 +341,11 @@ struct FlRunResult {
   /// every node at 1 regardless of cohort size — the O(fanout) memory
   /// claim is per NODE, never per tree.
   std::vector<std::size_t> peak_decoded_per_node;
-  /// Events (client arrivals or partials) that landed after their round
-  /// had already closed — possible only when buffered interior nodes ship
-  /// early. Counted instead of traced: the round's record is immutable
-  /// once closed.
+  /// Events (client arrivals, partials or broadcast hops) that landed
+  /// after their round had already closed — possible when buffered
+  /// interior nodes ship early or a straggler deadline closes the round.
+  /// Counted instead of traced: the round's record is immutable once
+  /// closed.
   std::size_t late_events = 0;
   std::string scheduler;
 };

@@ -112,6 +112,8 @@ class CompressionPolicy {
   /// (magnitude-aware policies read the values; most only look at numel).
   virtual TensorPlan plan(const std::string& name, const Tensor& tensor,
                           const EncodeContext& ctx) const = 0;
+  /// True when plan() keeps state keyed by EncodeContext::client_id.
+  virtual bool keyed_by_client() const { return false; }
 };
 
 using CompressionPolicyPtr = std::shared_ptr<const CompressionPolicy>;
@@ -250,6 +252,7 @@ class GradientAwareBoundPolicy final : public CompressionPolicy {
   std::string name() const override { return "gradaware"; }
   TensorPlan plan(const std::string& name, const Tensor& tensor,
                   const EncodeContext& ctx) const override;
+  bool keyed_by_client() const override { return true; }
   /// The accumulated sensitivity for (client, tensor) after the most recent
   /// plan() — 0.0 when never planned (exposed for tests).
   double sensitivity(int client_id, const std::string& name) const;
@@ -279,6 +282,7 @@ class SparseOverlayPolicy final : public CompressionPolicy {
   std::string name() const override { return "sparse+" + inner_->name(); }
   TensorPlan plan(const std::string& name, const Tensor& tensor,
                   const EncodeContext& ctx) const override;
+  bool keyed_by_client() const override { return inner_->keyed_by_client(); }
 
  private:
   CompressionPolicyPtr inner_;

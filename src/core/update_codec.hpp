@@ -24,6 +24,12 @@ class UpdateCodec {
   /// bookkeeping (the per-round payload decode and residual passes).
   virtual bool lossless() const { return false; }
 
+  /// True when encode() keeps state keyed by EncodeContext::client_id (a
+  /// per-client policy history), so two clients' equal inputs can encode
+  /// differently. A broadcast encode is shared between clients only when
+  /// this is false.
+  virtual bool keyed_by_client() const { return false; }
+
   struct Encoded {
     Bytes payload;
     CompressionStats stats;
@@ -67,6 +73,9 @@ class FedSzCodec final : public UpdateCodec {
   explicit FedSzCodec(FedSzConfig config) : fedsz_(std::move(config)) {}
 
   std::string name() const override;
+  bool keyed_by_client() const override {
+    return fedsz_.policy().keyed_by_client();
+  }
   Encoded encode(const StateDict& dict,
                  const EncodeContext& ctx) const override;
   StateDict decode(ByteSpan payload, CompressionStats* stats) const override;

@@ -1,11 +1,13 @@
 // Tests for the bidirectional comm model: DownlinkChannel full/delta
-// broadcast sessions, coordinator runs that charge broadcast bytes on the
-// virtual clock, and the error-feedback accuracy regression at aggressive
-// bounds.
+// broadcast groups and sessions, coordinator runs that charge broadcast
+// bytes on the virtual clock, and the error-feedback accuracy regression at
+// aggressive bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <numeric>
 
 #include "core/codec_spec.hpp"
 #include "core/fl/coordinator.hpp"
@@ -55,15 +57,23 @@ TEST(DownlinkChannelTest, FullBroadcastRoundTripsWithinBound) {
   config.codec = make_codec("fedsz:eb=abs:1e-3,threshold=100");
   DownlinkChannel channel(config, 4);
   const StateDict global = synthetic_global();
-  const BroadcastPayload broadcast = channel.encode_broadcast(global, 0);
+  // kFull: the whole cohort is one group on the whole global.
+  const std::vector<DownlinkChannel::Group> groups =
+      channel.groups({0, 1, 2, 3});
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].base, nullptr);
+  EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 1, 2, 3}));
+  const Broadcast broadcast = channel.encode(groups[0], global, 0);
   EXPECT_GT(broadcast.payload.size(), 0u);
   EXPECT_LT(broadcast.payload.size(), global.total_bytes());
-  CompressionStats stats;
-  const StateDict decoded = channel.decode_broadcast(
-      {broadcast.payload.data(), broadcast.payload.size()}, &stats);
-  EXPECT_EQ(decoded.size(), global.size());
-  EXPECT_LE(max_abs_error(global, decoded), 1e-3 + 1e-9);
-  EXPECT_GT(stats.decompress_seconds, 0.0);
+  ASSERT_NE(broadcast.model, nullptr);
+  EXPECT_EQ(broadcast.model->size(), global.size());
+  EXPECT_LE(max_abs_error(global, *broadcast.model), 1e-3 + 1e-9);
+  EXPECT_GT(broadcast.decode_seconds, 0.0);
+  // kFull keeps no sessions.
+  channel.acknowledge(0, broadcast.model);
+  EXPECT_EQ(channel.acknowledged(0), nullptr);
+  EXPECT_THROW(channel.encode({nullptr, {}}, global, 0), InvalidArgument);
 }
 
 TEST(DownlinkChannelTest, DeltaSessionsTrackTheGlobalAcrossRounds) {
@@ -71,28 +81,135 @@ TEST(DownlinkChannelTest, DeltaSessionsTrackTheGlobalAcrossRounds) {
   config.mode = DownlinkMode::kDelta;
   config.codec = make_codec("fedsz:eb=abs:1e-3,threshold=100");
   DownlinkChannel channel(config, 2);
-  EXPECT_TRUE(channel.acknowledged(0).empty());
+  EXPECT_EQ(channel.acknowledged(0), nullptr);
 
   // Round 0: first contact ships the full model.
   StateDict global = synthetic_global();
-  BroadcastPayload first = channel.encode_for_client(0, global, 0);
-  StateDict model = channel.receive(
-      0, {first.payload.data(), first.payload.size()});
-  EXPECT_LE(max_abs_error(global, model), 1e-3 + 1e-9);
-  EXPECT_FALSE(channel.acknowledged(0).empty());
-  // The session cache IS the client's reconstruction.
-  EXPECT_TRUE(channel.acknowledged(0).equals(model));
+  std::vector<DownlinkChannel::Group> groups = channel.groups({0});
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].base, nullptr);
+  const Broadcast first = channel.encode(groups[0], global, 0);
+  EXPECT_LE(max_abs_error(global, *first.model), 1e-3 + 1e-9);
+  channel.acknowledge(0, first.model);
+  // The session IS the client's reconstruction.
+  EXPECT_EQ(channel.acknowledged(0), first.model);
 
   // Round 1: only the delta rides the wire, and the reconstruction still
   // tracks the new global within the bound (error does not compound:
   // the delta is taken against the acknowledged reconstruction).
   global = synthetic_global(0.25f);
-  BroadcastPayload second = channel.encode_for_client(0, global, 1);
-  model = channel.receive(0, {second.payload.data(), second.payload.size()});
-  EXPECT_LE(max_abs_error(global, model), 1e-3 + 1e-9);
+  groups = channel.groups({0});
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].base, first.model);
+  const Broadcast second = channel.encode(groups[0], global, 1);
+  EXPECT_LE(max_abs_error(global, *second.model), 1e-3 + 1e-9);
 
   // Client 1 never received anything; its session is untouched.
-  EXPECT_TRUE(channel.acknowledged(1).empty());
+  EXPECT_EQ(channel.acknowledged(1), nullptr);
+}
+
+// Forwards to a real codec and counts the calls, so a test can see how many
+// encodes and decodes a broadcast runs. `keyed` stands in for a policy with
+// per-client state (gradaware).
+class CountingCodec final : public UpdateCodec {
+ public:
+  using UpdateCodec::encode;
+  CountingCodec(UpdateCodecPtr inner, bool keyed)
+      : inner_(std::move(inner)), keyed_(keyed) {}
+  std::string name() const override { return "counting"; }
+  bool keyed_by_client() const override { return keyed_; }
+  Encoded encode(const StateDict& dict,
+                 const EncodeContext& ctx) const override {
+    ++encodes;
+    return inner_->encode(dict, ctx);
+  }
+  StateDict decode(ByteSpan payload, CompressionStats* stats) const override {
+    ++decodes;
+    return inner_->decode(payload, stats);
+  }
+  mutable std::atomic<std::size_t> encodes{0};
+  mutable std::atomic<std::size_t> decodes{0};
+
+ private:
+  UpdateCodecPtr inner_;
+  bool keyed_;
+};
+
+// One send as the coordinator runs it: one encode per group, and every
+// member in `acked` acknowledges its group's reconstruction. Returns the
+// group count.
+std::size_t send(DownlinkChannel& channel, const StateDict& global, int round,
+                 const std::vector<std::size_t>& cohort,
+                 const std::vector<std::size_t>& acked) {
+  const std::vector<DownlinkChannel::Group> groups = channel.groups(cohort);
+  for (const DownlinkChannel::Group& group : groups) {
+    const Broadcast broadcast = channel.encode(group, global, round);
+    for (const std::size_t i : group.members)
+      if (std::find(acked.begin(), acked.end(), i) != acked.end())
+        channel.acknowledge(i, broadcast.model);
+  }
+  return groups.size();
+}
+
+TEST(DownlinkChannelTest, ClientsThatAcknowledgedOneModelShareOneEncode) {
+  std::vector<std::size_t> everyone(8);
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  const std::vector<std::size_t> first_half{0, 1, 2, 3};
+  const auto inner = make_codec("fedsz:eb=abs:1e-3,threshold=100");
+
+  const auto counting = std::make_shared<CountingCodec>(inner, false);
+  DownlinkChannel channel({DownlinkMode::kDelta, counting}, everyone.size());
+  // Full participation: 8 clients, one encode and one decode per round.
+  EXPECT_EQ(send(channel, synthetic_global(), 0, everyone, everyone), 1u);
+  EXPECT_EQ(counting->encodes.load(), 1u);
+  EXPECT_EQ(counting->decodes.load(), 1u);
+  EXPECT_EQ(channel.acknowledged(0), channel.acknowledged(7));
+  EXPECT_EQ(send(channel, synthetic_global(0.25f), 1, everyone, everyone), 1u);
+  EXPECT_EQ(counting->encodes.load(), 2u);
+  EXPECT_EQ(counting->decodes.load(), 2u);
+  // Half the cohort drops out of round 2 and never acknowledges it, so
+  // round 3 sends two deltas: against round 2's model and round 1's.
+  EXPECT_EQ(send(channel, synthetic_global(0.5f), 2, everyone, first_half),
+            1u);
+  EXPECT_EQ(send(channel, synthetic_global(0.75f), 3, everyone, everyone),
+            2u);
+  EXPECT_EQ(counting->encodes.load(), 5u);
+  EXPECT_EQ(counting->decodes.load(), 5u);
+
+  // A codec keyed by client could tell equal sessions apart: no sharing.
+  const auto keyed = std::make_shared<CountingCodec>(inner, true);
+  DownlinkChannel per_client({DownlinkMode::kDelta, keyed}, everyone.size());
+  EXPECT_EQ(send(per_client, synthetic_global(), 0, everyone, everyone), 8u);
+  EXPECT_EQ(send(per_client, synthetic_global(0.25f), 1, everyone, everyone),
+            8u);
+  EXPECT_EQ(keyed->encodes.load(), 16u);
+  EXPECT_EQ(keyed->decodes.load(), 16u);
+}
+
+TEST(DownlinkChannelTest, GradientAwarePolicyIsKeyedByClient) {
+  EXPECT_FALSE(make_codec("fedsz:eb=rel:1e-3")->keyed_by_client());
+  EXPECT_FALSE(make_codec("identity")->keyed_by_client());
+  EXPECT_TRUE(
+      make_codec("fedsz:eb=rel:1e-3,policy=gradaware")->keyed_by_client());
+  EXPECT_TRUE(make_codec("sparse:eb=rel:1e-2,policy=gradaware:0.5")
+                  ->keyed_by_client());
+}
+
+TEST(DownlinkChannelTest, RestoredEqualSessionsShareOneSnapshot) {
+  DownlinkChannel channel(
+      {DownlinkMode::kDelta, make_codec("fedsz:eb=abs:1e-3,threshold=100")},
+      4);
+  const StateDict a = synthetic_global();
+  const StateDict b = synthetic_global(0.5f);
+  channel.restore_sessions({a, StateDict{}, b, a});
+  EXPECT_EQ(channel.acknowledged(1), nullptr);
+  ASSERT_NE(channel.acknowledged(0), nullptr);
+  EXPECT_TRUE(channel.acknowledged(0)->equals(a));
+  EXPECT_TRUE(channel.acknowledged(2)->equals(b));
+  EXPECT_EQ(channel.acknowledged(0), channel.acknowledged(3));
+  EXPECT_NE(channel.acknowledged(0), channel.acknowledged(2));
+  EXPECT_EQ(channel.groups({0, 1, 2, 3}).size(), 3u);
+  EXPECT_THROW(channel.restore_sessions({a}), InvalidArgument);
 }
 
 TEST(DownlinkChannelTest, InvalidConstructionThrows) {
@@ -138,31 +255,46 @@ struct BidirectionalRun {
   FlRunConfig config;
 };
 
-BidirectionalRun run_eight_clients(const std::string& uplink_spec,
-                                   const std::string& downlink_spec,
-                                   DownlinkMode mode, bool error_feedback,
-                                   std::uint64_t seed = 11) {
-  auto [train, test] = data::make_dataset("cifar10");
+// Eight clients, two rounds, seed 11, four threads, on the default link.
+FlRunConfig eight_clients() {
   FlRunConfig config;
   config.clients = 8;
   config.rounds = 2;
   config.eval_limit = 32;
   config.threads = 4;
-  config.seed = seed;
+  config.seed = 11;
   config.client.batch_size = 8;
   config.evaluate_every_round = false;
-  config.downlink_spec = downlink_spec;
-  config.downlink_mode = mode;
-  config.error_feedback = error_feedback;
+  return config;
+}
+
+net::HeterogeneousNetworkConfig uniform_edge_links(double min_mbps,
+                                                   double max_mbps) {
   net::HeterogeneousNetworkConfig links;
   links.distribution = net::LinkDistribution::kUniformEdge;
-  links.edge_min_mbps = 4.0;
-  links.edge_max_mbps = 20.0;
-  config.heterogeneous = links;
+  links.edge_min_mbps = min_mbps;
+  links.edge_max_mbps = max_mbps;
+  return links;
+}
+
+FlRunResult run_on_tiny_cifar(const FlRunConfig& config,
+                              const std::string& uplink_spec) {
+  auto [train, test] = data::make_dataset("cifar10");
   FlCoordinator coordinator(tiny_model(), data::take(train, 128),
                             data::take(test, 32), config,
                             make_codec(uplink_spec));
-  return {coordinator.run(), config};
+  return coordinator.run();
+}
+
+BidirectionalRun run_eight_clients(const std::string& uplink_spec,
+                                   const std::string& downlink_spec,
+                                   DownlinkMode mode, bool error_feedback) {
+  FlRunConfig config = eight_clients();
+  config.downlink_spec = downlink_spec;
+  config.downlink_mode = mode;
+  config.error_feedback = error_feedback;
+  config.heterogeneous = uniform_edge_links(4.0, 20.0);
+  return {run_on_tiny_cifar(config, uplink_spec), config};
 }
 
 // The kFull and uplink-only baseline runs are shared across tests (each is
@@ -325,6 +457,124 @@ TEST(FlCoordinatorDownlinkTest, SampledDeltaDownlinkIsThreadCountInvariant) {
   EXPECT_GT(first_contact, 0u);
   EXPECT_GT(later, 0u);
   EXPECT_LT(later, first_contact);
+}
+
+// A broadcast still on the way at the straggler deadline evicts its client
+// in that round, and one that lands after its round closed starts nothing,
+// so every round traces each cohort client once, under its own round.
+// Delta sessions are read and written on the pump thread only, never by an
+// evicted client's pool task, so the rows match at 1 and 4 threads.
+TEST(FlCoordinatorDownlinkTest, BroadcastPastTheDeadlineStaysInItsRound) {
+  for (const DownlinkMode mode : {DownlinkMode::kDelta, DownlinkMode::kFull}) {
+    SCOPED_TRACE(downlink_mode_name(mode));
+    auto run_at = [&](std::size_t threads) {
+      FlRunConfig config = eight_clients();
+      config.rounds = 4;
+      config.threads = threads;
+      config.downlink_spec = "fedsz:eb=abs:1e-3,threshold=100";
+      config.downlink_mode = mode;
+      config.failures.straggler_deadline_seconds = 0.2;
+      config.heterogeneous = uniform_edge_links(0.5, 20.0);
+      return run_on_tiny_cifar(config, "fedsz");
+    };
+    const FlRunResult one = run_at(1);
+    const FlRunResult four = run_at(4);
+    ASSERT_EQ(four.rounds.size(), 4u);
+    ASSERT_EQ(one.rounds.size(), 4u);
+    std::size_t unlanded = 0;
+    for (std::size_t r = 0; r < four.rounds.size(); ++r) {
+      const RoundRecord& record = four.rounds[r];
+      SCOPED_TRACE(::testing::Message() << "round " << r);
+      ASSERT_EQ(record.clients.size(), 8u);  // one row per cohort client
+      std::vector<int> rows(8, 0);
+      for (const ClientTraceEntry& entry : record.clients) {
+        EXPECT_EQ(entry.dispatch_round, record.round);
+        ++rows.at(entry.client);
+        // Evicted before its broadcast landed.
+        if (entry.status == DeliveryStatus::kEvicted &&
+            entry.dispatch_seconds + entry.downlink_seconds >
+                entry.arrival_seconds)
+          ++unlanded;
+      }
+      EXPECT_EQ(rows, std::vector<int>(8, 1));
+      const RoundRecord& other = one.rounds[r];
+      ASSERT_EQ(other.clients.size(), record.clients.size());
+      for (std::size_t c = 0; c < record.clients.size(); ++c) {
+        EXPECT_EQ(other.clients[c].client, record.clients[c].client);
+        EXPECT_EQ(other.clients[c].status, record.clients[c].status);
+        EXPECT_EQ(other.clients[c].downlink_bytes,
+                  record.clients[c].downlink_bytes);
+        EXPECT_DOUBLE_EQ(other.clients[c].dispatch_seconds,
+                         record.clients[c].dispatch_seconds);
+      }
+    }
+    // The setup exercises both halves: a client evicted while its
+    // broadcast was on the way, whose landing then counted as late.
+    EXPECT_GT(unlanded, 0u);
+    EXPECT_GT(four.late_events, 0u);
+    EXPECT_EQ(one.late_events, four.late_events);
+  }
+}
+
+// Delta downlink under dropout, pinned to the bytes a separate encode per
+// client produces: sharing an encode between clients that acknowledged one
+// model changes no payload. A dropout never
+// acknowledges, so the sends split into 1, 2 and 4 groups over the rounds.
+// Under policy=gradaware every client keeps its own encode (its policy
+// state is keyed by client), with the same group shape.
+TEST(FlCoordinatorDownlinkTest, DeltaDownlinkUnderDropoutMatchesPinnedBytes) {
+  struct Row {
+    std::size_t client;
+    char status;  // 'D' dropped, 'A' aggregated
+    std::size_t downlink_bytes;
+  };
+  struct Pin {
+    const char* downlink_spec;
+    std::vector<std::vector<Row>> rounds;
+  };
+  const Pin pins[] = {
+      {"fedsz:eb=abs:1e-3,threshold=100",
+       {{{0, 'D', 29096}, {2, 'D', 29096}, {3, 'D', 29096}, {7, 'D', 29096},
+         {4, 'A', 29096}, {5, 'A', 29096}, {1, 'A', 29096}, {6, 'A', 29096}},
+        {{4, 'D', 11971}, {6, 'D', 11971}, {0, 'D', 27610}, {1, 'A', 11971},
+         {5, 'A', 11971}, {2, 'A', 27610}, {3, 'A', 27610}, {7, 'A', 27610}},
+        {{2, 'D', 11574}, {7, 'D', 11574}, {4, 'D', 12493}, {3, 'A', 11574},
+         {1, 'A', 11593}, {5, 'A', 11593}, {6, 'A', 12493},
+         {0, 'A', 26795}}}},
+      {"fedsz:eb=rel:1e-3,policy=gradaware",
+       {{{0, 'D', 41234}, {2, 'D', 41234}, {3, 'D', 41234}, {7, 'D', 41234},
+         {5, 'A', 41234}, {4, 'A', 41234}, {1, 'A', 41234}, {6, 'A', 41234}},
+        {{0, 'D', 36540}, {4, 'D', 47499}, {6, 'D', 47499}, {3, 'A', 36540},
+         {2, 'A', 36540}, {7, 'A', 36540}, {5, 'A', 47499}, {1, 'A', 47499}},
+        {{4, 'D', 46060}, {2, 'D', 46165}, {7, 'D', 46165}, {0, 'A', 35698},
+         {5, 'A', 43921}, {1, 'A', 43921}, {6, 'A', 46060},
+         {3, 'A', 46165}}}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.downlink_spec);
+    FlRunConfig config = eight_clients();
+    config.rounds = 3;
+    config.downlink_spec = pin.downlink_spec;
+    config.downlink_mode = DownlinkMode::kDelta;
+    config.failures.dropout_rate = 0.3;
+    const FlRunResult result = run_on_tiny_cifar(config, "fedsz");
+    ASSERT_EQ(result.rounds.size(), pin.rounds.size());
+    for (std::size_t r = 0; r < pin.rounds.size(); ++r) {
+      const RoundRecord& record = result.rounds[r];
+      ASSERT_EQ(record.clients.size(), pin.rounds[r].size());
+      for (std::size_t c = 0; c < record.clients.size(); ++c) {
+        const ClientTraceEntry& entry = record.clients[c];
+        const Row& want = pin.rounds[r][c];
+        SCOPED_TRACE(::testing::Message() << "round " << r << " row " << c);
+        EXPECT_EQ(entry.dispatch_round, static_cast<int>(r));
+        EXPECT_EQ(entry.client, want.client);
+        EXPECT_EQ(entry.status, want.status == 'D'
+                                    ? DeliveryStatus::kDropped
+                                    : DeliveryStatus::kAggregated);
+        EXPECT_EQ(entry.downlink_bytes, want.downlink_bytes);
+      }
+    }
+  }
 }
 
 TEST(FlCoordinatorDownlinkTest, IdentityDownlinkChargesFullBytes) {

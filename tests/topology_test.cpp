@@ -418,6 +418,34 @@ TEST(TopologyCoordinatorTest, PerTierByteAccountingSumsToRecordTotals) {
   }
 }
 
+// kDelta sends each client its own payload down its own path, so a copy
+// crosses every ancestor link once per client even when one encode served
+// the whole cohort: each edge's downlink bytes are the sum of its clients'.
+TEST(TopologyCoordinatorTest, DeltaDownlinkCrossesEachEdgeOncePerClient) {
+  auto [train, test] = data::make_dataset("cifar10");
+  FlRunConfig config = hier_config(6, 2, /*fanout=*/2, "fedsz:eb=rel:1e-2");
+  config.downlink_spec = "fedsz:eb=rel:1e-3";
+  config.downlink_mode = DownlinkMode::kDelta;
+  FlCoordinator coordinator(tiny_model(), data::take(train, 48),
+                            data::take(test, 32), config,
+                            make_fedsz_codec());
+  const FlRunResult result = coordinator.run();
+  ASSERT_EQ(result.rounds.size(), 2u);
+  for (const RoundRecord& record : result.rounds) {
+    ASSERT_EQ(record.edges.size(), 3u);
+    std::size_t edges = 0;
+    for (const EdgeTraceEntry& edge : record.edges) {
+      std::size_t clients = 0;
+      for (const ClientTraceEntry& entry : record.clients)
+        if (entry.node == 1 + edge.edge) clients += entry.downlink_bytes;
+      EXPECT_GT(clients, 0u);
+      EXPECT_EQ(edge.downlink_bytes, clients);
+      edges += edge.downlink_bytes;
+    }
+    EXPECT_EQ(record.backhaul_downlink_bytes, edges);
+  }
+}
+
 TEST(TopologyCoordinatorTest, StreamingKeepsEveryNodeAtOneDecodedUpdate) {
   auto [train, test] = data::make_dataset("cifar10");
   FlRunConfig config = hier_config(8, 1, /*fanout=*/4, "");

@@ -20,6 +20,10 @@
 //      thread count reproduces the trace byte-for-byte (spot-checked on a
 //      subset of iterations — the real work races, the virtual clock
 //      doesn't).
+//   6. Round integrity (barrier schedulers): a round traces each client at
+//      most once, under that round's own dispatch — a broadcast that
+//      outlived its round never starts its client in a later one. Under
+//      full participation with sync edges, every client has its row.
 //
 // Iteration count defaults to 100 and is overridable via FEDSZ_PBT_ITERS
 // (CI pins it explicitly; set it low for a quick local smoke). The master
@@ -226,6 +230,17 @@ void check_invariants(const DrawnCase& drawn, const FlRunResult& result) {
       EXPECT_EQ(ineligible_traces, 0u);
     } else {
       EXPECT_GE(record.eligible_clients, 1u);  // zero-eligible fallback
+    }
+    // 6. Round integrity.
+    if (!drawn.scheduler || !drawn.scheduler->continuous()) {
+      std::vector<int> rows(config.clients, 0);
+      for (const ClientTraceEntry& entry : record.clients) {
+        EXPECT_EQ(entry.dispatch_round, record.round);
+        EXPECT_EQ(++rows.at(entry.client), 1) << "client " << entry.client;
+      }
+      if (!drawn.scheduler && config.topology.edge_mode == EdgeMode::kSync) {
+        EXPECT_EQ(record.clients.size(), config.clients);
+      }
     }
     double aggregated_weight = 0.0;
     std::size_t aggregated = 0, uplink_bytes = 0;
