@@ -146,7 +146,9 @@ void lz77_parse(ByteSpan data, const LzParams& params,
     MatchFinder::Match match = finder.find(pos, h);
     if (match.len == 0) {
       finder.insert(pos, h);
-      h = finder.hash(++pos);
+      const std::uint32_t run = pos - literal_start;  // literals so far
+      pos += params.skip_log == 0 ? 1 : 1 + (run >> params.skip_log);
+      h = finder.hash(pos);
       continue;
     }
     if (params.lazy && pos + 1 < size) {

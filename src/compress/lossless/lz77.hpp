@@ -28,9 +28,14 @@ struct LzParams {
   unsigned max_match = 1 << 16;
   unsigned max_chain = 32;    // candidates examined per position
   bool lazy = false;          // one-step-lazy matching (better, slower)
+  // 0 tries (and inserts) every position. k > 0 skips ahead after a miss,
+  // as zstd's fast strategies do (their kSearchStrength is 8): the parse
+  // advances 1 + (current literal-run length >> k) positions and never
+  // inserts the ones it steps over, so long literal runs cost a few probes.
+  unsigned skip_log = 0;
 };
 
-/// Greedy (optionally lazy) LZ77 parse of `data`.
+/// Greedy (optionally lazy, optionally skip-ahead) LZ77 parse of `data`.
 std::vector<LzSequence> lz77_parse(ByteSpan data, const LzParams& params);
 
 /// Arena variant: fill a caller-owned (reused) sequence buffer instead of

@@ -4,6 +4,12 @@
 // canonical Huffman table, extra bits in a shared raw bitstream. This is
 // zstd's architectural split (literals vs sequences, per-stream entropy
 // tables), trading a little speed for ratio over deflate.
+//
+// Invariant: a compressed frame is always the exact (every-position, lazy)
+// parse's, byte for byte. The encoder first sizes the frame from a cheap
+// skip-ahead screening parse; that screen only decides "raw" sooner. It can
+// send raw a body the exact parse would have shrunk (when skipping misses
+// the matches), but it never changes the bytes of a compressed frame.
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -22,6 +28,8 @@ namespace {
 constexpr std::uint8_t kModeRaw = 0;
 constexpr std::uint8_t kModeCompressed = 1;
 constexpr unsigned kMinMatch = 4;
+// The screening parse's skip-ahead: zstd's kSearchStrength.
+constexpr unsigned kScreenSkipLog = 8;
 
 struct CodedValue {
   std::uint32_t code;
@@ -76,26 +84,17 @@ class ZstdLikeCodec final : public LosslessCodec {
   }
 
  private:
-  // Size first, then pack: the exact body size follows from the LZ parse
-  // and the four code-length tables, so a frame that would not shrink is
-  // written raw without packing a single bit — the common case for
-  // already entropy-coded input such as the SZ bodies. A compressed frame
-  // reuses the codebooks the size was computed from.
-  void encode_frame(ByteSpan data, ByteWriter& w) const {
-    w.put_varint(data.size());
-    if (data.empty()) {
-      w.put_u8(kModeRaw);
-      return;
-    }
-    LzParams params;
-    params.window_log = 20;  // 1 MiB window
-    params.min_match = kMinMatch;
-    params.max_chain = 64;
-    params.lazy = true;
-    ZstdScratch& s = t_scratch();
-    lz77_parse(data, params, s.seqs);
+  /// The parse in s.seqs split into the four symbol streams and the extra
+  /// bits, with each stream's codebook planned: everything a compressed
+  /// frame writes, sized before a single bit is packed.
+  struct BodyPlan {
+    std::uint64_t trailing_literals = 0;
+    std::array<std::size_t, 4> block_sizes{};
+    ByteSpan extras;       // view into s.extras
+    std::size_t size = 0;  // exact body size after the mode byte
+  };
 
-    // Split into streams; extra bits go straight to their own writer.
+  static BodyPlan plan_body(ByteSpan data, ZstdScratch& s) {
     std::vector<std::uint32_t>& literal_syms = s.streams[0];
     std::vector<std::uint32_t>& ll_codes = s.streams[1];
     std::vector<std::uint32_t>& ml_codes = s.streams[2];
@@ -106,12 +105,12 @@ class ZstdLikeCodec final : public LosslessCodec {
     of_codes.clear();
     BitWriter& extras = s.extras;
     extras.reset();
-    std::uint64_t trailing_literals = 0;
+    BodyPlan plan;
     for (const LzSequence& seq : s.seqs) {
       const std::uint8_t* lit = data.data() + seq.literal_start;
       literal_syms.insert(literal_syms.end(), lit, lit + seq.literal_len);
       if (seq.match_len == 0) {
-        trailing_literals = seq.literal_len;
+        plan.trailing_literals = seq.literal_len;
         continue;
       }
       const CodedValue ll = value_code(seq.literal_len);
@@ -124,31 +123,59 @@ class ZstdLikeCodec final : public LosslessCodec {
       extras.write(ml.extra, ml.extra_bits);
       extras.write(of.extra, of.extra_bits);
     }
-    const ByteSpan extras_bytes = extras.finish_view();
+    plan.extras = extras.finish_view();
 
-    std::array<std::size_t, 4> block_sizes{};
-    std::size_t body_size = varint_size(trailing_literals);
+    plan.size = varint_size(plan.trailing_literals);
     for (std::size_t k = 0; k < 4; ++k) {
       huffman_count(s.streams[k], s.huff[k]);
-      block_sizes[k] = huffman_plan(s.huff[k]);
-      body_size += varint_size(block_sizes[k]) + block_sizes[k];
+      plan.block_sizes[k] = huffman_plan(s.huff[k]);
+      plan.size += varint_size(plan.block_sizes[k]) + plan.block_sizes[k];
     }
-    body_size += varint_size(extras_bytes.size()) + extras_bytes.size();
-    if (body_size >= data.size()) {
+    plan.size += varint_size(plan.extras.size()) + plan.extras.size();
+    return plan;
+  }
+
+  // Screen, then size exactly, then pack. A skip-ahead parse sizes the
+  // frame first; when even that does not shrink the input — the common
+  // case for already entropy-coded input such as the SZ bodies — the frame
+  // is written raw after a few probes per literal run. Otherwise the exact
+  // every-position parse is sized and decides, and a compressed frame
+  // reuses the codebooks its size was computed from.
+  void encode_frame(ByteSpan data, ByteWriter& w) const {
+    w.put_varint(data.size());
+    if (data.empty()) {
+      w.put_u8(kModeRaw);
+      return;
+    }
+    LzParams params;
+    params.window_log = 20;  // 1 MiB window
+    params.min_match = kMinMatch;
+    params.max_chain = 64;
+    params.lazy = true;
+    params.skip_log = kScreenSkipLog;
+    ZstdScratch& s = t_scratch();
+    lz77_parse(data, params, s.seqs);
+    BodyPlan plan = plan_body(data, s);
+    if (plan.size < data.size()) {
+      params.skip_log = 0;
+      lz77_parse(data, params, s.seqs);
+      plan = plan_body(data, s);
+    }
+    if (plan.size >= data.size()) {
       w.put_u8(kModeRaw);
       w.put_bytes(data);
       return;
     }
 
     w.put_u8(kModeCompressed);
-    w.put_varint(trailing_literals);
+    w.put_varint(plan.trailing_literals);
     for (std::size_t k = 0; k < 4; ++k) {
-      w.put_varint(block_sizes[k]);
+      w.put_varint(plan.block_sizes[k]);
       [[maybe_unused]] const std::size_t before = w.size();
       huffman_write(s.streams[k], s.huff[k], w, s.bits);
-      assert(w.size() - before == block_sizes[k]);
+      assert(w.size() - before == plan.block_sizes[k]);
     }
-    w.put_blob(extras_bytes);
+    w.put_blob(plan.extras);
   }
 
  public:
@@ -158,6 +185,7 @@ class ZstdLikeCodec final : public LosslessCodec {
     const std::uint8_t mode = r.get_u8();
     if (mode == kModeRaw) {
       ByteSpan raw = r.get_bytes(static_cast<std::size_t>(raw_size));
+      if (!r.done()) throw CorruptStream("zstd-like: trailing bytes");
       return Bytes(raw.begin(), raw.end());
     }
     if (mode != kModeCompressed)
@@ -167,6 +195,7 @@ class ZstdLikeCodec final : public LosslessCodec {
     for (std::vector<std::uint32_t>& stream : s.streams)
       huffman_decode(r.get_blob_view(), stream);
     const ByteSpan extras_bytes = r.get_blob_view();
+    if (!r.done()) throw CorruptStream("zstd-like: trailing bytes");
     const std::vector<std::uint32_t>& literals = s.streams[0];
     const std::vector<std::uint32_t>& ll_codes = s.streams[1];
     const std::vector<std::uint32_t>& ml_codes = s.streams[2];

@@ -193,7 +193,10 @@ class Sz2Codec final : public LossyCodec {
     const auto n = static_cast<std::size_t>(r.get_varint());
     const double eps = r.get_f64();
     std::vector<float> out;
-    if (n == 0) return out;
+    if (n == 0) {
+      if (!r.done()) throw CorruptStream("sz2: trailing bytes");
+      return out;
+    }
 
     const LinearQuantizer quantizer(eps);
     EncodeArena& arena = EncodeArena::local();
@@ -225,6 +228,7 @@ class Sz2Codec final : public LossyCodec {
     if (n_verbatim > r.remaining() / sizeof(float))
       throw CorruptStream("sz2: verbatim count exceeds stream");
     ByteSpan raw = r.get_bytes(n_verbatim * sizeof(float));
+    if (!r.done()) throw CorruptStream("sz2: trailing bytes");
     arena.verbatim.resize(n_verbatim);
     if (n_verbatim > 0)
       std::memcpy(arena.verbatim.data(), raw.data(), raw.size());

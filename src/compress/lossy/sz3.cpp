@@ -120,7 +120,10 @@ class Sz3Codec final : public LossyCodec {
     ByteReader r({body.data(), body.size()});
     const auto n = static_cast<std::size_t>(r.get_varint());
     const double eps = r.get_f64();
-    if (n == 0) return {};
+    if (n == 0) {
+      if (!r.done()) throw CorruptStream("sz3: trailing bytes");
+      return {};
+    }
 
     const LinearQuantizer quantizer(eps);
     EncodeArena& arena = EncodeArena::local();
@@ -139,6 +142,7 @@ class Sz3Codec final : public LossyCodec {
     if (n_verbatim > r.remaining() / sizeof(float))
       throw CorruptStream("sz3: verbatim count exceeds stream");
     ByteSpan raw = r.get_bytes(n_verbatim * sizeof(float));
+    if (!r.done()) throw CorruptStream("sz3: trailing bytes");
     arena.verbatim.resize(n_verbatim);
     if (n_verbatim > 0)
       std::memcpy(arena.verbatim.data(), raw.data(), raw.size());

@@ -8,6 +8,7 @@
 
 #include "compress/lossless/huffman.hpp"
 #include "compress/lossless/lossless.hpp"
+#include "compress/lossy/lossy.hpp"
 #include "util/bitstream.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/crc32.hpp"
@@ -59,6 +60,20 @@ Bytes pattern_ramp(Rng&) {
   return data;
 }
 
+/// `block` followed by a copy of itself.
+Bytes twice(const Bytes& block) {
+  Bytes data;
+  for (int i = 0; i < 2; ++i)
+    data.insert(data.end(), block.begin(), block.end());
+  return data;
+}
+
+Bytes pattern_random_plus_copy(Rng& rng) {
+  // A long literal run, then a repeat of all of it: a skip-ahead parse is
+  // stepping quickly by the time the copy starts.
+  return twice(pattern_random(rng));
+}
+
 Bytes pattern_repeating_block(Rng& rng) {
   Bytes block(97);
   for (auto& b : block) b = static_cast<std::uint8_t>(rng.uniform_index(256));
@@ -80,6 +95,7 @@ const PatternCase kPatterns[] = {
     {"zeros", pattern_zeros, true},
     {"constant", pattern_constant, true},
     {"random", pattern_random, false},
+    {"random_plus_copy", pattern_random_plus_copy, true},
     {"text", pattern_text, true},
     {"float_weights", pattern_float_weights, false},
     {"ramp", pattern_ramp, true},
@@ -360,6 +376,57 @@ TEST(ZstdLike, FramesMatchRecordedBytes) {
     EXPECT_EQ(zstd.decompress({frame.data(), frame.size()}), pin.input)
         << pin.name;
   }
+}
+
+TEST(ZstdLike, BytesAfterTheFrameThrow) {
+  const LosslessCodec& zstd = lossless_codec(LosslessId::kZstd);
+  const Bytes inputs[] = {random_bytes(93, 4096), Bytes(10000, 0)};
+  for (const Bytes& input : inputs) {
+    Bytes frame = zstd.compress({input.data(), input.size()});
+    ASSERT_EQ(zstd.decompress({frame.data(), frame.size()}), input);
+    frame.push_back(0);
+    frame.push_back(0);
+    EXPECT_THROW(zstd.decompress({frame.data(), frame.size()}), CorruptStream)
+        << "mode " << int{frame[varint_size(input.size())]};
+  }
+}
+
+// ---- zstd-like screening parse ----
+//
+// Each frame is sized from a skip-ahead parse first; only a frame that
+// shrinks under it runs the exact parse, which then decides and writes.
+
+TEST(ZstdLike, ScreenDoesNotMissALongRepeat) {
+  // The copy starts 16 KB into a literal run, where the screen steps ~65
+  // bytes at a time; the frame must still come out compressed.
+  const LosslessCodec& zstd = lossless_codec(LosslessId::kZstd);
+  const Bytes block = random_bytes(91, 16 * 1024);
+  const Bytes data = twice(block);
+  const Bytes frame = zstd.compress({data.data(), data.size()});
+  EXPECT_EQ(frame[varint_size(data.size())], 1);  // compressed
+  // The copy costs one match: the frame is the first block's literals.
+  EXPECT_LT(frame.size(), block.size() + block.size() / 8);
+  EXPECT_EQ(zstd.decompress({frame.data(), frame.size()}), data);
+}
+
+TEST(ZstdLike, RoundTripsRealSzBodies) {
+  // The bodies SZ2/SZ3 hand this backend; random, random-plus-copy and
+  // all-zero input run through every codec in AllCodecsAllPatterns.
+  const LosslessCodec& zstd = lossless_codec(LosslessId::kZstd);
+  Rng rng(95);
+  std::vector<float> weights(65536);
+  for (auto& v : weights) v = static_cast<float>(rng.laplace(0.0, 0.05));
+  for (const lossy::LossyId id : {lossy::LossyId::kSz2, lossy::LossyId::kSz3})
+    for (const double rel : {1e-2, 1e-4}) {
+      const lossy::LossyCodec& codec = lossy::lossy_codec(id);
+      SCOPED_TRACE(codec.name() + " rel=" + std::to_string(rel));
+      const Bytes stream = codec.compress({weights.data(), weights.size()},
+                                          lossy::ErrorBound::relative(rel));
+      const Bytes body = zstd.decompress({stream.data(), stream.size()});
+      // The codec's own stream is this backend's frame of its body.
+      EXPECT_EQ(zstd.compress({body.data(), body.size()}), stream);
+      EXPECT_LE(stream.size(), body.size() + 16);
+    }
 }
 
 TEST(ZstdLike, OversizedDeclaredSizeThrowsCorruptStream) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "compress/lossless/lossless.hpp"
 #include "compress/lossy/lossy.hpp"
 #include "data/scientific.hpp"
 #include "util/rng.hpp"
@@ -284,6 +285,44 @@ TEST(LossyComparison, StrictBoundednessFlags) {
   EXPECT_TRUE(lossy_codec(LossyId::kSz3).strictly_bounded());
   EXPECT_TRUE(lossy_codec(LossyId::kSzx).strictly_bounded());
   EXPECT_FALSE(lossy_codec(LossyId::kZfp).strictly_bounded());
+}
+
+// ---- SZ2/SZ3 framing: nothing may follow a stream ----
+
+TEST(SzFraming, BytesAfterTheStreamThrow) {
+  Rng rng(31);
+  const auto data = dist_laplace_weights(rng, 5000);
+  for (const LossyId id : {LossyId::kSz2, LossyId::kSz3}) {
+    const LossyCodec& codec = lossy_codec(id);
+    Bytes stream =
+        codec.compress({data.data(), data.size()}, ErrorBound::relative(1e-2));
+    stream.insert(stream.end(), {1, 2, 3});
+    EXPECT_THROW(codec.decompress({stream.data(), stream.size()}),
+                 CorruptStream)
+        << codec.name();
+  }
+}
+
+TEST(SzFraming, BytesAfterTheVerbatimBlockThrow) {
+  // A well-formed backend frame whose body carries 3 bytes past the
+  // verbatim block (or past the header of an empty stream).
+  const lossless::LosslessCodec& backend =
+      lossless::lossless_codec(lossless::LosslessId::kZstd);
+  Rng rng(37);
+  const auto spiky = dist_spiky_mixture(rng, 5000);  // has verbatim values
+  for (const LossyId id : {LossyId::kSz2, LossyId::kSz3}) {
+    const LossyCodec& codec = lossy_codec(id);
+    for (const std::size_t n : {spiky.size(), std::size_t{0}}) {
+      const Bytes stream =
+          codec.compress({spiky.data(), n}, ErrorBound::absolute(1e-3));
+      Bytes body = backend.decompress({stream.data(), stream.size()});
+      body.insert(body.end(), {1, 2, 3});
+      const Bytes forged = backend.compress({body.data(), body.size()});
+      EXPECT_THROW(codec.decompress({forged.data(), forged.size()}),
+                   CorruptStream)
+          << codec.name() << " n=" << n;
+    }
+  }
 }
 
 TEST(LossyRegistry, LookupByNameAndId) {

@@ -13,6 +13,26 @@ Bytes ascii(const std::string& s) {
   return Bytes(s.begin(), s.end());
 }
 
+Bytes random_data(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  Bytes data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  return data;
+}
+
+Bytes text_data(std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes data;
+  const char* words[] = {"federated", "learning", "compression", "error",
+                         "bounded", "lossy", "the", "of"};
+  for (int i = 0; i < 2000; ++i) {
+    const char* word = words[rng.uniform_index(8)];
+    data.insert(data.end(), word, word + std::strlen(word));
+    data.push_back(' ');
+  }
+  return data;
+}
+
 Bytes roundtrip(ByteSpan data, const LzParams& params) {
   const auto seqs = lz77_parse(data, params);
   return lz77_reconstruct(data, seqs, data.size());
@@ -51,22 +71,12 @@ TEST(Lz77, OverlappingMatchRunLengthEncoding) {
 }
 
 TEST(Lz77, RandomDataRoundTrips) {
-  Rng rng(3);
-  Bytes data(20000);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  const Bytes data = random_data(3, 20000);
   EXPECT_EQ(roundtrip({data.data(), data.size()}, LzParams{}), data);
 }
 
 TEST(Lz77, TextLikeDataRoundTripsWithLazyMatching) {
-  Rng rng(5);
-  Bytes data;
-  const char* words[] = {"federated", "learning", "compression", "error",
-                         "bounded", "lossy", "the", "of"};
-  for (int i = 0; i < 2000; ++i) {
-    const char* word = words[rng.uniform_index(8)];
-    data.insert(data.end(), word, word + std::strlen(word));
-    data.push_back(' ');
-  }
+  const Bytes data = text_data(5);
   LzParams lazy;
   lazy.lazy = true;
   lazy.max_chain = 64;
@@ -124,6 +134,72 @@ TEST(Lz77, ReconstructValidatesBounds) {
   std::vector<LzSequence> bad{{0, 3, 5, 10}};  // offset 10 > output size
   EXPECT_THROW(lz77_reconstruct({data.data(), data.size()}, bad, 8),
                CorruptStream);
+}
+
+// ---- skip-ahead (screening) parse ----
+
+LzParams skip_ahead() {
+  LzParams params;
+  params.window_log = 20;
+  params.max_chain = 64;
+  params.lazy = true;
+  params.skip_log = 8;
+  return params;
+}
+
+TEST(Lz77SkipAhead, RoundTripsEveryInputShape) {
+  Bytes repeated;
+  for (int i = 0; i < 50; ++i) {
+    const Bytes chunk = ascii("pattern!");
+    repeated.insert(repeated.end(), chunk.begin(), chunk.end());
+  }
+  const Bytes inputs[] = {random_data(3, 20000), repeated, Bytes(500, 0x55),
+                          text_data(5)};
+  for (const Bytes& data : inputs)
+    EXPECT_EQ(roundtrip({data.data(), data.size()}, skip_ahead()), data)
+        << data.size() << " bytes";
+}
+
+TEST(Lz77SkipAhead, RandomBytesAreOneLiteralSequence) {
+  const Bytes data = random_data(3, 64 * 1024);
+  const auto seqs = lz77_parse({data.data(), data.size()}, skip_ahead());
+  ASSERT_EQ(seqs.size(), 1u);
+  EXPECT_EQ(seqs[0].literal_start, 0u);
+  EXPECT_EQ(seqs[0].literal_len, data.size());
+  EXPECT_EQ(seqs[0].match_len, 0u);
+}
+
+TEST(Lz77SkipAhead, ShortLiteralRunsParseLikeEveryPosition) {
+  // The step only grows past 1 once a literal run reaches 256 bytes, so a
+  // parse whose runs stay shorter is the every-position parse.
+  const Bytes data = text_data(5);
+  LzParams exact = skip_ahead();
+  exact.skip_log = 0;
+  const auto screened = lz77_parse({data.data(), data.size()}, skip_ahead());
+  const auto reference = lz77_parse({data.data(), data.size()}, exact);
+  ASSERT_EQ(screened.size(), reference.size());
+  for (std::size_t i = 0; i < screened.size(); ++i) {
+    EXPECT_LT(reference[i].literal_len, 256u);
+    EXPECT_EQ(screened[i].literal_start, reference[i].literal_start);
+    EXPECT_EQ(screened[i].literal_len, reference[i].literal_len);
+    EXPECT_EQ(screened[i].match_len, reference[i].match_len);
+    EXPECT_EQ(screened[i].match_offset, reference[i].match_offset);
+  }
+}
+
+TEST(Lz77SkipAhead, FindsARepeatAfterALongLiteralRun) {
+  // 16 KB of random bytes, then the same 16 KB again: the parse is skipping
+  // ~65 bytes at a time when the copy starts, but the first block's head
+  // was inserted densely, so the copy is still found.
+  const Bytes block = random_data(9, 16 * 1024);
+  Bytes data;
+  for (int i = 0; i < 2; ++i)
+    data.insert(data.end(), block.begin(), block.end());
+  const auto seqs = lz77_parse({data.data(), data.size()}, skip_ahead());
+  std::size_t matched = 0;
+  for (const auto& s : seqs) matched += s.match_len;
+  EXPECT_GT(matched, 15u * 1024);
+  EXPECT_EQ(roundtrip({data.data(), data.size()}, skip_ahead()), data);
 }
 
 TEST(Shuffle, RoundTrip) {

@@ -1,10 +1,10 @@
 // Model-driven property harness for the multi-tier aggregation tree.
 // Each iteration draws a random run configuration — topology depth and
-// fan-ins, scheduler, uplink/backhaul/downlink codecs, edge ship
-// discipline, sharding strategy, and a churn schedule (client dropout,
-// edge crashes, straggler eviction) — runs the event-driven coordinator on
-// a tiny synthetic workload, and asserts the invariants the design
-// guarantees for EVERY configuration:
+// fan-ins, scheduler, uplink/backhaul/downlink codecs, full or delta
+// downlink, edge ship discipline, sharding strategy, slow per-client links,
+// and a churn schedule (client dropout, edge crashes, straggler eviction) —
+// runs the event-driven coordinator on a tiny synthetic workload, and
+// asserts the invariants the design guarantees for EVERY configuration:
 //
 //   1. Liveness: the pump records exactly `rounds` rounds no matter what
 //      churn removed (a wedged barrier would hang or under-record).
@@ -41,6 +41,7 @@
 #include "core/fl/scheduler.hpp"
 #include "core/fl/topology.hpp"
 #include "data/synthetic.hpp"
+#include "net/heterogeneous.hpp"
 #include "util/rng.hpp"
 
 namespace fedsz::core {
@@ -147,7 +148,23 @@ DrawnCase draw_case(Rng& rng) {
                            "sparse:eb=rel:1e-2",
                            "sparse:eb=rel:1e-2,policy=gradaware:0.5"};
   out.uplink_spec = uplinks[rng.uniform_index(std::size(uplinks))];
-  if (rng.uniform() < 0.3) config.downlink_spec = "fedsz:eb=rel:1e-2";
+  if (rng.uniform() < 0.4) {
+    config.downlink_spec = "fedsz:eb=rel:1e-2";
+    if (rng.uniform() < 0.5) config.downlink_mode = DownlinkMode::kDelta;
+  }
+  // Slow per-client links (the population owns the links when it is set).
+  // The tiny model's ~20 KB broadcast takes ~10-300 ms on them, so a
+  // deadline on that scale can evict a client before its broadcast lands.
+  if (config.population.empty() && rng.uniform() < 0.4) {
+    net::HeterogeneousNetworkConfig links;
+    links.distribution = net::LinkDistribution::kUniformEdge;
+    links.edge_min_mbps = 0.5;
+    links.edge_max_mbps = 20.0;
+    links.seed = rng.next_u64();
+    config.heterogeneous = links;
+    if (!continuous && !config.downlink_spec.empty())
+      config.failures.straggler_deadline_seconds = rng.uniform(0.005, 0.1);
+  }
   // Label-skewed sharding rides the same draw: the invariants must hold on
   // Dirichlet partitions exactly as on IID ones.
   if (rng.uniform() < 0.25) config.dirichlet_alpha = rng.uniform(0.2, 2.0);
@@ -167,6 +184,15 @@ DrawnCase draw_case(Rng& rng) {
     desc << " flat";
   }
   if (out.scheduler) desc << " scheduler=" << out.scheduler->name();
+  if (!config.downlink_spec.empty())
+    desc << " downlink='" << config.downlink_spec
+         << "' downmode=" << downlink_mode_name(config.downlink_mode);
+  if (config.heterogeneous)
+    desc << " links=" << net::link_distribution_name(
+                             config.heterogeneous->distribution)
+         << ":" << config.heterogeneous->edge_min_mbps << "-"
+         << config.heterogeneous->edge_max_mbps
+         << "Mbps link_seed=" << config.heterogeneous->seed;
   if (config.dirichlet_alpha > 0.0)
     desc << " dirichlet=" << config.dirichlet_alpha;
   if (!config.population.empty())
