@@ -5,13 +5,16 @@
 // and EncodeContext plumbing through a federation run.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 
+#include "core/codec_spec.hpp"
 #include "core/fl/coordinator.hpp"
 #include "core/policy.hpp"
 #include "core/update_codec.hpp"
 #include "data/synthetic.hpp"
 #include "util/bytebuffer.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -45,6 +48,110 @@ std::uint16_t stream_version(const Bytes& blob) {
 double max_error_vs(const StateDict& a, const StateDict& b,
                     const std::string& name) {
   return stats::max_abs_error(a.get(name).span(), b.get(name).span());
+}
+
+// ---- byte pins for every policy= kind, both families ----
+
+/// The pinned update: layerwise's two tight-bound names, magnitudes that
+/// land on both magnitude/gradaware rails and between them, an all-zero
+/// weight, and the lossless partition's usual small tensors. Each
+/// (round, client) scales it differently, so the gradaware EMA moves.
+StateDict pinned_update(int round, int client) {
+  Rng rng(2024);
+  StateDict dict;
+  dict.set("features.0.weight", random_tensor({3000}, rng));
+  dict.set("features.3.weight", random_tensor({2500}, rng, 0.02f));
+  dict.set("classifier.weight", random_tensor({2000}, rng, 1e-3f));
+  dict.set("frozen.weight", Tensor::zeros({1500}));
+  dict.set("small.weight", random_tensor({20}, rng));
+  dict.set("features.0.bias", random_tensor({16}, rng));
+  dict.set("bn.running_mean", random_tensor({16}, rng));
+  dict.scale(static_cast<float>((1.0 + 0.5 * round) / (1 + client % 3)));
+  return dict;
+}
+
+/// CRC32 of the payload each spec's codec emits for pinned_update at
+/// rounds 0..2 (rows) and clients 7 and 11 (columns). One codec per spec
+/// encodes all six in round order, so gradaware's per-client state carries
+/// across rounds.
+struct PolicyPin {
+  const char* spec;
+  std::uint32_t crc[3][2];
+};
+
+const PolicyPin kPolicyPins[] = {
+    {"fedsz:eb=rel:1e-2,chunk=1024,policy=threshold",
+     {{0xd05bdd0a, 0xba5450a2},
+      {0x270779d8, 0xd05bdd0a},
+      {0xe73c3a6b, 0x4d04c193}}},
+    {"fedsz:eb=rel:1e-2,chunk=1024,policy=layerwise",
+     {{0x9317bb80, 0x07e0fecd},
+      {0x65eedf7b, 0x9317bb80},
+      {0x310d67ed, 0xb159b60d}}},
+    {"fedsz:eb=rel:1e-2,chunk=1024,policy=schedule",
+     {{0xd05bdd0a, 0xba5450a2},
+      {0xa8fe11cb, 0x93e20df9},
+      {0x7d15e9b5, 0x761f1889}}},
+    {"fedsz:eb=rel:1e-2,chunk=1024,policy=magnitude",
+     {{0x624f424f, 0x2f994f47},
+      {0xdc6eca4e, 0x624f424f},
+      {0x7d53c0a9, 0xc3f92324}}},
+    {"fedsz:eb=rel:1e-2,chunk=1024,policy=gradaware",
+     {{0xe3dffc01, 0x8f21b410},
+      {0xd58ae48b, 0x1097e025},
+      {0x73dfc6e1, 0xaf9f6647}}},
+    {"sparse:eb=rel:1e-2,sparsity=0.75,bits=12,policy=threshold",
+     {{0x4a007cac, 0x76b94b9d},
+      {0x97330350, 0x4a007cac},
+      {0x2b8feed8, 0x407e5ba7}}},
+    {"sparse:eb=rel:1e-2,sparsity=0.75,bits=12,policy=layerwise",
+     {{0x2a638d15, 0xc1732765},
+      {0x937504a9, 0x2a638d15},
+      {0x587944f3, 0x7f814853}}},
+    {"sparse:eb=rel:1e-2,sparsity=0.75,bits=12,policy=schedule",
+     {{0x4a007cac, 0x76b94b9d},
+      {0x6732f6d9, 0xb70fd4ce},
+      {0x8f261481, 0x64dcc97f}}},
+    {"sparse:eb=rel:1e-2,sparsity=0.75,bits=12,policy=magnitude",
+     {{0x76be86b9, 0x9f6d672d},
+      {0x8be392de, 0x76be86b9},
+      {0xef798dc7, 0x77c16d1f}}},
+    {"sparse:eb=rel:1e-2,sparsity=0.75,bits=12,policy=gradaware",
+     {{0x8adedc1e, 0xd0e10f66},
+      {0x4cbaa081, 0xdbcf9936},
+      {0x33c53698, 0xbe5f778c}}},
+};
+
+TEST(PolicyPinTest, EveryPolicyKindEmitsItsPinnedBytes) {
+  const int clients[2] = {7, 11};
+  for (const PolicyPin& pin : kPolicyPins) {
+    const UpdateCodecPtr codec = make_codec(pin.spec);
+    std::uint32_t seen[3][2];
+    for (int round = 0; round < 3; ++round) {
+      for (int c = 0; c < 2; ++c) {
+        EncodeContext ctx;
+        ctx.round = round;
+        ctx.client_id = clients[c];
+        const Bytes payload =
+            codec->encode(pinned_update(round, clients[c]), ctx).payload;
+        seen[round][c] = util::crc32({payload.data(), payload.size()});
+        EXPECT_EQ(seen[round][c], pin.crc[round][c])
+            << pin.spec << " round " << round << " client " << clients[c];
+      }
+    }
+    // The row to paste after a deliberate format change.
+    std::string row;
+    char cell[16];
+    for (int round = 0; round < 3; ++round) {
+      std::snprintf(cell, sizeof(cell), "{0x%08x, ", seen[round][0]);
+      row += cell;
+      std::snprintf(cell, sizeof(cell), "0x%08x}", seen[round][1]);
+      row += cell;
+      if (round < 2) row += ", ";
+    }
+    if (std::memcmp(seen, pin.crc, sizeof(seen)) != 0)
+      ADD_FAILURE() << pin.spec << " pins: {" << row << "}";
+  }
 }
 
 // ---- ThresholdPolicy: Algorithm 1 and the byte-stability pin ----
