@@ -126,9 +126,11 @@ class BloscLzCodec final : public LosslessCodec {
     const auto raw_size = static_cast<std::size_t>(r.get_varint());
     if (flags & kFlagStoredRaw) {
       ByteSpan raw = r.get_bytes(raw_size);
+      if (!r.done()) throw CorruptStream("blosclz: trailing bytes");
       return Bytes(raw.begin(), raw.end());
     }
     Bytes out = decode_lz4_style(r, raw_size);
+    if (!r.done()) throw CorruptStream("blosclz: trailing bytes");
     if (flags & kFlagShuffled) out = unshuffle_bytes(out, 4);
     return out;
   }

@@ -190,6 +190,7 @@ class DeflateLikeCodec final : public LosslessCodec {
     const std::uint8_t mode = r.get_u8();
     if (mode == kModeRaw) {
       ByteSpan raw = r.get_bytes(raw_size);
+      if (!r.done()) throw CorruptStream("deflate-like: trailing bytes");
       return Bytes(raw.begin(), raw.end());
     }
     if (mode != kModeCompressed)
@@ -197,6 +198,7 @@ class DeflateLikeCodec final : public LosslessCodec {
     const HuffmanCodebook litlen_book = HuffmanCodebook::read_table(r);
     const HuffmanCodebook dist_book = HuffmanCodebook::read_table(r);
     const Bytes payload = r.get_blob();
+    if (!r.done()) throw CorruptStream("deflate-like: trailing bytes");
     BitReader bits({payload.data(), payload.size()});
     Bytes out;
     // raw_size is stream-borne: reserve no more than the payload can

@@ -46,6 +46,9 @@ class RangeDecoder {
   unsigned decode_bit(BitProb& prob);
   std::uint32_t decode_direct(unsigned count);
   std::uint32_t decode_tree(std::vector<BitProb>& probs, unsigned count);
+  /// True once every byte has been read. A well-formed stream ends here
+  /// exactly when its last symbol is decoded (see next_byte).
+  bool done() const { return pos_ == data_.size(); }
 
  private:
   std::uint8_t next_byte();

@@ -121,6 +121,7 @@ class XzLikeCodec final : public LosslessCodec {
     const std::uint8_t mode = r.get_u8();
     if (mode == kModeRaw) {
       ByteSpan raw = r.get_bytes(raw_size);
+      if (!r.done()) throw CorruptStream("xz-like: trailing bytes");
       return Bytes(raw.begin(), raw.end());
     }
     if (mode != kModeCompressed)
@@ -165,6 +166,7 @@ class XzLikeCodec final : public LosslessCodec {
       for (std::uint32_t i = 0; i < len && out.size() < raw_size; ++i)
         out.push_back(out[from + i]);
     }
+    if (!rc.done()) throw CorruptStream("xz-like: trailing bytes");
     return out;
   }
 };

@@ -138,6 +138,7 @@ class SzxCodec final : public LossyCodec {
       }
     }
     if (out.size() != n) throw CorruptStream("szx: size mismatch");
+    if (!r.done()) throw CorruptStream("szx: trailing bytes");
     return out;
   }
 };

@@ -170,7 +170,10 @@ class ZfpCodec final : public LossyCodec {
     const auto n = static_cast<std::size_t>(r.get_varint());
     const unsigned precision = r.get_u8();
     std::vector<float> out;
-    if (n == 0) return out;
+    if (n == 0) {
+      if (!r.done()) throw CorruptStream("zfp: trailing bytes");
+      return out;
+    }
     if (precision < 1 || precision > 32)
       throw CorruptStream("zfp: invalid precision");
     // Advisory only — clamp so a corrupt element count cannot force a huge
@@ -216,6 +219,8 @@ class ZfpCodec final : public LossyCodec {
         out.push_back(static_cast<float>(
             std::ldexp(static_cast<double>(q[i]), emax - kFixedPointBits)));
     }
+    // The encoder pads only the last byte, so the bits must end in it.
+    if (br.bits_left() >= 8) throw CorruptStream("zfp: trailing bytes");
     return out;
   }
 };

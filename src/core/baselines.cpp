@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "compress/sparse/sparse_codec.hpp"
 #include "core/fedsz.hpp"
 #include "util/bitstream.hpp"
 #include "util/bytebuffer.hpp"
@@ -67,11 +68,7 @@ UpdateCodec::Encoded TopKCodec::encode(const StateDict& dict,
     order.resize(keep);
     std::sort(order.begin(), order.end());  // delta-encodable indices
 
-    w.put_string(name);
-    const Shape& shape = tensor.shape();
-    w.put_u8(static_cast<std::uint8_t>(shape.size()));
-    for (const std::int64_t d : shape)
-      w.put_varint(static_cast<std::uint64_t>(d));
+    write_entry_header(w, name, tensor.shape());
     w.put_varint(keep);
     std::uint32_t previous = 0;
     for (const std::uint32_t idx : order) {
@@ -100,12 +97,17 @@ StateDict TopKCodec::decode(ByteSpan payload, CompressionStats* stats) const {
   StateDict out;
   for (std::uint32_t t = 0; t < n_sparse; ++t) {
     const std::string name = r.get_string();
-    const std::uint8_t rank = r.get_u8();
     Shape shape;
-    for (std::uint8_t d = 0; d < rank; ++d)
-      shape.push_back(static_cast<std::int64_t>(r.get_varint()));
+    const std::size_t numel = read_stream_shape(r, &shape, name);
+    // The dense tensor stays within the container's decompression-bomb
+    // floor, and each survivor takes at least a one-byte index delta and a
+    // four-byte value.
+    if (numel / sparse::kMaxElementsPerPayloadByte > payload.size())
+      throw CorruptStream("topk: implausible element count for " + name);
+    const std::uint64_t keep = r.get_varint();
+    if (keep > numel || keep > r.remaining() / 5)
+      throw CorruptStream("topk: survivor count out of range for " + name);
     Tensor tensor(shape);
-    const auto keep = static_cast<std::size_t>(r.get_varint());
     std::vector<std::uint32_t> indices(keep);
     std::uint32_t cursor = 0;
     for (auto& idx : indices) {
@@ -117,10 +119,10 @@ StateDict TopKCodec::decode(ByteSpan payload, CompressionStats* stats) const {
     for (const std::uint32_t idx : indices) tensor[idx] = r.get_f32();
     out.set(name, std::move(tensor));
   }
-  (void)r.get_blob();  // reserved
-  const Bytes dense = r.get_blob();
-  const StateDict dense_partition =
-      StateDict::deserialize({dense.data(), dense.size()});
+  (void)r.get_blob_view();  // reserved
+  const ByteSpan dense = r.get_blob_view();
+  if (!r.done()) throw CorruptStream("topk: trailing bytes");
+  const StateDict dense_partition = StateDict::deserialize(dense);
   for (const auto& [name, tensor] : dense_partition) out.set(name, tensor);
   if (stats) {
     *stats = CompressionStats{};
@@ -159,11 +161,7 @@ UpdateCodec::Encoded QsgdCodec::encode(const StateDict& dict,
     float max_abs = 0.0f;
     for (std::size_t i = 0; i < tensor.numel(); ++i)
       max_abs = std::max(max_abs, std::fabs(tensor[i]));
-    w.put_string(name);
-    const Shape& shape = tensor.shape();
-    w.put_u8(static_cast<std::uint8_t>(shape.size()));
-    for (const std::int64_t d : shape)
-      w.put_varint(static_cast<std::uint64_t>(d));
+    write_entry_header(w, name, tensor.shape());
     w.put_f32(max_abs);
     // Stochastic rounding of |x|/max to `levels` buckets keeps the
     // estimator unbiased (Alistarh et al. 2017); sign packs with the level.
@@ -202,13 +200,15 @@ StateDict QsgdCodec::decode(ByteSpan payload, CompressionStats* stats) const {
   StateDict out;
   for (std::uint32_t t = 0; t < n_quantized; ++t) {
     const std::string name = r.get_string();
-    const std::uint8_t rank = r.get_u8();
     Shape shape;
-    for (std::uint8_t d = 0; d < rank; ++d)
-      shape.push_back(static_cast<std::int64_t>(r.get_varint()));
+    const std::size_t numel = read_stream_shape(r, &shape, name);
     const float max_abs = r.get_f32();
-    const Bytes packed = r.get_blob();
-    BitReader bits({packed.data(), packed.size()});
+    const ByteSpan packed = r.get_blob_view();
+    // Every element packs a sign bit and a level_bits-wide level.
+    if (numel > packed.size() * 8 / (1 + level_bits))
+      throw CorruptStream("qsgd: tensor larger than its packed levels for " +
+                          name);
+    BitReader bits(packed);
     Tensor tensor(shape);
     const float step = levels > 0 ? max_abs / static_cast<float>(levels)
                                   : 0.0f;
@@ -219,9 +219,9 @@ StateDict QsgdCodec::decode(ByteSpan payload, CompressionStats* stats) const {
     }
     out.set(name, std::move(tensor));
   }
-  const Bytes dense = r.get_blob();
-  const StateDict dense_partition =
-      StateDict::deserialize({dense.data(), dense.size()});
+  const ByteSpan dense = r.get_blob_view();
+  if (!r.done()) throw CorruptStream("qsgd: trailing bytes");
+  const StateDict dense_partition = StateDict::deserialize(dense);
   for (const auto& [name, tensor] : dense_partition) out.set(name, tensor);
   if (stats) {
     *stats = CompressionStats{};

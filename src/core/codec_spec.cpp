@@ -562,10 +562,6 @@ FedSzConfig codec_spec_config(const CodecSpec& spec) {
   if (spec.identity)
     throw InvalidArgument(
         "codec_spec_config: the identity spec has no FedSzConfig");
-  if (!spec.sparse && (spec.sparsity > 0.0 || spec.sparse_bits > 0))
-    throw InvalidArgument(
-        "codec spec: sparsity/bits are set but the family is not sparse; "
-        "only the sparse family can honor them");
   FedSzConfig config;
   config.lossy_id = spec.lossy_id;
   config.lossless_id = spec.lossless_id;
@@ -573,65 +569,8 @@ FedSzConfig codec_spec_config(const CodecSpec& spec) {
   config.lossy_threshold = spec.lossy_threshold;
   config.chunk_elements = spec.chunk_elements;
   config.parallelism = spec.threads;
-  // Build the base policy the spec names, then (for the sparse family)
-  // wrap it in the overlay that reroutes its lossy plans onto the sparse
-  // path. A null base means policy=threshold — FedSz's byte-stable
-  // Algorithm-1 default.
-  const auto finish = [&spec, &config](CompressionPolicyPtr base) {
-    if (!spec.sparse) {
-      config.policy = std::move(base);
-      return config;
-    }
-    if (base == nullptr)
-      base = make_threshold_policy(
-          {spec.lossy_id, spec.bound, spec.lossy_threshold});
-    config.policy = make_sparse_overlay_policy(std::move(base), spec.sparsity,
-                                               spec.sparse_bits);
-    return config;
-  };
-  if (spec.policy == "threshold") return finish(nullptr);
-  if (spec.bound.mode != lossy::BoundMode::kRelative)
-    throw InvalidArgument("codec spec: policy=" + spec.policy +
-                          " requires a relative bound (eb=rel:...)");
-  if (spec.policy == "layerwise") {
-    // Cookbook rule set: the classifier head and the stem convolution are
-    // the accuracy-sensitive layers, so they get a 10x tighter bound than
-    // the spec's base bound.
-    LayerwiseBoundConfig layerwise;
-    layerwise.lossy_id = spec.lossy_id;
-    layerwise.rules = {
-        {"classifier", lossy::ErrorBound::relative(spec.bound.value / 10.0)},
-        {"features.0.", lossy::ErrorBound::relative(spec.bound.value / 10.0)},
-    };
-    layerwise.fallback = spec.bound;
-    layerwise.lossy_threshold = spec.lossy_threshold;
-    config.policy = make_layerwise_policy(std::move(layerwise));
-  } else if (spec.policy == "schedule") {
-    BoundScheduleConfig schedule;
-    schedule.lossy_id = spec.lossy_id;
-    schedule.initial = spec.bound.value;
-    schedule.factor = spec.schedule_factor;
-    schedule.floor = spec.bound.value * 1e-2;
-    schedule.ceiling = spec.bound.value * 1e2;
-    schedule.lossy_threshold = spec.lossy_threshold;
-    config.policy = make_bound_schedule_policy(schedule);
-  } else if (spec.policy == "magnitude") {
-    MagnitudeAwareConfig magnitude;
-    magnitude.lossy_id = spec.lossy_id;
-    magnitude.base = spec.bound.value;
-    magnitude.lossy_threshold = spec.lossy_threshold;
-    config.policy = make_magnitude_aware_policy(magnitude);
-  } else if (spec.policy == "gradaware") {
-    GradientAwareConfig gradaware;
-    gradaware.lossy_id = spec.lossy_id;
-    gradaware.base = spec.bound.value;
-    gradaware.beta = spec.gradaware_beta;
-    gradaware.lossy_threshold = spec.lossy_threshold;
-    config.policy = make_gradient_aware_policy(gradaware);
-  } else {
-    throw InvalidArgument("codec spec: unknown policy '" + spec.policy + "'");
-  }
-  return finish(std::move(config.policy));
+  config.policy = std::make_shared<SpecPolicy>(spec);
+  return config;
 }
 
 UpdateCodecPtr make_codec(const CodecSpec& spec) {

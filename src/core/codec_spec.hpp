@@ -207,8 +207,8 @@ CodecSpec parse_codec_spec(const std::string& spec);
 std::string format_codec_spec(const CodecSpec& spec);
 
 /// Lower a (non-identity) spec to the FedSzConfig it describes, including
-/// the constructed CompressionPolicy (null for policy=threshold, which is
-/// FedSz's byte-stable default).
+/// the SpecPolicy its codec keys build (core/policy.hpp). Throws
+/// InvalidArgument on a combination the policy cannot honor.
 FedSzConfig codec_spec_config(const CodecSpec& spec);
 
 /// Build the update codec a spec describes.

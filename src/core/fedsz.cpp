@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "compress/sparse/sparse_codec.hpp"
+#include "core/codec_spec.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/timer.hpp"
 
@@ -122,10 +123,14 @@ FedSz::FedSz(FedSzConfig config) : config_(std::move(config)) {
   // registry singletons exist before any worker thread touches them).
   (void)lossy::lossy_codec(config_.lossy_id);
   (void)lossless::lossless_codec(config_.lossless_id);
-  policy_ = config_.policy
-                ? config_.policy
-                : make_threshold_policy({config_.lossy_id, config_.bound,
-                                         config_.lossy_threshold});
+  policy_ = config_.policy;
+  if (!policy_) {
+    CodecSpec spec;  // policy=threshold: Algorithm 1 over the config fields
+    spec.lossy_id = config_.lossy_id;
+    spec.bound = config_.bound;
+    spec.lossy_threshold = config_.lossy_threshold;
+    policy_ = std::make_shared<SpecPolicy>(spec);
+  }
 }
 
 std::size_t FedSz::resolved_parallelism() const {
@@ -287,18 +292,14 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
   }
 
   // Serialize the lossless partition straight from the borrowed entries —
-  // byte-for-byte StateDict::serialize() format, without deep-copying the
-  // tensors into a scratch dict.
+  // StateDict::serialize()'s format, without deep-copying the tensors into
+  // a scratch dict.
   ByteWriter& metadata = ws.metadata;
   metadata.reset();
   metadata.put_u32(static_cast<std::uint32_t>(lossless_entries.size()));
   for (const StateDict::Entry* entry : lossless_entries) {
-    metadata.put_string(entry->first);
-    const Tensor& tensor = entry->second;
-    metadata.put_u8(static_cast<std::uint8_t>(tensor.rank()));
-    for (const std::int64_t d : tensor.shape())
-      metadata.put_varint(static_cast<std::uint64_t>(d));
-    metadata.put_bytes(as_bytes(tensor.span()));
+    write_entry_header(metadata, entry->first, entry->second.shape());
+    metadata.put_bytes(as_bytes(entry->second.span()));
   }
 
   run_indexed(ws.jobs.size() + 1, [&ws, &lossless_codec,
@@ -324,16 +325,9 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
     if (job.codec == nullptr) local.sparse_kept_elements += job.kept;
 
   // Shared per-entry serialization, so the v2 and v3 branches can never
-  // drift apart: the name/shape prefix, and the resolved-eps + chunk-size
-  // table + payload tail (identical in both formats).
-  const auto write_entry_header = [](ByteWriter& writer,
-                                     const PlannedEntry& entry) {
-    writer.put_string(*entry.name);
-    const Shape& shape = entry.tensor->shape();
-    writer.put_u8(static_cast<std::uint8_t>(shape.size()));
-    for (const std::int64_t d : shape)
-      writer.put_varint(static_cast<std::uint64_t>(d));
-  };
+  // drift apart: the name/shape prefix (write_entry_header), and the
+  // resolved-eps + chunk-size table + payload tail (identical in both
+  // formats).
   const auto write_chunk_payloads = [&local](ByteWriter& writer,
                                              const PlannedEntry& entry,
                                              const std::vector<Bytes>&
@@ -361,7 +355,7 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
     w.put_varint(config_.chunk_elements);
     w.put_u32(static_cast<std::uint32_t>(planned.size()));
     for (std::size_t i = 0; i < planned.size(); ++i) {
-      write_entry_header(w, planned[i]);
+      write_entry_header(w, *planned[i].name, planned[i].tensor->shape());
       write_chunk_payloads(w, planned[i], ws.chunk_payloads[i]);
     }
   } else {
@@ -372,7 +366,7 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
     w.put_u32(static_cast<std::uint32_t>(planned.size()));
     for (std::size_t i = 0; i < planned.size(); ++i) {
       const PlannedEntry& entry = planned[i];
-      write_entry_header(w, entry);
+      write_entry_header(w, *entry.name, entry.tensor->shape());
       w.put_u8(static_cast<std::uint8_t>(entry.plan.path));
       if (entry.plan.path == TensorPath::kRaw) {
         w.put_bytes(as_bytes(entry.tensor->span()));

@@ -1,12 +1,13 @@
 // FedSZ — the paper's contribution (Section V, Algorithm 1): compress an FL
 // client's model update (a StateDict) by
 //   (i)   planning a path for every entry through a CompressionPolicy
-//         (core/policy.hpp). The default ThresholdPolicy is Algorithm 1
-//         verbatim: tensors whose name contains "weight" and whose flattened
-//         size exceeds a threshold go lossy, everything else (biases,
-//         BatchNorm running statistics, small tensors) goes lossless.
-//         Policies may also route entries raw (untouched float bytes) and
-//         may pick a different lossy codec/bound per tensor and per round.
+//         (core/policy.hpp). The default, SpecPolicy's threshold kind, is
+//         Algorithm 1 verbatim: tensors whose name contains "weight" and
+//         whose flattened size exceeds a threshold go lossy, everything else
+//         (biases, BatchNorm running statistics, small tensors) goes
+//         lossless. Policies may also route entries raw (untouched float
+//         bytes) and may pick a different lossy codec/bound per tensor and
+//         per round.
 //   (ii)  compressing each lossy tensor with its planned error-bounded lossy
 //         codec and the serialized lossless partition with a fast lossless
 //         codec (blosc-lz by default),
@@ -49,8 +50,9 @@ struct FedSzConfig {
   /// Algorithm 1's `threshold`: minimum flattened element count for the
   /// lossy path.
   std::size_t lossy_threshold = 1000;
-  /// Per-tensor planner. Null means ThresholdPolicy built from the three
-  /// fields above — the paper's Algorithm 1 and the byte-stable default.
+  /// Per-tensor planner. Null means SpecPolicy's threshold kind built from
+  /// the three fields above — the paper's Algorithm 1 and the byte-stable
+  /// default.
   CompressionPolicyPtr policy;
   /// Hard ceiling on chunk_elements (1 GiB of float32 per chunk). Values
   /// above it are clamped at construction, and streams declaring more are
@@ -156,8 +158,8 @@ class FedSz {
                        CompressionStats* stats = nullptr) const;
 
   const FedSzConfig& config() const { return config_; }
-  /// The active planner (the configured policy, or the default
-  /// ThresholdPolicy synthesized from the config fields).
+  /// The active planner (the configured policy, or the default threshold
+  /// SpecPolicy synthesized from the config fields).
   const CompressionPolicy& policy() const { return *policy_; }
 
   /// Chunks the pipeline will emit for a tensor of `numel` elements.

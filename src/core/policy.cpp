@@ -2,22 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "compress/sparse/sparse_codec.hpp"
+#include "core/codec_spec.hpp"
 #include "core/fedsz.hpp"
 
 namespace fedsz::core {
 
 namespace {
 
-void validate_threshold_fields(const lossy::ErrorBound& bound,
-                               lossy::LossyId lossy_id, const char* who) {
-  bound.validate();
-  // Resolve eagerly so a bad id fails at policy construction, mirroring
-  // FedSz's own constructor check.
-  (void)lossy::lossy_codec(lossy_id);
-  (void)who;
-}
+/// policy= spellings, in SpecPolicy::Kind order.
+constexpr const char* kKindNames[] = {"threshold", "layerwise", "schedule",
+                                      "magnitude", "gradaware"};
 
 double tensor_rms(const Tensor& tensor) {
   const FloatSpan values = tensor.span();
@@ -30,212 +27,114 @@ double tensor_rms(const Tensor& tensor) {
 
 }  // namespace
 
-// ---- ThresholdPolicy ----
-
-ThresholdPolicy::ThresholdPolicy(ThresholdPolicyConfig config)
-    : config_(config) {
-  validate_threshold_fields(config_.bound, config_.lossy_id,
-                            "ThresholdPolicy");
+SpecPolicy::SpecPolicy(const CodecSpec& spec)
+    : lossy_id_(spec.lossy_id),
+      bound_(spec.bound),
+      lossy_threshold_(spec.lossy_threshold),
+      schedule_factor_(spec.schedule_factor),
+      beta_(spec.gradaware_beta),
+      sparse_(spec.sparse),
+      sparsity_(spec.sparsity),
+      sparse_bits_(spec.sparse_bits) {
+  const auto kind =
+      std::find(std::begin(kKindNames), std::end(kKindNames), spec.policy);
+  if (kind == std::end(kKindNames))
+    throw InvalidArgument("codec spec: unknown policy '" + spec.policy + "'");
+  kind_ = static_cast<Kind>(kind - std::begin(kKindNames));
+  bound_.validate();
+  // Resolve eagerly so a bad id fails here, as in FedSz's constructor.
+  (void)lossy::lossy_codec(lossy_id_);
+  if (kind_ != Kind::kThreshold &&
+      bound_.mode != lossy::BoundMode::kRelative)
+    throw InvalidArgument("codec spec: policy=" + spec.policy +
+                          " requires a relative bound (eb=rel:...)");
+  if (kind_ == Kind::kSchedule &&
+      (!(schedule_factor_ > 0.0) || !std::isfinite(schedule_factor_)))
+    throw InvalidArgument(
+        "codec spec: policy=schedule factor must be positive and finite");
+  if (kind_ == Kind::kGradAware && !(beta_ > 0.0 && beta_ < 1.0))
+    throw InvalidArgument(
+        "codec spec: policy=gradaware beta must be in (0, 1)");
+  if (sparse_)
+    sparse::SparseParams{sparsity_, sparse_bits_}.validate();
+  else if (sparsity_ > 0.0 || sparse_bits_ > 0)
+    throw InvalidArgument(
+        "codec spec: sparsity/bits are set but the family is not sparse; "
+        "only the sparse family can honor them");
 }
 
-TensorPlan ThresholdPolicy::plan(const std::string& name, const Tensor& tensor,
-                                 const EncodeContext&) const {
-  if (is_lossy_entry(name, tensor.numel(), config_.lossy_threshold))
-    return TensorPlan::lossy(config_.lossy_id, config_.bound);
-  return TensorPlan::lossless();
+std::string SpecPolicy::name() const {
+  const std::string kind = kKindNames[static_cast<std::size_t>(kind_)];
+  return sparse_ ? "sparse+" + kind : kind;
 }
 
-// ---- LayerwiseBoundPolicy ----
-
-LayerwiseBoundPolicy::LayerwiseBoundPolicy(LayerwiseBoundConfig config)
-    : config_(std::move(config)) {
-  validate_threshold_fields(config_.fallback, config_.lossy_id,
-                            "LayerwiseBoundPolicy");
-  for (const LayerwiseRule& rule : config_.rules) {
-    if (rule.pattern.empty())
-      throw InvalidArgument("LayerwiseBoundPolicy: empty rule pattern");
-    rule.bound.validate();
-  }
-}
-
-TensorPlan LayerwiseBoundPolicy::plan(const std::string& name,
-                                      const Tensor& tensor,
-                                      const EncodeContext&) const {
-  if (!is_lossy_entry(name, tensor.numel(), config_.lossy_threshold))
+TensorPlan SpecPolicy::plan(const std::string& name, const Tensor& tensor,
+                            const EncodeContext& ctx) const {
+  if (!is_lossy_entry(name, tensor.numel(), lossy_threshold_))
     return TensorPlan::lossless();
-  for (const LayerwiseRule& rule : config_.rules)
-    if (name.find(rule.pattern) != std::string::npos)
-      return TensorPlan::lossy(config_.lossy_id, rule.bound);
-  return TensorPlan::lossy(config_.lossy_id, config_.fallback);
-}
-
-// ---- BoundSchedulePolicy ----
-
-BoundSchedulePolicy::BoundSchedulePolicy(BoundScheduleConfig config)
-    : config_(config) {
-  validate_threshold_fields(lossy::ErrorBound::relative(config_.initial),
-                            config_.lossy_id, "BoundSchedulePolicy");
-  if (!(config_.factor > 0.0) || !std::isfinite(config_.factor))
-    throw InvalidArgument(
-        "BoundSchedulePolicy: factor must be positive and finite");
-  if (!(config_.floor > 0.0) || !(config_.ceiling >= config_.floor))
-    throw InvalidArgument(
-        "BoundSchedulePolicy: need 0 < floor <= ceiling");
-}
-
-double BoundSchedulePolicy::bound_at(int round) const {
-  const double scheduled =
-      config_.initial * std::pow(config_.factor, std::max(0, round));
-  return std::clamp(scheduled, config_.floor, config_.ceiling);
-}
-
-TensorPlan BoundSchedulePolicy::plan(const std::string& name,
-                                     const Tensor& tensor,
-                                     const EncodeContext& ctx) const {
-  if (!is_lossy_entry(name, tensor.numel(), config_.lossy_threshold))
-    return TensorPlan::lossless();
-  return TensorPlan::lossy(config_.lossy_id,
-                           lossy::ErrorBound::relative(bound_at(ctx.round)));
-}
-
-// ---- MagnitudeAwarePolicy ----
-
-MagnitudeAwarePolicy::MagnitudeAwarePolicy(MagnitudeAwareConfig config)
-    : config_(config) {
-  validate_threshold_fields(lossy::ErrorBound::relative(config_.base),
-                            config_.lossy_id, "MagnitudeAwarePolicy");
-  if (!(config_.reference_rms > 0.0) || !std::isfinite(config_.reference_rms))
-    throw InvalidArgument(
-        "MagnitudeAwarePolicy: reference_rms must be positive and finite");
-  if (!(config_.min_scale > 0.0) || !(config_.max_scale >= config_.min_scale))
-    throw InvalidArgument(
-        "MagnitudeAwarePolicy: need 0 < min_scale <= max_scale");
-}
-
-TensorPlan MagnitudeAwarePolicy::plan(const std::string& name,
-                                      const Tensor& tensor,
-                                      const EncodeContext&) const {
-  if (!is_lossy_entry(name, tensor.numel(), config_.lossy_threshold))
-    return TensorPlan::lossless();
-  const double rms = tensor_rms(tensor);
-  if (rms == 0.0) {
-    // An all-zero update (frozen/unchanged layer) compresses to almost
-    // nothing on the lossless path and reconstructs exactly; a lossy pass
-    // would only add codec overhead.
-    return TensorPlan::lossless();
-  }
-  const double scale = std::clamp(rms / config_.reference_rms,
-                                  config_.min_scale, config_.max_scale);
-  return TensorPlan::lossy(
-      config_.lossy_id, lossy::ErrorBound::relative(config_.base * scale));
-}
-
-// ---- GradientAwareBoundPolicy ----
-
-GradientAwareBoundPolicy::GradientAwareBoundPolicy(GradientAwareConfig config)
-    : config_(config) {
-  validate_threshold_fields(lossy::ErrorBound::relative(config_.base),
-                            config_.lossy_id, "GradientAwareBoundPolicy");
-  if (!(config_.beta > 0.0) || !(config_.beta < 1.0))
-    throw InvalidArgument(
-        "GradientAwareBoundPolicy: beta must be in (0, 1)");
-  if (!(config_.reference_sensitivity > 0.0) ||
-      !std::isfinite(config_.reference_sensitivity))
-    throw InvalidArgument(
-        "GradientAwareBoundPolicy: reference_sensitivity must be positive "
-        "and finite");
-  if (!(config_.min_scale > 0.0) || !(config_.max_scale >= config_.min_scale))
-    throw InvalidArgument(
-        "GradientAwareBoundPolicy: need 0 < min_scale <= max_scale");
-}
-
-TensorPlan GradientAwareBoundPolicy::plan(const std::string& name,
-                                          const Tensor& tensor,
-                                          const EncodeContext& ctx) const {
-  if (!is_lossy_entry(name, tensor.numel(), config_.lossy_threshold))
-    return TensorPlan::lossless();
-  const double rms = tensor_rms(tensor);
-  if (rms == 0.0) return TensorPlan::lossless();
-  const std::string key = std::to_string(ctx.client_id) + '|' + name;
-  double sensitivity = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Accumulator& acc = sensitivity_[key];
-    if (!acc.seeded) {
-      acc.seeded = true;
-      acc.round = ctx.round;
-      acc.before = rms;
-    } else if (ctx.round != acc.round) {
-      acc.round = ctx.round;
-      acc.before = acc.current;
+  double value = bound_.value;
+  switch (kind_) {
+    case Kind::kThreshold:
+      break;
+    case Kind::kLayerwise:
+      for (const char* pattern : kTightLayerPatterns) {
+        if (name.find(pattern) != std::string::npos) {
+          value = bound_.value / kTightLayerDivisor;
+          break;
+        }
+      }
+      break;
+    case Kind::kSchedule:
+      value = std::clamp(
+          bound_.value * std::pow(schedule_factor_, std::max(0, ctx.round)),
+          bound_.value * kScheduleFloor, bound_.value * kScheduleCeiling);
+      break;
+    case Kind::kMagnitude:
+    case Kind::kGradAware: {
+      const double rms = tensor_rms(tensor);
+      // An all-zero update (frozen/unchanged layer) compresses to almost
+      // nothing on the lossless path and reconstructs exactly; a lossy pass
+      // would only add codec overhead.
+      if (rms == 0.0) return TensorPlan::lossless();
+      const double scale =
+          kind_ == Kind::kMagnitude
+              ? rms / kReferenceRms
+              : kReferenceRms / advance_sensitivity(name, rms, ctx);
+      value = bound_.value * std::clamp(scale, kMinScale, kMaxScale);
+      break;
     }
-    // Recomputing from `before` keeps same-round re-encodes idempotent.
-    acc.current = config_.beta * acc.before + (1.0 - config_.beta) * rms;
-    sensitivity = acc.current;
   }
-  const double scale =
-      std::clamp(config_.reference_sensitivity / sensitivity,
-                 config_.min_scale, config_.max_scale);
-  return TensorPlan::lossy(
-      config_.lossy_id, lossy::ErrorBound::relative(config_.base * scale));
+  const lossy::ErrorBound bound{bound_.mode, value};
+  if (sparse_) return TensorPlan::sparse(bound, sparsity_, sparse_bits_);
+  return TensorPlan::lossy(lossy_id_, bound);
 }
 
-double GradientAwareBoundPolicy::sensitivity(int client_id,
-                                             const std::string& name) const {
+double SpecPolicy::advance_sensitivity(const std::string& name, double rms,
+                                       const EncodeContext& ctx) const {
+  const std::string key = std::to_string(ctx.client_id) + '|' + name;
+  std::lock_guard<std::mutex> lock(mutex_);
+  Accumulator& acc = sensitivity_[key];
+  if (!acc.seeded) {
+    acc.seeded = true;
+    acc.round = ctx.round;
+    acc.before = rms;
+  } else if (ctx.round != acc.round) {
+    acc.round = ctx.round;
+    acc.before = acc.current;
+  }
+  // Recomputing from `before` keeps same-round re-encodes idempotent.
+  acc.current = beta_ * acc.before + (1.0 - beta_) * rms;
+  return acc.current;
+}
+
+double SpecPolicy::sensitivity(int client_id, const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = sensitivity_.find(std::to_string(client_id) + '|' + name);
   return it == sensitivity_.end() ? 0.0 : it->second.current;
 }
 
-// ---- SparseOverlayPolicy ----
-
-SparseOverlayPolicy::SparseOverlayPolicy(CompressionPolicyPtr inner,
-                                         double sparsity, unsigned bits)
-    : inner_(std::move(inner)), sparsity_(sparsity), bits_(bits) {
-  if (inner_ == nullptr)
-    throw InvalidArgument("SparseOverlayPolicy: null inner policy");
-  sparse::SparseParams{sparsity_, bits_}.validate();
-}
-
-TensorPlan SparseOverlayPolicy::plan(const std::string& name,
-                                     const Tensor& tensor,
-                                     const EncodeContext& ctx) const {
-  const TensorPlan inner = inner_->plan(name, tensor, ctx);
-  if (inner.path != TensorPath::kLossy) return inner;
-  return TensorPlan::sparse(inner.bound, sparsity_, bits_);
-}
-
-// ---- factories ----
-
-CompressionPolicyPtr make_threshold_policy(ThresholdPolicyConfig config) {
-  return std::make_shared<ThresholdPolicy>(config);
-}
-
-CompressionPolicyPtr make_layerwise_policy(LayerwiseBoundConfig config) {
-  return std::make_shared<LayerwiseBoundPolicy>(std::move(config));
-}
-
-CompressionPolicyPtr make_bound_schedule_policy(BoundScheduleConfig config) {
-  return std::make_shared<BoundSchedulePolicy>(config);
-}
-
-CompressionPolicyPtr make_magnitude_aware_policy(MagnitudeAwareConfig config) {
-  return std::make_shared<MagnitudeAwarePolicy>(config);
-}
-
-CompressionPolicyPtr make_gradient_aware_policy(GradientAwareConfig config) {
-  return std::make_shared<GradientAwareBoundPolicy>(config);
-}
-
-CompressionPolicyPtr make_sparse_overlay_policy(CompressionPolicyPtr inner,
-                                                double sparsity,
-                                                unsigned bits) {
-  return std::make_shared<SparseOverlayPolicy>(std::move(inner), sparsity,
-                                               bits);
-}
-
 std::vector<std::string> compression_policy_names() {
-  return {"threshold", "layerwise", "schedule", "magnitude", "gradaware"};
+  return {std::begin(kKindNames), std::end(kKindNames)};
 }
 
 }  // namespace fedsz::core

@@ -1,34 +1,29 @@
 // Policy-driven compression planning: the seam between the FL runtime and
-// the FedSZ pipeline. Algorithm 1 hardwires one global error bound and a
-// name/size partition rule; the follow-on literature (Ye et al.'s
-// gradient-aware per-layer bounds, FedSparQ's adaptive schedules) shows the
-// win comes from per-tensor, per-round decisions. A CompressionPolicy maps
-// (tensor name, tensor, EncodeContext) -> TensorPlan — which path the tensor
-// takes and, for the lossy path, which codec and bound — so the bound/codec
-// choice is pluggable instead of a struct field:
+// the FedSZ pipeline. A CompressionPolicy maps (tensor name, tensor,
+// EncodeContext) -> TensorPlan: which path the tensor takes and, on the
+// lossy path, which codec and bound.
 //
-//   ThresholdPolicy       Algorithm 1 verbatim (the default): "weight" in
-//                         the name and numel > threshold -> lossy at one
-//                         global bound; everything else lossless.
-//                         Regression-pinned to the paper's partition/bytes.
-//   LayerwiseBoundPolicy  per-layer-pattern bounds: first substring rule
-//                         that matches the tensor name decides the bound
-//                         (e.g. tighter bounds on the classifier head).
-//   BoundSchedulePolicy   the bound decays (or tightens) geometrically over
-//                         rounds via EncodeContext::round — coarse early
-//                         rounds, precise late rounds.
-//   MagnitudeAwarePolicy  relative bound scaled by each tensor's update
-//                         magnitude (RMS), after Ye et al.: small-magnitude
-//                         layers get proportionally tighter bounds.
-//   GradientAwareBoundPolicy  per-tensor bounds scaled by gradient
-//                         sensitivity accumulated across rounds (an EMA of
-//                         the update RMS keyed by client and tensor, driven
-//                         by EncodeContext::round): layers whose updates
-//                         stay large are sensitive and get tighter bounds.
-//   SparseOverlayPolicy   reroutes an inner policy's lossy plans onto the
-//                         sparse path (threshold + quantize + mask), keeping
-//                         the inner policy's bound; everything else passes
-//                         through untouched.
+// SpecPolicy is the one built-in policy, built from a codec spec's keys.
+// Every kind applies Algorithm 1's gate first ("weight" in the name and
+// numel > threshold, else lossless), then resolves the lossy bound from the
+// spec's `eb=` value b:
+//
+//   threshold   b (Algorithm 1 verbatim; the default, byte-stable: it emits
+//               the pre-policy v2 container).
+//   layerwise   b / 10 for names containing "classifier" or "features.0."
+//               (the head and the stem), b elsewhere.
+//   schedule    b * factor^round, clamped to [b * 1e-2, b * 1e2].
+//   magnitude   b * clamp(rms / 1e-2, 0.1, 10) from the tensor's update RMS,
+//               after Ye et al.'s gradient-aware compressor; an all-zero
+//               tensor goes lossless.
+//   gradaware   b * clamp(1e-2 / s, 0.1, 10), where s is a per-(client,
+//               tensor) EMA of the update RMS across rounds
+//               (s <- beta * s + (1 - beta) * rms); an all-zero tensor goes
+//               lossless.
+//
+// The sparse family (FedSparQ-style) reroutes every lossy plan onto the
+// sparse path at the same bound with the spec's sparsity and bits; its name
+// is "sparse+<kind>".
 #pragma once
 
 #include <memory>
@@ -43,6 +38,8 @@
 #include "util/common.hpp"
 
 namespace fedsz::core {
+
+struct CodecSpec;
 
 /// Which pipeline a tensor rides. kLossless entries are serialized together
 /// and compressed with the container's lossless codec; kRaw entries ship
@@ -100,9 +97,8 @@ struct EncodeContext {
 
 /// Maps each tensor of an update to its TensorPlan. plan() is called
 /// concurrently from codec pipelines, so implementations must be
-/// thread-safe through const; most are pure functions of their arguments
-/// and construction-time config, and stateful ones (GradientAware) must
-/// keep plan() idempotent per (client, round) so re-encoding an update is
+/// thread-safe through const; a stateful one (gradaware) must keep plan()
+/// idempotent per (client, round) so re-encoding an update is
 /// byte-identical at any thread count.
 class CompressionPolicy {
  public:
@@ -118,190 +114,72 @@ class CompressionPolicy {
 
 using CompressionPolicyPtr = std::shared_ptr<const CompressionPolicy>;
 
-// ---- ThresholdPolicy (Algorithm 1, the default) ----
-
-struct ThresholdPolicyConfig {
-  lossy::LossyId lossy_id = lossy::LossyId::kSz2;
-  lossy::ErrorBound bound = lossy::ErrorBound::relative(1e-2);
-  /// Algorithm 1's minimum flattened element count for the lossy path.
-  std::size_t lossy_threshold = 1000;
-};
-
-class ThresholdPolicy final : public CompressionPolicy {
+/// The policy a codec spec names (see the header comment). Built from the
+/// spec's codec keys only: policy kind, lossy codec, bound, threshold,
+/// schedule factor, gradaware beta, and the sparse family's sparsity and
+/// bits. Throws InvalidArgument on an unknown kind, a non-relative bound
+/// under any kind but threshold, or out-of-range knobs.
+///
+/// The gradaware EMA advances exactly once per EncodeContext::round, and
+/// re-planning the same round recomputes from the previous round's value,
+/// so repeated encodes of one update are idempotent. It lives in memory
+/// only: it is not checkpointed, so a resumed run re-warms it.
+class SpecPolicy final : public CompressionPolicy {
  public:
-  explicit ThresholdPolicy(ThresholdPolicyConfig config);
-  std::string name() const override { return "threshold"; }
+  /// Values no spec key reaches. Layerwise divides the bound by
+  /// kTightLayerDivisor on names containing a kTightLayerPatterns entry;
+  /// schedule clamps to [b * kScheduleFloor, b * kScheduleCeiling];
+  /// magnitude and gradaware pivot on kReferenceRms and clamp their scale
+  /// to [kMinScale, kMaxScale].
+  static constexpr const char* kTightLayerPatterns[] = {"classifier",
+                                                        "features.0."};
+  static constexpr double kTightLayerDivisor = 10.0;
+  static constexpr double kScheduleFloor = 1e-2;
+  static constexpr double kScheduleCeiling = 1e2;
+  static constexpr double kReferenceRms = 1e-2;
+  static constexpr double kMinScale = 0.1;
+  static constexpr double kMaxScale = 10.0;
+
+  explicit SpecPolicy(const CodecSpec& spec);
+  std::string name() const override;
   TensorPlan plan(const std::string& name, const Tensor& tensor,
                   const EncodeContext& ctx) const override;
-
- private:
-  ThresholdPolicyConfig config_;
-};
-
-// ---- LayerwiseBoundPolicy ----
-
-struct LayerwiseRule {
-  std::string pattern;  // substring of the tensor name
-  lossy::ErrorBound bound;
-};
-
-struct LayerwiseBoundConfig {
-  lossy::LossyId lossy_id = lossy::LossyId::kSz2;
-  /// First rule whose pattern is a substring of the tensor name wins.
-  std::vector<LayerwiseRule> rules;
-  lossy::ErrorBound fallback = lossy::ErrorBound::relative(1e-2);
-  std::size_t lossy_threshold = 1000;
-};
-
-class LayerwiseBoundPolicy final : public CompressionPolicy {
- public:
-  explicit LayerwiseBoundPolicy(LayerwiseBoundConfig config);
-  std::string name() const override { return "layerwise"; }
-  TensorPlan plan(const std::string& name, const Tensor& tensor,
-                  const EncodeContext& ctx) const override;
-
- private:
-  LayerwiseBoundConfig config_;
-};
-
-// ---- BoundSchedulePolicy ----
-
-struct BoundScheduleConfig {
-  lossy::LossyId lossy_id = lossy::LossyId::kSz2;
-  /// Relative bound at round 0.
-  double initial = 1e-2;
-  /// Per-round multiplier: < 1 tightens the bound over rounds (coarse early,
-  /// precise late), > 1 loosens it. Must be positive and finite.
-  double factor = 0.7;
-  /// The scheduled bound is clamped to [floor, ceiling].
-  double floor = 1e-4;
-  double ceiling = 1e-1;
-  std::size_t lossy_threshold = 1000;
-};
-
-class BoundSchedulePolicy final : public CompressionPolicy {
- public:
-  explicit BoundSchedulePolicy(BoundScheduleConfig config);
-  std::string name() const override { return "schedule"; }
-  TensorPlan plan(const std::string& name, const Tensor& tensor,
-                  const EncodeContext& ctx) const override;
-  /// The relative bound the schedule resolves to at `round` (exposed for
-  /// tests and traces).
-  double bound_at(int round) const;
-
- private:
-  BoundScheduleConfig config_;
-};
-
-// ---- MagnitudeAwarePolicy ----
-
-struct MagnitudeAwareConfig {
-  lossy::LossyId lossy_id = lossy::LossyId::kSz2;
-  /// Relative bound applied when a tensor's RMS equals `reference_rms`.
-  double base = 1e-2;
-  /// Update-magnitude pivot: tensors with RMS below it get tighter bounds,
-  /// above it looser (Ye et al.'s gradient-aware scaling).
-  double reference_rms = 1e-2;
-  /// The magnitude scale factor is clamped to [min_scale, max_scale].
-  double min_scale = 0.1;
-  double max_scale = 10.0;
-  std::size_t lossy_threshold = 1000;
-};
-
-class MagnitudeAwarePolicy final : public CompressionPolicy {
- public:
-  explicit MagnitudeAwarePolicy(MagnitudeAwareConfig config);
-  std::string name() const override { return "magnitude"; }
-  TensorPlan plan(const std::string& name, const Tensor& tensor,
-                  const EncodeContext& ctx) const override;
-
- private:
-  MagnitudeAwareConfig config_;
-};
-
-// ---- GradientAwareBoundPolicy ----
-
-struct GradientAwareConfig {
-  lossy::LossyId lossy_id = lossy::LossyId::kSz2;
-  /// Relative bound applied when a tensor's sensitivity equals
-  /// `reference_sensitivity`.
-  double base = 1e-2;
-  /// EMA smoothing for the cross-round sensitivity accumulator, in (0, 1):
-  /// ema_r = beta * ema_{r-1} + (1 - beta) * rms_r.
-  double beta = 0.5;
-  /// Sensitivity pivot: tensors whose accumulated update RMS exceeds it
-  /// (still moving -> perturbation-sensitive) get tighter bounds, quieter
-  /// tensors looser ones (Ye et al.'s gradient-aware scaling, integrated
-  /// over rounds instead of a single update).
-  double reference_sensitivity = 1e-2;
-  /// The sensitivity scale factor is clamped to [min_scale, max_scale].
-  double min_scale = 0.1;
-  double max_scale = 10.0;
-  std::size_t lossy_threshold = 1000;
-};
-
-/// Stateful but deterministic: the per-(client, tensor) sensitivity EMA
-/// advances exactly once per EncodeContext::round, and re-planning the same
-/// round recomputes from the previous round's value, so repeated encodes of
-/// one update are idempotent (the thread-count byte-identity invariant).
-/// The accumulator is in-memory only — it is not checkpoint-serialized, so
-/// a resumed run re-warms it from its defaults.
-class GradientAwareBoundPolicy final : public CompressionPolicy {
- public:
-  explicit GradientAwareBoundPolicy(GradientAwareConfig config);
-  std::string name() const override { return "gradaware"; }
-  TensorPlan plan(const std::string& name, const Tensor& tensor,
-                  const EncodeContext& ctx) const override;
-  bool keyed_by_client() const override { return true; }
-  /// The accumulated sensitivity for (client, tensor) after the most recent
-  /// plan() — 0.0 when never planned (exposed for tests).
+  bool keyed_by_client() const override { return kind_ == Kind::kGradAware; }
+  /// The gradaware sensitivity for (client, tensor) after the most recent
+  /// plan(); 0.0 when never planned.
   double sensitivity(int client_id, const std::string& name) const;
 
  private:
+  enum class Kind : std::uint8_t {
+    kThreshold,
+    kLayerwise,
+    kSchedule,
+    kMagnitude,
+    kGradAware,
+  };
   struct Accumulator {
     int round = 0;
     bool seeded = false;
     double before = 0.0;   // EMA entering `round`
     double current = 0.0;  // EMA including `round`
   };
-  GradientAwareConfig config_;
+  /// Folds `rms` into the (ctx.client_id, name) EMA for ctx.round and
+  /// returns the EMA.
+  double advance_sensitivity(const std::string& name, double rms,
+                             const EncodeContext& ctx) const;
+
+  Kind kind_;
+  lossy::LossyId lossy_id_;
+  lossy::ErrorBound bound_;
+  std::size_t lossy_threshold_;
+  double schedule_factor_;
+  double beta_;
+  bool sparse_;
+  double sparsity_;
+  unsigned sparse_bits_;
   mutable std::mutex mutex_;
   mutable std::unordered_map<std::string, Accumulator> sensitivity_;
 };
-
-// ---- SparseOverlayPolicy ----
-
-/// Decorates an inner policy: plans the inner policy would send through the
-/// lossy path are rerouted to the sparse path at the same bound; lossless /
-/// raw plans pass through. This is how `family:sparse` specs compose with
-/// every existing policy (threshold, schedule, gradaware, ...).
-class SparseOverlayPolicy final : public CompressionPolicy {
- public:
-  SparseOverlayPolicy(CompressionPolicyPtr inner, double sparsity,
-                      unsigned bits);
-  std::string name() const override { return "sparse+" + inner_->name(); }
-  TensorPlan plan(const std::string& name, const Tensor& tensor,
-                  const EncodeContext& ctx) const override;
-  bool keyed_by_client() const override { return inner_->keyed_by_client(); }
-
- private:
-  CompressionPolicyPtr inner_;
-  double sparsity_;
-  unsigned bits_;
-};
-
-// ---- factories ----
-
-CompressionPolicyPtr make_threshold_policy(ThresholdPolicyConfig config = {});
-CompressionPolicyPtr make_layerwise_policy(LayerwiseBoundConfig config);
-CompressionPolicyPtr make_bound_schedule_policy(
-    BoundScheduleConfig config = {});
-CompressionPolicyPtr make_magnitude_aware_policy(
-    MagnitudeAwareConfig config = {});
-CompressionPolicyPtr make_gradient_aware_policy(GradientAwareConfig config = {});
-CompressionPolicyPtr make_sparse_overlay_policy(CompressionPolicyPtr inner,
-                                                double sparsity = 0.0,
-                                                unsigned bits = 0);
 
 /// Names accepted by the spec parser's `policy=` key.
 std::vector<std::string> compression_policy_names();

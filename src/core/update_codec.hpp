@@ -66,7 +66,7 @@ class IdentityCodec final : public UpdateCodec {
 /// overlaps per-chunk lossy work and the lossless partition on a thread
 /// pool, while emitting the same bytes as the serial setting. The config's
 /// CompressionPolicy decides every tensor's path/codec/bound (null policy =
-/// the paper's ThresholdPolicy).
+/// the paper's Algorithm 1, SpecPolicy's threshold kind).
 class FedSzCodec final : public UpdateCodec {
  public:
   using UpdateCodec::encode;

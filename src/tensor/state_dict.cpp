@@ -112,13 +112,18 @@ Bytes StateDict::serialize() const {
   ByteWriter w;
   w.put_u32(static_cast<std::uint32_t>(entries_.size()));
   for (const auto& [name, tensor] : entries_) {
-    w.put_string(name);
-    w.put_u8(static_cast<std::uint8_t>(tensor.rank()));
-    for (const std::int64_t d : tensor.shape())
-      w.put_varint(static_cast<std::uint64_t>(d));
+    write_entry_header(w, name, tensor.shape());
     w.put_bytes(as_bytes(tensor.span()));
   }
   return w.finish();
+}
+
+void write_entry_header(ByteWriter& w, const std::string& name,
+                        const Shape& shape) {
+  w.put_string(name);
+  w.put_u8(static_cast<std::uint8_t>(shape.size()));
+  for (const std::int64_t d : shape)
+    w.put_varint(static_cast<std::uint64_t>(d));
 }
 
 std::size_t read_stream_shape(ByteReader& r, Shape* shape,

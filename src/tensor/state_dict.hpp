@@ -16,15 +16,22 @@
 namespace fedsz {
 
 class ByteReader;
+class ByteWriter;
 
 /// Reads a serialized tensor shape (u8 rank, then one dim varint each) and
 /// returns its element count. Dims are stream data: zero dims, dims above
 /// int64 range, and element-count products that wrap size_t all throw
 /// CorruptStream (never a Tensor argument error), so downstream allocation
-/// arithmetic cannot overflow. Shared by the StateDict and FedSZ-container
-/// stream parsers.
+/// arithmetic cannot overflow. Shared by the StateDict, FedSZ-container and
+/// baseline-codec stream parsers.
 std::size_t read_stream_shape(ByteReader& r, Shape* shape,
                               const std::string& name);
+
+/// Writes an entry header: the name as a string, then the shape
+/// read_stream_shape reads back. The one writer of that layout, shared by
+/// StateDict::serialize and every codec stream that frames named tensors.
+void write_entry_header(ByteWriter& w, const std::string& name,
+                        const Shape& shape);
 
 class StateDict {
  public:

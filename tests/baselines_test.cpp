@@ -6,6 +6,7 @@
 
 #include "core/baselines.hpp"
 #include "nn/models.hpp"
+#include "util/bytebuffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -150,6 +151,98 @@ TEST(Qsgd, SubThresholdTensorsAreExact) {
       EXPECT_TRUE(back.get(name).equals(tensor)) << name;
     }
   }
+}
+
+// ---- corrupt streams ----
+
+/// Every truncation of a valid payload, and 1-3 bytes appended to it, must
+/// throw CorruptStream.
+void expect_truncations_and_trailing_bytes_throw(const UpdateCodec& codec) {
+  const StateDict dict = model_dict();
+  const Bytes payload = codec.encode(dict).payload;
+  ASSERT_NO_THROW(codec.decode({payload.data(), payload.size()}));
+  for (const double fraction : {0.0, 0.01, 0.3, 0.7, 0.999}) {
+    const auto cut = static_cast<std::size_t>(
+        fraction * static_cast<double>(payload.size()));
+    EXPECT_THROW(codec.decode({payload.data(), cut}), CorruptStream)
+        << codec.name() << " cut at " << cut;
+  }
+  for (std::size_t extra = 1; extra <= 3; ++extra) {
+    Bytes padded = payload;
+    padded.resize(payload.size() + extra, 0);
+    EXPECT_THROW(codec.decode({padded.data(), padded.size()}), CorruptStream)
+        << codec.name() << " +" << extra << " bytes";
+  }
+}
+
+/// A stream of `head` (the magic, plus QSGD's level count), one entry
+/// `w.weight` of `dims` whose fields after the shape `body` writes, and an
+/// empty dense partition.
+template <typename Body>
+Bytes one_entry_stream(const Bytes& head,
+                       const std::vector<std::uint64_t>& dims, Body body) {
+  ByteWriter w;
+  w.put_bytes({head.data(), head.size()});
+  w.put_u32(1);
+  w.put_string("w.weight");
+  w.put_u8(static_cast<std::uint8_t>(dims.size()));
+  for (const std::uint64_t d : dims) w.put_varint(d);
+  body(w);
+  const Bytes dense = StateDict{}.serialize();
+  w.put_blob({dense.data(), dense.size()});
+  return w.finish();
+}
+
+// 2^62 elements: far beyond addressable memory, so a decoder that sizes a
+// tensor from the header before checking the payload fails to allocate.
+const std::vector<std::uint64_t> kOversizedDims = {std::uint64_t{1} << 31,
+                                                   std::uint64_t{1} << 31};
+
+TEST(TopK, TruncatedOrPaddedPayloadThrows) {
+  expect_truncations_and_trailing_bytes_throw(*make_topk_codec({0.1, 1000}));
+}
+
+TEST(TopK, OversizedShapeOrSurvivorCountThrows) {
+  const auto codec = make_topk_codec({0.1, 1000});
+  const auto decode = [&codec](const std::vector<std::uint64_t>& dims,
+                               std::uint64_t keep) {
+    const Bytes stream =
+        one_entry_stream({'T', 'P', 'K', '1'}, dims, [keep](ByteWriter& w) {
+          w.put_varint(keep);
+          w.put_varint(0);  // index 0
+          w.put_f32(1.0f);
+          w.put_blob({});  // reserved
+        });
+    return codec->decode({stream.data(), stream.size()});
+  };
+  ASSERT_EQ(decode({2000}, 1).get("w.weight")[0], 1.0f);
+  EXPECT_THROW(decode(kOversizedDims, 1), CorruptStream);
+  EXPECT_THROW(decode({2000}, 2001), CorruptStream);
+  EXPECT_THROW(decode({2000}, std::uint64_t{1} << 62), CorruptStream);
+}
+
+TEST(Qsgd, TruncatedOrPaddedPayloadThrows) {
+  expect_truncations_and_trailing_bytes_throw(
+      *make_qsgd_codec({64, 1000, 3}));
+}
+
+TEST(Qsgd, OversizedShapeThrows) {
+  const auto codec = make_qsgd_codec({64, 1000, 3});
+  const auto decode = [&codec](const std::vector<std::uint64_t>& dims,
+                               std::size_t packed_bytes) {
+    // 64 levels (u16): a sign bit plus 7-bit levels per element.
+    const Bytes head = {'Q', 'S', 'G', '1', 64, 0};
+    const Bytes stream =
+        one_entry_stream(head, dims, [packed_bytes](ByteWriter& w) {
+          w.put_f32(1.0f);  // max |x|
+          const Bytes packed(packed_bytes, 0);
+          w.put_blob({packed.data(), packed.size()});
+        });
+    return codec->decode({stream.data(), stream.size()});
+  };
+  ASSERT_EQ(decode({2000}, 2000).get("w.weight").numel(), 2000u);
+  EXPECT_THROW(decode(kOversizedDims, 2000), CorruptStream);
+  EXPECT_THROW(decode({2000}, 1999), CorruptStream);
 }
 
 // ---- composition (the Section III-C "last step" claim) ----

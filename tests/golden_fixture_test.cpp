@@ -1,7 +1,7 @@
 // Golden-fixture backward-compatibility: tiny v1, v2 and v3 bitstreams are
 // checked in under tests/data/ together with the StateDicts they must decode
 // to, so a future container change cannot silently drop support for old
-// streams. The v2 fixture doubles as the ThresholdPolicy byte-regression
+// streams. The v2 fixture doubles as the threshold policy's byte-regression
 // pin: the default-policy writer must still reproduce it bit for bit. The
 // v3 fixture pins the mixed-plan per-tensor container (per-tensor codecs,
 // bounds and a raw path) the same way, so v3 writer drift is visible.
@@ -332,7 +332,7 @@ TEST(GoldenFixtures, MixedPlanWriterStillEmitsTheV3FixtureBytes) {
 
 TEST(GoldenFixtures, DefaultPolicyWriterStillEmitsTheV2FixtureBytes) {
   // The byte-level regression pin for the redesign's acceptance criterion:
-  // the default ThresholdPolicy must keep producing the exact pre-policy
+  // the default threshold policy must keep producing the exact pre-policy
   // v2 container for the fixture update.
   const Bytes fixture = read_file(data_dir() / "golden_v2.fsz");
   ASSERT_FALSE(fixture.empty());

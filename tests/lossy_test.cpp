@@ -325,6 +325,51 @@ TEST(SzFraming, BytesAfterTheVerbatimBlockThrow) {
   }
 }
 
+TEST(CodecFraming, BytesAfterAValidFrameThrow) {
+  // Every decoder consumes its frame exactly: 1-3 bytes appended to a valid
+  // frame are corruption for all four lossy and five lossless codecs, on
+  // empty input and on inputs that take each codec's raw and compressed
+  // modes.
+  Rng rng(41);
+  const auto expect_padding_throws = [](const Bytes& frame, auto decode,
+                                        const std::string& what) {
+    ASSERT_NO_THROW(decode(frame)) << what;
+    for (std::size_t extra = 1; extra <= 3; ++extra) {
+      Bytes padded = frame;
+      padded.resize(frame.size() + extra, 0);
+      EXPECT_THROW(decode(padded), CorruptStream)
+          << what << " +" << extra << " bytes";
+    }
+  };
+  const auto weights = dist_laplace_weights(rng, 5000);
+  for (const LossyCodec* codec : all_lossy_codecs()) {
+    for (const std::size_t n : {weights.size(), std::size_t{0}}) {
+      const Bytes frame =
+          codec->compress({weights.data(), n}, ErrorBound::relative(1e-2));
+      expect_padding_throws(
+          frame,
+          [codec](const Bytes& b) { codec->decompress({b.data(), b.size()}); },
+          codec->name() + " n=" + std::to_string(n));
+    }
+  }
+  Bytes random(4096);
+  for (std::uint8_t& b : random) b = static_cast<std::uint8_t>(rng.next_u64());
+  Bytes text;
+  while (text.size() < 8192)
+    for (const char c : std::string("federated lossy compression "))
+      text.push_back(static_cast<std::uint8_t>(c));
+  for (const lossless::LosslessCodec* codec :
+       lossless::all_lossless_codecs()) {
+    for (const Bytes& input : {Bytes{}, random, text}) {
+      const Bytes frame = codec->compress({input.data(), input.size()});
+      expect_padding_throws(
+          frame,
+          [codec](const Bytes& b) { codec->decompress({b.data(), b.size()}); },
+          codec->name() + " input=" + std::to_string(input.size()));
+    }
+  }
+}
+
 TEST(LossyRegistry, LookupByNameAndId) {
   EXPECT_EQ(lossy_codec("sz2").id(), LossyId::kSz2);
   EXPECT_EQ(lossy_codec(LossyId::kSz3).name(), "sz3");

@@ -1,12 +1,18 @@
-// Tests for the CompressionPolicy layer: ThresholdPolicy's regression pin
-// against the pre-policy v2 writer (same partition, same bytes), the
-// layerwise/schedule/magnitude policies' plans, the raw path, the v3
+// Tests for the CompressionPolicy layer: CRC pins of every policy= kind in
+// both codec families, the threshold kind's regression pin against the
+// pre-policy v2 writer (same partition, same bytes), each kind's plans
+// through spec-built SpecPolicy objects, the raw path, the v3
 // per-tensor-plan container (round trip, determinism, corruption handling),
-// and EncodeContext plumbing through a federation run.
+// gradaware state under concurrent planning, and EncodeContext plumbing
+// through a federation run.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <thread>
 
 #include "core/codec_spec.hpp"
 #include "core/fl/coordinator.hpp"
@@ -48,6 +54,15 @@ std::uint16_t stream_version(const Bytes& blob) {
 double max_error_vs(const StateDict& a, const StateDict& b,
                     const std::string& name) {
   return stats::max_abs_error(a.get(name).span(), b.get(name).span());
+}
+
+std::shared_ptr<const SpecPolicy> spec_policy(const std::string& spec) {
+  return std::make_shared<const SpecPolicy>(parse_codec_spec(spec));
+}
+
+Tensor constant_tensor(std::size_t n, float value) {
+  return Tensor::from_data({static_cast<std::int64_t>(n)},
+                           std::vector<float>(n, value));
 }
 
 // ---- byte pins for every policy= kind, both families ----
@@ -154,10 +169,25 @@ TEST(PolicyPinTest, EveryPolicyKindEmitsItsPinnedBytes) {
   }
 }
 
-// ---- ThresholdPolicy: Algorithm 1 and the byte-stability pin ----
+TEST(PolicyPinTest, EverySpellingNamesItself) {
+  for (const std::string& kind : compression_policy_names()) {
+    for (const std::string family : {"fedsz", "sparse"}) {
+      const std::string spec = family + ":policy=" + kind;
+      const UpdateCodecPtr codec = make_codec(spec);
+      const auto& fedsz = dynamic_cast<const FedSzCodec&>(*codec).fedsz();
+      EXPECT_EQ(fedsz.policy().name(),
+                family == "sparse" ? "sparse+" + kind : kind)
+          << spec;
+      EXPECT_EQ(fedsz.policy().keyed_by_client(), kind == "gradaware")
+          << spec;
+    }
+  }
+}
+
+// ---- threshold: Algorithm 1 and the byte-stability pin ----
 
 TEST(ThresholdPolicyTest, PlanMatchesAlgorithmOnePartition) {
-  const auto policy = make_threshold_policy({});
+  const auto policy = spec_policy("fedsz");
   Rng rng(1);
   const StateDict dict = mixed_dict(rng);
   for (const auto& [name, tensor] : dict) {
@@ -240,8 +270,7 @@ TEST(ThresholdPolicyTest, ExplicitThresholdPolicyEmitsTheSameBytes) {
   const StateDict dict = mixed_dict(rng);
   FedSzConfig implicit;
   FedSzConfig explicit_config;
-  explicit_config.policy = make_threshold_policy(
-      {implicit.lossy_id, implicit.bound, implicit.lossy_threshold});
+  explicit_config.policy = spec_policy("fedsz");
   CompressionStats stats;
   const Bytes a = FedSz{implicit}.compress(dict, &stats);
   const Bytes b = FedSz{explicit_config}.compress(dict);
@@ -259,7 +288,7 @@ TEST(ThresholdPolicyTest, NonDefaultThresholdInPolicyUpgradesToV3) {
   Rng rng(4);
   const StateDict dict = mixed_dict(rng);
   FedSzConfig config;
-  config.policy = make_threshold_policy({config.lossy_id, config.bound, 10});
+  config.policy = spec_policy("fedsz:threshold=10");
   CompressionStats stats;
   const Bytes blob = FedSz{config}.compress(dict, &stats);
   EXPECT_EQ(stream_version(blob), 3u);
@@ -270,133 +299,120 @@ TEST(ThresholdPolicyTest, NonDefaultThresholdInPolicyUpgradesToV3) {
   EXPECT_TRUE(back.get("features.0.bias").equals(dict.get("features.0.bias")));
 }
 
-// ---- LayerwiseBoundPolicy ----
+// ---- layerwise ----
 
-TEST(LayerwisePolicyTest, FirstMatchingRuleDecidesTheBound) {
-  LayerwiseBoundConfig config;
-  config.rules = {{"classifier", lossy::ErrorBound::relative(1e-4)},
-                  {"features", lossy::ErrorBound::relative(1e-3)}};
-  config.fallback = lossy::ErrorBound::relative(1e-2);
-  const auto policy = make_layerwise_policy(config);
+TEST(LayerwisePolicyTest, HeadAndStemGetATenfoldTighterBound) {
+  const auto policy = spec_policy("fedsz:eb=rel:1e-2,policy=layerwise");
   Rng rng(5);
   const Tensor big = random_tensor({2000}, rng);
   EXPECT_DOUBLE_EQ(policy->plan("classifier.weight", big, {}).bound.value,
-                   1e-4);
-  EXPECT_DOUBLE_EQ(policy->plan("features.9.weight", big, {}).bound.value,
                    1e-3);
-  EXPECT_DOUBLE_EQ(policy->plan("head.weight", big, {}).bound.value, 1e-2);
-  EXPECT_EQ(policy->plan("features.bias", big, {}).path,
+  EXPECT_DOUBLE_EQ(policy->plan("features.0.weight", big, {}).bound.value,
+                   1e-3);
+  EXPECT_DOUBLE_EQ(policy->plan("features.9.weight", big, {}).bound.value,
+                   1e-2);
+  EXPECT_EQ(policy->plan("classifier.bias", big, {}).path,
             TensorPath::kLossless);
 }
 
 TEST(LayerwisePolicyTest, PerTensorBoundsHoldThroughTheV3Container) {
   Rng rng(6);
-  const StateDict dict = mixed_dict(rng);
+  StateDict dict = mixed_dict(rng);
+  dict.set("head.weight", random_tensor({1500}, rng));
   FedSzConfig config;
-  LayerwiseBoundConfig layerwise;
-  layerwise.rules = {{"classifier", lossy::ErrorBound::relative(1e-4)}};
-  layerwise.fallback = lossy::ErrorBound::relative(1e-2);
-  config.policy = make_layerwise_policy(layerwise);
+  config.policy = spec_policy("fedsz:eb=rel:1e-2,policy=layerwise");
   const FedSz fedsz{config};
   const Bytes blob = fedsz.compress(dict);
   EXPECT_EQ(stream_version(blob), 3u);
   const StateDict back = fedsz.decompress({blob.data(), blob.size()});
-  const double tight_eps = lossy::ErrorBound::relative(1e-4).absolute_for(
+  const double tight_eps = lossy::ErrorBound::relative(1e-3).absolute_for(
       dict.get("classifier.weight").span());
   const double loose_eps = lossy::ErrorBound::relative(1e-2).absolute_for(
-      dict.get("features.0.weight").span());
+      dict.get("head.weight").span());
   EXPECT_LE(max_error_vs(dict, back, "classifier.weight"),
             tight_eps * (1 + 1e-5));
-  EXPECT_LE(max_error_vs(dict, back, "features.0.weight"),
-            loose_eps * (1 + 1e-5));
+  EXPECT_LE(max_error_vs(dict, back, "head.weight"), loose_eps * (1 + 1e-5));
+  EXPECT_GT(max_error_vs(dict, back, "head.weight"), tight_eps);
   EXPECT_TRUE(back.get("bn.running_mean").equals(dict.get("bn.running_mean")));
 }
 
-TEST(LayerwisePolicyTest, EmptyPatternRejected) {
-  LayerwiseBoundConfig config;
-  config.rules = {{"", lossy::ErrorBound::relative(1e-3)}};
-  EXPECT_THROW(LayerwiseBoundPolicy{config}, InvalidArgument);
+// ---- schedule ----
+
+double scheduled_bound(const SpecPolicy& policy, int round) {
+  EncodeContext ctx;
+  ctx.round = round;
+  return policy.plan("w.weight", constant_tensor(2000, 1.0f), ctx).bound.value;
 }
 
-// ---- BoundSchedulePolicy ----
-
 TEST(SchedulePolicyTest, BoundDecaysGeometricallyAndClampsAtFloor) {
-  BoundScheduleConfig config;
-  config.initial = 1e-2;
-  config.factor = 0.5;
-  config.floor = 1e-3;
-  config.ceiling = 1e-1;
-  const BoundSchedulePolicy policy{config};
-  EXPECT_DOUBLE_EQ(policy.bound_at(0), 1e-2);
-  EXPECT_DOUBLE_EQ(policy.bound_at(1), 5e-3);
-  EXPECT_DOUBLE_EQ(policy.bound_at(2), 2.5e-3);
-  EXPECT_DOUBLE_EQ(policy.bound_at(10), 1e-3);  // clamped
-  EXPECT_DOUBLE_EQ(policy.bound_at(-3), 1e-2);  // negative rounds clamp to 0
+  const auto decay = spec_policy("fedsz:eb=rel:1e-2,policy=schedule:0.5");
+  EXPECT_DOUBLE_EQ(scheduled_bound(*decay, 0), 1e-2);
+  EXPECT_DOUBLE_EQ(scheduled_bound(*decay, 1), 5e-3);
+  EXPECT_DOUBLE_EQ(scheduled_bound(*decay, 2), 2.5e-3);
+  EXPECT_DOUBLE_EQ(scheduled_bound(*decay, 10), 1e-4);  // floor: b * 1e-2
+  EXPECT_DOUBLE_EQ(scheduled_bound(*decay, -3), 1e-2);  // rounds clamp to 0
+  const auto grow = spec_policy("fedsz:eb=rel:1e-2,policy=schedule:2");
+  EXPECT_DOUBLE_EQ(scheduled_bound(*grow, 3), 8e-2);
+  EXPECT_DOUBLE_EQ(scheduled_bound(*grow, 10), 1.0);  // ceiling: b * 1e2
 }
 
 TEST(SchedulePolicyTest, RoundContextChangesTheEmittedStream) {
   Rng rng(7);
   const StateDict dict = mixed_dict(rng);
   FedSzConfig config;
-  BoundScheduleConfig schedule;
-  schedule.initial = 1e-1;
-  schedule.factor = 0.1;
-  schedule.floor = 1e-5;
-  config.policy = make_bound_schedule_policy(schedule);
+  config.policy = spec_policy("fedsz:eb=rel:1e-1,policy=schedule:0.1");
   const FedSz fedsz{config};
   CompressionStats early, late;
   EncodeContext ctx;
   ctx.round = 0;
   const Bytes blob0 = fedsz.compress(dict, &early, ctx);
-  ctx.round = 3;
-  const Bytes blob3 = fedsz.compress(dict, &late, ctx);
+  ctx.round = 2;
+  const Bytes blob2 = fedsz.compress(dict, &late, ctx);
   EXPECT_DOUBLE_EQ(early.mean_bound_value, 1e-1);
-  EXPECT_DOUBLE_EQ(late.mean_bound_value, 1e-4);
-  // A 1000x tighter bound must cost bytes.
-  EXPECT_GT(blob3.size(), blob0.size());
-  // Both streams still round-trip within their own bound.
-  const StateDict back = fedsz.decompress({blob3.data(), blob3.size()});
-  const double eps = lossy::ErrorBound::relative(1e-4).absolute_for(
+  EXPECT_DOUBLE_EQ(late.mean_bound_value, 1e-3);
+  // A 100x tighter bound must cost bytes.
+  EXPECT_GT(blob2.size(), blob0.size());
+  // The later stream still round-trips within its own bound.
+  const StateDict back = fedsz.decompress({blob2.data(), blob2.size()});
+  const double eps = lossy::ErrorBound::relative(1e-3).absolute_for(
       dict.get("features.0.weight").span());
   EXPECT_LE(max_error_vs(dict, back, "features.0.weight"),
             eps * (1 + 1e-5));
 }
 
 TEST(SchedulePolicyTest, DegenerateConfigsRejected) {
-  BoundScheduleConfig bad_factor;
-  bad_factor.factor = 0.0;
-  EXPECT_THROW(BoundSchedulePolicy{bad_factor}, InvalidArgument);
-  BoundScheduleConfig bad_clamp;
-  bad_clamp.floor = 1e-2;
-  bad_clamp.ceiling = 1e-3;
-  EXPECT_THROW(BoundSchedulePolicy{bad_clamp}, InvalidArgument);
+  CodecSpec spec = parse_codec_spec("fedsz:policy=schedule");
+  for (const double factor :
+       {0.0, -0.5, std::numeric_limits<double>::infinity()}) {
+    spec.schedule_factor = factor;
+    EXPECT_THROW(SpecPolicy{spec}, InvalidArgument) << factor;
+  }
 }
 
-// ---- MagnitudeAwarePolicy ----
+// ---- magnitude ----
 
 TEST(MagnitudePolicyTest, SmallUpdatesGetTighterBounds) {
-  MagnitudeAwareConfig config;
-  config.base = 1e-2;
-  config.reference_rms = 1e-1;
-  const auto policy = make_magnitude_aware_policy(config);
-  Rng rng(8);
-  const Tensor quiet = random_tensor({2000}, rng, 1e-3f);
-  const Tensor loud = random_tensor({2000}, rng, 10.0f);
-  const TensorPlan quiet_plan = policy->plan("a.weight", quiet, {});
-  const TensorPlan loud_plan = policy->plan("b.weight", loud, {});
-  ASSERT_EQ(quiet_plan.path, TensorPath::kLossy);
-  ASSERT_EQ(loud_plan.path, TensorPath::kLossy);
-  EXPECT_LT(quiet_plan.bound.value, loud_plan.bound.value);
-  // Clamps: quiet is ~1e-2 of reference -> min_scale (0.1); loud is ~100x
-  // reference -> max_scale (10).
-  EXPECT_DOUBLE_EQ(quiet_plan.bound.value, config.base * config.min_scale);
-  EXPECT_DOUBLE_EQ(loud_plan.bound.value, config.base * config.max_scale);
+  const auto policy = spec_policy("fedsz:eb=rel:1e-2,policy=magnitude");
+  const TensorPlan quiet =
+      policy->plan("a.weight", constant_tensor(2000, 1e-4f), {});
+  const TensorPlan mid =
+      policy->plan("b.weight", constant_tensor(2000, 0.0625f), {});
+  const TensorPlan loud =
+      policy->plan("c.weight", constant_tensor(2000, 10.0f), {});
+  ASSERT_EQ(quiet.path, TensorPath::kLossy);
+  ASSERT_EQ(mid.path, TensorPath::kLossy);
+  ASSERT_EQ(loud.path, TensorPath::kLossy);
+  // rms / kReferenceRms, clamped: quiet is 1e-2 of the reference -> the
+  // 0.1 rail; 0.0625 (exact in float) scales by 6.25; loud -> the 10 rail.
+  EXPECT_DOUBLE_EQ(quiet.bound.value, 1e-2 * SpecPolicy::kMinScale);
+  EXPECT_DOUBLE_EQ(mid.bound.value, 1e-2 * (0.0625 / 1e-2));
+  EXPECT_DOUBLE_EQ(loud.bound.value, 1e-2 * SpecPolicy::kMaxScale);
 }
 
 TEST(MagnitudePolicyTest, AllZeroUpdateRoutesLossless) {
   // A zero update reconstructs exactly and compresses to almost nothing on
   // the lossless path; lossy (or raw) would only add overhead.
-  const auto policy = make_magnitude_aware_policy({});
+  const auto policy = spec_policy("fedsz:policy=magnitude");
   const Tensor zero = Tensor::zeros({2000});
   EXPECT_EQ(policy->plan("z.weight", zero, {}).path, TensorPath::kLossless);
 }
@@ -446,9 +462,7 @@ TEST(V3Container, ByteIdenticalAcrossParallelism) {
     FedSzConfig config;
     config.chunk_elements = 333;
     config.parallelism = parallelism;
-    LayerwiseBoundConfig layerwise;
-    layerwise.rules = {{"classifier", lossy::ErrorBound::relative(1e-4)}};
-    config.policy = make_layerwise_policy(layerwise);
+    config.policy = spec_policy("fedsz:policy=layerwise");
     const Bytes blob = FedSz{config}.compress(dict);
     EXPECT_EQ(stream_version(blob), 3u);
     if (parallelism == 1)
@@ -542,88 +556,67 @@ TEST(V3Container, TruncatedRawPayloadThrows) {
 
 // ---- gradient-aware bounds ----
 
-Tensor constant_tensor(std::size_t n, float value) {
-  return Tensor::from_data({static_cast<std::int64_t>(n)},
-                           std::vector<float>(n, value));
-}
-
 TEST(GradAwarePolicyTest, HighSensitivityTightensTheBound) {
-  GradientAwareConfig config;
-  config.base = 1e-2;
-  config.reference_sensitivity = 0.1;
-  const auto policy = make_gradient_aware_policy(config);
+  const auto policy = spec_policy("fedsz:eb=rel:1e-2,policy=gradaware");
   EncodeContext ctx;
   ctx.client_id = 0;
-  // A constant tensor's rms is |value|: rms 1.0 is 10x the reference (scale
-  // 0.1, tighter), rms 0.01 is 0.1x (scale 10, looser).
+  // A constant tensor's rms is |value|, exact for powers of two: rms 2^-4
+  // is 6.25x the reference (scale 0.16, tighter), rms 2^-8 is 0.39x
+  // (scale 2.56, looser).
   const TensorPlan hot =
-      policy->plan("hot.weight", constant_tensor(2048, 1.0f), ctx);
+      policy->plan("hot.weight", constant_tensor(2048, 0.0625f), ctx);
   const TensorPlan cold =
-      policy->plan("cold.weight", constant_tensor(2048, 0.01f), ctx);
+      policy->plan("cold.weight", constant_tensor(2048, 0.00390625f), ctx);
   ASSERT_EQ(hot.path, TensorPath::kLossy);
   ASSERT_EQ(cold.path, TensorPath::kLossy);
-  EXPECT_DOUBLE_EQ(hot.bound.value, 1e-3);   // base * 0.1
-  EXPECT_DOUBLE_EQ(cold.bound.value, 1e-1);  // base * 10
+  EXPECT_DOUBLE_EQ(hot.bound.value, 1e-2 * (1e-2 / 0.0625));
+  EXPECT_DOUBLE_EQ(cold.bound.value, 1e-2 * (1e-2 / 0.00390625));
   EXPECT_LT(hot.bound.value, cold.bound.value);
 }
 
-TEST(GradAwarePolicyTest, ScaleClampsAtTheConfiguredRails) {
-  GradientAwareConfig config;
-  config.base = 1e-2;
-  config.reference_sensitivity = 0.1;
-  config.min_scale = 0.5;
-  config.max_scale = 2.0;
-  const auto policy = make_gradient_aware_policy(config);
+TEST(GradAwarePolicyTest, ScaleClampsAtTheFixedRails) {
+  const auto policy = spec_policy("fedsz:eb=rel:1e-2,policy=gradaware");
   EncodeContext ctx;
   const TensorPlan loud =
       policy->plan("loud.weight", constant_tensor(2048, 100.0f), ctx);
   const TensorPlan quiet =
       policy->plan("quiet.weight", constant_tensor(2048, 1e-6f), ctx);
-  EXPECT_DOUBLE_EQ(loud.bound.value, 1e-2 * 0.5);
-  EXPECT_DOUBLE_EQ(quiet.bound.value, 1e-2 * 2.0);
+  EXPECT_DOUBLE_EQ(loud.bound.value, 1e-2 * SpecPolicy::kMinScale);
+  EXPECT_DOUBLE_EQ(quiet.bound.value, 1e-2 * SpecPolicy::kMaxScale);
 }
 
 TEST(GradAwarePolicyTest, SameRoundReplansAreIdempotent) {
   // Re-encoding an update (workspace retry, thread race) must not advance
   // the EMA: the plan for (client, round, tensor) is a fixed point.
-  const auto policy = make_gradient_aware_policy({});
-  const auto* gradaware =
-      dynamic_cast<const GradientAwareBoundPolicy*>(policy.get());
-  ASSERT_NE(gradaware, nullptr);
+  const auto policy = spec_policy("fedsz:policy=gradaware");
   EncodeContext ctx;
   ctx.client_id = 3;
   ctx.round = 0;
   const Tensor tensor = constant_tensor(2048, 0.5f);
   const TensorPlan first = policy->plan("layer.weight", tensor, ctx);
-  const double sensitivity_once = gradaware->sensitivity(3, "layer.weight");
+  const double sensitivity_once = policy->sensitivity(3, "layer.weight");
   const TensorPlan second = policy->plan("layer.weight", tensor, ctx);
   EXPECT_DOUBLE_EQ(first.bound.value, second.bound.value);
-  EXPECT_DOUBLE_EQ(gradaware->sensitivity(3, "layer.weight"),
-                   sensitivity_once);
+  EXPECT_DOUBLE_EQ(policy->sensitivity(3, "layer.weight"), sensitivity_once);
 }
 
 TEST(GradAwarePolicyTest, SensitivityIsAnEmaAcrossRounds) {
-  GradientAwareConfig config;
-  config.beta = 0.5;
-  const auto policy = make_gradient_aware_policy(config);
-  const auto* gradaware =
-      dynamic_cast<const GradientAwareBoundPolicy*>(policy.get());
-  ASSERT_NE(gradaware, nullptr);
+  const auto policy = spec_policy("fedsz:policy=gradaware:0.5");
   EncodeContext ctx;
   ctx.client_id = 1;
   ctx.round = 0;
   (void)policy->plan("layer.weight", constant_tensor(2048, 1.0f), ctx);
-  EXPECT_DOUBLE_EQ(gradaware->sensitivity(1, "layer.weight"), 1.0);
+  EXPECT_DOUBLE_EQ(policy->sensitivity(1, "layer.weight"), 1.0);
   ctx.round = 1;
   (void)policy->plan("layer.weight", constant_tensor(2048, 0.5f), ctx);
   // beta * 1.0 + (1 - beta) * 0.5 = 0.75
-  EXPECT_DOUBLE_EQ(gradaware->sensitivity(1, "layer.weight"), 0.75);
+  EXPECT_DOUBLE_EQ(policy->sensitivity(1, "layer.weight"), 0.75);
   // Per-client state: another client's EMA is untouched.
-  EXPECT_DOUBLE_EQ(gradaware->sensitivity(2, "layer.weight"), 0.0);
+  EXPECT_DOUBLE_EQ(policy->sensitivity(2, "layer.weight"), 0.0);
 }
 
 TEST(GradAwarePolicyTest, SmallAndZeroTensorsRouteLossless) {
-  const auto policy = make_gradient_aware_policy({});
+  const auto policy = spec_policy("fedsz:policy=gradaware");
   EncodeContext ctx;
   EXPECT_EQ(policy->plan("tiny.weight", constant_tensor(4, 1.0f), ctx).path,
             TensorPath::kLossless);
@@ -634,23 +627,68 @@ TEST(GradAwarePolicyTest, SmallAndZeroTensorsRouteLossless) {
 }
 
 TEST(GradAwarePolicyTest, DegenerateConfigsRejected) {
-  GradientAwareConfig bad_beta;
-  bad_beta.beta = 1.0;
-  EXPECT_THROW(make_gradient_aware_policy(bad_beta), InvalidArgument);
-  GradientAwareConfig bad_reference;
-  bad_reference.reference_sensitivity = 0.0;
-  EXPECT_THROW(make_gradient_aware_policy(bad_reference), InvalidArgument);
-  GradientAwareConfig bad_rails;
-  bad_rails.min_scale = 2.0;
-  bad_rails.max_scale = 1.0;
-  EXPECT_THROW(make_gradient_aware_policy(bad_rails), InvalidArgument);
+  CodecSpec spec = parse_codec_spec("fedsz:policy=gradaware");
+  for (const double beta : {0.0, 1.0, 1.5}) {
+    spec.gradaware_beta = beta;
+    EXPECT_THROW(SpecPolicy{spec}, InvalidArgument) << beta;
+  }
 }
 
-// ---- sparse overlay ----
+TEST(GradAwarePolicyTest, ConcurrentPlansMatchASerialReplay) {
+  // Every pool thread that encodes shares one policy and its EMA map. Four
+  // threads plan their own client's tensors, round by round in lockstep
+  // and twice per round (a re-encode), and every bound must equal a
+  // single-threaded replay of the same client.
+  constexpr int kClients = 4;
+  constexpr int kRounds = 3;
+  const std::vector<std::string> names = {"a.weight", "b.weight", "c.weight",
+                                          "d.weight"};
+  const auto plan_round = [&names](const SpecPolicy& policy, int client,
+                                   int round, std::vector<double>& bounds) {
+    EncodeContext ctx;
+    ctx.round = round;
+    ctx.client_id = client;
+    for (std::size_t t = 0; t < names.size(); ++t) {
+      const float value =
+          0.002f * static_cast<float>((1 + client) * (1 + round) + t);
+      for (int repeat = 0; repeat < 2; ++repeat)
+        bounds.push_back(
+            policy.plan(names[t], constant_tensor(1024 + t, value), ctx)
+                .bound.value);
+    }
+  };
+  const auto shared = spec_policy("fedsz:policy=gradaware:0.3");
+  std::vector<std::vector<double>> concurrent(kClients);
+  std::barrier round_barrier(kClients);
+  {
+    std::vector<std::thread> threads;
+    for (int client = 0; client < kClients; ++client) {
+      threads.emplace_back([&, client] {
+        for (int round = 0; round < kRounds; ++round) {
+          plan_round(*shared, client, round, concurrent[client]);
+          round_barrier.arrive_and_wait();
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  const auto serial = spec_policy("fedsz:policy=gradaware:0.3");
+  for (int client = 0; client < kClients; ++client) {
+    std::vector<double> replay;
+    for (int round = 0; round < kRounds; ++round)
+      plan_round(*serial, client, round, replay);
+    EXPECT_EQ(concurrent[client], replay) << "client " << client;
+    for (const std::string& name : names)
+      EXPECT_EQ(shared->sensitivity(client, name),
+                serial->sensitivity(client, name))
+          << "client " << client << " " << name;
+  }
+}
+
+// ---- sparse family ----
 
 TEST(SparseOverlayTest, ReroutesLossyPlansOntoTheSparsePath) {
-  const auto policy =
-      make_sparse_overlay_policy(make_threshold_policy({}), 0.9, 8);
+  const auto policy = spec_policy("sparse:sparsity=0.9,bits=8");
   EXPECT_EQ(policy->name(), "sparse+threshold");
   EncodeContext ctx;
   const TensorPlan big =
@@ -658,17 +696,14 @@ TEST(SparseOverlayTest, ReroutesLossyPlansOntoTheSparsePath) {
   EXPECT_EQ(big.path, TensorPath::kSparse);
   EXPECT_DOUBLE_EQ(big.sparsity, 0.9);
   EXPECT_EQ(big.sparse_bits, 8u);
-  // Non-lossy inner plans pass through untouched.
+  // Non-lossy plans pass through untouched.
   EXPECT_EQ(policy->plan("small.bias", constant_tensor(4, 1.0f), ctx).path,
             TensorPath::kLossless);
 }
 
 TEST(SparseOverlayTest, InheritsTheInnerPolicysBound) {
-  GradientAwareConfig config;
-  config.base = 1e-2;
-  config.reference_sensitivity = 0.1;
   const auto policy =
-      make_sparse_overlay_policy(make_gradient_aware_policy(config), 0.5, 0);
+      spec_policy("sparse:eb=rel:1e-2,sparsity=0.5,policy=gradaware");
   EXPECT_EQ(policy->name(), "sparse+gradaware");
   EncodeContext ctx;
   const TensorPlan plan =
@@ -678,11 +713,16 @@ TEST(SparseOverlayTest, InheritsTheInnerPolicysBound) {
 }
 
 TEST(SparseOverlayTest, InvalidCompositionsRejected) {
-  EXPECT_THROW(make_sparse_overlay_policy(nullptr, 0.5, 8), InvalidArgument);
-  EXPECT_THROW(make_sparse_overlay_policy(make_threshold_policy({}), 1.5, 8),
-               InvalidArgument);
-  EXPECT_THROW(make_sparse_overlay_policy(make_threshold_policy({}), 0.5, 40),
-               InvalidArgument);
+  CodecSpec spec = parse_codec_spec("sparse:sparsity=0.5,bits=8");
+  spec.sparsity = 1.5;
+  EXPECT_THROW(SpecPolicy{spec}, InvalidArgument);
+  spec.sparsity = 0.5;
+  spec.sparse_bits = 40;
+  EXPECT_THROW(SpecPolicy{spec}, InvalidArgument);
+  // Only the sparse family can honor sparsity/bits.
+  CodecSpec dense = parse_codec_spec("fedsz");
+  dense.sparse_bits = 8;
+  EXPECT_THROW(SpecPolicy{dense}, InvalidArgument);
 }
 
 // ---- EncodeContext through a federation run ----
@@ -699,15 +739,9 @@ TEST(PolicyFlIntegration, SchedulePolicyBoundsShowInPerClientTrace) {
   config.threads = 4;
   config.client.batch_size = 16;
   config.evaluate_every_round = false;
-  FedSzConfig codec_config;
-  BoundScheduleConfig schedule;
-  schedule.initial = 1e-1;
-  schedule.factor = 0.5;
-  schedule.floor = 1e-4;
-  codec_config.policy = make_bound_schedule_policy(schedule);
-  FlCoordinator coordinator(model, data::take(train, 128),
-                            data::take(test, 32), config,
-                            make_fedsz_codec(codec_config));
+  FlCoordinator coordinator(
+      model, data::take(train, 128), data::take(test, 32), config,
+      make_codec("fedsz:eb=rel:1e-1,policy=schedule:0.5"));
   const FlRunResult result = coordinator.run();
   ASSERT_EQ(result.rounds.size(), 3u);
   for (int round = 0; round < 3; ++round) {
