@@ -2,6 +2,15 @@
 // mean client training time, server-side validation time, and total
 // compression time per communication round, for every model x dataset pair
 // at REL 1e-2.
+//
+//   bench_fig6_epoch_breakdown [--smoke] [--json PATH] [--clients N]
+//                              [--rounds N] [--threads N] [--seed N]
+//
+// --smoke runs CIFAR-10's three models only, with 2 clients, 2 rounds and
+// one thread. --json writes one run per (dataset, model): train_mb_s and
+// eval_mb_s are the input-image megabytes per second of client training
+// and of server evaluation (compare_baselines.py gates them), and
+// compression_share is compression's share of the round.
 #include <cstdio>
 
 #include "common.hpp"
@@ -11,15 +20,25 @@
 int main(int argc, char** argv) {
   using namespace fedsz;
   const benchx::BenchOptions options = benchx::parse_bench_options(argc, argv);
+  const std::vector<std::string> datasets =
+      options.smoke ? std::vector<std::string>{"cifar10"}
+                    : data::dataset_names();
+  const std::size_t clients =
+      options.clients > 0 ? options.clients : (options.smoke ? 2 : 4);
   std::printf(
       "Figure 6: client runtime per epoch breakdown (FedSZ SZ2 @ REL 1e-2,\n"
-      "tiny-scale models, 4 clients)\n\n");
-  for (const std::string& dataset : data::dataset_names()) {
+      "tiny-scale models, %zu clients)\n\n",
+      clients);
+  benchx::JsonValue runs = benchx::JsonValue::array();
+  for (const std::string& dataset : datasets) {
     const data::SyntheticSpec spec = data::dataset_spec(dataset);
+    const double image_mb =
+        static_cast<double>(spec.channels * spec.image_size * spec.image_size) *
+        sizeof(float) / 1e6;
     std::printf("Dataset: %s\n", dataset.c_str());
     benchx::Table table({"Model", "Client Training (s)", "Validation (s)",
                          "Compression (s)", "Compression share",
-                         "Plan (lossy/lossless)"});
+                         "Train MB/s", "Eval MB/s", "Plan (lossy/lossless)"});
     for (const std::string& arch : nn::model_architectures()) {
       nn::ModelConfig model;
       model.arch = arch;
@@ -29,33 +48,52 @@ int main(int argc, char** argv) {
       model.num_classes = spec.classes;
       auto [train, test] = data::make_dataset(dataset);
       core::FlRunConfig config;
-      config.clients = options.clients > 0 ? options.clients : 4;
+      config.clients = clients;
       config.rounds = options.rounds > 0 ? options.rounds : 2;
       config.eval_limit = 256;
-      config.threads = options.threads_or(4);
+      config.threads = options.threads_or(options.smoke ? 1 : 4);
       config.seed = options.seed_or(config.seed);
       config.client.batch_size = 16;
       const std::size_t train_samples = spec.image_size >= 64 ? 256 : 512;
+      const data::DatasetPtr test_set = data::take(test, 256);
       core::FlCoordinator coordinator(model, data::take(train, train_samples),
-                                      data::take(test, 256), config,
+                                      test_set, config,
                                       core::make_fedsz_codec());
       const core::FlRunResult result = coordinator.run();
-      // Use the second round (first pays cache warm-up). Compression time is
-      // the per-round compress + decompress means the coordinator already
+      // Use the last round (the first pays cache warm-up). Compression time
+      // is the per-round compress + decompress means the coordinator already
       // aggregates from CompressionStats — no separate seconds out-params.
       const core::RoundRecord& record = result.rounds.back();
       const double compression =
           record.compress_seconds + record.decompress_seconds;
       const double total =
           record.train_seconds + record.eval_seconds + compression;
+      // aggregate_weight sums the aggregated clients' samples; train_seconds
+      // is their mean training time.
+      const double train_mb_s =
+          record.aggregate_weight * config.client.local_epochs * image_mb /
+          (record.train_seconds * static_cast<double>(record.participants));
+      const double eval_mb_s =
+          static_cast<double>(test_set->size()) * image_mb /
+          record.eval_seconds;
       const core::ClientTraceEntry& first_client = record.clients.front();
       table.add_row({nn::model_display_name(arch),
                      benchx::fmt(record.train_seconds, 3),
                      benchx::fmt(record.eval_seconds, 3),
                      benchx::fmt(compression, 4),
                      benchx::fmt(compression / total * 100.0, 1) + "%",
+                     benchx::fmt(train_mb_s, 2), benchx::fmt(eval_mb_s, 2),
                      std::to_string(first_client.lossy_tensors) + "/" +
                          std::to_string(first_client.lossless_tensors)});
+      benchx::JsonValue run = benchx::JsonValue::object();
+      run.set("name", dataset + "/" + arch)
+          .set("train_mb_s", train_mb_s)
+          .set("eval_mb_s", eval_mb_s)
+          .set("compression_share", compression / total)
+          .set("train_seconds", record.train_seconds)
+          .set("eval_seconds", record.eval_seconds)
+          .set("compression_seconds", compression);
+      runs.push(std::move(run));
     }
     table.print();
     std::printf("\n");
@@ -64,5 +102,14 @@ int main(int argc, char** argv) {
       "Shape to check (paper Fig. 6): compression is a small slice of the\n"
       "epoch — the paper reports an average of 4.7%% of client wall time,\n"
       "worst case 17%% (AlexNet/CIFAR-10).\n");
+  if (!options.json_path.empty()) {
+    benchx::JsonValue json = benchx::JsonValue::object();
+    json.set("bench", "fig6_epoch_breakdown")
+        .set("smoke", options.smoke)
+        .set("clients", clients)
+        .set("runs", std::move(runs));
+    benchx::write_json(options.json_path, json);
+    std::printf("\nwrote %s\n", options.json_path.c_str());
+  }
   return 0;
 }

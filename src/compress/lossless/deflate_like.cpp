@@ -230,6 +230,9 @@ class DeflateLikeCodec final : public LosslessCodec {
       const std::size_t from = out.size() - dist;
       for (std::uint32_t i = 0; i < len; ++i) out.push_back(out[from + i]);
     }
+    // The encoder pads only the last byte, so the codes must end in it.
+    if (bits.bits_left() >= 8)
+      throw CorruptStream("deflate-like: bytes after the end-of-block code");
     if (out.size() != raw_size)
       throw CorruptStream("deflate-like: size mismatch");
     return out;

@@ -2,11 +2,12 @@
 // checkpoint captures everything that evolves across rounds — the global
 // model (FedAvg keeps no other server state), per-client error-feedback
 // residuals, kDelta downlink sessions, edge-side EF residuals, the
-// coordinator RNG streams mid-sequence, and the virtual clock — so a run
-// restored from it finishes BIT-IDENTICAL to one that never stopped (the
-// resume property test pins this round for round). Clients themselves are
-// stateless across rounds (each round rebuilds its loader from a fixed
-// seed), which is what keeps this set sufficient.
+// coordinator RNG streams mid-sequence, each client model's Dropout
+// streams, and the virtual clock — so a run restored from it finishes
+// BIT-IDENTICAL to one that never stopped (the resume property test pins
+// this round for round). Otherwise clients are stateless across rounds
+// (each round loads the global weights and rebuilds its loader from a
+// fixed seed), which is what keeps this set sufficient.
 //
 // On-disk container: magic/version header, CRC-32-guarded body, written
 // via a temp file + rename so a kill at any instant leaves either the
@@ -32,8 +33,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x314B4346u;  // "FCK1" LE
 /// v4: the body is CheckpointState's layout (core/fl/layout.hpp), and the
 /// fingerprint is the CRC of the run configuration's layout. v5 dropped the
 /// aggregation-strategy name and state after global_state: FedAvg is the
-/// only rule, and it carries nothing across rounds.
-inline constexpr std::uint8_t kCheckpointVersion = 5;
+/// only rule, and it carries nothing across rounds. v6 added every client
+/// model's random streams (client_streams).
+inline constexpr std::uint8_t kCheckpointVersion = 6;
 
 struct CheckpointState {
   /// Rounds fully aggregated when the checkpoint was taken; the resumed
@@ -62,6 +64,9 @@ struct CheckpointState {
   /// Edge-side EF residuals in tree-wide flat interior-node order (empty
   /// vector on flat runs or with edge EF off).
   std::vector<StateDict> edge_residuals;
+  /// Each client model's random streams (its Dropout masks), client order;
+  /// an inner vector is empty for a model without dropout.
+  std::vector<std::vector<Rng::State>> client_streams;
 };
 
 Bytes serialize_checkpoint(const CheckpointState& state);

@@ -15,6 +15,23 @@ FlClient::FlClient(int id, const nn::ModelConfig& model_config,
                           std::to_string(id));
 }
 
+std::vector<Rng::State> FlClient::stream_states() {
+  std::vector<Rng::State> states;
+  for (const Rng* stream : model_.streams()) states.push_back(stream->state());
+  return states;
+}
+
+void FlClient::restore_streams(const std::vector<Rng::State>& states) {
+  const std::vector<Rng*> streams = model_.streams();
+  if (states.size() != streams.size())
+    throw CorruptStream("client " + std::to_string(id_) + ": " +
+                        std::to_string(states.size()) +
+                        " random streams for a model with " +
+                        std::to_string(streams.size()));
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    streams[i]->restore(states[i]);
+}
+
 ClientRoundResult FlClient::run_round(const StateDict& global_state) {
   Timer timer;
   model_.load_state_dict(global_state);

@@ -36,6 +36,12 @@ class FlClient {
 
   int id() const { return id_; }
 
+  /// The model's random streams (Dropout masks) carry from round to round,
+  /// outside the state dict; a checkpoint saves and restores them.
+  std::vector<Rng::State> stream_states();
+  /// Throws CorruptStream when `states` does not have one entry per stream.
+  void restore_streams(const std::vector<Rng::State>& states);
+
  private:
   int id_;
   nn::Model model_;

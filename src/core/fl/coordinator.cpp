@@ -636,6 +636,11 @@ class RoundEngine {
     if (ck.client_residuals.size() != feedback.size())
       throw CorruptStream(
           "checkpoint: client residual count does not match the run");
+    if (ck.client_streams.size() != local_->clients_.size())
+      throw CorruptStream(
+          "checkpoint: client stream count does not match the run");
+    for (std::size_t i = 0; i < local_->clients_.size(); ++i)
+      local_->clients_[i]->restore_streams(ck.client_streams[i]);
     server_.restore_global_state(std::move(ck.global_state));
     streams_.cohort.restore(ck.cohort_rng);
     failure_rng_.restore(ck.failure_rng);
@@ -680,6 +685,8 @@ class RoundEngine {
     state.client_residuals.reserve(local_->feedback_.size());
     for (const ErrorFeedbackAccumulator& fb : local_->feedback_)
       state.client_residuals.push_back(fb.residual());
+    for (const auto& client : local_->clients_)
+      state.client_streams.push_back(client->stream_states());
     if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)
       for (const Snapshot& session : downlink_->sessions())
         state.downlink_sessions.push_back(session ? *session : StateDict{});

@@ -208,10 +208,11 @@ template <Either<CheckpointState> S, class F>
 void visit(S& s, F& f) {
   auto& [completed_rounds, virtual_now, clock_next_seq, config_fingerprint,
          global_state, cohort_rng, failure_rng, eligibility_rng,
-         client_residuals, downlink_sessions, edge_residuals] = s;
+         client_residuals, downlink_sessions, edge_residuals,
+         client_streams] = s;
   each(f, completed_rounds, virtual_now, clock_next_seq, config_fingerprint,
        global_state, cohort_rng, failure_rng, eligibility_rng,
-       client_residuals, downlink_sessions, edge_residuals);
+       client_residuals, downlink_sessions, edge_residuals, client_streams);
 }
 
 // ---- field codecs ----

@@ -1,7 +1,25 @@
 // 2D convolution over NCHW tensors with stride, zero padding and grouped
 // channels (groups == in_channels gives the depthwise convolutions of
-// MobileNetV2). Direct-loop implementation: the reproduction's models are
-// deliberately laptop-scale, so clarity wins over an im2col/GEMM path.
+// MobileNetV2).
+//
+// The kernels are vectorized across outputs only, and every output's
+// floating-point sum keeps the order of the direct seven-deep loop, so the
+// trained bytes do not depend on the kernel:
+//   - Forward: each output starts at its bias, then adds one partial sum
+//     per input channel, in channel order. Each partial sum starts at 0.0f
+//     and adds the valid (kh, kw) taps in order. The 0.0f stays: 0.0f + v
+//     differs from v when v is -0.0.
+//   - Weight gradient: each tap is one sequential sum over (n, ho, wo)
+//     that skips positions whose output gradient is exactly 0.
+//   - Input gradient: each element sums over (oc, ho, wo) in order, with
+//     the same skip.
+// The lanes are output columns or channels. Each tap's valid range is
+// computed once, not per element; the weight gradient reads input channels
+// from a channels-last copy; a masked add keeps the zero-gradient skip
+// where lanes differ. tests/nn_kernel_test.cpp holds the direct loops and
+// checks the kernels against them byte for byte. The kernels stay
+// single-threaded (the pool already runs one client per thread) and use
+// plain loops on the baseline ISA.
 #pragma once
 
 #include "nn/module.hpp"

@@ -31,6 +31,12 @@ std::vector<BufferRef> Model::buffers() {
   return buffers;
 }
 
+std::vector<Rng*> Model::streams() {
+  std::vector<Rng*> streams;
+  root_->collect_streams(streams);
+  return streams;
+}
+
 std::size_t Model::parameter_count() {
   std::size_t n = 0;
   for (const ParamRef& p : parameters()) n += p.value->numel();
@@ -97,15 +103,33 @@ Tensor Linear::forward(const Tensor& input, bool /*training*/) {
   const float* x = input.data();
   const float* w = weight_.data();
   float* y = out.data();
-  for (std::int64_t n = 0; n < batch; ++n) {
-    const float* xn = x + n * in_;
-    float* yn = y + n * out_;
-    for (std::int64_t o = 0; o < out_; ++o) {
-      const float* wo = w + o * in_;
-      float acc = bias_[static_cast<std::size_t>(o)];
-      for (std::int64_t i = 0; i < in_; ++i) acc += xn[i] * wo[i];
-      yn[o] = acc;
+  // The lanes are a block of kOut outputs: each is its bias plus the
+  // inputs in ascending order, so every sum keeps the direct loop's order.
+  // A kIn x kOut tile holds the block's weights transposed, zero in the
+  // lanes past the last output; acc holds every batch row's running sums.
+  constexpr std::int64_t kOut = 32, kIn = 64;
+  float tile[kIn][kOut];
+  std::vector<float> acc(static_cast<std::size_t>(batch * kOut));
+  for (std::int64_t o0 = 0; o0 < out_; o0 += kOut) {
+    const std::int64_t outs = std::min(kOut, out_ - o0);
+    for (std::int64_t n = 0; n < batch; ++n)
+      for (std::int64_t j = 0; j < kOut; ++j)
+        acc[n * kOut + j] = j < outs ? bias_[o0 + j] : 0.0f;
+    for (std::int64_t i0 = 0; i0 < in_; i0 += kIn) {
+      const std::int64_t ins = std::min(kIn, in_ - i0);
+      for (std::int64_t j = 0; j < kOut; ++j)
+        for (std::int64_t i = 0; i < ins; ++i)
+          tile[i][j] = j < outs ? w[(o0 + j) * in_ + i0 + i] : 0.0f;
+      for (std::int64_t n = 0; n < batch; ++n) {
+        float* an = acc.data() + n * kOut;
+        const float* xn = x + n * in_ + i0;
+        for (std::int64_t i = 0; i < ins; ++i)
+          for (std::int64_t j = 0; j < kOut; ++j) an[j] += xn[i] * tile[i][j];
+      }
     }
+    for (std::int64_t n = 0; n < batch; ++n)
+      for (std::int64_t j = 0; j < outs; ++j)
+        y[n * out_ + o0 + j] = acc[n * kOut + j];
   }
   return out;
 }
@@ -148,19 +172,40 @@ void Linear::collect(const std::string& prefix, std::vector<ParamRef>& params,
 
 // ---- ReLU / ReLU6 ----
 
-Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
-  Tensor out = input;
-  pass_mask_.assign(input.numel(), 0);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    float v = out[i];
-    if (v < 0.0f) {
-      out[i] = 0.0f;
-    } else if (clamp_ > 0.0f && v > clamp_) {
-      out[i] = clamp_;
-    } else {
-      pass_mask_[i] = 1;
+namespace {
+
+// Branch-free selects over restrict pointers, so each loop runs as vector
+// compares and blends (a plain uint8_t pointer could alias the floats).
+
+void relu_pass(std::size_t n, float clamp, float* __restrict y,
+               std::uint8_t* __restrict pass) {
+  if (clamp > 0.0f) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const float v = y[i];
+      const bool low = v < 0.0f, high = v > clamp;
+      y[i] = low ? 0.0f : high ? clamp : v;
+      pass[i] = !(low || high);
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool low = y[i] < 0.0f;
+      y[i] = low ? 0.0f : y[i];
+      pass[i] = !low;
     }
   }
+}
+
+}  // namespace
+
+void zero_where_blocked(std::size_t n, const std::uint8_t* __restrict pass,
+                        float* __restrict g) {
+  for (std::size_t i = 0; i < n; ++i) g[i] = pass[i] ? g[i] : 0.0f;
+}
+
+Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
+  Tensor out = input;
+  pass_mask_.resize(input.numel());
+  relu_pass(out.numel(), clamp_, out.data(), pass_mask_.data());
   return out;
 }
 
@@ -168,8 +213,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   if (grad_output.numel() != pass_mask_.size())
     throw InvalidArgument("ReLU::backward: size mismatch");
   Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i)
-    if (!pass_mask_[i]) grad[i] = 0.0f;
+  zero_where_blocked(grad.numel(), pass_mask_.data(), grad.data());
   return grad;
 }
 

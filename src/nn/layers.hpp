@@ -8,7 +8,10 @@
 
 namespace fedsz::nn {
 
-/// Fully connected layer: y = x W^T + b, weight shape {out, in}.
+/// Fully connected layer: y = x W^T + b, weight shape {out, in}. Each
+/// output is its bias plus the inputs in ascending index order; the
+/// forward computes a block of outputs side by side, never reordering a
+/// sum.
 class Linear final : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
@@ -90,6 +93,9 @@ class Dropout final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void collect_streams(std::vector<Rng*>& streams) override {
+    streams.push_back(&rng_);
+  }
   std::string type_name() const override { return "Dropout"; }
 
  private:
@@ -98,6 +104,10 @@ class Dropout final : public Module {
   std::vector<float> scale_mask_;
   bool was_training_ = false;
 };
+
+/// g[i] = 0 wherever pass[i] is 0: the backward of a ReLU mask, shared by
+/// ReLU and Residual's post-activation.
+void zero_where_blocked(std::size_t n, const std::uint8_t* pass, float* g);
 
 /// Uniform Kaiming-style initialization used by Linear/Conv2d:
 /// U(-1/sqrt(fan_in), 1/sqrt(fan_in)).

@@ -12,6 +12,7 @@
 
 #include "tensor/state_dict.hpp"
 #include "tensor/tensor.hpp"
+#include "util/rng.hpp"
 
 namespace fedsz::nn {
 
@@ -48,6 +49,11 @@ class Module {
     (void)buffers;
   }
 
+  /// Append the random streams this module draws from in training (a
+  /// Dropout's mask stream), in module order. They carry across rounds
+  /// and are not in the state dict, so a checkpoint saves them.
+  virtual void collect_streams(std::vector<Rng*>& streams) { (void)streams; }
+
   virtual std::string type_name() const = 0;
 };
 
@@ -73,6 +79,8 @@ class Model {
   std::vector<ParamRef> parameters();
   std::vector<BufferRef> buffers();
   std::size_t parameter_count();
+  /// Every random stream in the model, in module order.
+  std::vector<Rng*> streams();
 
   void zero_grad();
 

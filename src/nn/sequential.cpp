@@ -1,6 +1,23 @@
 #include "nn/sequential.hpp"
 
+#include "nn/layers.hpp"
+
 namespace fedsz::nn {
+
+namespace {
+
+/// y[i] = max(y[i], +0) with y[i] > 0 recorded in pass, as a branch-free
+/// select over restrict pointers so it runs as vector compares and blends.
+void keep_positive(std::size_t n, float* __restrict y,
+                   std::uint8_t* __restrict pass) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool positive = y[i] > 0.0f;
+    y[i] = positive ? y[i] : 0.0f;
+    pass[i] = positive;
+  }
+}
+
+}  // namespace
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
   Tensor x = input;
@@ -22,6 +39,10 @@ void Sequential::collect(const std::string& prefix,
     children_[i]->collect(prefix + std::to_string(i) + ".", params, buffers);
 }
 
+void Sequential::collect_streams(std::vector<Rng*>& streams) {
+  for (const ModulePtr& child : children_) child->collect_streams(streams);
+}
+
 Tensor Residual::forward(const Tensor& input, bool training) {
   Tensor main_out = main_->forward(input, training);
   Tensor shortcut_out =
@@ -32,23 +53,15 @@ Tensor Residual::forward(const Tensor& input, bool training) {
                           shortcut_out.shape_string());
   main_out += shortcut_out;
   if (post_relu_) {
-    relu_mask_.assign(main_out.numel(), 0);
-    for (std::size_t i = 0; i < main_out.numel(); ++i) {
-      if (main_out[i] > 0.0f)
-        relu_mask_[i] = 1;
-      else
-        main_out[i] = 0.0f;
-    }
+    relu_mask_.resize(main_out.numel());
+    keep_positive(main_out.numel(), main_out.data(), relu_mask_.data());
   }
   return main_out;
 }
 
 Tensor Residual::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
-  if (post_relu_) {
-    for (std::size_t i = 0; i < g.numel(); ++i)
-      if (!relu_mask_[i]) g[i] = 0.0f;
-  }
+  if (post_relu_) zero_where_blocked(g.numel(), relu_mask_.data(), g.data());
   Tensor grad_input = main_->backward(g);
   if (shortcut_) {
     grad_input += shortcut_->backward(g);
@@ -63,6 +76,11 @@ void Residual::collect(const std::string& prefix,
                        std::vector<BufferRef>& buffers) {
   main_->collect(prefix + "main.", params, buffers);
   if (shortcut_) shortcut_->collect(prefix + "shortcut.", params, buffers);
+}
+
+void Residual::collect_streams(std::vector<Rng*>& streams) {
+  main_->collect_streams(streams);
+  if (shortcut_) shortcut_->collect_streams(streams);
 }
 
 }  // namespace fedsz::nn

@@ -20,6 +20,7 @@ class Sequential final : public Module {
   Tensor backward(const Tensor& grad_output) override;
   void collect(const std::string& prefix, std::vector<ParamRef>& params,
                std::vector<BufferRef>& buffers) override;
+  void collect_streams(std::vector<Rng*>& streams) override;
   std::string type_name() const override { return "Sequential"; }
 
  private:
@@ -40,6 +41,7 @@ class Residual final : public Module {
   Tensor backward(const Tensor& grad_output) override;
   void collect(const std::string& prefix, std::vector<ParamRef>& params,
                std::vector<BufferRef>& buffers) override;
+  void collect_streams(std::vector<Rng*>& streams) override;
   std::string type_name() const override { return "Residual"; }
 
  private:

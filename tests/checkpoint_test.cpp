@@ -64,6 +64,7 @@ CheckpointState sample_state() {
   state.client_residuals = {residual, StateDict{}};
   state.downlink_sessions = {StateDict{}, state.global_state};
   state.edge_residuals = {StateDict{}, residual};
+  state.client_streams = {{cohort.state(), failure.state()}, {}};
   return state;
 }
 
@@ -81,6 +82,9 @@ TEST(CheckpointTest, SerializeParseRoundtrip) {
   ASSERT_EQ(parsed.downlink_sessions.size(), 2u);
   EXPECT_TRUE(parsed.downlink_sessions[1].equals(state.global_state));
   ASSERT_EQ(parsed.edge_residuals.size(), 2u);
+  ASSERT_EQ(parsed.client_streams.size(), 2u);
+  ASSERT_EQ(parsed.client_streams[0].size(), 2u);
+  EXPECT_TRUE(parsed.client_streams[1].empty());
   // RNG streams resume mid-sequence: the restored generators must produce
   // the exact draws the originals would have.
   Rng original(7);
@@ -209,9 +213,10 @@ TEST(CheckpointTest, FingerprintCoversExactlyTheTrajectory) {
 
 FlRunResult run_campaign(int rounds, const std::string& checkpoint_path,
                          std::size_t every, bool resume,
-                         const std::string& spec_string, float lr = 0.05f) {
+                         const std::string& spec_string, float lr = 0.05f,
+                         const std::string& arch = "mobilenet_v2") {
   nn::ModelConfig model;
-  model.arch = "mobilenet_v2";
+  model.arch = arch;
   model.scale = nn::ModelScale::kTiny;
   auto [train, test] = data::make_dataset("cifar10");
   const CodecSpec spec = parse_codec_spec(spec_string);
@@ -252,17 +257,18 @@ void expect_rounds_identical(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.edges.size(), b.edges.size());
 }
 
-void check_resume_property(const std::string& spec) {
+void check_resume_property(const std::string& spec,
+                           const std::string& arch = "mobilenet_v2") {
   TempFile ck("resume.ck");
-  const FlRunResult full = run_campaign(4, "", 0, false, spec);
+  const FlRunResult full = run_campaign(4, "", 0, false, spec, 0.05f, arch);
   ASSERT_EQ(full.rounds.size(), 4u);
   const FlRunResult head =
-      run_campaign(2, ck.path.string(), 1, false, spec);
+      run_campaign(2, ck.path.string(), 1, false, spec, 0.05f, arch);
   ASSERT_EQ(head.rounds.size(), 2u);
   expect_rounds_identical(head.rounds[0], full.rounds[0]);
   expect_rounds_identical(head.rounds[1], full.rounds[1]);
   const FlRunResult resumed =
-      run_campaign(4, ck.path.string(), 1, true, spec);
+      run_campaign(4, ck.path.string(), 1, true, spec, 0.05f, arch);
   // The resumed result carries exactly the rounds that still had to run,
   // and each one is bit-identical to the uninterrupted run's.
   ASSERT_EQ(resumed.rounds.size(), 2u);
@@ -300,6 +306,14 @@ TEST(CheckpointTest, ResumeMatchesUninterruptedDeltaDownlink) {
   // models clients train from (accuracy, loss) bit-identical.
   check_resume_property(
       "fedsz:eb=rel:1e-2,downlink=fedsz:eb=abs:1e-3,downmode=delta");
+}
+
+TEST(CheckpointTest, ResumeMatchesUninterruptedAlexNet) {
+  // Each client's AlexNet draws its Dropout masks from a stream inside its
+  // own model, which advances every round and is not in the state dict.
+  // Restoring those streams is what keeps the resumed masks, and so the
+  // trained bytes, identical.
+  check_resume_property("fedsz:eb=rel:1e-2", "alexnet");
 }
 
 TEST(CheckpointTest, ResumeWithoutCheckpointRunsFresh) {

@@ -472,5 +472,36 @@ TEST(ZstdLike, MatchPastDeclaredSizeThrowsBeforeGrowing) {
                CorruptStream);
 }
 
+TEST(DeflateLike, BytesAfterTheEndOfBlockCodeThrowCorruptStream) {
+  // A compressed zlib or gzip frame ends in its Huffman codes as one
+  // length-prefixed blob. Raising that length by one and appending a zero
+  // byte leaves every code intact, so only a check that the codes end in
+  // the blob's last byte rejects the frame.
+  Bytes data;
+  for (int i = 0; i < 8192; ++i)
+    data.push_back(static_cast<std::uint8_t>("federated"[i % 9]));
+  for (const LosslessId id : {LosslessId::kZlib, LosslessId::kGzip}) {
+    const LosslessCodec& codec = lossless_codec(id);
+    SCOPED_TRACE(codec.name());
+    const Bytes frame = codec.compress({data.data(), data.size()});
+    ByteReader r({frame.data(), frame.size()});
+    r.get_varint();                // raw size
+    ASSERT_EQ(r.get_u8(), 1);      // a compressed frame
+    HuffmanCodebook::read_table(r);  // literal/length codes
+    HuffmanCodebook::read_table(r);  // distance codes
+    const std::size_t blob_at = frame.size() - r.remaining();
+    Bytes codes = r.get_blob();
+    ASSERT_TRUE(r.done());
+    codes.push_back(0);
+    ByteWriter w;
+    w.put_bytes({frame.data(), blob_at});
+    w.put_blob({codes.data(), codes.size()});
+    const Bytes padded = w.finish();
+    EXPECT_EQ(codec.decompress({frame.data(), frame.size()}), data);
+    EXPECT_THROW(codec.decompress({padded.data(), padded.size()}),
+                 CorruptStream);
+  }
+}
+
 }  // namespace
 }  // namespace fedsz::lossless

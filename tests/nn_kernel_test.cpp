@@ -1,15 +1,25 @@
 // Kernel tests: the trained bytes of every model pinned across three SGD
 // steps, so a rewrite of the convolution, Linear or activation kernels
-// cannot move a single weight or logit without failing here.
+// cannot move a single weight or logit without failing here; and the
+// vectorized kernels checked byte for byte against the direct loops they
+// replaced, over random geometries with zeros and non-finite values.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <array>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <string>
 
+#include "nn/conv.hpp"
+#include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/sequential.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 
@@ -82,6 +92,406 @@ TEST(TrainPinTest, ThreeSgdStepsReproduceThePinnedBytes) {
       ADD_FAILURE() << name << " pins: " << row;
     }
   }
+}
+
+
+// ---- the direct loops, kept as the oracle ----
+//
+// The bodies below are the convolution, Linear and ReLU loops the library
+// ran before its kernels were vectorized, copied verbatim. Each defines
+// the order of every floating-point sum, which the library must keep.
+
+struct DirectConv2d {
+  std::int64_t in_channels_, out_channels_, groups_;
+  int kernel_, stride_, padding_;
+  bool has_bias_;
+  Tensor weight_, bias_, weight_grad_, bias_grad_, cached_input_;
+
+  Tensor forward(const Tensor& input) {
+    cached_input_ = input;
+    const std::int64_t N = input.dim(0), H = input.dim(2), W = input.dim(3);
+    const std::int64_t Ho = (H + 2 * padding_ - kernel_) / stride_ + 1;
+    const std::int64_t Wo = (W + 2 * padding_ - kernel_) / stride_ + 1;
+    Tensor out({N, out_channels_, Ho, Wo});
+
+    const std::int64_t cin_per_group = in_channels_ / groups_;
+    const std::int64_t cout_per_group = out_channels_ / groups_;
+    const float* x = input.data();
+    const float* w = weight_.data();
+    float* y = out.data();
+
+    for (std::int64_t n = 0; n < N; ++n) {
+      for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
+        const std::int64_t g = oc / cout_per_group;
+        float* yp = y + (n * out_channels_ + oc) * Ho * Wo;
+        const float b = has_bias_ ? bias_[static_cast<std::size_t>(oc)] : 0.0f;
+        for (std::int64_t i = 0; i < Ho * Wo; ++i) yp[i] = b;
+        for (std::int64_t ic = 0; ic < cin_per_group; ++ic) {
+          const float* xp =
+              x + (n * in_channels_ + g * cin_per_group + ic) * H * W;
+          const float* wp = w + ((oc * cin_per_group) + ic) * kernel_ * kernel_;
+          for (std::int64_t ho = 0; ho < Ho; ++ho) {
+            const std::int64_t h0 = ho * stride_ - padding_;
+            for (std::int64_t wo = 0; wo < Wo; ++wo) {
+              const std::int64_t w0 = wo * stride_ - padding_;
+              float acc = 0.0f;
+              for (int kh = 0; kh < kernel_; ++kh) {
+                const std::int64_t h = h0 + kh;
+                if (h < 0 || h >= H) continue;
+                const float* xrow = xp + h * W;
+                const float* wrow = wp + kh * kernel_;
+                for (int kw = 0; kw < kernel_; ++kw) {
+                  const std::int64_t ww = w0 + kw;
+                  if (ww < 0 || ww >= W) continue;
+                  acc += xrow[ww] * wrow[kw];
+                }
+              }
+              yp[ho * Wo + wo] += acc;
+            }
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  Tensor backward(const Tensor& grad_output) {
+    const Tensor& input = cached_input_;
+    const std::int64_t N = input.dim(0), H = input.dim(2), W = input.dim(3);
+    const std::int64_t Ho = grad_output.dim(2), Wo = grad_output.dim(3);
+    Tensor grad_input(input.shape());
+
+    const std::int64_t cin_per_group = in_channels_ / groups_;
+    const std::int64_t cout_per_group = out_channels_ / groups_;
+    const float* x = input.data();
+    const float* w = weight_.data();
+    const float* g = grad_output.data();
+    float* gx = grad_input.data();
+    float* gw = weight_grad_.data();
+    float* gb = bias_grad_.data();
+
+    for (std::int64_t n = 0; n < N; ++n) {
+      for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
+        const std::int64_t grp = oc / cout_per_group;
+        const float* gp = g + (n * out_channels_ + oc) * Ho * Wo;
+        if (has_bias_) {
+          float acc = 0.0f;
+          for (std::int64_t i = 0; i < Ho * Wo; ++i) acc += gp[i];
+          gb[oc] += acc;
+        }
+        for (std::int64_t ic = 0; ic < cin_per_group; ++ic) {
+          const std::int64_t in_c = grp * cin_per_group + ic;
+          const float* xp = x + (n * in_channels_ + in_c) * H * W;
+          float* gxp = gx + (n * in_channels_ + in_c) * H * W;
+          const float* wp = w + ((oc * cin_per_group) + ic) * kernel_ * kernel_;
+          float* gwp = gw + ((oc * cin_per_group) + ic) * kernel_ * kernel_;
+          for (std::int64_t ho = 0; ho < Ho; ++ho) {
+            const std::int64_t h0 = ho * stride_ - padding_;
+            for (std::int64_t wo = 0; wo < Wo; ++wo) {
+              const std::int64_t w0 = wo * stride_ - padding_;
+              const float go = gp[ho * Wo + wo];
+              if (go == 0.0f) continue;
+              for (int kh = 0; kh < kernel_; ++kh) {
+                const std::int64_t h = h0 + kh;
+                if (h < 0 || h >= H) continue;
+                for (int kw = 0; kw < kernel_; ++kw) {
+                  const std::int64_t ww = w0 + kw;
+                  if (ww < 0 || ww >= W) continue;
+                  gwp[kh * kernel_ + kw] += go * xp[h * W + ww];
+                  gxp[h * W + ww] += go * wp[kh * kernel_ + kw];
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    return grad_input;
+  }
+};
+
+struct DirectLinear {
+  std::int64_t in_, out_;
+  Tensor weight_, bias_, weight_grad_, bias_grad_, cached_input_;
+
+  Tensor forward(const Tensor& input) {
+    cached_input_ = input;
+    const std::int64_t batch = input.dim(0);
+    Tensor out({batch, out_});
+    const float* x = input.data();
+    const float* w = weight_.data();
+    float* y = out.data();
+    for (std::int64_t n = 0; n < batch; ++n) {
+      const float* xn = x + n * in_;
+      float* yn = y + n * out_;
+      for (std::int64_t o = 0; o < out_; ++o) {
+        const float* wo = w + o * in_;
+        float acc = bias_[static_cast<std::size_t>(o)];
+        for (std::int64_t i = 0; i < in_; ++i) acc += xn[i] * wo[i];
+        yn[o] = acc;
+      }
+    }
+    return out;
+  }
+
+  Tensor backward(const Tensor& grad_output) {
+    const std::int64_t batch = cached_input_.dim(0);
+    Tensor grad_input({batch, in_});
+    const float* x = cached_input_.data();
+    const float* g = grad_output.data();
+    const float* w = weight_.data();
+    float* gx = grad_input.data();
+    float* gw = weight_grad_.data();
+    float* gb = bias_grad_.data();
+    for (std::int64_t n = 0; n < batch; ++n) {
+      const float* xn = x + n * in_;
+      const float* gn = g + n * out_;
+      float* gxn = gx + n * in_;
+      for (std::int64_t o = 0; o < out_; ++o) {
+        const float go = gn[o];
+        gb[o] += go;
+        const float* wo = w + o * in_;
+        float* gwo = gw + o * in_;
+        for (std::int64_t i = 0; i < in_; ++i) {
+          gwo[i] += go * xn[i];
+          gxn[i] += go * wo[i];
+        }
+      }
+    }
+    return grad_input;
+  }
+};
+
+struct DirectReLU {
+  float clamp_;
+  std::vector<std::uint8_t> pass_mask_;
+
+  Tensor forward(const Tensor& input) {
+    Tensor out = input;
+    pass_mask_.assign(input.numel(), 0);
+    for (std::size_t i = 0; i < out.numel(); ++i) {
+      float v = out[i];
+      if (v < 0.0f) {
+        out[i] = 0.0f;
+      } else if (clamp_ > 0.0f && v > clamp_) {
+        out[i] = clamp_;
+      } else {
+        pass_mask_[i] = 1;
+      }
+    }
+    return out;
+  }
+
+  Tensor backward(const Tensor& grad_output) {
+    Tensor grad = grad_output;
+    for (std::size_t i = 0; i < grad.numel(); ++i)
+      if (!pass_mask_[i]) grad[i] = 0.0f;
+    return grad;
+  }
+};
+
+// ---- random operands ----
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// A draw from [0, n).
+std::int64_t draw(Rng& rng, std::uint64_t n) {
+  return static_cast<std::int64_t>(rng.uniform_index(n));
+}
+
+/// Normal values with about `zero_share` exact zeros.
+Tensor random_tensor(Shape shape, Rng& rng, double zero_share) {
+  Tensor t(std::move(shape));
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    if (rng.uniform() >= zero_share)
+      t[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  return t;
+}
+
+/// One +Inf, -Inf or NaN at a random position.
+void plant_non_finite(Tensor& t, Rng& rng) {
+  const float specials[3] = {std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+  t[rng.uniform_index(t.numel())] = specials[rng.uniform_index(3)];
+}
+
+/// Copies `from`'s parameters (weight, then bias when present) into the
+/// oracle's tensors of the same shapes.
+void copy_params(Module& from, Tensor& weight, Tensor& bias) {
+  std::vector<ParamRef> params;
+  std::vector<BufferRef> buffers;
+  from.collect("", params, buffers);
+  weight = *params[0].value;
+  if (params.size() > 1) bias = *params[1].value;
+}
+
+/// About a fifth of the module's bias values (when it has any) become -0.
+void set_some_biases_to_negative_zero(Module& module, Rng& rng) {
+  std::vector<ParamRef> params;
+  std::vector<BufferRef> buffers;
+  module.collect("", params, buffers);
+  if (params.size() < 2) return;
+  Tensor& bias = *params[1].value;
+  for (std::size_t i = 0; i < bias.numel(); ++i)
+    if (rng.uniform() < 0.2) bias[i] = -0.0f;
+}
+
+/// The module's parameter gradients in collect() order.
+std::vector<Tensor> param_grads(Module& module) {
+  std::vector<ParamRef> params;
+  std::vector<BufferRef> buffers;
+  module.collect("", params, buffers);
+  std::vector<Tensor> grads;
+  for (const ParamRef& p : params) grads.push_back(*p.grad);
+  return grads;
+}
+
+TEST(KernelOracleTest, ConvMatchesTheDirectLoopsBitForBit) {
+  Rng rng(2024);
+  constexpr int kCases = 320;
+  int non_finite_cases = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const int kernel = std::array<int, 3>{1, 3, 5}[rng.uniform_index(3)];
+    const int stride = 1 + static_cast<int>(draw(rng, 2));
+    const int padding = static_cast<int>(draw(rng, kernel / 2 + 2));
+    std::int64_t groups = 1, in_c = 0, out_c = 0;
+    switch (rng.uniform_index(3)) {
+      case 0:  // dense
+        in_c = 1 + draw(rng, 12);
+        out_c = 1 + draw(rng, 12);
+        break;
+      case 1:  // 2 or 3 groups
+        groups = 2 + draw(rng, 2);
+        in_c = groups * (1 + draw(rng, 5));
+        out_c = groups * (1 + draw(rng, 5));
+        break;
+      default:  // depthwise, channel multiplier 1 or 2
+        groups = in_c = 1 + draw(rng, 20);
+        out_c = in_c * (1 + draw(rng, 2));
+        break;
+    }
+    const bool bias = rng.uniform() < 0.5;
+    const std::int64_t batch = 1 + draw(rng, 3);
+    const std::int64_t min_hw = std::max<std::int64_t>(1, kernel - 2 * padding);
+    const std::int64_t H = min_hw + draw(rng, 12);
+    const std::int64_t W = min_hw + draw(rng, 12);
+
+    Rng init(rng.next_u64());
+    Conv2d conv(in_c, out_c, kernel, stride, padding, groups, bias, init);
+    DirectConv2d direct{in_c, out_c, groups, kernel, stride, padding, bias,
+                        Tensor(), Tensor({out_c}), Tensor(), Tensor({out_c}),
+                        Tensor()};
+    // A -0 bias keeps a -0 output only while every partial sum is -0, which
+    // tells `b + (0.0f + v)` from `b + v`.
+    set_some_biases_to_negative_zero(conv, rng);
+    copy_params(conv, direct.weight_, direct.bias_);
+    direct.weight_grad_ = Tensor(direct.weight_.shape());
+
+    Tensor x = random_tensor({batch, in_c, H, W}, rng, 0.2);
+    if (c % 7 == 0) {
+      plant_non_finite(x, rng);
+      ++non_finite_cases;
+    }
+    const std::string what = "case " + std::to_string(c) + ": k" +
+                             std::to_string(kernel) + " s" +
+                             std::to_string(stride) + " p" +
+                             std::to_string(padding) + " g" +
+                             std::to_string(groups) + " " +
+                             std::to_string(in_c) + "->" +
+                             std::to_string(out_c) + " " + x.shape_string();
+    const Tensor y = conv.forward(x, true);
+    const Tensor y_direct = direct.forward(x);
+    ASSERT_TRUE(same_bytes(y, y_direct)) << what << " forward";
+    // Two backward calls: the parameter gradients accumulate. The second
+    // gradient is mostly zeros, so both the library's dense-gradient and
+    // sparse-gradient schedules run on every geometry.
+    for (int call = 0; call < 2; ++call) {
+      const Tensor g = random_tensor(y.shape(), rng, call == 0 ? 0.3 : 0.7);
+      ASSERT_TRUE(same_bytes(conv.backward(g), direct.backward(g)))
+          << what << " input gradient, call " << call;
+    }
+    const std::vector<Tensor> grads = param_grads(conv);
+    ASSERT_TRUE(same_bytes(grads[0], direct.weight_grad_)) << what << " weight";
+    if (bias) {
+      ASSERT_TRUE(same_bytes(grads[1], direct.bias_grad_)) << what << " bias";
+    }
+  }
+  EXPECT_GE(non_finite_cases, kCases / 7);
+}
+
+TEST(KernelOracleTest, LinearMatchesTheDirectLoopsBitForBit) {
+  Rng rng(77);
+  for (int c = 0; c < 120; ++c) {
+    // Up to 100 inputs and 80 outputs crosses the kernel's block edges.
+    const std::int64_t in = 1 + draw(rng, 100);
+    const std::int64_t out = 1 + draw(rng, 80);
+    const std::int64_t batch = 1 + draw(rng, 3);
+    Rng init(rng.next_u64());
+    Linear linear(in, out, init);
+    DirectLinear direct{in, out, Tensor(), Tensor(), Tensor({out, in}),
+                        Tensor({out}), Tensor()};
+    copy_params(linear, direct.weight_, direct.bias_);
+
+    Tensor x = random_tensor({batch, in}, rng, 0.2);
+    if (c % 7 == 0) plant_non_finite(x, rng);
+    const std::string what = "case " + std::to_string(c) + ": " +
+                             std::to_string(in) + "->" + std::to_string(out) +
+                             " batch " + std::to_string(batch);
+    const Tensor y = linear.forward(x, true);
+    ASSERT_TRUE(same_bytes(y, direct.forward(x))) << what << " forward";
+    for (int call = 0; call < 2; ++call) {
+      const Tensor g = random_tensor(y.shape(), rng, 0.3);
+      ASSERT_TRUE(same_bytes(linear.backward(g), direct.backward(g)))
+          << what << " input gradient, call " << call;
+    }
+    const std::vector<Tensor> grads = param_grads(linear);
+    ASSERT_TRUE(same_bytes(grads[0], direct.weight_grad_)) << what << " weight";
+    ASSERT_TRUE(same_bytes(grads[1], direct.bias_grad_)) << what << " bias";
+  }
+}
+
+TEST(KernelOracleTest, ReluMasksMatchTheDirectLoopsBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(5);
+  Tensor x = random_tensor({3, 5, 7, 9}, rng, 0.1);
+  x *= 4.0f;  // many values past ReLU6's clamp
+  const float specials[] = {-0.0f, 0.0f, 6.0f, 6.5f, -inf, inf, nan, -nan};
+  for (std::size_t i = 0; i < std::size(specials); ++i) x[i * 31] = specials[i];
+  const Tensor g = random_tensor(x.shape(), rng, 0.2);
+  for (const float clamp : {0.0f, 6.0f}) {
+    ReLU relu(clamp);
+    DirectReLU direct{clamp, {}};
+    EXPECT_TRUE(same_bytes(relu.forward(x, true), direct.forward(x)))
+        << "clamp " << clamp;
+    EXPECT_TRUE(same_bytes(relu.backward(g), direct.backward(g)))
+        << "clamp " << clamp;
+  }
+  // Residual's post-ReLU: y = max(x + x, 0), zeroing NaN and -0 too.
+  Residual residual(std::make_shared<Sequential>(), nullptr, true);
+  const Tensor y = residual.forward(x, true);
+  Tensor y_direct = x;
+  y_direct += x;
+  std::vector<std::uint8_t> mask(x.numel(), 0);
+  for (std::size_t i = 0; i < y_direct.numel(); ++i) {
+    if (y_direct[i] > 0.0f)
+      mask[i] = 1;
+    else
+      y_direct[i] = 0.0f;
+  }
+  EXPECT_TRUE(same_bytes(y, y_direct));
+  Tensor g_direct = g;
+  for (std::size_t i = 0; i < g_direct.numel(); ++i)
+    if (!mask[i]) g_direct[i] = 0.0f;
+  // The identity main branch and the shortcut each pass the masked
+  // gradient through: grad = masked + masked.
+  Tensor expected = g_direct;
+  expected += g_direct;
+  EXPECT_TRUE(same_bytes(residual.backward(g), expected));
 }
 
 }  // namespace
