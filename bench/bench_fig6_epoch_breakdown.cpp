@@ -6,11 +6,12 @@
 //   bench_fig6_epoch_breakdown [--smoke] [--json PATH] [--clients N]
 //                              [--rounds N] [--threads N] [--seed N]
 //
-// --smoke runs CIFAR-10's three models only, with 2 clients, 2 rounds and
-// one thread. --json writes one run per (dataset, model): train_mb_s and
-// eval_mb_s are the input-image megabytes per second of client training
-// and of server evaluation (compare_baselines.py gates them), and
-// compression_share is compression's share of the round.
+// --smoke runs CIFAR-10's three models only, with 2 clients, 4 rounds and
+// one thread. Every round after the first is timed. --json writes one run
+// per (dataset, model): train_mb_s and eval_mb_s are the input-image
+// megabytes per second of client training and of server evaluation
+// (compare_baselines.py gates them), and compression_share is
+// compression's share of the timed rounds.
 #include <cstdio>
 
 #include "common.hpp"
@@ -49,7 +50,8 @@ int main(int argc, char** argv) {
       auto [train, test] = data::make_dataset(dataset);
       core::FlRunConfig config;
       config.clients = clients;
-      config.rounds = options.rounds > 0 ? options.rounds : 2;
+      config.rounds =
+          options.rounds > 0 ? options.rounds : (options.smoke ? 4 : 2);
       config.eval_limit = 256;
       config.threads = options.threads_or(options.smoke ? 1 : 4);
       config.seed = options.seed_or(config.seed);
@@ -60,28 +62,33 @@ int main(int argc, char** argv) {
                                       test_set, config,
                                       core::make_fedsz_codec());
       const core::FlRunResult result = coordinator.run();
-      // Use the last round (the first pays cache warm-up). Compression time
-      // is the per-round compress + decompress means the coordinator already
-      // aggregates from CompressionStats — no separate seconds out-params.
-      const core::RoundRecord& record = result.rounds.back();
-      const double compression =
-          record.compress_seconds + record.decompress_seconds;
-      const double total =
-          record.train_seconds + record.eval_seconds + compression;
-      // aggregate_weight sums the aggregated clients' samples; train_seconds
-      // is their mean training time.
-      const double train_mb_s =
-          record.aggregate_weight * config.client.local_epochs * image_mb /
-          (record.train_seconds * static_cast<double>(record.participants));
+      // Time every round after the first (which pays cache warm-up). A
+      // round's train_seconds is its participants' mean training time and
+      // aggregate_weight their summed samples; compression is the per-round
+      // compress + decompress means the coordinator already aggregates from
+      // CompressionStats.
+      const std::size_t first = result.rounds.size() > 1 ? 1 : 0;
+      const double timed = static_cast<double>(result.rounds.size() - first);
+      const double epoch_mb = config.client.local_epochs * image_mb;
+      double train_s = 0.0, eval_s = 0.0, codec_s = 0.0, client_mb = 0.0;
+      for (std::size_t r = first; r < result.rounds.size(); ++r) {
+        const core::RoundRecord& record = result.rounds[r];
+        train_s += record.train_seconds;
+        eval_s += record.eval_seconds;
+        codec_s += record.compress_seconds + record.decompress_seconds;
+        client_mb += record.aggregate_weight * epoch_mb / record.participants;
+      }
+      const double total = train_s + eval_s + codec_s;
+      const double train_mb_s = client_mb / train_s;
       const double eval_mb_s =
-          static_cast<double>(test_set->size()) * image_mb /
-          record.eval_seconds;
-      const core::ClientTraceEntry& first_client = record.clients.front();
+          timed * static_cast<double>(test_set->size()) * image_mb / eval_s;
+      const core::ClientTraceEntry& first_client =
+          result.rounds.back().clients.front();
       table.add_row({nn::model_display_name(arch),
-                     benchx::fmt(record.train_seconds, 3),
-                     benchx::fmt(record.eval_seconds, 3),
-                     benchx::fmt(compression, 4),
-                     benchx::fmt(compression / total * 100.0, 1) + "%",
+                     benchx::fmt(train_s / timed, 3),
+                     benchx::fmt(eval_s / timed, 3),
+                     benchx::fmt(codec_s / timed, 4),
+                     benchx::fmt(codec_s / total * 100.0, 1) + "%",
                      benchx::fmt(train_mb_s, 2), benchx::fmt(eval_mb_s, 2),
                      std::to_string(first_client.lossy_tensors) + "/" +
                          std::to_string(first_client.lossless_tensors)});
@@ -89,10 +96,10 @@ int main(int argc, char** argv) {
       run.set("name", dataset + "/" + arch)
           .set("train_mb_s", train_mb_s)
           .set("eval_mb_s", eval_mb_s)
-          .set("compression_share", compression / total)
-          .set("train_seconds", record.train_seconds)
-          .set("eval_seconds", record.eval_seconds)
-          .set("compression_seconds", compression);
+          .set("compression_share", codec_s / total)
+          .set("train_seconds", train_s / timed)
+          .set("eval_seconds", eval_s / timed)
+          .set("compression_seconds", codec_s / timed);
       runs.push(std::move(run));
     }
     table.print();

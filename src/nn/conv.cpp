@@ -1,6 +1,7 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <vector>
 
@@ -83,6 +84,11 @@ inline float masked_add(float acc, float g, float v) {
   std::memcpy(&out, &bits, sizeof(out));
   return out;
 }
+
+// The dense-gradient schedule's input gradient runs one masked row per
+// (input channel, output channel, output row, tap). On rows narrower than
+// this it loses to the sparse schedule at every share of nonzero gradients.
+constexpr std::int64_t kMinDenseRow = 32;
 
 // The transposes below walk the planes in blocks of kBlock positions:
 // planes a power-of-two size apart map to the same cache sets, so a walk
@@ -358,11 +364,11 @@ void accumulate_pair(std::int64_t n, float go, const float* __restrict x,
   }
 }
 
-/// Dense or grouped, for mostly zero output gradients: the direct loop
-/// order with the input channels innermost, so a zero output gradient
-/// costs one compare. Every gradient element still sees its terms in the
-/// same order; the sums live in channels-last copies of gw and of one
-/// image's gx.
+/// Dense or grouped, for mostly zero output gradients or narrow rows: the
+/// direct loop order with the input channels innermost, so a zero output
+/// gradient costs one compare. Every gradient element still sees its terms
+/// in the same order; the sums live in channels-last copies of gw and of
+/// one image's gx.
 void backward_sparse(const Geometry& g, const float* x, const float* w,
                      const float* gy, float* gx, float* gw) {
   const std::int64_t cin = g.cin(), cout = g.cout(), K = g.k, KK = g.taps();
@@ -489,14 +495,15 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     return grad_input;
   }
   // Both schedules add the same terms in the same order; they differ in
-  // whether a zero output gradient is visited at all.
-  const auto nonzero = std::count_if(
-      gy, gy + grad_output.numel(), [](float v) { return v != 0.0f; });
-  if (2 * static_cast<std::size_t>(nonzero) < grad_output.numel()) {
-    backward_sparse(g, x, w, gy, gx, gw);
-  } else {
+  // whether a zero output gradient is visited at all. The dense one pays
+  // off on rows at least kMinDenseRow wide when at most half the output
+  // gradients are zero.
+  const auto numel = static_cast<std::ptrdiff_t>(grad_output.numel());
+  if (g.wo >= kMinDenseRow && 2 * std::count(gy, gy + numel, 0.0f) <= numel) {
     weight_grad_dense(g, x, gy, gw);
     input_grad_rows(g, w, gy, gx);
+  } else {
+    backward_sparse(g, x, w, gy, gx, gw);
   }
   return grad_input;
 }

@@ -485,8 +485,8 @@ TEST(DeflateLike, BytesAfterTheEndOfBlockCodeThrowCorruptStream) {
     SCOPED_TRACE(codec.name());
     const Bytes frame = codec.compress({data.data(), data.size()});
     ByteReader r({frame.data(), frame.size()});
-    r.get_varint();                // raw size
-    ASSERT_EQ(r.get_u8(), 1);      // a compressed frame
+    r.get_varint();                  // raw size
+    ASSERT_EQ(r.get_u8(), 1);        // a compressed frame
     HuffmanCodebook::read_table(r);  // literal/length codes
     HuffmanCodebook::read_table(r);  // distance codes
     const std::size_t blob_at = frame.size() - r.remaining();
