@@ -5,9 +5,10 @@
 // output buffer after one warm-up pass, so the allocation column reports
 // exactly what the arena-backed hot path costs per call once the
 // thread-local scratch exists. The --json schema (runs keyed by `name` with
-// *_mb_s / ratio / allocs_per_encode fields) is shared with
-// bench_parallel_pipeline; bench/compare_baselines.py gates CI on both
-// against the committed files under bench/baselines/.
+// *_mb_s / ratio / allocs_per_encode / compressed_bytes fields) is shared
+// with bench_parallel_pipeline; bench/compare_baselines.py gates CI on both
+// against the committed files under bench/baselines/: the MB/s within its
+// tolerance, compressed_bytes exactly.
 #include <cstdio>
 #include <cstring>
 
@@ -27,6 +28,7 @@ struct MicroResult {
   double decompress_mb_s = 0.0;
   double ratio = 0.0;
   double allocs_per_encode = 0.0;
+  std::size_t compressed_bytes = 0;  // exact: any stream change moves it
 };
 
 std::vector<float> weight_payload(std::size_t n, std::uint64_t seed) {
@@ -70,6 +72,7 @@ MicroResult measure(std::string name, std::string kind, std::size_t raw_bytes,
       static_cast<double>(raw_bytes) / 1e6 / best_encode;
   result.ratio =
       static_cast<double>(raw_bytes) / static_cast<double>(blob.size());
+  result.compressed_bytes = blob.size();
 
   double best_decode = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
@@ -184,7 +187,8 @@ int main(int argc, char** argv) {
           .set("compress_mb_s", r.compress_mb_s)
           .set("decompress_mb_s", r.decompress_mb_s)
           .set("ratio", r.ratio)
-          .set("allocs_per_encode", r.allocs_per_encode);
+          .set("allocs_per_encode", r.allocs_per_encode)
+          .set("compressed_bytes", r.compressed_bytes);
       runs.push(std::move(run));
     }
     json.set("runs", std::move(runs));

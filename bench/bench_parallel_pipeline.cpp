@@ -13,9 +13,11 @@
 // rounds). The printed "hw threads" line gives the context for interpreting
 // the numbers on smaller machines.
 //
-// --json emits the shared bench schema (runs keyed by `name` with *_mb_s
-// and allocs_per_encode fields) consumed by bench/compare_baselines.py
-// against bench/baselines/BENCH_parallel_pipeline.json.
+// --json emits the shared bench schema (runs keyed by `name` with *_mb_s,
+// allocs_per_encode and compressed_bytes fields) consumed by
+// bench/compare_baselines.py against
+// bench/baselines/BENCH_parallel_pipeline.json, which gates the MB/s within
+// its tolerance and compressed_bytes exactly.
 #include <cstdio>
 
 #include "common.hpp"
@@ -86,6 +88,7 @@ void bench_model(const std::string& arch, int repetitions,
         .set("compress_mb_s", mb / t.compress_seconds)
         .set("decompress_mb_s", mb / t.decompress_seconds)
         .set("allocs_per_encode", t.allocs_per_encode)
+        .set("compressed_bytes", t.bitstream.size())
         .set("identical_bytes", identical);
     runs->push(std::move(run));
   };

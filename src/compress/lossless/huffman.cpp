@@ -1,6 +1,7 @@
 #include "compress/lossless/huffman.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 #include <unordered_map>
 
@@ -218,7 +219,7 @@ void HuffmanCodebook::build_decode_table() {
   dec_table_.clear();
   if (max_len_ == 0) return;
   root_bits_ = std::min(max_len_, kDecodeRootBits);
-  dec_table_.assign(std::size_t{1} << root_bits_, DecEntry{0, 0});
+  dec_table_.assign(std::size_t{1} << root_bits_, DecEntry{});
   // A code of length L <= root_bits_ owns every table index whose low L
   // bits equal its bit-reversed value (the next L stream bits). Indices
   // left at len 0 route to the canonical walk: either a longer code's
@@ -230,9 +231,30 @@ void HuffmanCodebook::build_decode_table() {
       const std::uint32_t rev = bit_reverse(first_code_[len] + k, len);
       for (std::size_t idx = rev; idx < dec_table_.size();
            idx += std::size_t{1} << len) {
-        dec_table_[idx] = DecEntry{symbols_[i], static_cast<std::uint8_t>(len)};
+        const auto l = static_cast<std::uint8_t>(len);
+        const auto index = static_cast<std::uint16_t>(i);
+        dec_table_[idx] = DecEntry{index, index, l, l, 1};
       }
     }
+  }
+  // Pair up: when the bits after an index's first code still hold a whole
+  // second code, the entry decodes both (the first code's own fields stay
+  // as they are, so this reads unpaired values). An index that starts no
+  // short code keeps its bits MSB-first instead, where the canonical walk
+  // resumes.
+  for (std::size_t idx = 0; idx < dec_table_.size(); ++idx) {
+    DecEntry& e = dec_table_[idx];
+    if (e.len1 == 0) {
+      e.index = static_cast<std::uint16_t>(
+          bit_reverse(static_cast<std::uint32_t>(idx), root_bits_));
+      continue;
+    }
+    if (e.len1 >= root_bits_) continue;
+    const DecEntry& next = dec_table_[idx >> e.len1];
+    if (next.len1 == 0 || e.len1 + next.len1 > root_bits_) continue;
+    e.index2 = next.index;
+    e.len = static_cast<std::uint8_t>(e.len1 + next.len1);
+    e.count = 2;
   }
 }
 
@@ -305,34 +327,47 @@ void HuffmanCodebook::encode_all(std::span<const std::uint32_t> symbols,
   const std::uint32_t* table = enc_dense_.data();
   const std::uint32_t base = enc_base_;
   const auto limit = static_cast<std::uint32_t>(enc_dense_.size());
-  // Gather codes into a local word and hand the writer whole batches: the
-  // concatenated bits, and so the bytes, are the same as per-code writes.
-  std::uint64_t batch = 0;
-  unsigned batch_bits = 0;
-  for (const std::uint32_t s : symbols) {
-    const std::uint32_t k = s - base;
-    const std::uint32_t entry = k < limit ? table[k] : 0;
-    if (entry == 0)
-      throw InvalidArgument("HuffmanCodebook: symbol not in codebook");
-    const unsigned len = entry & 31u;
-    if (batch_bits + len > 64) {
-      out.write(batch, batch_bits);
-      batch = 0;
-      batch_bits = 0;
-    }
-    batch |= static_cast<std::uint64_t>(entry >> 5) << batch_bits;
-    batch_bits += len;
+  const auto entry_of = [&](std::uint32_t s) {
+    const std::uint32_t k = s - base;  // wraps below the base
+    return k < limit ? table[k] : 0u;
+  };
+  // Whole-word stores into a buffer sized up front: three codes (at most
+  // 48 bits) per flush keep the cursor under 64 bits. The concatenated
+  // bits, and so the bytes, are the same as per-code writes.
+  BitWriter::WordCursor cursor = out.begin_words(symbols.size() * max_len_);
+  const std::size_t n = symbols.size();
+  std::size_t i = 0;
+  for (; i + 3 <= n; i += 3) {
+    const std::uint32_t e0 = entry_of(symbols[i]);
+    const std::uint32_t e1 = entry_of(symbols[i + 1]);
+    const std::uint32_t e2 = entry_of(symbols[i + 2]);
+    if (std::min({e0, e1, e2}) == 0) break;  // the tail loop throws
+    cursor.put(e0 >> 5, e0 & 31u);
+    cursor.put(e1 >> 5, e1 & 31u);
+    cursor.put(e2 >> 5, e2 & 31u);
+    cursor.flush();
   }
-  out.write(batch, batch_bits);
+  for (; i < n; ++i) {
+    const std::uint32_t e = entry_of(symbols[i]);
+    if (e == 0) {
+      out.end_words(cursor);
+      throw InvalidArgument("HuffmanCodebook: symbol not in codebook");
+    }
+    cursor.put(e >> 5, e & 31u);
+    cursor.flush();
+  }
+  out.end_words(cursor);
 }
 
 std::uint32_t HuffmanCodebook::walk(std::uint64_t window, unsigned avail,
-                                    unsigned& len) const {
+                                    unsigned& len, unsigned known,
+                                    std::uint32_t prefix) const {
   // The canonical bit-by-bit length walk (the historical decoder): the
-  // code is read MSB-first, one stream bit per length step.
-  std::uint32_t code = 0;
+  // code is read MSB-first, one stream bit per length step, from the first
+  // length not yet ruled out.
+  std::uint32_t code = prefix;
   const unsigned limit = std::min(avail, kMaxCodeLength);
-  for (len = 1; len <= limit; ++len) {
+  for (len = known + 1; len <= limit; ++len) {
     code = (code << 1) | static_cast<std::uint32_t>((window >> (len - 1)) & 1);
     if (count_[len] != 0 && code >= first_code_[len] &&
         code - first_code_[len] < count_[len]) {
@@ -348,9 +383,9 @@ std::uint32_t HuffmanCodebook::decode(BitReader& in) const {
   const std::size_t left = in.bits_left();
   if (root_bits_ != 0) {
     const DecEntry e = dec_table_[in.peek(root_bits_)];
-    if (e.len != 0 && e.len <= left) {
-      in.skip(e.len);
-      return e.symbol;
+    if (e.len1 != 0 && e.len1 <= left) {
+      in.skip(e.len1);
+      return symbols_[e.index];
     }
   }
   // Long codes, corrupt prefixes, or the zero-padded tail of the buffer.
@@ -367,24 +402,31 @@ void HuffmanCodebook::decode_all(BitReader& in,
   // A 57-bit peek always comes from one 8-byte load. While the whole
   // window lies inside the buffer, decode from the register until the next
   // code might not fit in what is left of it, then consume the bits once.
+  // Each lookup yields one or two symbols, so the loop stops one slot short
+  // of the end: both slots are always written.
   constexpr unsigned kWindow = 57;
   const std::size_t n = out.size();
   std::size_t i = 0;
   if (root_bits_ != 0) {
     const DecEntry* table = dec_table_.data();
+    const std::uint32_t* symbols = symbols_.data();
     const std::uint64_t root_mask = (std::uint64_t{1} << root_bits_) - 1;
-    while (i < n && in.bits_left() >= kWindow) {
+    while (i + 1 < n && in.bits_left() >= kWindow) {
       std::uint64_t window = in.peek(kWindow);
       unsigned used = 0;
       do {
         const DecEntry e = table[window & root_mask];
         unsigned len = e.len;
-        const std::uint32_t symbol =
-            len != 0 ? e.symbol : walk(window, kWindow - used, len);
-        out[i++] = symbol;
+        if (len != 0) {
+          out[i] = symbols[e.index];
+          out[i + 1] = symbols[e.index2];
+          i += e.count;
+        } else {
+          out[i++] = walk(window, kWindow - used, len, root_bits_, e.index);
+        }
         window >>= len;
         used += len;
-      } while (i < n && used + max_len_ <= kWindow);
+      } while (i + 1 < n && used + max_len_ <= kWindow);
       in.skip(used);
     }
   }
@@ -421,12 +463,32 @@ void huffman_count(std::span<const std::uint32_t> symbols,
     // Dense counting over [lo, hi], then emit in ascending symbol order —
     // the same (symbol-sorted) frequency vector the map + sort path
     // produces, without the per-symbol hashing.
-    std::vector<std::uint64_t>& counts = ws.counts;
-    counts.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
-    for (const std::uint32_t s : symbols) ++counts[s - lo];
-    for (std::size_t k = 0; k < counts.size(); ++k)
-      if (counts[k] != 0)
-        freqs.emplace_back(lo + static_cast<std::uint32_t>(k), counts[k]);
+    // Four sub-histograms, one per position mod 4, so a run of equal
+    // symbols bumps four counters in turn instead of waiting on one. Each
+    // counts at most a quarter of the symbols plus three, so 32 bits hold.
+    if (symbols.size() > std::numeric_limits<std::uint32_t>::max())
+      throw InvalidArgument("huffman_count: more than 2^32 - 1 symbols");
+    const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
+    std::vector<std::uint32_t>& counts = ws.counts;
+    counts.assign(4 * span, 0);
+    std::uint32_t* c0 = counts.data();
+    std::uint32_t* c1 = c0 + span;
+    std::uint32_t* c2 = c1 + span;
+    std::uint32_t* c3 = c2 + span;
+    const std::size_t n = symbols.size();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      ++c0[symbols[i] - lo];
+      ++c1[symbols[i + 1] - lo];
+      ++c2[symbols[i + 2] - lo];
+      ++c3[symbols[i + 3] - lo];
+    }
+    for (; i < n; ++i) ++c0[symbols[i] - lo];
+    for (std::size_t k = 0; k < span; ++k) {
+      const std::uint64_t count = std::uint64_t{c0[k]} + c1[k] + c2[k] + c3[k];
+      if (count != 0)
+        freqs.emplace_back(lo + static_cast<std::uint32_t>(k), count);
+    }
   } else {
     std::unordered_map<std::uint32_t, std::uint64_t> counts;
     counts.reserve(1024);

@@ -12,8 +12,10 @@
 // code, length) entries indexed by symbol - min symbol, so emitting a
 // symbol is one table load plus one buffered BitWriter::write — not a hash
 // lookup and a bit-at-a-time loop. The decoder fronts the canonical walk
-// with a root-indexed table over the next kDecodeRootBits stream bits and
-// decodes a block out of one 57-bit register window per refill. Both
+// with a root-indexed table over the next kDecodeRootBits stream bits, whose
+// entries carry two short codes where both fit, and decodes a block out of
+// one 57-bit register window per refill. The encoder counts into four
+// sub-histograms and stores whole words into a buffer sized up front. Both
 // produce streams byte-identical to the historical bitwise coder.
 //
 // A codebook carries only the tables its role needs: rebuild_from_* (the
@@ -100,9 +102,11 @@ class HuffmanCodebook {
   std::uint32_t find_entry(std::uint32_t symbol) const;
   /// Canonical length walk over the low `avail` bits of `window` (stream
   /// order, LSB first): the symbol, with its code length in `len`. Throws
-  /// CorruptStream when no code fits in those bits.
-  std::uint32_t walk(std::uint64_t window, unsigned avail,
-                     unsigned& len) const;
+  /// CorruptStream when no code fits in those bits. When the first `known`
+  /// bits (MSB-first value `prefix`) are known to start no shorter code,
+  /// the walk resumes after them.
+  std::uint32_t walk(std::uint64_t window, unsigned avail, unsigned& len,
+                     unsigned known = 0, std::uint32_t prefix = 0) const;
 
   // Encoder side: packed entries, dense by symbol - enc_base_ when the
   // symbols span a small enough range, otherwise sorted (symbol, packed)
@@ -115,11 +119,18 @@ class HuffmanCodebook {
   std::array<std::uint32_t, kMaxCodeLength + 1> count_{};       // per length
   std::array<std::uint32_t, kMaxCodeLength + 1> first_code_{};  // per length
   std::array<std::uint32_t, kMaxCodeLength + 1> first_index_{};
-  // Root decode table: next kDecodeRootBits stream bits -> (symbol, len);
-  // len 0 marks "no short code here" (long code or corrupt prefix).
+  // Root decode table: next root_bits_ stream bits -> the code they start
+  // with (index, len1), and, when a second whole code follows inside the
+  // same bits, both (count 2, index2, len = both lengths). len1 0 marks
+  // "no short code here" (long code or corrupt prefix).
   struct DecEntry {
-    std::uint32_t symbol;
-    std::uint8_t len;
+    // First and second symbol as their places in symbols_; with len1 0,
+    // `index` is the root bits MSB-first, where the walk resumes.
+    std::uint16_t index = 0;
+    std::uint16_t index2 = 0;
+    std::uint8_t len = 0;    // bits of the count symbols
+    std::uint8_t len1 = 0;   // bits of the first symbol alone
+    std::uint8_t count = 0;  // symbols this entry yields (1 or 2)
   };
   std::vector<DecEntry> dec_table_;
   unsigned root_bits_ = 0;
@@ -143,7 +154,7 @@ struct HuffmanWorkspace {
     std::uint32_t symbol = 0;  // valid for leaves
   };
   std::vector<std::pair<std::uint32_t, std::uint64_t>> freqs;
-  std::vector<std::uint64_t> counts;  // dense counting over [min, max]
+  std::vector<std::uint32_t> counts;  // 4 dense sub-histograms, [min, max]
   std::vector<unsigned> lengths;
   std::vector<TreeNode> nodes;
   std::vector<std::pair<std::uint64_t, int>> heap;  // (weight, node index)

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,40 @@ class LossyCodec {
     compress_into(data, bound, out);
     return out;
   }
-  /// Decompress a buffer produced by the same codec.
-  virtual std::vector<float> decompress(ByteSpan data) const = 0;
+  /// Decompress a buffer produced by the same codec straight into `out`,
+  /// which must hold exactly the stream's element count: a stream of any
+  /// other length throws CorruptStream before an element is written.
+  void decompress_into(ByteSpan data, std::span<float> out) const {
+    decode(data, DecodeTarget(out));
+  }
+  /// Allocating wrapper over the same decode.
+  std::vector<float> decompress(ByteSpan data) const {
+    std::vector<float> out;
+    decode(data, DecodeTarget(out));
+    return out;
+  }
+
+ protected:
+  /// Where a decode writes: a caller's fixed span, or a vector resized to
+  /// the stream's element count.
+  class DecodeTarget {
+   public:
+    explicit DecodeTarget(std::span<float> fixed) : fixed_(fixed) {}
+    explicit DecodeTarget(std::vector<float>& grow) : grow_(&grow) {}
+    /// Memory for the stream's `n` elements. Called once, after the stream
+    /// has shown it can hold `n` elements; a fixed span of another size
+    /// throws CorruptStream naming `codec`.
+    std::span<float> claim(std::size_t n, const char* codec) const;
+
+   private:
+    std::span<float> fixed_;
+    std::vector<float>* grow_ = nullptr;
+  };
+
+ private:
+  /// The codec's one decode routine; decompress and decompress_into wrap
+  /// it. Stream damage throws CorruptStream.
+  virtual void decode(ByteSpan data, const DecodeTarget& out) const = 0;
 };
 
 // Registry access. Codec instances are stateless immutable singletons:

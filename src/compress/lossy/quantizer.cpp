@@ -1,5 +1,7 @@
 #include "compress/lossy/quantizer.hpp"
 
+#include <string>
+
 namespace fedsz::lossy {
 
 LinearQuantizer::LinearQuantizer(double eps, std::uint32_t radius)
@@ -11,6 +13,20 @@ LinearQuantizer::LinearQuantizer(double eps, std::uint32_t radius)
   inv_step_ = 1.0 / (2.0 * eps_);
   step_ = 2.0 * eps_;
   max_scaled_ = static_cast<double>(radius_) - 1.0;
+  overflow_scaled_ = 1048576.0;  // 2^20
+}
+
+std::size_t LinearQuantizer::count_unpredictable(
+    std::span<const std::uint32_t> codes, const char* codec) const {
+  std::uint32_t worst = 0;
+  std::size_t unpredictable = 0;
+  for (const std::uint32_t code : codes) {
+    worst = code > worst ? code : worst;
+    unpredictable += code == kUnpredictable;
+  }
+  if (worst >= 2 * radius_)
+    throw CorruptStream(std::string(codec) + ": quantizer code out of range");
+  return unpredictable;
 }
 
 }  // namespace fedsz::lossy

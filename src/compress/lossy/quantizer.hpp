@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "util/common.hpp"
 
@@ -63,14 +64,31 @@ class LinearQuantizer {
     return static_cast<double>(bin) * step_;
   }
 
+  /// Check a stream's entropy-decoded codes: throws CorruptStream naming
+  /// `codec` if any code is 2*radius or more, and returns how many are
+  /// kUnpredictable (the verbatim values the stream must carry). One
+  /// branch-free pass.
+  std::size_t count_unpredictable(std::span<const std::uint32_t> codes,
+                                  const char* codec) const;
+
   double eps() const { return eps_; }
   std::uint32_t radius() const { return radius_; }
+  double step() const { return step_; }
+  double inv_step() const { return inv_step_; }
+  double max_scaled() const { return max_scaled_; }
+  /// What a branch-free quantizer puts in place of a scaled residual it
+  /// cannot code (|scaled| >= max_scaled, or NaN): 2^20, whose code lands
+  /// above every valid one (for any radius up to 2^20) and fits int32. It
+  /// is a runtime value, not a constant, because GCC 12 does not vectorize
+  /// the select against a constant.
+  double overflow_scaled() const { return overflow_scaled_; }
 
  private:
   double eps_;
   double inv_step_;    // 1 / (2 * eps)
   double step_;        // 2 * eps (exact)
   double max_scaled_;  // radius - 1, the representable |bin| bound
+  double overflow_scaled_;
   std::uint32_t radius_;
 };
 

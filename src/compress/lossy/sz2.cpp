@@ -9,8 +9,33 @@
 // Encode runs as contiguous passes — predictor selection over every block,
 // then a predict->quantize->reconstruct sweep with per-predictor inner
 // loops — and draws all working buffers from the thread's EncodeArena, so
-// steady-state encode allocates nothing and the inner loops carry no
-// per-element branching on the predictor kind.
+// steady-state encode allocates nothing.
+//
+// Order contract. Every stream byte and decoded float is the same as the
+// plain per-element loops give (tests/sz2_oracle_test.cpp holds those loops
+// and compares). The loops below reorder work only across independent
+// blocks or elements, never within a sum:
+//  - Selection runs kLanes full blocks in lockstep, one block per lane;
+//    each block's fit sums, Lorenzo cost and regression cost are still
+//    sequential double sums in index order. Partial blocks (and the full
+//    blocks left over after the last group of kLanes) take the per-block
+//    loop.
+//  - Regression blocks quantize and reconstruct each element on its own,
+//    with no branch: an out-of-range residual becomes a too-large code,
+//    and a scan that runs only when a block's largest code says so turns
+//    it into kUnpredictable plus a verbatim value, in element order. The
+//    value a regression block hands to the next block is recomputed from
+//    its last element alone. Lorenzo blocks keep the scalar recurrence.
+//
+// Rounding identity. The quantizer rounds scaled = residual / (2 eps) half
+// away from zero. For |scaled| < radius - 1, t = int32(scaled) truncates
+// exactly and frac = scaled - t is exact, so 2 * frac is exact too and
+// int32(2 * frac) is +1, 0 or -1 exactly when frac >= 0.5, |frac| < 0.5 or
+// frac <= -0.5: bin = t + int32(2 * (scaled - t)) is llround(scaled). A
+// residual out of range is swapped for overflow_scaled() (2^20) before any
+// conversion, so no double->int conversion sees a value outside int32.
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -20,34 +45,38 @@
 #include "compress/lossy/lossy.hpp"
 #include "compress/lossy/quantizer.hpp"
 #include "util/bytebuffer.hpp"
-#include "util/stats.hpp"
 
 namespace fedsz::lossy {
 
 namespace {
 
 constexpr std::size_t kBlockSize = 256;
+constexpr std::size_t kLanes = 4;  // blocks per lockstep selection group
 constexpr std::uint8_t kPredictorLorenzo = 0;
 constexpr std::uint8_t kPredictorRegression = 1;
+
+static_assert(LinearQuantizer::kDefaultRadius <= (1u << 20),
+              "the branch-free quantizer's overflow code must exceed the "
+              "code range");
+
+/// double(i) for every in-block index. The vector loops read the index as a
+/// double from here: GCC 12 does not vectorize a size_t->double conversion.
+constexpr std::array<double, kBlockSize> kIndex = [] {
+  std::array<double, kBlockSize> index{};
+  for (std::size_t i = 0; i < kBlockSize; ++i)
+    index[i] = static_cast<double>(i);
+  return index;
+}();
 
 struct Regression {
   float slope = 0.0f;
   float intercept = 0.0f;
 };
 
-/// Least-squares fit of x[i] ~ intercept + slope * i over a block. The
-/// index sums are closed-form: for n <= kBlockSize they are exact integers
-/// in double, identical to accumulating them in the data loop, so only the
-/// two data-dependent sums remain per-element work.
-Regression fit_regression(FloatSpan block) {
-  const std::size_t n = block.size();
-  if (n == 1) return {0.0f, block[0]};
-  double sum_x = 0.0, sum_ix = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = block[i];
-    sum_x += xi;
-    sum_ix += static_cast<double>(i) * xi;
-  }
+/// Least-squares line through (i, x[i]) over a block of n > 1 elements,
+/// from its two data sums. The index sums are closed-form: for
+/// n <= kBlockSize they are exact integers in double.
+Regression fit_from_sums(std::size_t n, double sum_x, double sum_ix) {
   const double dn = static_cast<double>(n);
   const double sum_i = static_cast<double>(n * (n - 1) / 2);
   const double sum_ii = static_cast<double>((n - 1) * n * (2 * n - 1) / 6);
@@ -57,27 +86,121 @@ Regression fit_regression(FloatSpan block) {
   return {static_cast<float>(slope), static_cast<float>(intercept)};
 }
 
-/// Estimated absolute prediction error of each candidate over a block
-/// (selection heuristic; actual encoding uses reconstructed-value Lorenzo).
-double lorenzo_cost(FloatSpan block, float prev) {
-  double cost = 0.0;
-  float last = prev;
-  for (const float v : block) {
-    cost += std::fabs(static_cast<double>(v) - last);
-    last = v;
-  }
-  return cost;
+double line_at(const Regression& reg, std::size_t i) {
+  return static_cast<double>(reg.intercept) +
+         static_cast<double>(reg.slope) * kIndex[i];
 }
 
-double regression_cost(FloatSpan block, const Regression& reg) {
-  double cost = 0.0;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const double pred =
-        static_cast<double>(reg.intercept) +
-        static_cast<double>(reg.slope) * static_cast<double>(i);
-    cost += std::fabs(static_cast<double>(block[i]) - pred);
+/// Predictor choice for one block (any length), with `prev` the element
+/// before it (0 for the first block). Regression wins when its estimated
+/// absolute error is strictly below Lorenzo's over the original data.
+bool select_block(FloatSpan block, float prev, Regression& reg) {
+  const std::size_t n = block.size();
+  if (n == 1) {
+    reg = {0.0f, block[0]};
+  } else {
+    double sum_x = 0.0, sum_ix = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double xi = block[i];
+      sum_x += xi;
+      sum_ix += kIndex[i] * xi;
+    }
+    reg = fit_from_sums(n, sum_x, sum_ix);
   }
-  return cost;
+  double regression_cost = 0.0, lorenzo_cost = 0.0;
+  float last = prev;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xi = block[i];
+    regression_cost += std::fabs(xi - line_at(reg, i));
+    lorenzo_cost += std::fabs(xi - last);
+    last = block[i];
+  }
+  return regression_cost < lorenzo_cost;
+}
+
+/// select_block for kLanes consecutive full blocks starting at `x`, one
+/// block per lane, so the per-block sums advance side by side.
+void select_full_blocks(const float* x, float prev, std::uint8_t* tags,
+                        float* coeffs) {
+  double sum_x[kLanes] = {}, sum_ix[kLanes] = {}, lorenzo[kLanes] = {};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const float before = l == 0 ? prev : x[l * kBlockSize - 1];
+    const double x0 = x[l * kBlockSize];
+    sum_x[l] += x0;  // from +0, as the per-block loop: -0.0 + 0.0 is +0
+    sum_ix[l] += kIndex[0] * x0;
+    lorenzo[l] += std::fabs(x0 - before);
+  }
+  for (std::size_t i = 1; i < kBlockSize; ++i) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const float* block = x + l * kBlockSize;
+      const double xi = block[i];
+      sum_x[l] += xi;
+      sum_ix[l] += kIndex[i] * xi;
+      lorenzo[l] += std::fabs(xi - block[i - 1]);
+    }
+  }
+  double slope[kLanes], intercept[kLanes], regression[kLanes] = {};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Regression reg = fit_from_sums(kBlockSize, sum_x[l], sum_ix[l]);
+    coeffs[2 * l] = reg.slope;
+    coeffs[2 * l + 1] = reg.intercept;
+    slope[l] = reg.slope;
+    intercept[l] = reg.intercept;
+  }
+  for (std::size_t i = 0; i < kBlockSize; ++i) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double pred = intercept[l] + slope[l] * kIndex[i];
+      regression[l] += std::fabs(static_cast<double>(x[l * kBlockSize + i]) -
+                                 pred);
+    }
+  }
+  for (std::size_t l = 0; l < kLanes; ++l)
+    tags[l] = regression[l] < lorenzo[l] ? kPredictorRegression
+                                         : kPredictorLorenzo;
+}
+
+/// Quantize a regression block's residuals with no per-element branch (see
+/// the rounding identity above). Returns the largest code: 2*radius or more
+/// means some residual was out of range.
+[[gnu::noinline]] std::uint32_t quantize_line(const float* x, std::size_t n,
+                                              const Regression& reg,
+                                              const LinearQuantizer& q,
+                                              std::uint32_t* codes) {
+  const auto slope = static_cast<double>(reg.slope);
+  const auto intercept = static_cast<double>(reg.intercept);
+  const double inv_step = q.inv_step();
+  const double max_scaled = q.max_scaled();
+  const double overflow = q.overflow_scaled();
+  const auto radius = static_cast<std::int32_t>(q.radius());
+  std::int32_t worst = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pred = intercept + slope * kIndex[i];
+    const double scaled = (static_cast<double>(x[i]) - pred) * inv_step;
+    const double sv = std::fabs(scaled) < max_scaled ? scaled : overflow;
+    const auto t = static_cast<std::int32_t>(sv);
+    const std::int32_t code =
+        t + static_cast<std::int32_t>(2.0 * (sv - t)) + radius;
+    codes[i] = static_cast<std::uint32_t>(code);
+    worst = code > worst ? code : worst;
+  }
+  return static_cast<std::uint32_t>(worst);
+}
+
+/// pred + bin * step for every code of a regression block, with no branch.
+/// A kUnpredictable code yields a value the caller overwrites.
+[[gnu::noinline]] void reconstruct_line(const std::uint32_t* codes,
+                                        std::size_t n, const Regression& reg,
+                                        const LinearQuantizer& q,
+                                        float* out) {
+  const auto slope = static_cast<double>(reg.slope);
+  const auto intercept = static_cast<double>(reg.intercept);
+  const double step = q.step();
+  const auto radius = static_cast<std::int32_t>(q.radius());
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pred = intercept + slope * kIndex[i];
+    const auto bin = static_cast<std::int32_t>(codes[i]) - radius;
+    out[i] = static_cast<float>(pred + static_cast<double>(bin) * step);
+  }
 }
 
 class Sz2Codec final : public LossyCodec {
@@ -104,54 +227,62 @@ class Sz2Codec final : public LossyCodec {
     }
 
     const LinearQuantizer quantizer(eps);
-    const std::size_t n_blocks = (data.size() + kBlockSize - 1) / kBlockSize;
+    const std::size_t n = data.size();
+    const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;
 
     arena.tags.resize(n_blocks);
     arena.coeffs.resize(2 * n_blocks);  // (slope, intercept) per block
-    arena.codes.resize(data.size());
+    arena.codes.resize(n);
     arena.verbatim.clear();
 
     // Pass 1: predictor selection per block. Costs depend only on the
     // original data, so this pass is independent of reconstruction state.
-    for (std::size_t b = 0; b < n_blocks; ++b) {
+    const std::size_t n_grouped = n / kBlockSize / kLanes * kLanes;
+    for (std::size_t b = 0; b < n_grouped; b += kLanes) {
       const std::size_t begin = b * kBlockSize;
-      const std::size_t len = std::min(kBlockSize, data.size() - begin);
-      FloatSpan block = data.subspan(begin, len);
-      const Regression reg = fit_regression(block);
-      const bool use_regression =
-          regression_cost(block, reg) <
-          lorenzo_cost(block, b == 0 ? 0.0f : data[begin - 1]);
-      arena.tags[b] = use_regression ? kPredictorRegression
-                                     : kPredictorLorenzo;
+      select_full_blocks(data.data() + begin,
+                         b == 0 ? 0.0f : data[begin - 1], &arena.tags[b],
+                         &arena.coeffs[2 * b]);
+    }
+    for (std::size_t b = n_grouped; b < n_blocks; ++b) {
+      const std::size_t begin = b * kBlockSize;
+      const std::size_t len = std::min(kBlockSize, n - begin);
+      Regression reg;
+      arena.tags[b] = select_block(data.subspan(begin, len),
+                                   b == 0 ? 0.0f : data[begin - 1], reg)
+                          ? kPredictorRegression
+                          : kPredictorLorenzo;
       arena.coeffs[2 * b] = reg.slope;
       arena.coeffs[2 * b + 1] = reg.intercept;
     }
 
     // Pass 2: predict -> quantize -> reconstruct, one contiguous sweep with
     // the predictor branch hoisted to block level.
+    const std::uint32_t code_limit = 2 * quantizer.radius();
     std::uint32_t* codes = arena.codes.data();
     float last_reconstructed = 0.0f;
     for (std::size_t b = 0; b < n_blocks; ++b) {
       const std::size_t begin = b * kBlockSize;
-      const std::size_t len = std::min(kBlockSize, data.size() - begin);
+      const std::size_t len = std::min(kBlockSize, n - begin);
       const float* block = data.data() + begin;
       std::uint32_t* block_codes = codes + begin;
       if (arena.tags[b] == kPredictorRegression) {
-        const auto slope = static_cast<double>(arena.coeffs[2 * b]);
-        const auto intercept = static_cast<double>(arena.coeffs[2 * b + 1]);
-        for (std::size_t i = 0; i < len; ++i) {
-          const double pred = intercept + slope * static_cast<double>(i);
-          const double residual = static_cast<double>(block[i]) - pred;
-          const std::uint32_t code = quantizer.quantize(residual);
-          block_codes[i] = code;
-          if (code == LinearQuantizer::kUnpredictable) {
-            arena.verbatim.push_back(block[i]);
-            last_reconstructed = block[i];
-          } else {
-            last_reconstructed =
-                static_cast<float>(pred + quantizer.reconstruct(code));
+        const Regression reg{arena.coeffs[2 * b], arena.coeffs[2 * b + 1]};
+        if (quantize_line(block, len, reg, quantizer, block_codes) >=
+            code_limit) {
+          for (std::size_t i = 0; i < len; ++i) {
+            if (block_codes[i] >= code_limit) {
+              block_codes[i] = LinearQuantizer::kUnpredictable;
+              arena.verbatim.push_back(block[i]);
+            }
           }
         }
+        const std::uint32_t last = block_codes[len - 1];
+        last_reconstructed =
+            last == LinearQuantizer::kUnpredictable
+                ? block[len - 1]
+                : static_cast<float>(line_at(reg, len - 1) +
+                                     quantizer.reconstruct(last));
       } else {
         for (std::size_t i = 0; i < len; ++i) {
           const double pred = static_cast<double>(last_reconstructed);
@@ -186,16 +317,17 @@ class Sz2Codec final : public LossyCodec {
     backend.compress_into(body.view(), out);
   }
 
-  std::vector<float> decompress(ByteSpan stream) const override {
+ private:
+  void decode(ByteSpan stream, const DecodeTarget& target) const override {
     const Bytes body = lossless::lossless_codec(lossless::LosslessId::kZstd)
                            .decompress(stream);
     ByteReader r({body.data(), body.size()});
     const auto n = static_cast<std::size_t>(r.get_varint());
     const double eps = r.get_f64();
-    std::vector<float> out;
     if (n == 0) {
       if (!r.done()) throw CorruptStream("sz2: trailing bytes");
-      return out;
+      target.claim(0, "sz2");
+      return;
     }
 
     const LinearQuantizer quantizer(eps);
@@ -216,12 +348,10 @@ class Sz2Codec final : public LossyCodec {
     lossless::huffman_decode(huffman, arena.codes);
     if (arena.codes.size() != n)
       throw CorruptStream("sz2: code count mismatch");
-    // Validate every entropy-decoded code up front (reconstruct() itself no
-    // longer range-checks in the hot loop).
-    const std::uint32_t code_limit = 2 * quantizer.radius();
-    for (const std::uint32_t code : arena.codes)
-      if (code >= code_limit)
-        throw CorruptStream("sz2: quantizer code out of range");
+    // Every code is validated here, and the verbatim values counted, so
+    // the loops below neither range-check nor bound the verbatim cursor.
+    const std::size_t n_unpredictable =
+        quantizer.count_unpredictable(arena.codes, "sz2");
     const auto n_verbatim = static_cast<std::size_t>(r.get_varint());
     // Guard the multiply below: a corrupt count can wrap n_verbatim * 4 to
     // a small value and request an absurd allocation.
@@ -229,53 +359,47 @@ class Sz2Codec final : public LossyCodec {
       throw CorruptStream("sz2: verbatim count exceeds stream");
     ByteSpan raw = r.get_bytes(n_verbatim * sizeof(float));
     if (!r.done()) throw CorruptStream("sz2: trailing bytes");
+    if (n_verbatim != n_unpredictable)
+      throw CorruptStream("sz2: verbatim count differs from the "
+                          "unpredictable codes");
     arena.verbatim.resize(n_verbatim);
     if (n_verbatim > 0)
       std::memcpy(arena.verbatim.data(), raw.data(), raw.size());
 
-    out.resize(n);
+    float* values = target.claim(n, "sz2").data();
     const std::uint32_t* codes = arena.codes.data();
-    float* values = out.data();
+    const float* verbatim = arena.verbatim.data();
     std::size_t v = 0;
     float last_reconstructed = 0.0f;
     for (std::size_t b = 0; b < n_blocks; ++b) {
       const std::size_t begin = b * kBlockSize;
       const std::size_t len = std::min(kBlockSize, n - begin);
+      const std::uint32_t* block_codes = codes + begin;
+      float* block = values + begin;
       if (arena.tags[b] == kPredictorRegression) {
-        const auto slope = static_cast<double>(arena.coeffs[2 * b]);
-        const auto intercept = static_cast<double>(arena.coeffs[2 * b + 1]);
-        for (std::size_t i = 0; i < len; ++i) {
-          const std::uint32_t code = codes[begin + i];
-          float value;
-          if (code == LinearQuantizer::kUnpredictable) {
-            if (v >= arena.verbatim.size())
-              throw CorruptStream("sz2: verbatim stream exhausted");
-            value = arena.verbatim[v++];
-          } else {
-            const double pred = intercept + slope * static_cast<double>(i);
-            value = static_cast<float>(pred + quantizer.reconstruct(code));
-          }
-          values[begin + i] = value;
-          last_reconstructed = value;
+        reconstruct_line(block_codes, len,
+                         {arena.coeffs[2 * b], arena.coeffs[2 * b + 1]},
+                         quantizer, block);
+        if (v < n_verbatim) {
+          for (std::size_t i = 0; i < len; ++i)
+            if (block_codes[i] == LinearQuantizer::kUnpredictable)
+              block[i] = verbatim[v++];
         }
+        last_reconstructed = block[len - 1];
       } else {
         for (std::size_t i = 0; i < len; ++i) {
-          const std::uint32_t code = codes[begin + i];
-          float value;
-          if (code == LinearQuantizer::kUnpredictable) {
-            if (v >= arena.verbatim.size())
-              throw CorruptStream("sz2: verbatim stream exhausted");
-            value = arena.verbatim[v++];
-          } else {
-            const double pred = static_cast<double>(last_reconstructed);
-            value = static_cast<float>(pred + quantizer.reconstruct(code));
-          }
-          values[begin + i] = value;
+          const std::uint32_t code = block_codes[i];
+          const float value =
+              code == LinearQuantizer::kUnpredictable
+                  ? verbatim[v++]
+                  : static_cast<float>(
+                        static_cast<double>(last_reconstructed) +
+                        quantizer.reconstruct(code));
+          block[i] = value;
           last_reconstructed = value;
         }
       }
     }
-    return out;
   }
 };
 

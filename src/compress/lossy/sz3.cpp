@@ -114,7 +114,8 @@ class Sz3Codec final : public LossyCodec {
     backend.compress_into(body.view(), out);
   }
 
-  std::vector<float> decompress(ByteSpan stream) const override {
+ private:
+  void decode(ByteSpan stream, const DecodeTarget& target) const override {
     const Bytes body = lossless::lossless_codec(lossless::LosslessId::kZstd)
                            .decompress(stream);
     ByteReader r({body.data(), body.size()});
@@ -122,7 +123,8 @@ class Sz3Codec final : public LossyCodec {
     const double eps = r.get_f64();
     if (n == 0) {
       if (!r.done()) throw CorruptStream("sz3: trailing bytes");
-      return {};
+      target.claim(0, "sz3");
+      return;
     }
 
     const LinearQuantizer quantizer(eps);
@@ -130,12 +132,11 @@ class Sz3Codec final : public LossyCodec {
     const ByteSpan huffman = r.get_blob_view();
     lossless::huffman_decode(huffman, arena.codes);
     if (arena.codes.size() != n) throw CorruptStream("sz3: code count mismatch");
-    // Validate every entropy-decoded code up front (reconstruct() itself no
-    // longer range-checks in the hot loop).
-    const std::uint32_t code_limit = 2 * quantizer.radius();
-    for (const std::uint32_t code : arena.codes)
-      if (code >= code_limit)
-        throw CorruptStream("sz3: quantizer code out of range");
+    // Validate every entropy-decoded code up front, and count the verbatim
+    // values they call for: the loop below neither range-checks nor bounds
+    // the verbatim cursor.
+    const std::size_t n_unpredictable =
+        quantizer.count_unpredictable(arena.codes, "sz3");
     const auto n_verbatim = static_cast<std::size_t>(r.get_varint());
     // Guard the multiply below: a corrupt count can wrap n_verbatim * 4 to
     // a small value and request an absurd allocation.
@@ -143,21 +144,22 @@ class Sz3Codec final : public LossyCodec {
       throw CorruptStream("sz3: verbatim count exceeds stream");
     ByteSpan raw = r.get_bytes(n_verbatim * sizeof(float));
     if (!r.done()) throw CorruptStream("sz3: trailing bytes");
+    if (n_verbatim != n_unpredictable)
+      throw CorruptStream("sz3: verbatim count differs from the "
+                          "unpredictable codes");
     arena.verbatim.resize(n_verbatim);
     if (n_verbatim > 0)
       std::memcpy(arena.verbatim.data(), raw.data(), raw.size());
 
-    std::vector<float> out(n, 0.0f);
-    float* recon = out.data();
+    // Every prediction reads only points decoded at a coarser level, so
+    // the destination's prior contents never matter.
+    float* recon = target.claim(n, "sz3").data();
     const std::uint32_t* codes = arena.codes.data();
     std::size_t next_code = 0, next_verbatim = 0;
     const auto decode_point = [&](std::size_t i, double pred) {
       const std::uint32_t code = codes[next_code++];
       if (code == LinearQuantizer::kUnpredictable) {
-        if (next_verbatim >= arena.verbatim.size())
-          throw CorruptStream("sz3: verbatim stream exhausted");
-        recon[i] = arena.verbatim[next_verbatim];
-        ++next_verbatim;
+        recon[i] = arena.verbatim[next_verbatim++];
       } else {
         recon[i] = static_cast<float>(pred + quantizer.reconstruct(code));
       }
@@ -193,7 +195,6 @@ class Sz3Codec final : public LossyCodec {
         if (stride == 1) break;
       }
     }
-    return out;
   }
 };
 

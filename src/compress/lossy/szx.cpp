@@ -99,35 +99,33 @@ class SzxCodec final : public LossyCodec {
     out.assign(frame.begin(), frame.end());
   }
 
-  std::vector<float> decompress(ByteSpan stream) const override {
+ private:
+  void decode(ByteSpan stream, const DecodeTarget& target) const override {
     ByteReader r(stream);
     const auto n = static_cast<std::size_t>(r.get_varint());
     const double eps = r.get_f64();
     const double step = 2.0 * eps;
-    std::vector<float> out;
-    // Advisory only — clamp so a corrupt element count cannot force a huge
-    // up-front allocation; the block loop grows the vector as data arrives.
-    out.reserve(std::min(n, r.remaining()));
     const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;
+    // Every block takes at least 5 bytes (a tag and an f32), so a corrupt
+    // element count is rejected before the destination is sized.
+    if (n_blocks > r.remaining() / 5)
+      throw CorruptStream("szx: element count exceeds stream");
+    float* out = target.claim(n, "szx").data();
     for (std::size_t b = 0; b < n_blocks; ++b) {
-      const std::size_t len = std::min(kBlockSize, n - out.size());
+      const std::size_t begin = b * kBlockSize;
+      const std::size_t len = std::min(kBlockSize, n - begin);
+      float* values = out + begin;
       const std::uint8_t tag = r.get_u8();
       if (tag == kBlockConstant) {
-        const float mid = r.get_f32();
-        out.insert(out.end(), len, mid);
+        std::fill_n(values, len, r.get_f32());
       } else if (tag == kBlockVerbatim) {
         ByteSpan raw = r.get_bytes(len * sizeof(float));
-        const std::size_t start = out.size();
-        out.resize(start + len);
-        std::memcpy(out.data() + start, raw.data(), raw.size());
+        std::memcpy(values, raw.data(), raw.size());
       } else if (tag == kBlockPacked) {
         const unsigned bits = r.get_u8();
         const float lo = r.get_f32();
         const ByteSpan packed = r.get_blob_view();
         BitReader br(packed);
-        const std::size_t start = out.size();
-        out.resize(start + len);
-        float* values = out.data() + start;
         for (std::size_t i = 0; i < len; ++i) {
           const std::uint64_t code = br.read(bits);
           values[i] =
@@ -137,9 +135,7 @@ class SzxCodec final : public LossyCodec {
         throw CorruptStream("szx: unknown block tag");
       }
     }
-    if (out.size() != n) throw CorruptStream("szx: size mismatch");
     if (!r.done()) throw CorruptStream("szx: trailing bytes");
-    return out;
   }
 };
 

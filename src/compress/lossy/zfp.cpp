@@ -165,30 +165,33 @@ class ZfpCodec final : public LossyCodec {
     out = w.finish();
   }
 
-  std::vector<float> decompress(ByteSpan stream) const override {
+ private:
+  void decode(ByteSpan stream, const DecodeTarget& target) const override {
     ByteReader r(stream);
     const auto n = static_cast<std::size_t>(r.get_varint());
     const unsigned precision = r.get_u8();
-    std::vector<float> out;
     if (n == 0) {
       if (!r.done()) throw CorruptStream("zfp: trailing bytes");
-      return out;
+      target.claim(0, "zfp");
+      return;
     }
     if (precision < 1 || precision > 32)
       throw CorruptStream("zfp: invalid precision");
-    // Advisory only — clamp so a corrupt element count cannot force a huge
-    // up-front allocation; the block loop grows the vector as data arrives.
-    out.reserve(std::min(n, r.remaining()));
 
     ByteSpan payload = r.get_bytes(r.remaining());
-    BitReader br(payload);
     const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;
+    // Every block starts with an 8-bit exponent, so a corrupt element count
+    // is rejected before the destination is sized.
+    if (n_blocks > payload.size())
+      throw CorruptStream("zfp: element count exceeds stream");
+    float* out = target.claim(n, "zfp").data();
+    BitReader br(payload);
     for (std::size_t b = 0; b < n_blocks; ++b) {
       const std::size_t begin = b * kBlockSize;
       const std::size_t len = std::min(kBlockSize, n - begin);
       const auto biased = static_cast<std::uint32_t>(br.read(8));
       if (biased == kEmptyBlockExponent) {
-        out.insert(out.end(), len, 0.0f);
+        std::fill_n(out + begin, len, 0.0f);
         continue;
       }
       const int emax = static_cast<int>(biased) - 128;
@@ -216,12 +219,11 @@ class ZfpCodec final : public LossyCodec {
         q[i] = negabinary_to_int(nb[i]);
       inverse_lift(q);
       for (std::size_t i = 0; i < len; ++i)
-        out.push_back(static_cast<float>(
-            std::ldexp(static_cast<double>(q[i]), emax - kFixedPointBits)));
+        out[begin + i] = static_cast<float>(
+            std::ldexp(static_cast<double>(q[i]), emax - kFixedPointBits));
     }
     // The encoder pads only the last byte, so the bits must end in it.
     if (br.bits_left() >= 8) throw CorruptStream("zfp: trailing bytes");
-    return out;
   }
 };
 

@@ -706,11 +706,10 @@ StateDict FedSz::decompress(ByteSpan stream, CompressionStats* stats) const {
       std::memcpy(task.dest, values.data(), values.size() * sizeof(float));
       return;
     }
+    // Straight into the chunk's slice of the tensor: a payload of another
+    // element count throws before anything lands outside the slice.
     const ChunkTask& chunk = chunks[t - 1];
-    const std::vector<float> values = chunk.codec->decompress(chunk.payload);
-    if (values.size() != chunk.expected)
-      throw CorruptStream("FedSz: decompressed chunk size mismatch");
-    std::memcpy(chunk.dest, values.data(), values.size() * sizeof(float));
+    chunk.codec->decompress_into(chunk.payload, {chunk.dest, chunk.expected});
   });
   local.lossless_tensors = lossless_partition.size();
   local.lossless_compressed_bytes = lossless_payload_span.size();

@@ -1,25 +1,29 @@
 #include "util/bitstream.hpp"
 
+#include <algorithm>
+
 namespace fedsz {
+
+void BitWriter::reserve_tail(std::size_t bytes) {
+  if (out_.size() - size_ >= bytes) return;
+  out_.resize(std::max(size_ + bytes, 2 * out_.size()));
+}
 
 void BitWriter::spill(std::uint64_t bits, unsigned count) {
   // Precondition (from write()): acc_bits_ < 64 and acc_bits_ + count >= 64.
   const unsigned take = 64 - acc_bits_;
   acc_ |= bits << acc_bits_;
-  const std::size_t base = out_.size();
-  out_.resize(base + 8);
-  std::uint64_t word = acc_;
-  for (int i = 0; i < 8; ++i) {  // little-endian spill == LSB-first stream
-    out_[base + i] = static_cast<std::uint8_t>(word);
-    word >>= 8;
-  }
+  reserve_tail(8);
+  store_le64(out_.data() + size_, acc_);  // little-endian == LSB-first
+  size_ += 8;
   acc_ = take >= count ? 0 : bits >> take;
   acc_bits_ = acc_bits_ + count - 64;
 }
 
 void BitWriter::flush_partial() {
+  reserve_tail(8);
   while (acc_bits_ > 0) {
-    out_.push_back(static_cast<std::uint8_t>(acc_));
+    out_[size_++] = static_cast<std::uint8_t>(acc_);
     acc_ >>= 8;
     acc_bits_ = acc_bits_ > 8 ? acc_bits_ - 8 : 0;
   }
@@ -28,14 +32,16 @@ void BitWriter::flush_partial() {
 
 Bytes BitWriter::finish() {
   flush_partial();
+  out_.resize(size_);
   Bytes result = std::move(out_);
   out_.clear();
+  size_ = 0;
   return result;
 }
 
 ByteSpan BitWriter::finish_view() {
   flush_partial();
-  return {out_.data(), out_.size()};
+  return {out_.data(), size_};
 }
 
 std::uint64_t BitReader::read(unsigned count) {

@@ -1,9 +1,11 @@
 // Bit-granular writer/reader used by the entropy coders (Huffman, ZFP
 // bit-plane coding). Bits are packed LSB-first within each byte.
 //
-// The writer batches bits in a 64-bit accumulator and spills whole words,
-// so per-symbol costs are a shift/or instead of a byte-at-a-time loop; the
-// emitted byte stream is identical to the historical byte-loop encoder.
+// The writer batches bits in a 64-bit accumulator and spills whole words
+// into a buffer it sizes ahead (doubling), so per-symbol costs are a
+// shift/or and a spill is one 8-byte store; the emitted byte stream is
+// identical to the historical byte-loop encoder. Bulk encoders append
+// through a WordCursor, which stores whole words with no capacity check.
 // The reader adds peek()/skip() so table-driven decoders can inspect a
 // window of upcoming bits without consuming them.
 #pragma once
@@ -15,6 +17,17 @@
 #include "util/common.hpp"
 
 namespace fedsz {
+
+/// Store `word` at `dst` in little-endian byte order (LSB-first stream
+/// order): one unaligned 8-byte store on little-endian hosts.
+inline void store_le64(std::uint8_t* dst, std::uint64_t word) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &word, sizeof(word));
+  } else {
+    for (int i = 0; i < 8; ++i)
+      dst[i] = static_cast<std::uint8_t>(word >> (8 * i));
+  }
+}
 
 class BitWriter {
  public:
@@ -45,16 +58,59 @@ class BitWriter {
 
   /// Drop all written bits but keep the buffer capacity.
   void reset() {
-    out_.clear();
+    size_ = 0;
     acc_ = 0;
     acc_bits_ = 0;
+  }
+
+  /// The writer's state while a bulk encoder appends whole words: the next
+  /// byte to store at, and fewer than 8 pending bits after each flush().
+  struct WordCursor {
+    std::uint8_t* ptr;
+    std::uint64_t acc;
+    unsigned bits;
+
+    /// Append the low `len` bits of `code` (no higher bits set). At most
+    /// 56 bits may be put between two flush() calls.
+    void put(std::uint64_t code, unsigned len) {
+      acc |= code << bits;
+      bits += len;
+    }
+    /// Store the whole pending bytes with one 8-byte store.
+    void flush() {
+      store_le64(ptr, acc);
+      const unsigned whole = bits & ~7u;
+      ptr += whole >> 3;
+      acc >>= whole;
+      bits -= whole;
+    }
+  };
+
+  /// Make room for `max_bits` more bits and hand the writer's state to a
+  /// cursor; end_words takes it back. Nothing else may write in between.
+  /// Both are inline so the cursor can live in registers.
+  WordCursor begin_words(std::size_t max_bits) {
+    // The pending bits (under 8 bytes), the new bits, and the 8 bytes the
+    // last flush() stores from its final position.
+    reserve_tail(8 + max_bits / 8 + 1 + 8);
+    WordCursor cursor{out_.data() + size_, acc_, acc_bits_};
+    cursor.flush();
+    return cursor;
+  }
+  void end_words(const WordCursor& cursor) {
+    size_ = static_cast<std::size_t>(cursor.ptr - out_.data());
+    acc_ = cursor.acc;
+    acc_bits_ = cursor.bits;
   }
 
  private:
   void spill(std::uint64_t bits, unsigned count);
   void flush_partial();
+  /// Grow the buffer so at least `bytes` can be stored past size_.
+  void reserve_tail(std::size_t bytes);
 
-  Bytes out_;
+  Bytes out_;              // sized ahead; only the first size_ bytes count
+  std::size_t size_ = 0;   // bytes written
   std::uint64_t acc_ = 0;  // pending bits, LSB-first
   unsigned acc_bits_ = 0;  // number of pending bits (< 64 between calls)
 };

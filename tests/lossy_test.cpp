@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "compress/lossless/lossless.hpp"
 #include "compress/lossy/lossy.hpp"
 #include "data/scientific.hpp"
+#include "util/bytebuffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -244,6 +246,36 @@ TEST_P(LossyCodecTest, DecompressTruncatedThrows) {
                CorruptStream);
 }
 
+TEST_P(LossyCodecTest, DecompressIntoMatchesDecompress) {
+  // Decoding into a NaN-filled span gives decompress()'s floats bit for
+  // bit, so no decode reads the destination before writing it; a span of
+  // another length throws before a byte of it (or past it) changes.
+  Rng rng(23);
+  for (const std::size_t n : {0u, 1u, 257u, 5000u}) {
+    for (const auto& data :
+         {dist_laplace_weights(rng, n), dist_spiky_mixture(rng, n)}) {
+      const Bytes stream = codec().compress({data.data(), data.size()},
+                                            ErrorBound::relative(1e-3));
+      const ByteSpan view{stream.data(), stream.size()};
+      const std::vector<float> expected = codec().decompress(view);
+      ASSERT_EQ(expected.size(), n);
+      std::vector<float> into(n + 8, std::numeric_limits<float>::quiet_NaN());
+      codec().decompress_into(view, {into.data(), n});
+      EXPECT_EQ(std::memcmp(into.data(), expected.data(), n * sizeof(float)),
+                0)
+          << codec().name() << " n=" << n;
+      for (const std::size_t wrong : {n + 1, n == 0 ? 0 : n - 1}) {
+        if (wrong == n) continue;
+        std::vector<float> guard(n + 8, -7.0f);
+        EXPECT_THROW(codec().decompress_into(view, {guard.data(), wrong}),
+                     CorruptStream)
+            << codec().name() << " n=" << n << " span=" << wrong;
+        EXPECT_EQ(guard, std::vector<float>(n + 8, -7.0f)) << codec().name();
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCodecs, LossyCodecTest,
     ::testing::Values(LossyId::kSz2, LossyId::kSz3, LossyId::kSzx,
@@ -321,6 +353,44 @@ TEST(SzFraming, BytesAfterTheVerbatimBlockThrow) {
       EXPECT_THROW(codec.decompress({forged.data(), forged.size()}),
                    CorruptStream)
           << codec.name() << " n=" << n;
+    }
+  }
+}
+
+TEST(SzFraming, SurplusVerbatimValuesThrow) {
+  // A body whose verbatim count is one more than its unpredictable codes,
+  // the extra value appended so the framing itself stays consistent.
+  const lossless::LosslessCodec& backend =
+      lossless::lossless_codec(lossless::LosslessId::kZstd);
+  Rng rng(41);
+  const auto weights = dist_laplace_weights(rng, 5000);
+  for (const LossyId id : {LossyId::kSz2, LossyId::kSz3}) {
+    const LossyCodec& codec = lossy_codec(id);
+    // The tight bound leaves ~1/3 of the values verbatim, the loose none.
+    for (const double eps : {1e-6, 1e-3}) {
+      const Bytes stream = codec.compress({weights.data(), weights.size()},
+                                          ErrorBound::absolute(eps));
+      const Bytes body = backend.decompress({stream.data(), stream.size()});
+      ByteReader r({body.data(), body.size()});
+      const std::uint64_t n = r.get_varint();
+      (void)r.get_f64();
+      if (id == LossyId::kSz2) {
+        for (std::uint64_t b = 0; b < (n + 255) / 256; ++b)
+          if (r.get_u8() != 0) (void)r.get_bytes(2 * sizeof(float));
+      }
+      (void)r.get_blob_view();
+      const std::size_t count_at = body.size() - r.remaining();
+      const std::uint64_t n_verbatim = r.get_varint();
+      const ByteSpan values = r.get_bytes(r.remaining());
+      ByteWriter forged_body;
+      forged_body.put_bytes({body.data(), count_at});
+      forged_body.put_varint(n_verbatim + 1);
+      forged_body.put_bytes(values);
+      forged_body.put_f32(1.0f);
+      const Bytes forged = backend.compress(forged_body.view());
+      EXPECT_THROW(codec.decompress({forged.data(), forged.size()}),
+                   CorruptStream)
+          << codec.name() << " verbatim=" << n_verbatim;
     }
   }
 }

@@ -569,6 +569,10 @@ TEST(Sz2Oracle, StreamsAndDecodedFloatsMatchTheReferenceLoops) {
         sz2().decompress({stream.data(), stream.size()});
     ASSERT_TRUE(same_floats(decoded, ref_sz2_decode({body.data(), body.size()})))
         << c.name;
+    std::vector<float> into(c.data.size(), -1.0f);
+    sz2().decompress_into({stream.data(), stream.size()},
+                          {into.data(), into.size()});
+    ASSERT_TRUE(same_floats(into, decoded)) << c.name;
 
     // Census of what the case exercised, read from the body.
     ByteReader r({body.data(), body.size()});
