@@ -411,6 +411,7 @@ void HuffmanCodebook::decode_all(BitReader& in,
     const DecEntry* table = dec_table_.data();
     const std::uint32_t* symbols = symbols_.data();
     const std::uint64_t root_mask = (std::uint64_t{1} << root_bits_) - 1;
+    const unsigned max_len = max_len_;  // not reloaded after each store
     while (i + 1 < n && in.bits_left() >= kWindow) {
       std::uint64_t window = in.peek(kWindow);
       unsigned used = 0;
@@ -426,7 +427,7 @@ void HuffmanCodebook::decode_all(BitReader& in,
         }
         window >>= len;
         used += len;
-      } while (i + 1 < n && used + max_len_ <= kWindow);
+      } while (i + 1 < n && used + max_len <= kWindow);
       in.skip(used);
     }
   }

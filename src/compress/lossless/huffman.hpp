@@ -41,7 +41,7 @@ class HuffmanCodebook {
   static constexpr unsigned kMaxCodeLength = 16;
   /// Codes no longer than this decode with a single table lookup; longer
   /// ones fall back to the canonical length walk.
-  static constexpr unsigned kDecodeRootBits = 11;
+  static constexpr unsigned kDecodeRootBits = 12;
   /// Books whose symbols span fewer than this many values get dense
   /// (symbol-indexed) encoder tables.
   static constexpr std::uint32_t kDenseSymbolLimit = 1u << 16;
