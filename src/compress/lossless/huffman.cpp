@@ -232,29 +232,26 @@ void HuffmanCodebook::build_decode_table() {
       for (std::size_t idx = rev; idx < dec_table_.size();
            idx += std::size_t{1} << len) {
         const auto l = static_cast<std::uint8_t>(len);
-        const auto index = static_cast<std::uint16_t>(i);
-        dec_table_[idx] = DecEntry{index, index, l, l, 1};
+        dec_table_[idx] = DecEntry{symbols_[i], static_cast<std::uint16_t>(i),
+                                   l, l};
       }
     }
   }
   // Pair up: when the bits after an index's first code still hold a whole
-  // second code, the entry decodes both (the first code's own fields stay
-  // as they are, so this reads unpaired values). An index that starts no
-  // short code keeps its bits MSB-first instead, where the canonical walk
-  // resumes.
-  for (std::size_t idx = 0; idx < dec_table_.size(); ++idx) {
+  // second code, the entry decodes both. The second code's entry sits at a
+  // lower index, so a descending pass reads it before it is paired itself.
+  // An index that starts no short code keeps its bits MSB-first instead.
+  for (std::size_t idx = dec_table_.size(); idx-- > 0;) {
     DecEntry& e = dec_table_[idx];
     if (e.len1 == 0) {
-      e.index = static_cast<std::uint16_t>(
-          bit_reverse(static_cast<std::uint32_t>(idx), root_bits_));
+      e.symbol = bit_reverse(static_cast<std::uint32_t>(idx), root_bits_);
       continue;
     }
     if (e.len1 >= root_bits_) continue;
     const DecEntry& next = dec_table_[idx >> e.len1];
     if (next.len1 == 0 || e.len1 + next.len1 > root_bits_) continue;
-    e.index2 = next.index;
+    e.index2 = next.index2;
     e.len = static_cast<std::uint8_t>(e.len1 + next.len1);
-    e.count = 2;
   }
 }
 
@@ -385,7 +382,7 @@ std::uint32_t HuffmanCodebook::decode(BitReader& in) const {
     const DecEntry e = dec_table_[in.peek(root_bits_)];
     if (e.len1 != 0 && e.len1 <= left) {
       in.skip(e.len1);
-      return symbols_[e.index];
+      return e.symbol;
     }
   }
   // Long codes, corrupt prefixes, or the zero-padded tail of the buffer.
@@ -419,11 +416,11 @@ void HuffmanCodebook::decode_all(BitReader& in,
         const DecEntry e = table[window & root_mask];
         unsigned len = e.len;
         if (len != 0) {
-          out[i] = symbols[e.index];
+          out[i] = e.symbol;
           out[i + 1] = symbols[e.index2];
-          i += e.count;
+          i += len == e.len1 ? 1 : 2;
         } else {
-          out[i++] = walk(window, kWindow - used, len, root_bits_, e.index);
+          out[i++] = walk(window, kWindow - used, len, root_bits_, e.symbol);
         }
         window >>= len;
         used += len;

@@ -120,17 +120,16 @@ class HuffmanCodebook {
   std::array<std::uint32_t, kMaxCodeLength + 1> first_code_{};  // per length
   std::array<std::uint32_t, kMaxCodeLength + 1> first_index_{};
   // Root decode table: next root_bits_ stream bits -> the code they start
-  // with (index, len1), and, when a second whole code follows inside the
-  // same bits, both (count 2, index2, len = both lengths). len1 0 marks
-  // "no short code here" (long code or corrupt prefix).
+  // with (symbol, len1), and, when a second whole code follows inside the
+  // same bits, that one too (index2, len = both lengths; len == len1 when
+  // the entry holds one code). len1 0 marks "no short code here" (long
+  // code or corrupt prefix); `symbol` then holds the root bits MSB-first,
+  // where the canonical walk resumes.
   struct DecEntry {
-    // First and second symbol as their places in symbols_; with len1 0,
-    // `index` is the root bits MSB-first, where the walk resumes.
-    std::uint16_t index = 0;
-    std::uint16_t index2 = 0;
-    std::uint8_t len = 0;    // bits of the count symbols
-    std::uint8_t len1 = 0;   // bits of the first symbol alone
-    std::uint8_t count = 0;  // symbols this entry yields (1 or 2)
+    std::uint32_t symbol = 0;
+    std::uint16_t index2 = 0;  // the second code's place in symbols_
+    std::uint8_t len = 0;      // bits of the entry's codes together
+    std::uint8_t len1 = 0;     // bits of the first code alone
   };
   std::vector<DecEntry> dec_table_;
   unsigned root_bits_ = 0;
