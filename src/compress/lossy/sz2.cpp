@@ -330,6 +330,10 @@ class Sz2Codec final : public LossyCodec {
       return;
     }
 
+    // Every block carries at least its tag byte, so a corrupt element
+    // count is rejected before it can size the block tables.
+    if (n > kBlockSize * r.remaining())
+      throw CorruptStream("sz2: element count exceeds stream");
     const LinearQuantizer quantizer(eps);
     EncodeArena& arena = EncodeArena::local();
     const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;

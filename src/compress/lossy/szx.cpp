@@ -105,11 +105,11 @@ class SzxCodec final : public LossyCodec {
     const auto n = static_cast<std::size_t>(r.get_varint());
     const double eps = r.get_f64();
     const double step = 2.0 * eps;
-    const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;
     // Every block takes at least 5 bytes (a tag and an f32), so a corrupt
     // element count is rejected before the destination is sized.
-    if (n_blocks > r.remaining() / 5)
+    if (n > kBlockSize * (r.remaining() / 5))
       throw CorruptStream("szx: element count exceeds stream");
+    const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;
     float* out = target.claim(n, "szx").data();
     for (std::size_t b = 0; b < n_blocks; ++b) {
       const std::size_t begin = b * kBlockSize;

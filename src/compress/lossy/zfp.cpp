@@ -179,11 +179,11 @@ class ZfpCodec final : public LossyCodec {
       throw CorruptStream("zfp: invalid precision");
 
     ByteSpan payload = r.get_bytes(r.remaining());
-    const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;
     // Every block starts with an 8-bit exponent, so a corrupt element count
     // is rejected before the destination is sized.
-    if (n_blocks > payload.size())
+    if (n > kBlockSize * payload.size())
       throw CorruptStream("zfp: element count exceeds stream");
+    const std::size_t n_blocks = (n + kBlockSize - 1) / kBlockSize;
     float* out = target.claim(n, "zfp").data();
     BitReader br(payload);
     for (std::size_t b = 0; b < n_blocks; ++b) {

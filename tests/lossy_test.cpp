@@ -276,6 +276,32 @@ TEST_P(LossyCodecTest, DecompressIntoMatchesDecompress) {
   }
 }
 
+TEST_P(LossyCodecTest, HugeDeclaredCountThrowsCorruptStream) {
+  // A stream declaring far more elements than its bytes can hold (and
+  // counts that wrap when rounded up to whole blocks) is corruption,
+  // rejected before the count sizes any allocation.
+  const lossless::LosslessCodec& backend =
+      lossless::lossless_codec(lossless::LosslessId::kZstd);
+  const bool framed = GetParam() == LossyId::kSz2 || GetParam() == LossyId::kSz3;
+  for (const std::uint64_t n : {std::uint64_t{1} << 40, ~std::uint64_t{0},
+                                ~std::uint64_t{0} - 2}) {
+    ByteWriter body;
+    body.put_varint(n);
+    if (GetParam() == LossyId::kZfp) {
+      body.put_u8(10);  // precision
+    } else {
+      body.put_f64(0.01);  // eps
+    }
+    body.put_bytes(std::vector<std::uint8_t>{0, 1, 2});
+    const ByteSpan view = body.view();
+    const Bytes stream =
+        framed ? backend.compress(view) : Bytes(view.begin(), view.end());
+    EXPECT_THROW(codec().decompress({stream.data(), stream.size()}),
+                 CorruptStream)
+        << codec().name() << " n=" << n;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCodecs, LossyCodecTest,
     ::testing::Values(LossyId::kSz2, LossyId::kSz3, LossyId::kSzx,
