@@ -261,8 +261,8 @@ TEST_P(LossyCodecTest, DecompressIntoMatchesDecompress) {
       ASSERT_EQ(expected.size(), n);
       std::vector<float> into(n + 8, std::numeric_limits<float>::quiet_NaN());
       codec().decompress_into(view, {into.data(), n});
-      EXPECT_EQ(std::memcmp(into.data(), expected.data(), n * sizeof(float)),
-                0)
+      EXPECT_TRUE(n == 0 || std::memcmp(into.data(), expected.data(),
+                                        n * sizeof(float)) == 0)
           << codec().name() << " n=" << n;
       for (const std::size_t wrong : {n + 1, n == 0 ? 0 : n - 1}) {
         if (wrong == n) continue;
