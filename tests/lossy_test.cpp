@@ -282,7 +282,8 @@ TEST_P(LossyCodecTest, HugeDeclaredCountThrowsCorruptStream) {
   // rejected before the count sizes any allocation.
   const lossless::LosslessCodec& backend =
       lossless::lossless_codec(lossless::LosslessId::kZstd);
-  const bool framed = GetParam() == LossyId::kSz2 || GetParam() == LossyId::kSz3;
+  const bool framed =
+      GetParam() == LossyId::kSz2 || GetParam() == LossyId::kSz3;
   for (const std::uint64_t n : {std::uint64_t{1} << 40, ~std::uint64_t{0},
                                 ~std::uint64_t{0} - 2}) {
     ByteWriter body;

@@ -170,7 +170,8 @@ struct RefBook {
     std::uint32_t code = 0;
     const unsigned limit = std::min(avail, kMaxLen);
     for (len = 1; len <= limit; ++len) {
-      code = (code << 1) | static_cast<std::uint32_t>((window >> (len - 1)) & 1);
+      code = (code << 1) |
+             static_cast<std::uint32_t>((window >> (len - 1)) & 1);
       if (count[len] != 0 && code >= first_code[len] &&
           code - first_code[len] < count[len])
         return symbols[first_index[len] + (code - first_code[len])];
@@ -411,7 +412,8 @@ std::vector<float> ref_sz2_decode(ByteSpan body_bytes) {
       fits[b].intercept = r.get_f32();
     }
   }
-  const std::vector<std::uint32_t> codes = ref_huffman_decode(r.get_blob_view());
+  const std::vector<std::uint32_t> codes =
+      ref_huffman_decode(r.get_blob_view());
   const auto n_verbatim = static_cast<std::size_t>(r.get_varint());
   std::vector<float> verbatim(n_verbatim);
   const ByteSpan raw = r.get_bytes(n_verbatim * sizeof(float));
@@ -534,7 +536,9 @@ std::vector<Sz2Case> sz2_cases() {
   return cases;
 }
 
-const lossy::LossyCodec& sz2() { return lossy::lossy_codec(lossy::LossyId::kSz2); }
+const lossy::LossyCodec& sz2() {
+  return lossy::lossy_codec(lossy::LossyId::kSz2);
+}
 
 const lossless::LosslessCodec& backend() {
   return lossless::lossless_codec(lossless::LosslessId::kZstd);
@@ -567,7 +571,8 @@ TEST(Sz2Oracle, StreamsAndDecodedFloatsMatchTheReferenceLoops) {
 
     const std::vector<float> decoded =
         sz2().decompress({stream.data(), stream.size()});
-    ASSERT_TRUE(same_floats(decoded, ref_sz2_decode({body.data(), body.size()})))
+    ASSERT_TRUE(
+        same_floats(decoded, ref_sz2_decode({body.data(), body.size()})))
         << c.name;
     std::vector<float> into(c.data.size(), -1.0f);
     sz2().decompress_into({stream.data(), stream.size()},
@@ -607,7 +612,8 @@ std::vector<std::vector<std::uint32_t>> huffman_cases() {
   cases.push_back(std::vector<std::uint32_t>(1000, 32768));  // 1 symbol
   for (const std::size_t n : {2u, 3u, 1000u}) {               // 2 symbols
     std::vector<std::uint32_t> two(n);
-    for (auto& s : two) s = 32768 + static_cast<std::uint32_t>(rng.uniform_index(2));
+    for (auto& s : two)
+      s = 32768 + static_cast<std::uint32_t>(rng.uniform_index(2));
     cases.push_back(two);
   }
   // All 65536 symbols, each at least once, then skewed repeats.
@@ -637,15 +643,16 @@ std::vector<std::vector<std::uint32_t>> huffman_cases() {
   cases.push_back(wide);
   // Quantization-code and geometric streams of many lengths.
   for (int trial = 0; trial < 120; ++trial) {
-    std::vector<std::uint32_t> s(1 + rng.uniform_index(trial % 3 ? 3000 : 70000));
-    const std::uint32_t spread = 1 + static_cast<std::uint32_t>(
-                                         rng.uniform_index(trial % 2 ? 9 : 400));
+    std::vector<std::uint32_t> s(
+        1 + rng.uniform_index(trial % 3 ? 3000 : 70000));
+    const std::uint32_t spread =
+        1 + static_cast<std::uint32_t>(rng.uniform_index(trial % 2 ? 9 : 400));
     for (auto& x : s) {
       x = trial % 4 == 3
               ? static_cast<std::uint32_t>(std::countr_zero(
                     rng.next_u64() | (std::uint64_t{1} << 24)))
               : 32768 + static_cast<std::uint32_t>(
-                            std::lround(rng.normal(0.0, spread))) ;
+                            std::lround(rng.normal(0.0, spread)));
     }
     cases.push_back(s);
   }
