@@ -8,12 +8,15 @@
 // quantize()/reconstruct() are header-inline: they sit in the innermost
 // predict->quantize->reconstruct loops of every lossy codec, and inlining
 // them removes a call per element and lets the surrounding pass vectorize.
+// quantize_line()/reconstruct_line() apply the same rule to a whole run of
+// residuals from a line predictor, with no per-element branch.
 #pragma once
 
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "util/common.hpp"
 
@@ -64,6 +67,25 @@ class LinearQuantizer {
     return static_cast<double>(bin) * step_;
   }
 
+  /// quantize(x[i] - (intercept + slope * index[i])) into codes[i] for
+  /// every i < x.size(), with no per-element branch; index[i] must hold
+  /// double(i). Codes of residuals out of range become kUnpredictable, in
+  /// element order, with x[i] appended to `verbatim`; that scan runs only
+  /// when the run's largest code calls for it.
+  [[gnu::noinline]] void quantize_line(std::span<const float> x,
+                                       const double* index, double intercept,
+                                       double slope, std::uint32_t* codes,
+                                       std::vector<float>& verbatim) const;
+
+  /// float(intercept + slope * index[i] + reconstruct(codes[i])) into
+  /// out[i] for every i < codes.size(), with no per-element branch. Codes
+  /// must be valid except kUnpredictable, whose output the caller
+  /// overwrites with the verbatim value.
+  [[gnu::noinline]] void reconstruct_line(std::span<const std::uint32_t> codes,
+                                          const double* index,
+                                          double intercept, double slope,
+                                          float* out) const;
+
   /// Check a stream's entropy-decoded codes: throws CorruptStream naming
   /// `codec` if any code is 2*radius or more, and returns how many are
   /// kUnpredictable (the verbatim values the stream must carry). One
@@ -73,22 +95,12 @@ class LinearQuantizer {
 
   double eps() const { return eps_; }
   std::uint32_t radius() const { return radius_; }
-  double step() const { return step_; }
-  double inv_step() const { return inv_step_; }
-  double max_scaled() const { return max_scaled_; }
-  /// What a branch-free quantizer puts in place of a scaled residual it
-  /// cannot code (|scaled| >= max_scaled, or NaN): 2^20, whose code lands
-  /// above every valid one (for any radius up to 2^20) and fits int32. It
-  /// is a runtime value, not a constant, because GCC 12 does not vectorize
-  /// the select against a constant.
-  double overflow_scaled() const { return overflow_scaled_; }
 
  private:
   double eps_;
   double inv_step_;    // 1 / (2 * eps)
   double step_;        // 2 * eps (exact)
   double max_scaled_;  // radius - 1, the representable |bin| bound
-  double overflow_scaled_;
   std::uint32_t radius_;
 };
 

@@ -7,9 +7,9 @@
 // are stored verbatim (exact), preserving the hard error bound.
 //
 // Encode runs as contiguous passes — predictor selection over every block,
-// then a predict->quantize->reconstruct sweep with per-predictor inner
-// loops — and draws all working buffers from the thread's EncodeArena, so
-// steady-state encode allocates nothing.
+// then a quantize sweep with per-predictor inner loops — and draws all
+// working buffers from the thread's EncodeArena, so steady-state encode
+// allocates nothing.
 //
 // Order contract. Every stream byte and decoded float is the same as the
 // plain per-element loops give (tests/sz2_oracle_test.cpp holds those loops
@@ -21,19 +21,17 @@
 //    blocks left over after the last group of kLanes) take the per-block
 //    loop.
 //  - Regression blocks quantize and reconstruct each element on its own,
-//    with no branch: an out-of-range residual becomes a too-large code,
-//    and a scan that runs only when a block's largest code says so turns
-//    it into kUnpredictable plus a verbatim value, in element order. The
-//    value a regression block hands to the next block is recomputed from
-//    its last element alone. Lorenzo blocks keep the scalar recurrence.
+//    with no branch (LinearQuantizer::quantize_line/reconstruct_line): an
+//    out-of-range residual becomes a too-large code, and a scan that runs
+//    only when a block's largest code says so turns it into kUnpredictable
+//    plus a verbatim value, in element order. The value a regression block
+//    hands to the next block is recomputed from its last element alone.
+//    Lorenzo blocks keep the scalar recurrence.
 //
-// Rounding identity. The quantizer rounds scaled = residual / (2 eps) half
-// away from zero. For |scaled| < radius - 1, t = int32(scaled) truncates
-// exactly and frac = scaled - t is exact, so 2 * frac is exact too and
-// int32(2 * frac) is +1, 0 or -1 exactly when frac >= 0.5, |frac| < 0.5 or
-// frac <= -0.5: bin = t + int32(2 * (scaled - t)) is llround(scaled). A
-// residual out of range is swapped for overflow_scaled() (2^20) before any
-// conversion, so no double->int conversion sees a value outside int32.
+// Rounding identity. t + int32(2 * (scaled - t)), with t = int32(scaled),
+// is the quantizer's round-half-away llround(scaled) for every in-range
+// scaled residual; quantizer.cpp gives the argument and keeps every
+// double->int conversion inside int32.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -54,10 +52,6 @@ constexpr std::size_t kBlockSize = 256;
 constexpr std::size_t kLanes = 4;  // blocks per lockstep selection group
 constexpr std::uint8_t kPredictorLorenzo = 0;
 constexpr std::uint8_t kPredictorRegression = 1;
-
-static_assert(LinearQuantizer::kDefaultRadius <= (1u << 20),
-              "the branch-free quantizer's overflow code must exceed the "
-              "code range");
 
 /// double(i) for every in-block index. The vector loops read the index as a
 /// double from here: GCC 12 does not vectorize a size_t->double conversion.
@@ -159,50 +153,6 @@ void select_full_blocks(const float* x, float prev, std::uint8_t* tags,
                                          : kPredictorLorenzo;
 }
 
-/// Quantize a regression block's residuals with no per-element branch (see
-/// the rounding identity above). Returns the largest code: 2*radius or more
-/// means some residual was out of range.
-[[gnu::noinline]] std::uint32_t quantize_line(const float* x, std::size_t n,
-                                              const Regression& reg,
-                                              const LinearQuantizer& q,
-                                              std::uint32_t* codes) {
-  const auto slope = static_cast<double>(reg.slope);
-  const auto intercept = static_cast<double>(reg.intercept);
-  const double inv_step = q.inv_step();
-  const double max_scaled = q.max_scaled();
-  const double overflow = q.overflow_scaled();
-  const auto radius = static_cast<std::int32_t>(q.radius());
-  std::int32_t worst = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pred = intercept + slope * kIndex[i];
-    const double scaled = (static_cast<double>(x[i]) - pred) * inv_step;
-    const double sv = std::fabs(scaled) < max_scaled ? scaled : overflow;
-    const auto t = static_cast<std::int32_t>(sv);
-    const std::int32_t code =
-        t + static_cast<std::int32_t>(2.0 * (sv - t)) + radius;
-    codes[i] = static_cast<std::uint32_t>(code);
-    worst = code > worst ? code : worst;
-  }
-  return static_cast<std::uint32_t>(worst);
-}
-
-/// pred + bin * step for every code of a regression block, with no branch.
-/// A kUnpredictable code yields a value the caller overwrites.
-[[gnu::noinline]] void reconstruct_line(const std::uint32_t* codes,
-                                        std::size_t n, const Regression& reg,
-                                        const LinearQuantizer& q,
-                                        float* out) {
-  const auto slope = static_cast<double>(reg.slope);
-  const auto intercept = static_cast<double>(reg.intercept);
-  const double step = q.step();
-  const auto radius = static_cast<std::int32_t>(q.radius());
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pred = intercept + slope * kIndex[i];
-    const auto bin = static_cast<std::int32_t>(codes[i]) - radius;
-    out[i] = static_cast<float>(pred + static_cast<double>(bin) * step);
-  }
-}
-
 class Sz2Codec final : public LossyCodec {
  public:
   LossyId id() const override { return LossyId::kSz2; }
@@ -256,9 +206,10 @@ class Sz2Codec final : public LossyCodec {
       arena.coeffs[2 * b + 1] = reg.intercept;
     }
 
-    // Pass 2: predict -> quantize -> reconstruct, one contiguous sweep with
-    // the predictor branch hoisted to block level.
-    const std::uint32_t code_limit = 2 * quantizer.radius();
+    // Pass 2: quantize block by block. Regression blocks quantize as one
+    // branch-free line (quantize_line scans for verbatim values only when
+    // one was out of range) and carry only their last element's
+    // reconstruction; Lorenzo blocks run the scalar recurrence.
     std::uint32_t* codes = arena.codes.data();
     float last_reconstructed = 0.0f;
     for (std::size_t b = 0; b < n_blocks; ++b) {
@@ -268,15 +219,8 @@ class Sz2Codec final : public LossyCodec {
       std::uint32_t* block_codes = codes + begin;
       if (arena.tags[b] == kPredictorRegression) {
         const Regression reg{arena.coeffs[2 * b], arena.coeffs[2 * b + 1]};
-        if (quantize_line(block, len, reg, quantizer, block_codes) >=
-            code_limit) {
-          for (std::size_t i = 0; i < len; ++i) {
-            if (block_codes[i] >= code_limit) {
-              block_codes[i] = LinearQuantizer::kUnpredictable;
-              arena.verbatim.push_back(block[i]);
-            }
-          }
-        }
+        quantizer.quantize_line({block, len}, kIndex.data(), reg.intercept,
+                                reg.slope, block_codes, arena.verbatim);
         const std::uint32_t last = block_codes[len - 1];
         last_reconstructed =
             last == LinearQuantizer::kUnpredictable
@@ -381,9 +325,9 @@ class Sz2Codec final : public LossyCodec {
       const std::uint32_t* block_codes = codes + begin;
       float* block = values + begin;
       if (arena.tags[b] == kPredictorRegression) {
-        reconstruct_line(block_codes, len,
-                         {arena.coeffs[2 * b], arena.coeffs[2 * b + 1]},
-                         quantizer, block);
+        const Regression reg{arena.coeffs[2 * b], arena.coeffs[2 * b + 1]};
+        quantizer.reconstruct_line({block_codes, len}, kIndex.data(),
+                                   reg.intercept, reg.slope, block);
         if (v < n_verbatim) {
           for (std::size_t i = 0; i < len; ++i)
             if (block_codes[i] == LinearQuantizer::kUnpredictable)

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "compress/lossy/error_bound.hpp"
 #include "compress/lossy/quantizer.hpp"
@@ -60,6 +61,61 @@ TEST(Quantizer, InvalidRadiusThrows) {
   // the sz2/sz3 corrupt-code tests), so reconstruct itself only carries a
   // debug assert and the constructor remains the only throwing entry point.
   EXPECT_THROW(LinearQuantizer(0.1, 1), InvalidArgument);
+  // quantize_line computes codes up to 2*radius in int32.
+  EXPECT_THROW(LinearQuantizer(0.1, 1u << 30), InvalidArgument);
+  EXPECT_NO_THROW(LinearQuantizer(0.1, (1u << 30) - 1));
+}
+
+TEST(Quantizer, LineLoopsMatchPerElementQuantizer) {
+  // quantize_line/reconstruct_line against quantize()/reconstruct() one
+  // element at a time, at radii where the out-of-range code 2*radius sits
+  // right above the valid ones, with residuals on +-0.5-bin ties, at the
+  // range edge and far outside it.
+  Rng rng(11);
+  std::vector<double> index(300);
+  for (std::size_t i = 0; i < index.size(); ++i)
+    index[i] = static_cast<double>(i);
+  for (const std::uint32_t radius :
+       {2u, 16u, LinearQuantizer::kDefaultRadius}) {
+    for (const double eps : {0.125, 1e-3}) {
+      const LinearQuantizer q(eps, radius);
+      const double intercept = rng.uniform(-1.0, 1.0);
+      const double slope = rng.uniform(-1e-3, 1e-3);
+      const std::size_t n = 1 + rng.uniform_index(index.size());
+      std::vector<float> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Every third residual sits on a tie, some of them out of range.
+        const double bins =
+            i % 3 == 0 ? std::round(rng.uniform(-1.5, 1.5) * radius) + 0.5
+                       : rng.uniform(-1.2, 1.2) * radius;
+        x[i] = static_cast<float>(intercept + slope * index[i] +
+                                  bins * 2.0 * eps);
+      }
+      std::vector<std::uint32_t> codes(n);
+      std::vector<float> verbatim;
+      q.quantize_line({x.data(), n}, index.data(), intercept, slope,
+                      codes.data(), verbatim);
+      std::vector<float> expected_verbatim;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double pred = intercept + slope * index[i];
+        const std::uint32_t code =
+            q.quantize(static_cast<double>(x[i]) - pred);
+        ASSERT_EQ(codes[i], code) << "radius=" << radius << " i=" << i;
+        if (code == LinearQuantizer::kUnpredictable)
+          expected_verbatim.push_back(x[i]);
+      }
+      EXPECT_EQ(verbatim, expected_verbatim);
+      std::vector<float> out(n);
+      q.reconstruct_line({codes.data(), n}, index.data(), intercept, slope,
+                         out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        if (codes[i] == LinearQuantizer::kUnpredictable) continue;
+        const double pred = intercept + slope * index[i];
+        ASSERT_EQ(out[i], static_cast<float>(pred + q.reconstruct(codes[i])))
+            << "radius=" << radius << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(Quantizer, PrecomputedStepMatchesHistoricalExpression) {
