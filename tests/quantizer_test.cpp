@@ -79,8 +79,15 @@ TEST(Quantizer, LineLoopsMatchPerElementQuantizer) {
        {2u, 16u, LinearQuantizer::kDefaultRadius}) {
     for (const double eps : {0.125, 1e-3}) {
       const LinearQuantizer q(eps, radius);
-      const double intercept = rng.uniform(-1.0, 1.0);
-      const double slope = rng.uniform(-1e-3, 1e-3);
+      // At eps 0.125 the line and the residuals are dyadic, so x holds
+      // them exactly and every third residual is an exact +-0.5-bin tie.
+      const bool exact = eps == 0.125;
+      const double intercept =
+          exact ? (static_cast<double>(rng.uniform_index(17)) - 8.0) / 8.0
+                : rng.uniform(-1.0, 1.0);
+      const double slope =
+          exact ? (static_cast<double>(rng.uniform_index(9)) - 4.0) / 1024.0
+                : rng.uniform(-1e-3, 1e-3);
       const std::size_t n = 1 + rng.uniform_index(index.size());
       std::vector<float> x(n);
       for (std::size_t i = 0; i < n; ++i) {
