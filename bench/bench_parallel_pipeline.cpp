@@ -3,7 +3,7 @@
 // lossy tensor into fixed-size chunks and fans codec work out over a thread
 // pool, overlapping the lossless partition with the lossy chunks; this bench
 // reports the wall-clock speedup of that fan-out, the steady-state heap
-// allocations per compress call (the leased-workspace + per-thread arena
+// allocations per compress call (the per-thread workspace and arena
 // design targets a constant, thread-count-independent number), and verifies
 // that every thread count emits the identical bitstream.
 //

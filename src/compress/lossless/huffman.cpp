@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 
 namespace fedsz::lossless {
 
@@ -186,32 +185,26 @@ void HuffmanCodebook::assign_canonical(
   if (kraft > (std::uint64_t{1} << kMaxCodeLength))
     throw CorruptStream("HuffmanCodebook: oversubscribed code lengths");
   enc_dense_.clear();
-  enc_sparse_.clear();
   dec_table_.clear();
   root_bits_ = 0;
 }
 
 void HuffmanCodebook::build_encoder_tables() {
-  // Packed (bit-reversed code << 5 | length) per symbol. Dense tables span
+  // Packed (bit-reversed code << 5 | length) per symbol. The table spans
   // only [min, max] symbol: SZ quantization codes sit near the radius
   // (32768), so indexing from 0 would zero-fill ~128 KB per build.
   const auto [lo, hi] = std::minmax_element(symbols_.begin(), symbols_.end());
-  const bool dense = lo != symbols_.end() && *hi - *lo < kDenseSymbolLimit;
-  enc_base_ = dense ? *lo : 0;
-  if (dense) enc_dense_.assign(static_cast<std::size_t>(*hi - *lo) + 1, 0);
+  if (lo == symbols_.end()) return;
+  if (*hi - *lo >= kDenseSymbolLimit)
+    throw InvalidArgument("HuffmanCodebook: symbols span 2^16 values or more");
+  enc_base_ = *lo;
+  enc_dense_.assign(static_cast<std::size_t>(*hi - *lo) + 1, 0);
   std::size_t i = 0;
   for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
-    for (std::uint32_t k = 0; k < count_[len]; ++k, ++i) {
-      const std::uint32_t packed =
+    for (std::uint32_t k = 0; k < count_[len]; ++k, ++i)
+      enc_dense_[symbols_[i] - enc_base_] =
           (bit_reverse(first_code_[len] + k, len) << 5) | len;
-      if (dense) {
-        enc_dense_[symbols_[i] - enc_base_] = packed;
-      } else {
-        enc_sparse_.emplace_back(symbols_[i], packed);
-      }
-    }
   }
-  if (!dense) std::sort(enc_sparse_.begin(), enc_sparse_.end());
 }
 
 void HuffmanCodebook::build_decode_table() {
@@ -256,14 +249,8 @@ void HuffmanCodebook::build_decode_table() {
 }
 
 std::uint32_t HuffmanCodebook::find_entry(std::uint32_t symbol) const {
-  if (!enc_dense_.empty()) {
-    const std::uint32_t k = symbol - enc_base_;  // wraps below the base
-    return k < enc_dense_.size() ? enc_dense_[k] : 0;
-  }
-  const auto it = std::lower_bound(
-      enc_sparse_.begin(), enc_sparse_.end(), symbol,
-      [](const auto& entry, std::uint32_t s) { return entry.first < s; });
-  return it != enc_sparse_.end() && it->first == symbol ? it->second : 0;
+  const std::uint32_t k = symbol - enc_base_;  // wraps below the base
+  return k < enc_dense_.size() ? enc_dense_[k] : 0;
 }
 
 void HuffmanCodebook::write_table(ByteWriter& out) const {
@@ -317,10 +304,6 @@ void HuffmanCodebook::encode(BitWriter& out, std::uint32_t symbol) const {
 
 void HuffmanCodebook::encode_all(std::span<const std::uint32_t> symbols,
                                  BitWriter& out) const {
-  if (enc_dense_.empty()) {
-    for (const std::uint32_t s : symbols) encode(out, s);
-    return;
-  }
   const std::uint32_t* table = enc_dense_.data();
   const std::uint32_t base = enc_base_;
   const auto limit = static_cast<std::uint32_t>(enc_dense_.size());
@@ -435,17 +418,6 @@ unsigned HuffmanCodebook::code_length(std::uint32_t symbol) const {
   return find_entry(symbol) & 31u;
 }
 
-std::size_t HuffmanWorkspace::capacity_bytes() const {
-  return freqs.capacity() * sizeof(freqs[0]) +
-         counts.capacity() * sizeof(counts[0]) +
-         lengths.capacity() * sizeof(lengths[0]) +
-         nodes.capacity() * sizeof(nodes[0]) +
-         heap.capacity() * sizeof(heap[0]) +
-         stack.capacity() * sizeof(stack[0]) +
-         order.capacity() * sizeof(order[0]) +
-         symbol_lengths.capacity() * sizeof(symbol_lengths[0]);
-}
-
 void huffman_count(std::span<const std::uint32_t> symbols,
                    HuffmanWorkspace& ws) {
   std::vector<std::pair<std::uint32_t, std::uint64_t>>& freqs = ws.freqs;
@@ -457,43 +429,34 @@ void huffman_count(std::span<const std::uint32_t> symbols,
     lo = std::min(lo, s);
     hi = std::max(hi, s);
   }
-  if (hi - lo < HuffmanCodebook::kDenseSymbolLimit) {
-    // Dense counting over [lo, hi], then emit in ascending symbol order —
-    // the same (symbol-sorted) frequency vector the map + sort path
-    // produces, without the per-symbol hashing.
-    // Four sub-histograms, one per position mod 4, so a run of equal
-    // symbols bumps four counters in turn instead of waiting on one. Each
-    // counts at most a quarter of the symbols plus three, so 32 bits hold.
-    if (symbols.size() > std::numeric_limits<std::uint32_t>::max())
-      throw InvalidArgument("huffman_count: more than 2^32 - 1 symbols");
-    const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
-    std::vector<std::uint32_t>& counts = ws.counts;
-    counts.assign(4 * span, 0);
-    std::uint32_t* c0 = counts.data();
-    std::uint32_t* c1 = c0 + span;
-    std::uint32_t* c2 = c1 + span;
-    std::uint32_t* c3 = c2 + span;
-    const std::size_t n = symbols.size();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      ++c0[symbols[i] - lo];
-      ++c1[symbols[i + 1] - lo];
-      ++c2[symbols[i + 2] - lo];
-      ++c3[symbols[i + 3] - lo];
-    }
-    for (; i < n; ++i) ++c0[symbols[i] - lo];
-    for (std::size_t k = 0; k < span; ++k) {
-      const std::uint64_t count = std::uint64_t{c0[k]} + c1[k] + c2[k] + c3[k];
-      if (count != 0)
-        freqs.emplace_back(lo + static_cast<std::uint32_t>(k), count);
-    }
-  } else {
-    std::unordered_map<std::uint32_t, std::uint64_t> counts;
-    counts.reserve(1024);
-    for (const std::uint32_t s : symbols) ++counts[s];
-    freqs.assign(counts.begin(), counts.end());
-    // Deterministic table construction regardless of hash iteration order.
-    std::sort(freqs.begin(), freqs.end());
+  if (hi - lo >= HuffmanCodebook::kDenseSymbolLimit)
+    throw InvalidArgument("huffman_count: symbols span 2^16 values or more");
+  // Dense counting over [lo, hi], then emit in ascending symbol order. Four
+  // sub-histograms, one per position mod 4, so a run of equal symbols bumps
+  // four counters in turn instead of waiting on one. Each counts at most a
+  // quarter of the symbols plus three, so 32 bits hold.
+  if (symbols.size() > std::numeric_limits<std::uint32_t>::max())
+    throw InvalidArgument("huffman_count: more than 2^32 - 1 symbols");
+  const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
+  std::vector<std::uint32_t>& counts = ws.counts;
+  counts.assign(4 * span, 0);
+  std::uint32_t* c0 = counts.data();
+  std::uint32_t* c1 = c0 + span;
+  std::uint32_t* c2 = c1 + span;
+  std::uint32_t* c3 = c2 + span;
+  const std::size_t n = symbols.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++c0[symbols[i] - lo];
+    ++c1[symbols[i + 1] - lo];
+    ++c2[symbols[i + 2] - lo];
+    ++c3[symbols[i + 3] - lo];
+  }
+  for (; i < n; ++i) ++c0[symbols[i] - lo];
+  for (std::size_t k = 0; k < span; ++k) {
+    const std::uint64_t count = std::uint64_t{c0[k]} + c1[k] + c2[k] + c3[k];
+    if (count != 0)
+      freqs.emplace_back(lo + static_cast<std::uint32_t>(k), count);
   }
 }
 

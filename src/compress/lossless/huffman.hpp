@@ -42,13 +42,17 @@ class HuffmanCodebook {
   /// Codes no longer than this decode with a single table lookup; longer
   /// ones fall back to the canonical length walk.
   static constexpr unsigned kDecodeRootBits = 12;
-  /// Books whose symbols span fewer than this many values get dense
-  /// (symbol-indexed) encoder tables.
+  /// Encoder tables are dense over [min, max] symbol, so an encoded
+  /// stream's symbols must span fewer than this many values: huffman_count
+  /// and the encoder builds throw InvalidArgument beyond it. Every codec
+  /// fits: SZ2/SZ3 codes stay below 2 * radius = 2^16, deflate's symbols
+  /// end at 284, and zstd's streams are bytes and value codes below 44.
   static constexpr std::uint32_t kDenseSymbolLimit = 1u << 16;
 
   /// Build from (symbol, count) pairs; counts must be > 0 and symbols
-  /// distinct. At most 65536 distinct symbols (the 16-bit length limit is
-  /// infeasible beyond that). Encodes and decodes.
+  /// distinct, spanning fewer than kDenseSymbolLimit values (so at most
+  /// 65536 distinct symbols, which the 16-bit length limit needs anyway).
+  /// Encodes and decodes.
   static HuffmanCodebook from_frequencies(
       const std::vector<std::pair<std::uint32_t, std::uint64_t>>& freqs);
 
@@ -108,12 +112,9 @@ class HuffmanCodebook {
   std::uint32_t walk(std::uint64_t window, unsigned avail, unsigned& len,
                      unsigned known = 0, std::uint32_t prefix = 0) const;
 
-  // Encoder side: packed entries, dense by symbol - enc_base_ when the
-  // symbols span a small enough range, otherwise sorted (symbol, packed)
-  // pairs searched by binary search.
+  // Encoder side: packed entries, dense by symbol - enc_base_.
   std::vector<std::uint32_t> enc_dense_;
   std::uint32_t enc_base_ = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> enc_sparse_;
   // Decoder side: canonical layout.
   std::vector<std::uint32_t> symbols_;  // sorted by (length, symbol)
   std::array<std::uint32_t, kMaxCodeLength + 1> count_{};       // per length
@@ -161,8 +162,6 @@ struct HuffmanWorkspace {
   std::vector<std::size_t> order;                   // length-limit repair
   std::vector<std::pair<std::uint32_t, unsigned>> symbol_lengths;
   HuffmanCodebook book;
-
-  std::size_t capacity_bytes() const;
 };
 
 /// Arena variants: append the identical encoding to `out` using `bits` as
@@ -184,7 +183,8 @@ void huffman_decode(ByteSpan data, std::vector<std::uint32_t>& out);
 /// any bits (the zstd-like backend keeps a raw frame when coding would not
 /// shrink it):
 ///  - huffman_count fills ws.freqs with the (symbol, count) pairs of
-///    `symbols` in ascending symbol order;
+///    `symbols` in ascending symbol order (InvalidArgument when they span
+///    kDenseSymbolLimit values or more);
 ///  - huffman_plan builds ws.book from ws.freqs and returns the exact byte
 ///    count huffman_encode would append for that stream;
 ///  - huffman_write appends those bytes, reusing the book built by the plan.

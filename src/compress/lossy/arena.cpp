@@ -7,12 +7,4 @@ EncodeArena& EncodeArena::local() {
   return arena;
 }
 
-std::size_t EncodeArena::capacity_bytes() const {
-  return codes.capacity() * sizeof(std::uint32_t) +
-         verbatim.capacity() * sizeof(float) +
-         recon.capacity() * sizeof(float) + tags.capacity() +
-         coeffs.capacity() * sizeof(float) + body.capacity() +
-         entropy.capacity() + bits.capacity() + huff.capacity_bytes();
-}
-
 }  // namespace fedsz::lossy

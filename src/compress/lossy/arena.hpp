@@ -33,10 +33,6 @@ struct EncodeArena {
   /// pool worker owns one for the lifetime of the thread, so concurrent
   /// chunk tasks never contend and capacity persists across rounds.
   static EncodeArena& local();
-
-  /// Total heap capacity currently held — perf-trajectory telemetry for
-  /// the benches' allocations-per-encode accounting.
-  std::size_t capacity_bytes() const;
 };
 
 }  // namespace fedsz::lossy

@@ -106,4 +106,16 @@ bool is_lossy_id(std::uint8_t raw);
 /// Shared input validation: throws InvalidArgument on non-finite values.
 void require_finite(FloatSpan data, const std::string& codec_name);
 
+/// Decompression-bomb floor: a payload of P bytes may declare at most
+/// P * kMaxElementsPerPayloadByte elements, checked before a decoder
+/// allocates. The FedSZ container's chunk tables and sparse entries, the
+/// sparse codec and the TopK baseline all check it, for two reasons:
+///  - the most compressible lossy input, a constant tensor under SZ2,
+///    measures ~618 elements per byte at every size, so 2^13 leaves ~13x
+///    headroom while capping a malicious header at 32 KiB of allocation
+///    per stream byte;
+///  - the sparse encoder keeps every payload above the floor by falling
+///    back to its bitmap mask, whose size is proportional to numel.
+constexpr std::uint64_t kMaxElementsPerPayloadByte = std::uint64_t{1} << 13;
+
 }  // namespace fedsz::lossy

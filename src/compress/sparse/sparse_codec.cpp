@@ -171,7 +171,7 @@ SparseEncodeInfo SparseQuantCodec::compress_into(
       s.compressed.size();
   const bool use_indices =
       kept > 0 && index_bytes < bitmap_bytes &&
-      n / kMaxElementsPerPayloadByte <= fixed_bytes + index_bytes;
+      n / lossy::kMaxElementsPerPayloadByte <= fixed_bytes + index_bytes;
 
   ByteWriter& w = s.frame;
   w.reset();
@@ -207,15 +207,6 @@ SparseEncodeInfo SparseQuantCodec::compress_into(
   return SparseEncodeInfo{kept};
 }
 
-Bytes SparseQuantCodec::compress(FloatSpan data, double eps,
-                                 const SparseParams& params,
-                                 const lossless::LosslessCodec& survivors)
-    const {
-  Bytes out;
-  compress_into(data, eps, params, survivors, out);
-  return out;
-}
-
 std::vector<float> SparseQuantCodec::decompress(ByteSpan payload) const {
   ByteReader r(payload);
   const std::uint64_t numel = r.get_varint();
@@ -225,7 +216,7 @@ std::vector<float> SparseQuantCodec::decompress(ByteSpan payload) const {
   const std::uint64_t kept = r.get_varint();
   if (kept > numel)
     throw CorruptStream("sparse: survivor count exceeds element count");
-  if (numel / kMaxElementsPerPayloadByte > payload.size())
+  if (numel / lossy::kMaxElementsPerPayloadByte > payload.size())
     throw CorruptStream("sparse: implausible element count for payload size");
   const std::uint8_t mask_tag = r.get_u8();
   if (mask_tag > 1) throw CorruptStream("sparse: unknown mask encoding");

@@ -21,7 +21,8 @@
 //      existing lossless backends (id embedded in the payload); the mask
 //      is stored as either an LSB-first bitmap or delta varint indices,
 //      whichever is smaller — subject to the decompression-bomb floor
-//      below so a tiny index mask can never under-declare a huge tensor.
+//      (lossy::kMaxElementsPerPayloadByte) so a tiny index mask can never
+//      under-declare a huge tensor.
 //
 // Payloads are self-contained (element count, eps, mask encoding, bit
 // width, lossless id are all embedded) and fully validated on decode:
@@ -37,13 +38,6 @@
 #include "util/common.hpp"
 
 namespace fedsz::sparse {
-
-/// Decompression-bomb floor shared with the container: a payload of P
-/// bytes may declare at most P * kMaxElementsPerPayloadByte elements.
-/// The encoder keeps every emitted payload above this floor (falling back
-/// to the bitmap mask, whose size is proportional to numel); the decoder
-/// and the v3 container reject anything below it before allocating.
-constexpr std::uint64_t kMaxElementsPerPayloadByte = std::uint64_t{1} << 13;
 
 /// Per-tensor knobs carried by a TensorPlan (and the codec_spec keys
 /// sparsity= / bits=).
@@ -78,10 +72,6 @@ class SparseQuantCodec {
                                  const SparseParams& params,
                                  const lossless::LosslessCodec& survivors,
                                  Bytes& out) const;
-
-  /// Convenience allocating wrapper around compress_into.
-  Bytes compress(FloatSpan data, double eps, const SparseParams& params,
-                 const lossless::LosslessCodec& survivors) const;
 
   /// Decode a self-contained payload. Throws CorruptStream on any
   /// malformed field; never allocates more than the payload plausibly

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "compress/sparse/sparse_codec.hpp"
 #include "core/fedsz.hpp"
 #include "util/bitstream.hpp"
 #include "util/bytebuffer.hpp"
@@ -102,7 +101,7 @@ StateDict TopKCodec::decode(ByteSpan payload, CompressionStats* stats) const {
     // The dense tensor stays within the container's decompression-bomb
     // floor, and each survivor takes at least a one-byte index delta and a
     // four-byte value.
-    if (numel / sparse::kMaxElementsPerPayloadByte > payload.size())
+    if (numel / lossy::kMaxElementsPerPayloadByte > payload.size())
       throw CorruptStream("topk: implausible element count for " + name);
     const std::uint64_t keep = r.get_varint();
     if (keep > numel || keep > r.remaining() / 5)

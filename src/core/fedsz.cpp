@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <new>
 #include <stdexcept>
 
@@ -15,7 +14,8 @@ namespace fedsz::core {
 
 namespace {
 constexpr char kMagic[4] = {'F', 'S', 'Z', '1'};
-/// v1: one opaque blob per lossy tensor, serial-only layout.
+/// v1: one opaque blob per lossy tensor and no chunk size, decoded as a
+/// chunk table of one.
 constexpr std::uint16_t kVersionLegacy = 1;
 /// v2: chunked container — ONE codec/bound for the whole stream in the
 /// header, per-tensor resolved bound, chunk count and per-chunk size table,
@@ -31,13 +31,6 @@ constexpr std::uint16_t kVersionPlanned = 3;
 /// tiny positive tolerance so the per-chunk absolute bound stays valid (any
 /// exact reconstruction satisfies it either way).
 constexpr double kMinEpsilon = 1e-300;
-/// Decompression-bomb guard: elements a declared tensor may claim per byte
-/// of its declared chunk payloads. The most compressible legitimate input
-/// (a constant tensor under SZ2, the best of the four codecs) measures
-/// ~618 elements/byte at every size, so 2^13 gives ~13x headroom while
-/// capping what a malicious header can make the decoder allocate at 32 KiB
-/// per stream byte.
-constexpr std::uint64_t kMaxElementsPerPayloadByte = 1u << 13;
 }  // namespace
 
 bool is_lossy_entry(const std::string& name, std::size_t numel,
@@ -59,13 +52,16 @@ Partition partition_state_dict(const StateDict& dict, std::size_t threshold) {
   return partition;
 }
 
-/// Everything one compress() call needs beyond the output buffer. Leased
-/// from the FedSz instance and returned afterwards, so in steady state every
+namespace {
+/// Everything one compress() call needs beyond the output buffer. Each
+/// thread keeps one, like the codecs' arenas, so in steady state every
 /// round reuses the same heap blocks: payload slots keep their capacity and
 /// are refilled through compress_into, the task list is a flat struct array
 /// (no per-chunk std::function), and the metadata partition serializes into
-/// a reusable writer instead of a deep-copied StateDict.
-struct FedSz::EncodeWorkspace {
+/// a reusable writer instead of a deep-copied StateDict. One per thread is
+/// enough: pool workers run only codec jobs, and parallel_for's caller
+/// blocks, so no compress() runs inside another on one thread.
+struct EncodeWorkspace {
   struct ChunkJob {
     /// Lossy chunk when non-null; a whole-tensor sparse job when null
     /// (sparse masks/statistics are per-tensor, so the sparse path never
@@ -83,35 +79,13 @@ struct FedSz::EncodeWorkspace {
   ByteWriter metadata;  // serialized lossless partition
   ByteWriter frame;     // assembled container
   Bytes lossless_payload;
+
+  static EncodeWorkspace& local() {
+    static thread_local EncodeWorkspace workspace;
+    return workspace;
+  }
 };
-
-void FedSz::WorkspaceReturner::operator()(
-    EncodeWorkspace* workspace) const noexcept {
-  owner->return_workspace(workspace);
-}
-
-FedSz::WorkspaceLease FedSz::lease_workspace() const {
-  {
-    std::lock_guard lock(workspace_mutex_);
-    if (!workspaces_.empty()) {
-      EncodeWorkspace* workspace = workspaces_.back().release();
-      workspaces_.pop_back();
-      return WorkspaceLease(workspace, WorkspaceReturner{this});
-    }
-  }
-  return WorkspaceLease(new EncodeWorkspace, WorkspaceReturner{this});
-}
-
-void FedSz::return_workspace(EncodeWorkspace* workspace) const noexcept {
-  try {
-    std::lock_guard lock(workspace_mutex_);
-    workspaces_.emplace_back(workspace);
-  } catch (...) {
-    delete workspace;  // failed to pool it; drop rather than leak
-  }
-}
-
-FedSz::~FedSz() = default;
+}  // namespace
 
 FedSz::FedSz(FedSzConfig config) : config_(std::move(config)) {
   config_.bound.validate();
@@ -258,11 +232,11 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
   // same queue: metadata compression overlaps the lossy work instead of
   // trailing it. Chunks are compressed out of order but written in order, so
   // the bitstream is identical at every parallelism setting. Raw entries
-  // need no work. All working storage comes from a leased workspace, so in
-  // steady state the chunk loop performs no allocation: payload slots keep
-  // their capacity and codecs refill them through compress_into.
-  WorkspaceLease workspace = lease_workspace();
-  EncodeWorkspace& ws = *workspace;
+  // need no work. All working storage comes from the calling thread's
+  // workspace, so in steady state the chunk loop performs no allocation:
+  // payload slots keep their capacity and codecs refill them through
+  // compress_into.
+  EncodeWorkspace& ws = EncodeWorkspace::local();
   ws.chunk_payloads.resize(planned.size());
   ws.jobs.clear();
   for (std::size_t i = 0; i < planned.size(); ++i) {
@@ -408,44 +382,50 @@ struct DecodedEntry {
   Tensor tensor;
 };
 
-/// Reads one entry header (name + validated shape).
-std::string read_entry_header(ByteReader& r, Shape* shape,
-                              std::size_t* numel) {
-  std::string name = r.get_string();
-  *numel = read_stream_shape(r, shape, name);
-  return name;
-}
-
-/// A chunk decode task: payload span -> disjoint destination range.
-struct ChunkTask {
+/// One pass-2 decode: a lossy chunk into its slice of a tensor, or, when
+/// `codec` is null, a sparse payload into its whole tensor.
+struct DecodeTask {
   const lossy::LossyCodec* codec;
   ByteSpan payload;
   float* dest;
-  std::size_t expected;
+  std::size_t n;
 };
 
-/// A sparse decode task: one self-contained payload -> a whole tensor.
-struct SparseTask {
-  ByteSpan payload;
-  float* dest;
-  std::size_t expected;
-};
+/// Append a zero-filled tensor of the declared shape and return its data.
+/// Callers first check that the stream's bytes back the shape; the shape is
+/// still stream data, so a failed allocation is corruption, not a caller
+/// error.
+float* materialize(std::vector<DecodedEntry>* entries, std::string name,
+                   Shape shape) {
+  try {
+    entries->push_back({std::move(name), Tensor(std::move(shape))});
+  } catch (const std::bad_alloc&) {
+    throw CorruptStream("FedSz: declared tensor too large to materialize");
+  } catch (const std::length_error&) {
+    throw CorruptStream("FedSz: declared tensor too large to materialize");
+  }
+  return entries->back().tensor.data();
+}
 
 /// Walk one tensor's chunk table and payload region (validating sizes and
 /// the decompression-bomb bound BEFORE any allocation), materialize the
 /// output tensor, append its decode tasks, and account its bytes in
-/// `local`.
-void read_chunked_tensor(ByteReader& r, const std::string& name, Shape shape,
+/// `local`. A chunk size of 0 reads v1's layout: no chunk count, and one
+/// length-prefixed blob that holds the whole tensor.
+void read_chunked_tensor(ByteReader& r, std::string name, Shape shape,
                          std::size_t numel, std::uint64_t chunk_elements,
                          const lossy::LossyCodec& codec,
                          std::vector<DecodedEntry>* entries,
-                         std::vector<ChunkTask>* chunks,
+                         std::vector<DecodeTask>* tasks,
                          CompressionStats* local) {
-  const std::uint64_t n_chunks = r.get_varint();
-  const std::uint64_t expected_chunks =
-      ceil_div(numel, static_cast<std::size_t>(chunk_elements));
-  if (n_chunks != expected_chunks)
-    throw CorruptStream("FedSz: chunk count mismatch for " + name);
+  std::uint64_t n_chunks = 1;
+  std::size_t chunk = numel;
+  if (chunk_elements != 0) {
+    n_chunks = r.get_varint();
+    chunk = static_cast<std::size_t>(chunk_elements);
+    if (n_chunks != ceil_div(numel, chunk))
+      throw CorruptStream("FedSz: chunk count mismatch for " + name);
+  }
   // Walk the whole chunk table and payload region BEFORE allocating the
   // output tensor: every size varint is >= 1 byte and get_bytes() throws
   // on truncation, so a malformed header cannot trigger a large
@@ -465,7 +445,7 @@ void read_chunked_tensor(ByteReader& r, const std::string& name, Shape shape,
     // Even the most compressible legitimate tensor needs payload bytes in
     // proportion to its element count; a header claiming far more is a
     // decompression bomb, rejected before the output tensor is allocated.
-    if (numel / kMaxElementsPerPayloadByte >
+    if (numel / lossy::kMaxElementsPerPayloadByte >
         static_cast<std::size_t>(payload_bytes))
       throw CorruptStream("FedSz: implausible tensor size for " + name);
     for (std::uint64_t c = 0; c < n_chunks; ++c)
@@ -474,64 +454,12 @@ void read_chunked_tensor(ByteReader& r, const std::string& name, Shape shape,
         static_cast<std::size_t>(payload_bytes);
     local->lossy_original_bytes += numel * sizeof(float);
   }
-  // The payload bytes exist; materialize the output tensor. The declared
-  // shape is still attacker-controlled, so a failed allocation is stream
-  // corruption, not a caller error.
-  try {
-    entries->push_back({name, Tensor(std::move(shape))});
-  } catch (const std::bad_alloc&) {
-    throw CorruptStream("FedSz: declared tensor too large to materialize");
-  } catch (const std::length_error&) {
-    throw CorruptStream("FedSz: declared tensor too large to materialize");
-  }
-  float* dest = entries->back().tensor.data();
+  float* dest = materialize(entries, std::move(name), std::move(shape));
   for (std::uint64_t c = 0; c < n_chunks; ++c) {
-    const std::size_t begin = c * chunk_elements;
-    const std::size_t len =
-        std::min<std::size_t>(chunk_elements, numel - begin);
-    chunks->push_back({&codec, payloads[c], dest + begin, len});
+    const std::size_t begin = c * chunk;
+    const std::size_t len = std::min(chunk, numel - begin);
+    tasks->push_back({&codec, payloads[c], dest + begin, len});
   }
-}
-
-/// Legacy v1 container: one opaque blob per lossy tensor, decoded serially.
-/// Kept so bitstreams written before the chunked container still decode.
-StateDict decompress_v1(ByteReader& r, const lossy::LossyCodec& lossy_codec,
-                        const lossless::LosslessCodec& lossless_codec,
-                        CompressionStats* local) {
-  const std::uint32_t n_lossy = r.get_u32();
-  std::vector<DecodedEntry> lossy_entries;
-  lossy_entries.reserve(std::min<std::size_t>(n_lossy, r.remaining()));
-  for (std::uint32_t i = 0; i < n_lossy; ++i) {
-    Shape shape;
-    std::size_t numel = 0;
-    std::string name = read_entry_header(r, &shape, &numel);
-    const Bytes payload = r.get_blob();
-    local->lossy_compressed_bytes += payload.size();
-    local->lossy_original_bytes += numel * sizeof(float);
-    std::vector<float> values =
-        lossy_codec.decompress({payload.data(), payload.size()});
-    if (values.size() != numel)
-      throw CorruptStream("FedSz: decompressed size mismatch for " + name);
-    lossy_entries.push_back(
-        {std::move(name), Tensor::from_data(std::move(shape),
-                                            std::move(values))});
-  }
-  const Bytes lossless_payload = r.get_blob();
-  if (!r.done()) throw CorruptStream("FedSz: trailing bytes");
-  const Bytes serialized = lossless_codec.decompress(
-      {lossless_payload.data(), lossless_payload.size()});
-  const StateDict lossless_partition =
-      StateDict::deserialize({serialized.data(), serialized.size()});
-
-  local->lossy_tensors = lossy_entries.size();
-  local->lossless_tensors = lossless_partition.size();
-  local->lossless_compressed_bytes = lossless_payload.size();
-  local->lossless_original_bytes = lossless_partition.total_bytes();
-  StateDict out;
-  for (DecodedEntry& entry : lossy_entries)
-    out.set(entry.name, std::move(entry.tensor));
-  for (const auto& [name, tensor] : lossless_partition) out.set(name, tensor);
-  return out;
 }
 
 }  // namespace
@@ -574,35 +502,33 @@ StateDict FedSz::decompress(ByteSpan stream, CompressionStats* stats) const {
     (void)r.get_f64();  // bound value (informational)
   }
 
-  if (version == kVersionLegacy) {
-    StateDict out = decompress_v1(r, *uniform_lossy, *lossless_codec, &local);
-    local.original_bytes = out.total_bytes();
-    local.decompress_seconds = timer.seconds();
-    if (stats) *stats = local;
-    return out;
+  // v1 has no chunk size; 0 makes the chunk walk read its one blob per
+  // lossy tensor.
+  std::uint64_t chunk_elements = 0;
+  if (version != kVersionLegacy) {
+    chunk_elements = r.get_varint();
+    if (chunk_elements == 0 ||
+        chunk_elements > FedSzConfig::kMaxChunkElements)
+      throw CorruptStream("FedSz: chunk size out of range");
   }
 
-  const std::uint64_t chunk_elements = r.get_varint();
-  if (chunk_elements == 0 ||
-      chunk_elements > FedSzConfig::kMaxChunkElements)
-    throw CorruptStream("FedSz: chunk size out of range");
-
   // Pass 1 (serial): walk the container, validate the chunk tables, and
-  // pre-allocate every output tensor. Each chunk task then gets a disjoint
-  // destination range, so pass 2 can decode all chunks concurrently.
+  // pre-allocate every output tensor. Each decode task then gets a disjoint
+  // destination range, so pass 2 can decode them all concurrently.
   const std::uint32_t n_planned = r.get_u32();
   std::vector<DecodedEntry> planned_entries;
   planned_entries.reserve(std::min<std::size_t>(n_planned, r.remaining()));
-  std::vector<ChunkTask> chunks;
-  std::vector<SparseTask> sparse_tasks;
+  std::vector<DecodeTask> tasks;
   for (std::uint32_t i = 0; i < n_planned; ++i) {
+    std::string name = r.get_string();
     Shape shape;
-    std::size_t numel = 0;
-    std::string name = read_entry_header(r, &shape, &numel);
-    if (version == kVersionUniform) {
-      (void)r.get_f64();  // resolved absolute epsilon (informational)
-      read_chunked_tensor(r, name, std::move(shape), numel, chunk_elements,
-                          *uniform_lossy, &planned_entries, &chunks, &local);
+    const std::size_t numel = read_stream_shape(r, &shape, name);
+    if (version != kVersionPlanned) {
+      if (version == kVersionUniform)
+        (void)r.get_f64();  // resolved absolute epsilon (informational)
+      read_chunked_tensor(r, std::move(name), std::move(shape), numel,
+                          chunk_elements, *uniform_lossy, &planned_entries,
+                          &tasks, &local);
       ++local.lossy_tensors;
       continue;
     }
@@ -615,13 +541,11 @@ StateDict FedSz::decompress(ByteSpan stream, CompressionStats* stats) const {
         throw CorruptStream("FedSz: raw tensor larger than stream for " +
                             name);
       const ByteSpan raw = r.get_bytes(numel * sizeof(float));
-      std::vector<float> values(numel);
-      std::memcpy(values.data(), raw.data(), raw.size());
-      planned_entries.push_back(
-          {std::move(name),
-           Tensor::from_data(std::move(shape), std::move(values))});
+      float* dest =
+          materialize(&planned_entries, std::move(name), std::move(shape));
+      std::memcpy(dest, raw.data(), raw.size());
       ++local.raw_tensors;
-      local.raw_original_bytes += numel * sizeof(float);
+      local.raw_original_bytes += raw.size();
       continue;
     }
     if (path == static_cast<std::uint8_t>(TensorPath::kSparse)) {
@@ -634,7 +558,7 @@ StateDict FedSz::decompress(ByteSpan stream, CompressionStats* stats) const {
                             name);
       // Same decompression-bomb rule as the chunked path: the sparse
       // encoder keeps every payload above this floor (bitmap fallback).
-      if (numel / sparse::kMaxElementsPerPayloadByte >
+      if (numel / lossy::kMaxElementsPerPayloadByte >
           static_cast<std::size_t>(payload_size))
         throw CorruptStream("FedSz: implausible tensor size for " + name);
       const ByteSpan payload = r.get_bytes(payload_size);
@@ -649,15 +573,9 @@ StateDict FedSz::decompress(ByteSpan stream, CompressionStats* stats) const {
         local.sparse_kept_elements +=
             static_cast<std::size_t>(peek.get_varint());
       }
-      try {
-        planned_entries.push_back({std::move(name), Tensor(std::move(shape))});
-      } catch (const std::bad_alloc&) {
-        throw CorruptStream("FedSz: declared tensor too large to materialize");
-      } catch (const std::length_error&) {
-        throw CorruptStream("FedSz: declared tensor too large to materialize");
-      }
-      sparse_tasks.push_back(
-          {payload, planned_entries.back().tensor.data(), numel});
+      float* dest =
+          materialize(&planned_entries, std::move(name), std::move(shape));
+      tasks.push_back({nullptr, payload, dest, numel});
       ++local.sparse_tensors;
       local.sparse_compressed_bytes += payload_size;
       local.sparse_original_bytes += numel * sizeof(float);
@@ -672,47 +590,42 @@ StateDict FedSz::decompress(ByteSpan stream, CompressionStats* stats) const {
     (void)r.get_u8();   // policy bound mode (informational)
     (void)r.get_f64();  // policy bound value (informational)
     (void)r.get_f64();  // resolved absolute epsilon (informational)
-    read_chunked_tensor(r, name, std::move(shape), numel, chunk_elements,
-                        lossy::lossy_codec(
-                            static_cast<lossy::LossyId>(raw_lossy_id)),
-                        &planned_entries, &chunks, &local);
+    const lossy::LossyCodec& codec =
+        lossy::lossy_codec(static_cast<lossy::LossyId>(raw_lossy_id));
+    read_chunked_tensor(r, std::move(name), std::move(shape), numel,
+                        chunk_elements, codec, &planned_entries, &tasks,
+                        &local);
     ++local.lossy_tensors;
   }
-  const ByteSpan lossless_payload_span = [&r] {
-    const std::uint64_t size = r.get_varint();
-    return r.get_bytes(size);
-  }();
+  const ByteSpan lossless_payload = r.get_blob_view();
   if (!r.done()) throw CorruptStream("FedSz: trailing bytes");
 
-  // Pass 2: decode chunks and the lossless partition concurrently. The task
-  // list is the flat ChunkTask array — no per-chunk closure allocation.
+  // Pass 2: decode every task and the lossless partition concurrently. The
+  // task list is one flat array — no per-chunk closure allocation.
   StateDict lossless_partition;
-  run_indexed(chunks.size() + sparse_tasks.size() + 1,
-              [lossless_codec, lossless_payload_span, &lossless_partition,
-               &chunks, &sparse_tasks](std::size_t t) {
+  run_indexed(tasks.size() + 1, [lossless_codec, lossless_payload,
+                                 &lossless_partition, &tasks](std::size_t t) {
     if (t == 0) {
-      const Bytes serialized =
-          lossless_codec->decompress(lossless_payload_span);
+      const Bytes serialized = lossless_codec->decompress(lossless_payload);
       lossless_partition =
           StateDict::deserialize({serialized.data(), serialized.size()});
       return;
     }
-    if (t > chunks.size()) {
-      const SparseTask& task = sparse_tasks[t - 1 - chunks.size()];
+    const DecodeTask& task = tasks[t - 1];
+    if (task.codec == nullptr) {
       const std::vector<float> values =
           sparse::sparse_codec().decompress(task.payload);
-      if (values.size() != task.expected)
+      if (values.size() != task.n)
         throw CorruptStream("FedSz: decompressed sparse size mismatch");
       std::memcpy(task.dest, values.data(), values.size() * sizeof(float));
       return;
     }
-    // Straight into the chunk's slice of the tensor: a payload of another
+    // Straight into the task's slice of the tensor: a payload of another
     // element count throws before anything lands outside the slice.
-    const ChunkTask& chunk = chunks[t - 1];
-    chunk.codec->decompress_into(chunk.payload, {chunk.dest, chunk.expected});
+    task.codec->decompress_into(task.payload, {task.dest, task.n});
   });
   local.lossless_tensors = lossless_partition.size();
-  local.lossless_compressed_bytes = lossless_payload_span.size();
+  local.lossless_compressed_bytes = lossless_payload.size();
   local.lossless_original_bytes = lossless_partition.total_bytes();
 
   // Reassemble. Entry order is planned entries first, then lossless; FedAvg

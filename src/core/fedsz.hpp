@@ -143,10 +143,11 @@ struct CompressionStats {
 class FedSz {
  public:
   explicit FedSz(FedSzConfig config);
-  ~FedSz();
 
   /// Compress a state dict to the FedSZ bitstream. `ctx` reaches the policy
-  /// so per-round/per-client plans resolve; optional stats out-param.
+  /// so per-round/per-client plans resolve; optional stats out-param. Safe
+  /// to call from several threads at once: each thread encodes through its
+  /// own workspace.
   Bytes compress(const StateDict& dict, CompressionStats* stats = nullptr,
                  const EncodeContext& ctx = {}) const;
 
@@ -168,20 +169,6 @@ class FedSz {
   }
 
  private:
-  /// Per-compress working set (chunk payload slots, task list, metadata
-  /// scratch), leased from a pool so steady-state rounds reuse the same
-  /// heap blocks. Defined in fedsz.cpp.
-  struct EncodeWorkspace;
-  struct WorkspaceReturner {
-    const FedSz* owner;
-    void operator()(EncodeWorkspace* workspace) const noexcept;
-  };
-  using WorkspaceLease = std::unique_ptr<EncodeWorkspace, WorkspaceReturner>;
-  /// Borrow a workspace (fresh one on first use / under concurrency); the
-  /// lease returns it to the pool when it goes out of scope.
-  WorkspaceLease lease_workspace() const;
-  void return_workspace(EncodeWorkspace* workspace) const noexcept;
-
   /// Run fn(0..count) inline when `parallelism` is 1 (or there is nothing
   /// to overlap), otherwise on the lazily-created pool.
   void run_indexed(std::size_t count,
@@ -196,8 +183,6 @@ class FedSz {
   // decompress() calls (ThreadPool::submit is thread-safe).
   mutable std::mutex pool_mutex_;
   mutable std::unique_ptr<ThreadPool> pool_;
-  mutable std::mutex workspace_mutex_;
-  mutable std::vector<std::unique_ptr<EncodeWorkspace>> workspaces_;
 };
 
 }  // namespace fedsz::core

@@ -1,10 +1,13 @@
 // Tests for the chunked FedSZ container (bitstream v2): chunk-count
 // accounting, chunk boundaries landing exactly on tensor edges, byte-for-byte
-// determinism across parallelism settings, parallel decode, legacy-v1
-// backward decoding, and container-specific corruption handling.
+// determinism across parallelism settings and concurrent callers, parallel
+// decode, legacy-v1 backward decoding, and container-specific corruption
+// handling.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <thread>
 
 #include "core/fedsz.hpp"
 #include "util/bytebuffer.hpp"
@@ -153,6 +156,43 @@ TEST(ChunkContainer, ParallelismOneEqualsParallelOutputByteForByte) {
   }
 }
 
+TEST(ChunkContainer, ConcurrentCompressOnOneCodecMatchesSerialEncodes) {
+  // Each thread encodes through its own workspace, so threads sharing one
+  // FedSz must each get their own dict's serial bytes on every call. The
+  // dicts differ in tensor count and size, so a shared workspace would mix
+  // their chunk tables.
+  constexpr std::size_t kThreads = 4;
+  constexpr int kCalls = 25;
+  std::vector<StateDict> dicts;
+  std::vector<Bytes> serial;
+  FedSzConfig config;
+  config.chunk_elements = 1000;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    Rng rng(40 + t);
+    StateDict dict = mixed_dict(2000 + 1700 * t, rng);
+    for (std::size_t k = 0; k < t; ++k)
+      dict.set("layer" + std::to_string(k) + ".weight",
+               random_tensor({static_cast<std::int64_t>(1500 * (k + 1))}, rng));
+    serial.push_back(FedSz{config}.compress(dict));
+    dicts.push_back(std::move(dict));
+  }
+  for (const std::size_t parallelism : {std::size_t{1}, std::size_t{2}}) {
+    config.parallelism = parallelism;
+    const FedSz fedsz{config};
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (int call = 0; call < kCalls; ++call)
+          mismatches[t] += fedsz.compress(dicts[t]) != serial[t];
+      });
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+      EXPECT_EQ(mismatches[t], 0)
+          << "thread " << t << " parallelism=" << parallelism;
+  }
+}
+
 TEST(ChunkContainer, ParallelDecompressEqualsSerialDecompress) {
   Rng rng(6);
   const StateDict dict = mixed_dict(10000, rng);
@@ -214,18 +254,37 @@ Bytes make_v1_stream(const StateDict& dict, const FedSzConfig& config) {
 }
 
 TEST(ChunkContainer, LegacyV1StreamStillDecodes) {
+  // v1 decodes on the pool, one task per tensor: a blob of more elements
+  // than a default chunk must give the same floats at any parallelism.
   Rng rng(7);
-  const StateDict dict = mixed_dict(5000, rng);
+  StateDict dict = mixed_dict(70000, rng);
+  dict.set("classifier.weight", random_tensor({3000}, rng, 0.1f));
   FedSzConfig config;
   config.bound = lossy::ErrorBound::relative(1e-3);
   const Bytes v1 = make_v1_stream(dict, config);
-  const FedSz fedsz{config};
-  const StateDict back = fedsz.decompress({v1.data(), v1.size()});
-  ASSERT_EQ(back.size(), dict.size());
-  EXPECT_TRUE(back.get("features.0.bias").equals(dict.get("features.0.bias")));
-  const double eps =
-      config.bound.absolute_for(dict.get("features.0.weight").span());
-  EXPECT_LE(max_error_vs(dict, back, "features.0.weight"), eps * (1 + 1e-5));
+  StateDict serial;
+  for (const std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
+    config.parallelism = parallelism;
+    const StateDict back = FedSz{config}.decompress({v1.data(), v1.size()});
+    ASSERT_EQ(back.size(), dict.size());
+    EXPECT_TRUE(
+        back.get("features.0.bias").equals(dict.get("features.0.bias")));
+    for (const char* name : {"features.0.weight", "classifier.weight"}) {
+      const double eps = config.bound.absolute_for(dict.get(name).span());
+      EXPECT_LE(max_error_vs(dict, back, name), eps * (1 + 1e-5)) << name;
+    }
+    if (parallelism == 1) {
+      serial = back;
+      continue;
+    }
+    for (const char* name : {"features.0.weight", "classifier.weight"}) {
+      const FloatSpan a = back.get(name).span();
+      const FloatSpan b = serial.get(name).span();
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+          << name;
+    }
+  }
 }
 
 // ---- container corruption ----
@@ -305,28 +364,38 @@ TEST(ChunkContainer, HugeChunkElementsConfigRoundTrips) {
 TEST(ChunkContainer, HugeDeclaredShapeThrowsInsteadOfAllocating) {
   // A tiny stream declaring a ~2^56-element tensor must die with
   // CorruptStream while parsing the chunk table, not attempt a multi-GB
-  // allocation for the size table or the output tensor.
+  // allocation for the size table or the output tensor (under ASan such an
+  // allocation aborts the test).
   FedSzConfig config;
-  ByteWriter w;
-  const char magic[4] = {'F', 'S', 'Z', '1'};
-  w.put_bytes({reinterpret_cast<const std::uint8_t*>(magic), 4});
-  w.put_u16(2);
-  w.put_u8(static_cast<std::uint8_t>(config.lossy_id));
-  w.put_u8(static_cast<std::uint8_t>(config.lossless_id));
-  w.put_u8(static_cast<std::uint8_t>(config.bound.mode));
-  w.put_f64(config.bound.value);
-  w.put_varint(1);  // chunk_elements = 1 -> one chunk per element
-  w.put_u32(1);
-  w.put_string("t.weight");
-  w.put_u8(3);
-  w.put_varint(1u << 20);
-  w.put_varint(1u << 20);
-  w.put_varint(1u << 16);  // numel = 2^56
-  w.put_f64(1e-3);
-  w.put_varint(std::uint64_t{1} << 56);  // chunk count matches numel
-  const Bytes blob = w.finish();
   const FedSz fedsz{config};
-  EXPECT_THROW(fedsz.decompress({blob.data(), blob.size()}), CorruptStream);
+  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+    ByteWriter w;
+    const char magic[4] = {'F', 'S', 'Z', '1'};
+    w.put_bytes({reinterpret_cast<const std::uint8_t*>(magic), 4});
+    w.put_u16(version);
+    w.put_u8(static_cast<std::uint8_t>(config.lossy_id));
+    w.put_u8(static_cast<std::uint8_t>(config.lossless_id));
+    w.put_u8(static_cast<std::uint8_t>(config.bound.mode));
+    w.put_f64(config.bound.value);
+    if (version == 2) w.put_varint(1);  // one chunk per element
+    w.put_u32(1);
+    w.put_string("t.weight");
+    w.put_u8(3);
+    w.put_varint(1u << 20);
+    w.put_varint(1u << 20);
+    w.put_varint(1u << 16);  // numel = 2^56
+    if (version == 2) {
+      w.put_f64(1e-3);
+      w.put_varint(std::uint64_t{1} << 56);  // chunk count matches numel
+    } else {
+      w.put_varint(1);  // v1: the whole tensor in a one-byte blob
+      w.put_u8(0);
+      w.put_varint(0);  // empty lossless blob
+    }
+    const Bytes blob = w.finish();
+    EXPECT_THROW(fedsz.decompress({blob.data(), blob.size()}), CorruptStream)
+        << "v" << version;
+  }
 }
 
 TEST(ChunkContainer, OversizedChunkElementsInStreamThrows) {

@@ -145,6 +145,19 @@ TEST(Huffman, TooManyDistinctSymbolsThrows) {
   EXPECT_THROW(HuffmanCodebook::from_frequencies(freqs), InvalidArgument);
 }
 
+TEST(Huffman, SymbolSpanOfTwoToTheSixteenThrows) {
+  // Encoder tables are dense over [min, max] symbol, so max - min must stay
+  // below 2^16.
+  const std::vector<std::uint32_t> too_wide{7, 7 + 65536, 7};
+  HuffmanWorkspace ws;
+  EXPECT_THROW(huffman_count(too_wide, ws), InvalidArgument);
+  EXPECT_THROW(huffman_encode(too_wide), InvalidArgument);
+  EXPECT_THROW(HuffmanCodebook::from_frequencies({{7, 2}, {7 + 65536, 1}}),
+               InvalidArgument);
+  const std::vector<std::uint32_t> widest{7, 7 + 65535, 7};
+  EXPECT_EQ(roundtrip(widest), widest);
+}
+
 TEST(Huffman, DeterministicEncoding) {
   Rng rng(13);
   std::vector<std::uint32_t> symbols(3000);
@@ -298,7 +311,8 @@ TEST(Huffman, PlannedSizeMatchesEncodedSize) {
   BitWriter bits;
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{300}, std::size_t{65536}}) {
-    for (const std::uint32_t spread : {1u, 7u, 200u, 70000u}) {
+    // 65536 is the widest span an encoder accepts.
+    for (const std::uint32_t spread : {1u, 7u, 200u, 65536u}) {
       std::vector<std::uint32_t> symbols(n);
       for (auto& s : symbols)
         s = 32768 + static_cast<std::uint32_t>(rng.uniform_index(spread));

@@ -408,7 +408,8 @@ TEST(RoundTripProperty, DirtyArenaReuseIsByteIdenticalAcrossSizes) {
 
 TEST(RoundTripProperty, ReusedWorkspaceEmitsIdenticalBytesAcrossThreadCounts) {
   // The FedSz encode workspace (chunk payload slots, metadata/frame
-  // writers) is leased and re-used across compress() calls. Dirty it with
+  // writers) belongs to the calling thread and is re-used by the
+  // compress() calls of every FedSz on it. Dirty it with
   // differently-shaped dicts between encodes and demand the same bytes as a
   // fresh instance, at every parallelism setting.
   Rng rng(0xF1EE7);
@@ -429,7 +430,7 @@ TEST(RoundTripProperty, ReusedWorkspaceEmitsIdenticalBytesAcrossThreadCounts) {
       config.parallelism = threads;
       const FedSz fedsz{config};
       EXPECT_EQ(fedsz.compress(dict), reference) << threads;
-      (void)fedsz.compress(other);  // dirty the leased workspace
+      (void)fedsz.compress(other);  // dirty this thread's workspace
       EXPECT_EQ(fedsz.compress(dict), reference) << threads;
     }
   }
