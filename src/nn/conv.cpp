@@ -1,6 +1,7 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <vector>
@@ -15,8 +16,10 @@ namespace {
 // independent sums in a fixed-size array that only fixed-length loops
 // touch, so the compiler holds it in vector registers; the channels-last
 // scratch rows they read and write are padded to a multiple of kLanes.
-// These kernels stay out of line ([[gnu::noinline]]): inlined into
-// Conv2d::backward, GCC 12 no longer vectorizes their lane loops.
+// The kernels stay out of line ([[gnu::noinline]]): inlined into
+// Conv2d::backward, GCC 12 no longer vectorizes some of their loops.
+// tools/check_conv_kernels.sh, run in CI, fails when one is inlined or
+// holds no packed multiplies.
 constexpr std::int64_t kLanes = 8;
 
 std::int64_t round_up(std::int64_t n) {
@@ -143,47 +146,159 @@ void forward_pointwise(const Geometry& g, const float* x, const float* w,
   }
 }
 
-/// part[o] += x[o * stride + offset] * wk for o in cols: one tap over one
-/// output row.
-void add_tap(Range cols, std::int64_t stride, std::int64_t offset,
-             const float* __restrict x, float wk, float* __restrict part) {
-  if (stride == 1) {
-    for (std::int64_t o = cols.lo; o < cols.hi; ++o)
-      part[o] += x[o + offset] * wk;
-  } else {
-    for (std::int64_t o = cols.lo; o < cols.hi; ++o)
-      part[o] += x[o * stride + offset] * wk;
-  }
+// The windowed forward's register block: kBlockOut consecutive output
+// channels times kBlockCols columns of one output row, two Vecs per
+// channel. GCC and Clang lower these vector types to SSE on the baseline
+// x86-64 ISA.
+typedef float Vec __attribute__((vector_size(16)));
+typedef std::int32_t Mask __attribute__((vector_size(16)));
+constexpr std::int64_t kVec = 4;
+constexpr std::int64_t kBlockOut = 4;
+constexpr std::int64_t kBlockCols = 2 * kVec;
+
+Vec load(const float* p) {
+  Vec v{};
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
-/// Any geometry: the lanes are output columns. Each (output, input
-/// channel) pair's partial sums fill one plane tap by tap, over the rows
-/// and columns where that tap is valid, before joining the output.
-void forward_rows(const Geometry& g, const float* x, const float* w,
-                  const float* bias, float* y) {
-  const std::int64_t cin = g.cin(), cout = g.cout(), K = g.k;
-  const std::int64_t plane = g.ho * g.wo;
-  const std::vector<Range> rows = tap_ranges(g, g.ho, g.h);
-  const std::vector<Range> cols = tap_ranges(g, g.wo, g.w);
-  std::vector<float> part(static_cast<std::size_t>(plane));
+Mask load_mask(const std::int32_t* p) {
+  Mask m{};
+  std::memcpy(&m, p, sizeof(m));
+  return m;
+}
+
+/// Any non-pointwise geometry. A block of kBlockOut output channels times
+/// kBlockCols columns of one output row keeps one input channel's partial
+/// sums in registers across every (kh, kw) tap, then adds them to the
+/// block's outputs, in channel order. Each channel of a block reads its
+/// own group's inputs, so depthwise layers block across groups.
+///
+/// A tap whose column falls in the padding reads a zero. With finite
+/// weights its product is +-0, and adding +-0 leaves a partial sum bit for
+/// bit: a partial starts at +0.0, so it is never -0.0. A non-finite weight
+/// times that zero is NaN, so with kMasked a bitwise mask selects +0.0 in
+/// place of each such product.
+template <bool kMasked>
+[[gnu::noinline]] void forward_blocked(const Geometry& g, const float* x,
+                                       const float* w, const float* bias,
+                                       float* y) {
+  const std::int64_t cin = g.cin(), cout = g.cout(), K = g.k, KK = g.taps();
+  const std::int64_t s = g.stride, out_plane = g.ho * g.wo;
+  const std::int64_t chunks = (g.wo + kBlockCols - 1) / kBlockCols;
+  const std::int64_t blocks = (g.out_c + kBlockOut - 1) / kBlockOut;
+  // Each input row is copied zero-padded and split into s phase rows of
+  // `len` values: phase p holds padded columns p, p + s, p + 2s, ... Tap kw
+  // of output column o then reads phase kw % s at o + kw / s, contiguous
+  // across a block's columns, and every load stays in bounds. Input columns
+  // past the last phase row's end are read by no output.
+  const std::int64_t len = chunks * kBlockCols + (K - 1) / s;
+  const std::int64_t row_len = s * len, plane = g.h * row_len;
+  const std::int64_t copy_end = std::min(g.pad + g.w, row_len);
+  // Phase p's copied values: j in phases[p], padded column j * s + p.
+  std::vector<Range> phases;
+  for (std::int64_t p = 0; p < s; ++p)
+    phases.push_back({std::max<std::int64_t>(0, (g.pad - p + s - 1) / s),
+                      (copy_end - p + s - 1) / s});
+  const auto split = [&](std::int64_t step, const float* src, float* dst) {
+    for (std::int64_t p = 0; p < step; ++p)
+      for (std::int64_t j = phases[p].lo; j < phases[p].hi; ++j)
+        dst[p * len + j] = src[j * step + p - g.pad];
+  };
+  std::vector<float> xp(static_cast<std::size_t>(g.in_c * plane), 0.0f);
+  std::vector<std::int64_t> tap_at(static_cast<std::size_t>(K));
+  for (std::int64_t kw = 0; kw < K; ++kw) tap_at[kw] = kw % s * len + kw / s;
+  // masks[(kw * chunks + c) * kBlockCols + i]: whether tap kw is valid for
+  // output column c * kBlockCols + i.
+  std::vector<std::int32_t> masks;
+  if constexpr (kMasked) {
+    const std::vector<Range> cols = tap_ranges(g, g.wo, g.w);
+    for (std::int64_t kw = 0; kw < K; ++kw)
+      for (std::int64_t o = 0; o < chunks * kBlockCols; ++o)
+        masks.push_back(o >= cols[kw].lo && o < cols[kw].hi ? -1 : 0);
+  }
+  // wb[b * block_len + (ic * KK + tap) * kBlockOut + j]: block b's
+  // weights, zero for the channels past out_c.
+  const std::int64_t block_len = cin * KK * kBlockOut;
+  std::vector<float> wb(static_cast<std::size_t>(blocks * block_len), 0.0f);
+  for (std::int64_t oc = 0; oc < g.out_c; ++oc)
+    for (std::int64_t i = 0; i < cin * KK; ++i)
+      wb[oc / kBlockOut * block_len + i * kBlockOut + oc % kBlockOut] =
+          w[oc * cin * KK + i];
+
   for (std::int64_t n = 0; n < g.batch; ++n) {
-    for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
-      float* yp = y + (n * g.out_c + oc) * plane;
-      std::fill(yp, yp + plane, bias ? bias[oc] : 0.0f);
-      const float* xg = x + (n * g.in_c + oc / cout * cin) * g.h * g.w;
-      for (std::int64_t ic = 0; ic < cin; ++ic) {
-        const float* xp = xg + ic * g.h * g.w;
-        const float* wp = w + (oc * cin + ic) * K * K;
-        std::fill(part.begin(), part.end(), 0.0f);
-        for (std::int64_t kh = 0; kh < K; ++kh) {
-          for (std::int64_t kw = 0; kw < K; ++kw) {
-            for (std::int64_t ho = rows[kh].lo; ho < rows[kh].hi; ++ho)
-              add_tap(cols[kw], g.stride, kw - g.pad,
-                      xp + (ho * g.stride + kh - g.pad) * g.w, wp[kh * K + kw],
-                      part.data() + ho * g.wo);
+    for (std::int64_t ch = 0; ch < g.in_c; ++ch) {
+      for (std::int64_t h = 0; h < g.h; ++h) {
+        const float* src = x + ((n * g.in_c + ch) * g.h + h) * g.w;
+        float* dst = xp.data() + ch * plane + h * row_len;
+        // A constant step lets the compiler vectorize stride 2's split.
+        if (s == 2)
+          split(2, src, dst);
+        else
+          split(s, src, dst);
+      }
+    }
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      const std::int64_t oc0 = b * kBlockOut;
+      const std::int64_t count = std::min(kBlockOut, g.out_c - oc0);
+      // Each block channel's first input plane; those past out_c reuse 0's.
+      const float* xl[kBlockOut];
+      for (std::int64_t j = 0; j < kBlockOut; ++j)
+        xl[j] = xp.data() + (j < count ? (oc0 + j) / cout * cin : 0) * plane;
+      float b0[kBlockOut] = {};
+      for (std::int64_t j = 0; j < count; ++j)
+        if (bias) b0[j] = bias[oc0 + j];
+      const float* wblock = wb.data() + b * block_len;
+      for (std::int64_t ho = 0; ho < g.ho; ++ho) {
+        const std::int64_t top = ho * s - g.pad;
+        const std::int64_t kh_lo = std::max<std::int64_t>(0, -top);
+        const std::int64_t kh_hi = std::min(K, g.h - top);
+        for (std::int64_t c = 0; c < chunks; ++c) {
+          Vec acc[kBlockOut][2] = {};
+          for (std::int64_t j = 0; j < kBlockOut; ++j)
+            acc[j][0] = acc[j][1] = Vec{b0[j], b0[j], b0[j], b0[j]};
+          for (std::int64_t ic = 0; ic < cin; ++ic) {
+            Vec part[kBlockOut][2] = {};
+            for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
+              const std::int64_t row = ic * plane + (top + kh) * row_len;
+              const float* wt = wblock + (ic * KK + kh * K) * kBlockOut;
+              for (std::int64_t kw = 0; kw < K; ++kw) {
+                const std::int64_t at = row + tap_at[kw] + c * kBlockCols;
+                for (std::int64_t j = 0; j < kBlockOut; ++j) {
+                  const float wk = wt[kw * kBlockOut + j];
+                  const Vec wv = {wk, wk, wk, wk};
+                  Vec p0 = load(xl[j] + at) * wv;
+                  Vec p1 = load(xl[j] + at + kVec) * wv;
+                  if constexpr (kMasked) {
+                    const std::int32_t* m =
+                        masks.data() + (kw * chunks + c) * kBlockCols;
+                    p0 = (Vec)((Mask)p0 & load_mask(m));
+                    p1 = (Vec)((Mask)p1 & load_mask(m + kVec));
+                  }
+                  part[j][0] += p0;
+                  part[j][1] += p1;
+                }
+              }
+            }
+            for (std::int64_t j = 0; j < kBlockOut; ++j) {
+              acc[j][0] += part[j][0];
+              acc[j][1] += part[j][1];
+            }
+          }
+          const std::int64_t o0 = c * kBlockCols;
+          const std::int64_t n_cols = std::min(kBlockCols, g.wo - o0);
+          for (std::int64_t j = 0; j < count; ++j) {
+            float out[kBlockCols] = {};
+            std::memcpy(out, &acc[j][0], sizeof(Vec));
+            std::memcpy(out + kVec, &acc[j][1], sizeof(Vec));
+            float* dst =
+                y + (n * g.out_c + oc0 + j) * out_plane + ho * g.wo + o0;
+            if (n_cols == kBlockCols)
+              std::memcpy(dst, out, sizeof(out));
+            else
+              std::copy(out, out + n_cols, dst);
           }
         }
-        for (std::int64_t i = 0; i < plane; ++i) yp[i] += part[i];
       }
     }
   }
@@ -208,8 +323,8 @@ void masked_tap(Range cols, std::int64_t stride, std::int64_t offset,
 /// adding its term to a different input element. Every element sums over
 /// (oc, ho, wo) in order: ho ascends, and for one input element a
 /// descending kw means an ascending wo.
-void input_grad_rows(const Geometry& g, const float* w, const float* gy,
-                     float* gx) {
+[[gnu::noinline]] void input_grad_rows(const Geometry& g, const float* w,
+                                       const float* gy, float* gx) {
   const std::int64_t cin = g.cin(), cout = g.cout(), K = g.k;
   const std::vector<Range> cols = tap_ranges(g, g.wo, g.w);
   for (std::int64_t n = 0; n < g.batch; ++n) {
@@ -369,8 +484,9 @@ void accumulate_pair(std::int64_t n, float go, const float* __restrict x,
 /// gradient costs one compare. Every gradient element still sees its terms
 /// in the same order; the sums live in channels-last copies of gw and of
 /// one image's gx.
-void backward_sparse(const Geometry& g, const float* x, const float* w,
-                     const float* gy, float* gx, float* gw) {
+[[gnu::noinline]] void backward_sparse(const Geometry& g, const float* x,
+                                       const float* w, const float* gy,
+                                       float* gx, float* gw) {
   const std::int64_t cin = g.cin(), cout = g.cout(), K = g.k, KK = g.taps();
   const std::int64_t plane = g.h * g.w;
   std::vector<float> wt(static_cast<std::size_t>(g.out_c * KK * cin));
@@ -447,17 +563,22 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
                           input.shape_string());
   cached_input_ = input;
   const std::int64_t N = input.dim(0), H = input.dim(2), W = input.dim(3);
+  if (H + 2 * padding_ < kernel_ || W + 2 * padding_ < kernel_)
+    throw InvalidArgument("Conv2d: padded input smaller than the window");
   const std::int64_t Ho = (H + 2 * padding_ - kernel_) / stride_ + 1;
   const std::int64_t Wo = (W + 2 * padding_ - kernel_) / stride_ + 1;
-  if (Ho <= 0 || Wo <= 0) throw InvalidArgument("Conv2d: input too small");
   Tensor out({N, out_channels_, Ho, Wo});
   const Geometry g{N,  in_channels_, H,       W,        out_channels_, Ho,
                    Wo, kernel_,      stride_, padding_, groups_};
   const float* bias = has_bias_ ? bias_.data() : nullptr;
+  const float* w = weight_.data();
   if (g.pointwise())
-    forward_pointwise(g, input.data(), weight_.data(), bias, out.data());
+    forward_pointwise(g, input.data(), w, bias, out.data());
+  else if (std::all_of(w, w + weight_.numel(),
+                       [](float v) { return std::isfinite(v); }))
+    forward_blocked<false>(g, input.data(), w, bias, out.data());
   else
-    forward_rows(g, input.data(), weight_.data(), bias, out.data());
+    forward_blocked<true>(g, input.data(), w, bias, out.data());
   return out;
 }
 

@@ -13,13 +13,24 @@
 //     that skips positions whose output gradient is exactly 0.
 //   - Input gradient: each element sums over (oc, ho, wo) in order, with
 //     the same skip.
-// The lanes are output columns or channels. Each tap's valid range is
-// computed once, not per element; the weight gradient reads input channels
-// from a channels-last copy; a masked add keeps the zero-gradient skip
-// where lanes differ. tests/nn_kernel_test.cpp holds the direct loops and
-// checks the kernels against them byte for byte. The kernels stay
-// single-threaded (the pool already runs one client per thread) and use
-// plain loops on the baseline ISA.
+// The lanes are output columns or channels. A windowed (not pointwise)
+// forward holds a block of 4 output channels times 8 columns of one output
+// row in vector registers: one input channel's partial sums stay there
+// across every (kh, kw) tap, then join the block's outputs. It reads a
+// zero-padded copy of each input row, split by stride phase so that every
+// tap's loads are contiguous and in bounds. A tap in the padding reads a
+// zero; with finite weights the product is +-0, which leaves a partial sum
+// bit for bit (a partial starts at +0.0, so it is never -0.0). A layer with
+// a non-finite weight, whose Inf * 0 would be NaN, takes a bitwise select
+// of +0.0 for those lanes instead. In the backward, each tap's valid range
+// is computed once, not per element; the weight gradient reads input
+// channels from a channels-last copy; a masked add keeps the zero-gradient
+// skip where lanes differ. tests/nn_kernel_test.cpp holds the direct loops
+// and checks the kernels against them byte for byte. The kernels stay
+// single-threaded (the pool already runs one client per thread) and on the
+// baseline ISA: plain loops, and GCC/Clang vector types (SSE on x86-64) in
+// the forward's register block. tools/check_conv_kernels.sh fails when a
+// kernel is inlined or loses its packed multiplies.
 #pragma once
 
 #include "nn/module.hpp"

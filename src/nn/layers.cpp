@@ -229,9 +229,10 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
   input_shape_ = input.shape();
   const std::int64_t N = input.dim(0), C = input.dim(1), H = input.dim(2),
                      W = input.dim(3);
+  if (H < kernel_ || W < kernel_)
+    throw InvalidArgument("MaxPool2d: input smaller than the window");
   const std::int64_t Ho = (H - kernel_) / stride_ + 1;
   const std::int64_t Wo = (W - kernel_) / stride_ + 1;
-  if (Ho <= 0 || Wo <= 0) throw InvalidArgument("MaxPool2d: input too small");
   Tensor out({N, C, Ho, Wo});
   argmax_.assign(out.numel(), 0);
   const float* x = input.data();

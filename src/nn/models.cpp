@@ -25,6 +25,8 @@ struct Builder {
 
   ModulePtr conv(std::int64_t out_c, int kernel, int stride, int padding,
                  std::int64_t groups = 1, bool bias = true) {
+    if (height + 2 * padding < kernel || width + 2 * padding < kernel)
+      throw InvalidArgument("model builder: image too small for convolution");
     auto layer = std::make_shared<Conv2d>(channels, out_c, kernel, stride,
                                           padding, groups, bias, rng);
     const std::int64_t ho = (height + 2 * padding - kernel) / stride + 1;
@@ -41,11 +43,11 @@ struct Builder {
   ModulePtr bn() { return std::make_shared<BatchNorm2d>(channels); }
 
   ModulePtr maxpool(int kernel, int stride) {
+    if (height < kernel || width < kernel)
+      throw InvalidArgument("model builder: image too small for pooling");
     auto layer = std::make_shared<MaxPool2d>(kernel, stride);
     height = (height - kernel) / stride + 1;
     width = (width - kernel) / stride + 1;
-    if (height <= 0 || width <= 0)
-      throw InvalidArgument("model builder: image too small for pooling");
     return layer;
   }
 

@@ -13,6 +13,8 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
@@ -357,88 +359,150 @@ std::vector<Tensor> param_grads(Module& module) {
   return grads;
 }
 
+struct ConvCase {
+  int kernel, stride, padding;
+  std::int64_t groups, in_c, out_c, batch, h, w;
+  bool bias;
+  bool non_finite_weight = false;  // at a random position
+  bool non_finite_input = false;   // at a random position
+  bool inf_edge_weight = false;    // +Inf on tap (kh = 0, kw = 0)
+  bool backward = true;
+};
+
+/// Runs one convolution through the library and through the direct loops,
+/// drawing its parameters, input and output gradients from `rng`, and
+/// asserts that the forward pass, and unless `c.backward` is false two
+/// backward calls, match byte for byte.
+void check_conv(const ConvCase& c, Rng& rng, const std::string& label) {
+  Rng init(rng.next_u64());
+  Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.padding, c.groups,
+              c.bias, init);
+  DirectConv2d direct{c.in_c, c.out_c, c.groups, c.kernel, c.stride, c.padding,
+                      c.bias, Tensor(), Tensor({c.out_c}), Tensor(),
+                      Tensor({c.out_c}), Tensor()};
+  // A -0 bias keeps a -0 output only while every partial sum is -0, which
+  // tells `b + (0.0f + v)` from `b + v`.
+  set_some_biases_to_negative_zero(conv, rng);
+  // A non-finite input reaches the weight gradient, a non-finite weight
+  // the input gradient: there 0 * Inf = NaN tells an added zero output
+  // gradient from a skipped one. On an edge tap, a non-finite weight also
+  // meets the forward's padding, where Inf * 0 = NaN would leak into a sum.
+  if (c.non_finite_weight) plant_non_finite(weight_of(conv), rng);
+  if (c.inf_edge_weight)
+    weight_of(conv)[0] = std::numeric_limits<float>::infinity();
+  copy_params(conv, direct.weight_, direct.bias_);
+  direct.weight_grad_ = Tensor(direct.weight_.shape());
+
+  Tensor x = random_tensor({c.batch, c.in_c, c.h, c.w}, rng, 0.2);
+  if (c.non_finite_input) plant_non_finite(x, rng);
+  std::string what = label + ": k" + std::to_string(c.kernel);
+  what += " s" + std::to_string(c.stride) + " p" + std::to_string(c.padding);
+  what += " g" + std::to_string(c.groups) + " " + std::to_string(c.in_c);
+  what += "->" + std::to_string(c.out_c) + " " + x.shape_string();
+  const Tensor y = conv.forward(x, true);
+  const Tensor y_direct = direct.forward(x);
+  ASSERT_TRUE(same_bytes(y, y_direct)) << what << " forward";
+  if (!c.backward) return;
+  // Two backward calls: the parameter gradients accumulate. The first
+  // gradient is mostly nonzero and the second mostly zeros, so on wide
+  // rows both the library's dense-gradient and sparse-gradient schedules
+  // run.
+  for (int call = 0; call < 2; ++call) {
+    const Tensor g = random_tensor(y.shape(), rng, call == 0 ? 0.3 : 0.7);
+    ASSERT_TRUE(same_bytes(conv.backward(g), direct.backward(g)))
+        << what << " input gradient, call " << call;
+  }
+  const std::vector<Tensor> grads = param_grads(conv);
+  ASSERT_TRUE(same_bytes(grads[0], direct.weight_grad_)) << what << " weight";
+  if (c.bias) {
+    ASSERT_TRUE(same_bytes(grads[1], direct.bias_grad_)) << what << " bias";
+  }
+}
+
 TEST(KernelOracleTest, ConvMatchesTheDirectLoopsBitForBit) {
   Rng rng(2024);
   constexpr int kCases = 320;
   int non_finite_cases = 0;
   for (int c = 0; c < kCases; ++c) {
-    const int kernel = std::array<int, 3>{1, 3, 5}[rng.uniform_index(3)];
-    const int stride = 1 + static_cast<int>(draw(rng, 2));
-    const int padding = static_cast<int>(draw(rng, kernel / 2 + 2));
-    std::int64_t groups = 1, in_c = 0, out_c = 0;
+    ConvCase cc{};
+    cc.kernel = std::array<int, 3>{1, 3, 5}[rng.uniform_index(3)];
+    cc.stride = 1 + static_cast<int>(draw(rng, 2));
+    cc.padding = static_cast<int>(draw(rng, cc.kernel / 2 + 2));
+    cc.groups = 1;
     switch (rng.uniform_index(3)) {
       case 0:  // dense
-        in_c = 1 + draw(rng, 12);
-        out_c = 1 + draw(rng, 12);
+        cc.in_c = 1 + draw(rng, 12);
+        cc.out_c = 1 + draw(rng, 12);
         break;
       case 1:  // 2 or 3 groups
-        groups = 2 + draw(rng, 2);
-        in_c = groups * (1 + draw(rng, 5));
-        out_c = groups * (1 + draw(rng, 5));
+        cc.groups = 2 + draw(rng, 2);
+        cc.in_c = cc.groups * (1 + draw(rng, 5));
+        cc.out_c = cc.groups * (1 + draw(rng, 5));
         break;
       default:  // depthwise, channel multiplier 1 or 2
-        groups = in_c = 1 + draw(rng, 20);
-        out_c = in_c * (1 + draw(rng, 2));
+        cc.groups = cc.in_c = 1 + draw(rng, 20);
+        cc.out_c = cc.in_c * (1 + draw(rng, 2));
         break;
     }
-    const bool bias = rng.uniform() < 0.5;
-    const std::int64_t batch = 1 + draw(rng, 3);
-    const std::int64_t min_hw = std::max<std::int64_t>(1, kernel - 2 * padding);
+    cc.bias = rng.uniform() < 0.5;
+    cc.batch = 1 + draw(rng, 3);
+    const std::int64_t min_hw =
+        std::max<std::int64_t>(1, cc.kernel - 2 * cc.padding);
     // Every fourth case has output rows at least 32 wide, where the
     // library's dense-gradient schedule can run for any kernel size.
-    const std::int64_t wide = c % 4 == 1 ? 32 * stride : 0;
-    const std::int64_t H = min_hw + draw(rng, 12);
-    const std::int64_t W = min_hw + draw(rng, 12) + wide;
-
-    Rng init(rng.next_u64());
-    Conv2d conv(in_c, out_c, kernel, stride, padding, groups, bias, init);
-    DirectConv2d direct{in_c, out_c, groups, kernel, stride, padding, bias,
-                        Tensor(), Tensor({out_c}), Tensor(), Tensor({out_c}),
-                        Tensor()};
-    // A -0 bias keeps a -0 output only while every partial sum is -0, which
-    // tells `b + (0.0f + v)` from `b + v`.
-    set_some_biases_to_negative_zero(conv, rng);
-    // A non-finite input reaches the weight gradient, a non-finite weight
-    // the input gradient: there 0 * Inf = NaN tells an added zero output
-    // gradient from a skipped one.
-    if (c % 7 == 3) {
-      plant_non_finite(weight_of(conv), rng);
-      ++non_finite_cases;
-    }
-    copy_params(conv, direct.weight_, direct.bias_);
-    direct.weight_grad_ = Tensor(direct.weight_.shape());
-
-    Tensor x = random_tensor({batch, in_c, H, W}, rng, 0.2);
-    if (c % 7 == 0) {
-      plant_non_finite(x, rng);
-      ++non_finite_cases;
-    }
-    const std::string what = "case " + std::to_string(c) + ": k" +
-                             std::to_string(kernel) + " s" +
-                             std::to_string(stride) + " p" +
-                             std::to_string(padding) + " g" +
-                             std::to_string(groups) + " " +
-                             std::to_string(in_c) + "->" +
-                             std::to_string(out_c) + " " + x.shape_string();
-    const Tensor y = conv.forward(x, true);
-    const Tensor y_direct = direct.forward(x);
-    ASSERT_TRUE(same_bytes(y, y_direct)) << what << " forward";
-    // Two backward calls: the parameter gradients accumulate. The first
-    // gradient is mostly nonzero and the second mostly zeros, so on wide
-    // rows both the library's dense-gradient and sparse-gradient schedules
-    // run.
-    for (int call = 0; call < 2; ++call) {
-      const Tensor g = random_tensor(y.shape(), rng, call == 0 ? 0.3 : 0.7);
-      ASSERT_TRUE(same_bytes(conv.backward(g), direct.backward(g)))
-          << what << " input gradient, call " << call;
-    }
-    const std::vector<Tensor> grads = param_grads(conv);
-    ASSERT_TRUE(same_bytes(grads[0], direct.weight_grad_)) << what << " weight";
-    if (bias) {
-      ASSERT_TRUE(same_bytes(grads[1], direct.bias_grad_)) << what << " bias";
-    }
+    const std::int64_t wide = c % 4 == 1 ? 32 * cc.stride : 0;
+    cc.h = min_hw + draw(rng, 12);
+    cc.w = min_hw + draw(rng, 12) + wide;
+    cc.non_finite_weight = c % 7 == 3;
+    cc.non_finite_input = c % 7 == 0;
+    non_finite_cases += cc.non_finite_weight + cc.non_finite_input;
+    ASSERT_NO_FATAL_FAILURE(check_conv(cc, rng, "case " + std::to_string(c)));
   }
   EXPECT_GE(non_finite_cases, 2 * (kCases / 7));
+
+  // The edges of the forward's register block (4 output channels times 8
+  // output columns), stride 2 with padding past K / 2, and the bench
+  // AlexNet's layers at its training and evaluation batch sizes, drawn
+  // from their own generator so the cases above keep their values.
+  Rng edge_rng(2025);
+  std::vector<std::pair<std::string, ConvCase>> edges;
+  for (const std::int64_t tail : {1, 2, 3}) {
+    edges.push_back({"dense channel tail " + std::to_string(tail),
+                     {3, 1, 1, 1, 5, 4 + tail, 2, 9, 9, true}});
+    edges.push_back({"grouped channel tail " + std::to_string(tail),
+                     {3, 1, 1, 3, 6, 3 * (4 + tail), 2, 9, 9, true}});
+  }
+  for (const std::int64_t wo : {7, 8, 9, 15, 16, 17, 23, 24, 25}) {
+    edges.push_back({"width " + std::to_string(wo) + " stride 1",
+                     {3, 1, 1, 1, 3, 6, 2, 5, wo, true}});
+    edges.push_back({"width " + std::to_string(wo) + " stride 2",
+                     {5, 2, 2, 1, 2, 5, 1, 5, 2 * wo - 1, true}});
+    edges.push_back({"width " + std::to_string(wo) + " depthwise stride 2",
+                     {3, 2, 1, 7, 7, 7, 2, 4, 2 * wo, true}});
+  }
+  for (const int kernel : {1, 3, 5}) {
+    for (int padding = kernel / 2 + 1; padding <= kernel / 2 + 2; ++padding)
+      edges.push_back({"stride 2 padding past K/2",
+                       {kernel, 2, padding, 1, 3, 5, 2, 7, 11, true}});
+  }
+  ConvCase inf_edge{3, 1, 1, 1, 5, 6, 2, 9, 9, true};
+  inf_edge.inf_edge_weight = true;
+  edges.push_back({"Inf weight on an edge tap", inf_edge});
+  // The bench AlexNet's convolutions: layer l maps channels[l] to
+  // channels[l + 1] on sides[l] x sides[l] inputs.
+  const std::int64_t channels[] = {3, 24, 48, 64, 64, 48};
+  const std::int64_t sides[] = {32, 16, 8, 8, 8};
+  for (const std::int64_t batch : {2, 64}) {
+    for (int l = 0; l < 5; ++l) {
+      const std::int64_t in = channels[l], out = channels[l + 1], hw = sides[l];
+      ConvCase cc{3, 1, 1, 1, in, out, batch, hw, hw, true};
+      // The evaluation batch runs the forward pass only.
+      cc.backward = batch == 2;
+      edges.push_back({"bench alexnet batch " + std::to_string(batch), cc});
+    }
+  }
+  for (const auto& [label, cc] : edges)
+    ASSERT_NO_FATAL_FAILURE(check_conv(cc, edge_rng, label));
 }
 
 TEST(KernelOracleTest, LinearMatchesTheDirectLoopsBitForBit) {

@@ -300,6 +300,25 @@ TEST(LayerShapes, ShapeMismatchesThrow) {
   EXPECT_THROW(linear.forward(random_input({2, 11}, 31), true),
                InvalidArgument);
   EXPECT_THROW(Conv2d(3, 8, 3, 1, 1, 2, true, rng), InvalidArgument);
+  // Inputs smaller than the window: (H - kernel) / stride + 1 truncates a
+  // small negative numerator to 1, so these must be rejected before it.
+  MaxPool2d pool(2, 2);
+  EXPECT_THROW(pool.forward(random_input({1, 1, 1, 1}, 32), true),
+               InvalidArgument);
+  EXPECT_THROW(pool.forward(random_input({1, 1, 4, 1}, 32), true),
+               InvalidArgument);
+  Conv2d strided(1, 1, 3, 2, 0, 1, true, rng);
+  EXPECT_THROW(strided.forward(random_input({1, 1, 2, 2}, 32), true),
+               InvalidArgument);
+  EXPECT_THROW(strided.forward(random_input({1, 1, 3, 2}, 32), true),
+               InvalidArgument);
+  EXPECT_EQ(strided.forward(random_input({1, 1, 3, 3}, 32), true).shape(),
+            (Shape{1, 1, 1, 1}));
+  Conv2d padded(1, 1, 5, 2, 1, 1, true, rng);
+  EXPECT_THROW(padded.forward(random_input({1, 1, 2, 2}, 32), true),
+               InvalidArgument);
+  EXPECT_EQ(padded.forward(random_input({1, 1, 3, 3}, 32), true).shape(),
+            (Shape{1, 1, 1, 1}));
 }
 
 TEST(LossTest, SoftmaxRowsSumToOne) {
