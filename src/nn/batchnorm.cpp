@@ -23,7 +23,6 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
   if (input.rank() != 4 || input.dim(1) != channels_)
     throw InvalidArgument("BatchNorm2d: expected NCHW with C=" +
                           std::to_string(channels_));
-  was_training_ = training;
   const std::int64_t N = input.dim(0), C = channels_, H = input.dim(2),
                      W = input.dim(3);
   const std::int64_t per_channel = N * H * W;
@@ -76,13 +75,19 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
         yp[i] = (xp[i] - static_cast<float>(mean)) * inv_std * gamma + beta;
     }
   }
-  if (training) num_batches_tracked_[0] += 1.0f;
-  cached_input_ = input;
+  if (training) {
+    num_batches_tracked_[0] += 1.0f;
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
+  }
   return out;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
+  if (input.rank() != 4)
+    throw InvalidArgument("BatchNorm2d::backward: no training-mode forward");
   if (!grad_output.same_shape(input))
     throw InvalidArgument("BatchNorm2d::backward: shape mismatch");
   const std::int64_t N = input.dim(0), C = channels_, H = input.dim(2),
@@ -111,26 +116,16 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     bias_grad_[static_cast<std::size_t>(c)] += static_cast<float>(sum_g);
     weight_grad_[static_cast<std::size_t>(c)] += static_cast<float>(sum_gx);
 
-    if (was_training_) {
-      const float m = static_cast<float>(per_channel);
-      for (std::int64_t n = 0; n < N; ++n) {
-        const float* xp = x + (n * C + c) * H * W;
-        const float* gp = g + (n * C + c) * H * W;
-        float* gxp = gx + (n * C + c) * H * W;
-        for (std::int64_t i = 0; i < H * W; ++i) {
-          const float xhat = (xp[i] - mean) * inv_std;
-          gxp[i] = gamma * inv_std / m *
-                   (m * gp[i] - static_cast<float>(sum_g) -
-                    xhat * static_cast<float>(sum_gx));
-        }
-      }
-    } else {
-      // Eval-mode statistics are constants; gradient is a plain scale.
-      for (std::int64_t n = 0; n < N; ++n) {
-        const float* gp = g + (n * C + c) * H * W;
-        float* gxp = gx + (n * C + c) * H * W;
-        for (std::int64_t i = 0; i < H * W; ++i)
-          gxp[i] = gp[i] * gamma * inv_std;
+    const float m = static_cast<float>(per_channel);
+    for (std::int64_t n = 0; n < N; ++n) {
+      const float* xp = x + (n * C + c) * H * W;
+      const float* gp = g + (n * C + c) * H * W;
+      float* gxp = gx + (n * C + c) * H * W;
+      for (std::int64_t i = 0; i < H * W; ++i) {
+        const float xhat = (xp[i] - mean) * inv_std;
+        gxp[i] = gamma * inv_std / m *
+                 (m * gp[i] - static_cast<float>(sum_g) -
+                  xhat * static_cast<float>(sum_gx));
       }
     }
   }

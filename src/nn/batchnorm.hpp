@@ -31,7 +31,6 @@ class BatchNorm2d final : public Module {
   // Backward caches (training-mode statistics).
   Tensor cached_input_;
   std::vector<float> batch_mean_, batch_inv_std_;
-  bool was_training_ = false;
 };
 
 }  // namespace fedsz::nn

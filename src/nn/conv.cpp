@@ -33,15 +33,6 @@ struct Geometry {
   std::int64_t taps() const { return k * k; }
   bool depthwise() const { return cin() == 1 && cout() == 1; }
   bool pointwise() const { return k == 1 && stride == 1 && pad == 0; }
-  /// A pointwise convolution maps each plane position to itself, so its
-  /// planes can be treated as single rows.
-  Geometry flattened() const {
-    if (!pointwise()) return *this;
-    Geometry flat = *this;
-    flat.w = flat.wo = h * w;
-    flat.h = flat.ho = 1;
-    return flat;
-  }
 };
 
 struct Range {
@@ -121,33 +112,8 @@ void to_planes(const float* src, std::int64_t channels, std::int64_t plane,
   }
 }
 
-// ---- forward ----
-
-/// y[i] += 0.0f + x[i] * wk: one input channel's partial sum of a
-/// pointwise convolution, added to the output plane.
-void add_partial(std::int64_t n, const float* __restrict x, float wk,
-                 float* __restrict y) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += 0.0f + x[i] * wk;
-}
-
-/// Pointwise: the lanes are whole planes. Each output plane is its bias
-/// plus one scaled input plane per input channel.
-void forward_pointwise(const Geometry& g, const float* x, const float* w,
-                       const float* bias, float* y) {
-  const std::int64_t plane = g.h * g.w, cin = g.cin(), cout = g.cout();
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
-      float* yp = y + (n * g.out_c + oc) * plane;
-      std::fill(yp, yp + plane, bias ? bias[oc] : 0.0f);
-      const float* xg = x + (n * g.in_c + oc / cout * cin) * plane;
-      for (std::int64_t ic = 0; ic < cin; ++ic)
-        add_partial(plane, xg + ic * plane, w[oc * cin + ic], yp);
-    }
-  }
-}
-
-// The windowed forward's register block: kBlockOut consecutive output
-// channels times kBlockCols columns of one output row, two Vecs per
+// The forward's and the pointwise kernels' register block: kBlockOut
+// channels times kBlockCols columns or plane positions, two Vecs per
 // channel. GCC and Clang lower these vector types to SSE on the baseline
 // x86-64 ISA.
 typedef float Vec __attribute__((vector_size(16)));
@@ -155,6 +121,8 @@ typedef std::int32_t Mask __attribute__((vector_size(16)));
 constexpr std::int64_t kVec = 4;
 constexpr std::int64_t kBlockOut = 4;
 constexpr std::int64_t kBlockCols = 2 * kVec;
+// round_up's channels-last rows hold whole blocks of input channels.
+static_assert(kBlockCols == kLanes);
 
 Vec load(const float* p) {
   Vec v{};
@@ -167,6 +135,21 @@ Mask load_mask(const std::int32_t* p) {
   std::memcpy(&m, p, sizeof(m));
   return m;
 }
+
+Vec splat(float v) { return Vec{v, v, v, v}; }
+
+/// dst[i] = lane i of the pair v, for i < n <= kBlockCols.
+void store(const Vec (&v)[2], std::int64_t n, float* dst) {
+  float out[kBlockCols] = {};
+  std::memcpy(out, &v[0], sizeof(Vec));
+  std::memcpy(out + kVec, &v[1], sizeof(Vec));
+  if (n == kBlockCols)
+    std::memcpy(dst, out, sizeof(out));
+  else
+    std::copy(out, out + n, dst);
+}
+
+// ---- forward ----
 
 /// Any non-pointwise geometry. A block of kBlockOut output channels times
 /// kBlockCols columns of one output row keeps one input channel's partial
@@ -256,7 +239,7 @@ template <bool kMasked>
         for (std::int64_t c = 0; c < chunks; ++c) {
           Vec acc[kBlockOut][2] = {};
           for (std::int64_t j = 0; j < kBlockOut; ++j)
-            acc[j][0] = acc[j][1] = Vec{b0[j], b0[j], b0[j], b0[j]};
+            acc[j][0] = acc[j][1] = splat(b0[j]);
           for (std::int64_t ic = 0; ic < cin; ++ic) {
             Vec part[kBlockOut][2] = {};
             for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
@@ -265,8 +248,7 @@ template <bool kMasked>
               for (std::int64_t kw = 0; kw < K; ++kw) {
                 const std::int64_t at = row + tap_at[kw] + c * kBlockCols;
                 for (std::int64_t j = 0; j < kBlockOut; ++j) {
-                  const float wk = wt[kw * kBlockOut + j];
-                  const Vec wv = {wk, wk, wk, wk};
+                  const Vec wv = splat(wt[kw * kBlockOut + j]);
                   Vec p0 = load(xl[j] + at) * wv;
                   Vec p1 = load(xl[j] + at + kVec) * wv;
                   if constexpr (kMasked) {
@@ -287,21 +269,213 @@ template <bool kMasked>
           }
           const std::int64_t o0 = c * kBlockCols;
           const std::int64_t n_cols = std::min(kBlockCols, g.wo - o0);
-          for (std::int64_t j = 0; j < count; ++j) {
-            float out[kBlockCols] = {};
-            std::memcpy(out, &acc[j][0], sizeof(Vec));
-            std::memcpy(out + kVec, &acc[j][1], sizeof(Vec));
-            float* dst =
-                y + (n * g.out_c + oc0 + j) * out_plane + ho * g.wo + o0;
-            if (n_cols == kBlockCols)
-              std::memcpy(dst, out, sizeof(out));
-            else
-              std::copy(out, out + n_cols, dst);
-          }
+          for (std::int64_t j = 0; j < count; ++j)
+            store(acc[j], n_cols,
+                  y + (n * g.out_c + oc0 + j) * out_plane + ho * g.wo + o0);
         }
       }
     }
   }
+}
+
+// ---- pointwise ----
+//
+// A pointwise convolution (1x1, stride 1, unpadded) maps each plane
+// position to itself: per group, a matrix product of the weights and the
+// input planes. Its kernels hold a block of kBlockOut channels times
+// kBlockCols plane positions, or kBlockOut output times kBlockCols input
+// channels, in registers while they walk the channels or positions the
+// block's sums run over.
+
+/// The pointwise kernels' weights in blocks, each splatted across a Vec:
+/// out[((grp * blocks + r / kBlockOut) * cols + c) * kBlockOut + r %
+/// kBlockOut] holds entry (r, c) of group grp's rows x cols matrix,
+/// w[grp * rows * cols + r * row_step + c * col_step], and zero for rows
+/// past the last.
+std::vector<Vec> block_rows(const float* w, std::int64_t groups,
+                            std::int64_t rows, std::int64_t cols,
+                            std::int64_t row_step, std::int64_t col_step) {
+  const std::int64_t blocks = (rows + kBlockOut - 1) / kBlockOut;
+  std::vector<Vec> out(
+      static_cast<std::size_t>(groups * blocks * cols * kBlockOut), Vec{});
+  for (std::int64_t grp = 0; grp < groups; ++grp)
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t c = 0; c < cols; ++c)
+        out[((grp * blocks + r / kBlockOut) * cols + c) * kBlockOut +
+            r % kBlockOut] =
+            splat(w[grp * rows * cols + r * row_step + c * col_step]);
+  return out;
+}
+
+/// One image's `channels` planes of `plane` values, `stride` (plane rounded
+/// up to a multiple of kBlockCols) apart: the planes themselves when stride
+/// is plane, else a copy in `buf`, so a block's loads stay in bounds.
+const float* padded_planes(const float* src, std::int64_t channels,
+                           std::int64_t plane, std::int64_t stride,
+                           std::vector<float>& buf) {
+  if (stride == plane) return src;
+  buf.resize(static_cast<std::size_t>(channels * stride));
+  for (std::int64_t c = 0; c < channels; ++c)
+    std::copy(src + c * plane, src + (c + 1) * plane, buf.data() + c * stride);
+  return buf.data();
+}
+
+/// Pointwise forward: a block of kBlockOut output channels of one group
+/// times kBlockCols positions starts at the biases and adds each input
+/// channel's product, ascending. The contract's 0.0f + v differs from v
+/// only when v is -0.0, and adding -0.0 in place of +0.0 changes only a
+/// -0.0 sum. A sum that has taken its first partial (never -0.0 itself) is
+/// never -0.0, so only the first input channel adds the 0.0f.
+[[gnu::noinline]] void forward_pointwise(const Geometry& g, const float* x,
+                                         const float* w, const float* bias,
+                                         float* y) {
+  const std::int64_t cin = g.cin(), cout = g.cout(), plane = g.h * g.w;
+  const std::int64_t chunks = (plane + kBlockCols - 1) / kBlockCols;
+  const std::int64_t stride = chunks * kBlockCols;
+  const std::int64_t blocks = (cout + kBlockOut - 1) / kBlockOut;
+  const std::vector<Vec> wb = block_rows(w, g.groups, cout, cin, cin, 1);
+  std::vector<float> buf;
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    const float* xn =
+        padded_planes(x + n * g.in_c * plane, g.in_c, plane, stride, buf);
+    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
+      for (std::int64_t b = 0; b < blocks; ++b) {
+        const std::int64_t oc0 = grp * cout + b * kBlockOut;
+        const std::int64_t count = std::min(kBlockOut, cout - b * kBlockOut);
+        float b0[kBlockOut] = {};
+        for (std::int64_t j = 0; j < count; ++j)
+          if (bias) b0[j] = bias[oc0 + j];
+        const Vec* wblock = wb.data() + (grp * blocks + b) * cin * kBlockOut;
+        for (std::int64_t c = 0; c < chunks; ++c) {
+          const float* xc = xn + grp * cin * stride + c * kBlockCols;
+          // Input channel 0 adds 0.0f + v, the others v.
+          const Vec x0 = load(xc), x1 = load(xc + kVec);
+          Vec acc[kBlockOut][2] = {};
+          for (std::int64_t j = 0; j < kBlockOut; ++j) {
+            acc[j][0] = splat(b0[j]) + (Vec{} + x0 * wblock[j]);
+            acc[j][1] = splat(b0[j]) + (Vec{} + x1 * wblock[j]);
+          }
+          for (std::int64_t ic = 1; ic < cin; ++ic) {
+            const Vec x0 = load(xc + ic * stride);
+            const Vec x1 = load(xc + ic * stride + kVec);
+            for (std::int64_t j = 0; j < kBlockOut; ++j) {
+              acc[j][0] += x0 * wblock[ic * kBlockOut + j];
+              acc[j][1] += x1 * wblock[ic * kBlockOut + j];
+            }
+          }
+          const std::int64_t n_pos =
+              std::min(kBlockCols, plane - c * kBlockCols);
+          for (std::int64_t j = 0; j < count; ++j)
+            store(acc[j], n_pos,
+                  y + (n * g.out_c + oc0 + j) * plane + c * kBlockCols);
+        }
+      }
+    }
+  }
+}
+
+/// Pointwise input gradient: a block of kBlockOut input channels of one
+/// group times kBlockCols positions starts at +0.0 and adds each output
+/// channel's product, ascending. The zero-gradient skip is a mask per
+/// lane, shared by the block's channels: ANDed with it, a skipped product
+/// adds +0.0, which leaves any sum but -0.0 as it is, and a sum that starts
+/// at +0.0 is never -0.0. The AND also keeps Inf * 0 = NaN out.
+[[gnu::noinline]] void input_grad_pointwise(const Geometry& g, const float* w,
+                                            const float* gy, float* gx) {
+  const std::int64_t cin = g.cin(), cout = g.cout(), plane = g.h * g.w;
+  const std::int64_t chunks = (plane + kBlockCols - 1) / kBlockCols;
+  const std::int64_t stride = chunks * kBlockCols;
+  const std::int64_t blocks = (cin + kBlockOut - 1) / kBlockOut;
+  const std::vector<Vec> wb = block_rows(w, g.groups, cin, cout, 1, cin);
+  std::vector<float> buf;
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    const float* gn =
+        padded_planes(gy + n * g.out_c * plane, g.out_c, plane, stride, buf);
+    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
+      for (std::int64_t b = 0; b < blocks; ++b) {
+        const std::int64_t ic0 = grp * cin + b * kBlockOut;
+        const std::int64_t count = std::min(kBlockOut, cin - b * kBlockOut);
+        const Vec* wblock = wb.data() + (grp * blocks + b) * cout * kBlockOut;
+        for (std::int64_t c = 0; c < chunks; ++c) {
+          const float* gc = gn + grp * cout * stride + c * kBlockCols;
+          Vec acc[kBlockOut][2] = {};
+          for (std::int64_t oc = 0; oc < cout; ++oc) {
+            const Vec g0 = load(gc + oc * stride);
+            const Vec g1 = load(gc + oc * stride + kVec);
+            const Mask m0 = g0 != Vec{}, m1 = g1 != Vec{};
+            for (std::int64_t j = 0; j < kBlockOut; ++j) {
+              const Vec wv = wblock[oc * kBlockOut + j];
+              acc[j][0] += (Vec)((Mask)(g0 * wv) & m0);
+              acc[j][1] += (Vec)((Mask)(g1 * wv) & m1);
+            }
+          }
+          const std::int64_t n_pos =
+              std::min(kBlockCols, plane - c * kBlockCols);
+          for (std::int64_t j = 0; j < count; ++j)
+            store(acc[j], n_pos,
+                  gx + (n * g.in_c + ic0 + j) * plane + c * kBlockCols);
+        }
+      }
+    }
+  }
+}
+
+/// Pointwise weight gradient: a block of kBlockOut output channels times
+/// kBlockCols input channels of one group starts at the accumulated
+/// gradient and adds every position of each image in order, reading the
+/// image's channels-last copy. A zero output gradient skips its channel
+/// with a branch, which leaves any sum as it is, -0.0 included.
+[[gnu::noinline]] void weight_grad_pointwise(const Geometry& g, const float* x,
+                                             const float* gy, float* gw) {
+  const std::int64_t cin = g.cin(), cout = g.cout(), plane = g.h * g.w;
+  const std::int64_t cinp = round_up(cin), row = g.groups * cinp;
+  const std::int64_t blocks = (cout + kBlockOut - 1) / kBlockOut;
+  // gwp[oc * cinp + ic]: the sums, zero in the padding.
+  std::vector<float> gwp(static_cast<std::size_t>(g.out_c * cinp), 0.0f);
+  for (std::int64_t oc = 0; oc < g.out_c; ++oc)
+    std::copy(gw + oc * cin, gw + (oc + 1) * cin, gwp.data() + oc * cinp);
+  std::vector<float> xcl(static_cast<std::size_t>(plane * row), 0.0f);
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t grp = 0; grp < g.groups; ++grp)
+      to_channels_last(x + (n * g.groups + grp) * cin * plane, cin, plane, row,
+                       xcl.data() + grp * cinp);
+    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
+      for (std::int64_t b = 0; b < blocks; ++b) {
+        const std::int64_t oc0 = grp * cout + b * kBlockOut;
+        const std::int64_t count = std::min(kBlockOut, cout - b * kBlockOut);
+        // The block's output channels; those past the group's last repeat
+        // oc0, and their sums are dropped.
+        std::int64_t ocs[kBlockOut] = {};
+        const float* gp[kBlockOut] = {};
+        for (std::int64_t j = 0; j < kBlockOut; ++j) {
+          ocs[j] = oc0 + (j < count ? j : 0);
+          gp[j] = gy + (n * g.out_c + ocs[j]) * plane;
+        }
+        for (std::int64_t ib = 0; ib < cinp; ib += kBlockCols) {
+          Vec acc[kBlockOut][2] = {};
+          for (std::int64_t j = 0; j < kBlockOut; ++j) {
+            acc[j][0] = load(gwp.data() + ocs[j] * cinp + ib);
+            acc[j][1] = load(gwp.data() + ocs[j] * cinp + ib + kVec);
+          }
+          const float* xb = xcl.data() + grp * cinp + ib;
+          for (std::int64_t p = 0; p < plane; ++p) {
+            const Vec x0 = load(xb + p * row), x1 = load(xb + p * row + kVec);
+            for (std::int64_t j = 0; j < kBlockOut; ++j) {
+              const float go = gp[j][p];
+              if (go == 0.0f) continue;
+              acc[j][0] += splat(go) * x0;
+              acc[j][1] += splat(go) * x1;
+            }
+          }
+          for (std::int64_t j = 0; j < count; ++j)
+            store(acc[j], kBlockCols, gwp.data() + ocs[j] * cinp + ib);
+        }
+      }
+    }
+  }
+  for (std::int64_t oc = 0; oc < g.out_c; ++oc)
+    std::copy(gwp.data() + oc * cinp, gwp.data() + oc * cinp + cin,
+              gw + oc * cin);
 }
 
 // ---- backward ----
@@ -531,6 +705,12 @@ void accumulate_pair(std::int64_t n, float go, const float* __restrict x,
     to_planes(gwt.data() + oc * KK * cin, cin, KK, cin, gw + oc * cin * KK);
 }
 
+/// Output height or width of a convolution over an input one.
+std::int64_t output_extent(std::int64_t input, int kernel, int stride,
+                           int padding) {
+  return (input + 2 * padding - kernel) / stride + 1;
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, int kernel,
@@ -556,17 +736,22 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, int kernel,
   if (has_bias_) kaiming_uniform(bias_, fan_in, rng);
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
+Tensor Conv2d::forward(const Tensor& input, bool training) {
   if (input.rank() != 4 || input.dim(1) != in_channels_)
     throw InvalidArgument("Conv2d: expected NCHW with C=" +
                           std::to_string(in_channels_) + ", got " +
                           input.shape_string());
-  cached_input_ = input;
   const std::int64_t N = input.dim(0), H = input.dim(2), W = input.dim(3);
   if (H + 2 * padding_ < kernel_ || W + 2 * padding_ < kernel_)
     throw InvalidArgument("Conv2d: padded input smaller than the window");
-  const std::int64_t Ho = (H + 2 * padding_ - kernel_) / stride_ + 1;
-  const std::int64_t Wo = (W + 2 * padding_ - kernel_) / stride_ + 1;
+  // Assigned, not rebuilt, in training: the copy reuses the cache's
+  // storage.
+  if (training)
+    cached_input_ = input;
+  else
+    cached_input_ = Tensor();
+  const std::int64_t Ho = output_extent(H, kernel_, stride_, padding_);
+  const std::int64_t Wo = output_extent(W, kernel_, stride_, padding_);
   Tensor out({N, out_channels_, Ho, Wo});
   const Geometry g{N,  in_channels_, H,       W,        out_channels_, Ho,
                    Wo, kernel_,      stride_, padding_, groups_};
@@ -584,15 +769,18 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
+  if (input.rank() != 4)
+    throw InvalidArgument("Conv2d::backward: no training-mode forward");
   const std::int64_t N = input.dim(0), H = input.dim(2), W = input.dim(3);
-  const std::int64_t Ho = grad_output.dim(2), Wo = grad_output.dim(3);
-  if (grad_output.rank() != 4 || grad_output.dim(0) != N ||
-      grad_output.dim(1) != out_channels_)
-    throw InvalidArgument("Conv2d::backward: bad grad shape");
+  const std::int64_t Ho = output_extent(H, kernel_, stride_, padding_);
+  const std::int64_t Wo = output_extent(W, kernel_, stride_, padding_);
+  if (grad_output.shape() != Shape{N, out_channels_, Ho, Wo})
+    throw InvalidArgument("Conv2d::backward: gradient " +
+                          grad_output.shape_string() +
+                          " is not the forward output's shape");
   Tensor grad_input(input.shape());
-  const Geometry full{N,  in_channels_, H,       W,        out_channels_, Ho,
-                      Wo, kernel_,      stride_, padding_, groups_};
-  const Geometry g = full.flattened();
+  const Geometry g{N,  in_channels_, H,       W,        out_channels_, Ho,
+                   Wo, kernel_,      stride_, padding_, groups_};
   const float* gy = grad_output.data();
 
   if (has_bias_) {
@@ -613,6 +801,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   float* gw = weight_grad_.data();
   if (g.depthwise()) {
     backward_depthwise(g, x, w, gy, gx, gw);
+    return grad_input;
+  }
+  if (g.pointwise()) {
+    weight_grad_pointwise(g, x, gy, gw);
+    input_grad_pointwise(g, w, gy, gx);
     return grad_input;
   }
   // Both schedules add the same terms in the same order; they differ in

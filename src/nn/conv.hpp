@@ -22,15 +22,30 @@
 // zero; with finite weights the product is +-0, which leaves a partial sum
 // bit for bit (a partial starts at +0.0, so it is never -0.0). A layer with
 // a non-finite weight, whose Inf * 0 would be NaN, takes a bitwise select
-// of +0.0 for those lanes instead. In the backward, each tap's valid range
-// is computed once, not per element; the weight gradient reads input
-// channels from a channels-last copy; a masked add keeps the zero-gradient
-// skip where lanes differ. tests/nn_kernel_test.cpp holds the direct loops
-// and checks the kernels against them byte for byte. The kernels stay
-// single-threaded (the pool already runs one client per thread) and on the
-// baseline ISA: plain loops, and GCC/Clang vector types (SSE on x86-64) in
-// the forward's register block. tools/check_conv_kernels.sh fails when a
-// kernel is inlined or loses its packed multiplies.
+// of +0.0 for those lanes instead.
+//
+// A pointwise layer (1x1, stride 1, unpadded) has register blocks of its
+// own. The forward and the input gradient hold 4 channels of one group
+// times 8 plane positions, the weight gradient 4 output times 8 input
+// channels; each block walks every channel or position its sums run over.
+// Two zero identities keep them exact:
+//   - Adding +0.0 or -0.0 leaves any sum but -0.0 as it is, and a sum that
+//     starts at +0.0, or has taken a first partial that is not -0.0, is
+//     never -0.0. So the forward adds the contract's 0.0f only to its first
+//     input channel's product, and the input gradient ANDs each product
+//     with a per-lane mask of nonzero output gradients, adding +0.0 for a
+//     skipped one (and never the NaN of Inf * 0).
+//   - The weight gradient starts at the accumulated gradient, which may be
+//     -0.0, so a zero output gradient skips its channel with a branch.
+// In the windowed backward, each tap's valid range is computed once, not
+// per element; the weight gradient reads input channels from a
+// channels-last copy; a masked add keeps the zero-gradient skip where lanes
+// differ. tests/nn_kernel_test.cpp holds the direct loops and checks the
+// kernels against them byte for byte. The kernels stay single-threaded (the
+// pool already runs one client per thread) and on the baseline ISA: plain
+// loops, and GCC/Clang vector types (SSE on x86-64) in the register blocks.
+// tools/check_conv_kernels.sh fails when a kernel is inlined or loses its
+// packed multiplies.
 #pragma once
 
 #include "nn/module.hpp"

@@ -93,11 +93,14 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
   kaiming_uniform(bias_, in_, rng);
 }
 
-Tensor Linear::forward(const Tensor& input, bool /*training*/) {
+Tensor Linear::forward(const Tensor& input, bool training) {
   if (input.rank() != 2 || input.dim(1) != in_)
     throw InvalidArgument("Linear: expected input {N, " + std::to_string(in_) +
                           "}, got " + input.shape_string());
-  cached_input_ = input;
+  if (training)
+    cached_input_ = input;
+  else
+    cached_input_ = Tensor();
   const std::int64_t batch = input.dim(0);
   Tensor out({batch, out_});
   const float* x = input.data();
@@ -135,6 +138,8 @@ Tensor Linear::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  if (cached_input_.rank() != 2)
+    throw InvalidArgument("Linear::backward: no training-mode forward");
   const std::int64_t batch = cached_input_.dim(0);
   if (grad_output.rank() != 2 || grad_output.dim(0) != batch ||
       grad_output.dim(1) != out_)

@@ -33,8 +33,11 @@ class Module {
  public:
   virtual ~Module() = default;
 
-  /// Forward pass. Modules cache whatever they need for backward(); a
-  /// backward() must therefore follow the matching forward().
+  /// Forward pass. In training mode, modules cache whatever they need for
+  /// backward(); a backward() must therefore follow the matching training
+  /// forward(). An evaluation forward (training false) caches nothing, and
+  /// Conv2d, Linear and BatchNorm2d drop what they held, so their
+  /// backward() after it throws InvalidArgument.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Backward pass: gradient w.r.t. this module's input. Parameter gradients

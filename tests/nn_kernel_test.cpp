@@ -338,6 +338,14 @@ Tensor& weight_of(Module& module) {
   return *params[0].value;
 }
 
+/// The module's second parameter: a convolution's bias, when it has one.
+Tensor& bias_of(Module& module) {
+  std::vector<ParamRef> params;
+  std::vector<BufferRef> buffers;
+  module.collect("", params, buffers);
+  return *params.at(1).value;
+}
+
 /// About a fifth of the module's bias values (when it has any) become -0.
 void set_some_biases_to_negative_zero(Module& module, Rng& rng) {
   std::vector<ParamRef> params;
@@ -367,6 +375,7 @@ struct ConvCase {
   bool non_finite_input = false;   // at a random position
   bool inf_edge_weight = false;    // +Inf on tap (kh = 0, kw = 0)
   bool backward = true;
+  bool negative_zero_bias = false;  // every bias -0
 };
 
 /// Runs one convolution through the library and through the direct loops,
@@ -390,6 +399,7 @@ void check_conv(const ConvCase& c, Rng& rng, const std::string& label) {
   if (c.non_finite_weight) plant_non_finite(weight_of(conv), rng);
   if (c.inf_edge_weight)
     weight_of(conv)[0] = std::numeric_limits<float>::infinity();
+  if (c.negative_zero_bias) bias_of(conv).fill(-0.0f);
   copy_params(conv, direct.weight_, direct.bias_);
   direct.weight_grad_ = Tensor(direct.weight_.shape());
 
@@ -503,6 +513,63 @@ TEST(KernelOracleTest, ConvMatchesTheDirectLoopsBitForBit) {
   }
   for (const auto& [label, cc] : edges)
     ASSERT_NO_FATAL_FAILURE(check_conv(cc, edge_rng, label));
+
+  // The pointwise kernels' blocks (4 channels of one group times 8 plane
+  // positions; 4 output times 8 input channels in the weight gradient):
+  // channel counts 1, 2 and 3 past a multiple of 4, planes past a multiple
+  // of 8, non-finite weights and inputs, -0 biases on one input channel
+  // (where b + (0.0f + v) and b + v differ), and tiny MobileNetV2's and
+  // ResNet's 1x1 layers at the training batch, from a generator of their
+  // own.
+  Rng pointwise_rng(2026);
+  std::vector<std::pair<std::string, ConvCase>> pointwise;
+  for (const std::int64_t tail : {1, 2, 3}) {
+    for (const std::int64_t groups : {1, 3}) {
+      const std::string in_groups = " tail " + std::to_string(tail) +
+                                    ", groups " + std::to_string(groups);
+      pointwise.push_back(
+          {"pointwise input" + in_groups,
+           {1, 1, 0, groups, groups * (8 + tail), groups * (4 + tail), 2, 5,
+            7, true}});
+      pointwise.push_back(
+          {"pointwise output" + in_groups,
+           {1, 1, 0, groups, groups * (4 + tail), groups * (8 + tail), 2, 5,
+            7, true}});
+    }
+  }
+  const std::int64_t planes[][2] = {{1, 1}, {3, 3}, {5, 7}, {2, 4}, {4, 4}};
+  for (const auto& [h, w] : planes) {
+    pointwise.push_back({"pointwise plane " + std::to_string(h * w),
+                         {1, 1, 0, 1, 6, 7, 2, h, w, true}});
+    pointwise.push_back({"pointwise grouped plane " + std::to_string(h * w),
+                         {1, 1, 0, 3, 9, 6, 2, h, w, true}});
+  }
+  for (int i = 0; i < 3; ++i) {
+    ConvCase cc{1, 1, 0, 1, 6, 9, 2, 3, 5, true};
+    cc.non_finite_weight = true;
+    pointwise.push_back({"pointwise non-finite weight", cc});
+    cc.non_finite_weight = false;
+    cc.non_finite_input = true;
+    pointwise.push_back({"pointwise non-finite input", cc});
+  }
+  for (const std::int64_t groups : {1, 5}) {
+    ConvCase cc{1, 1, 0, groups, groups, 10, 2, 3, 5, true};
+    cc.negative_zero_bias = true;
+    pointwise.push_back({"pointwise -0 bias, groups " + std::to_string(groups),
+                         cc});
+  }
+  // in -> out on hw x hw planes, batch 16, no bias, as the models build
+  // them.
+  const std::int64_t layers[][3] = {{8, 8, 32},  {8, 32, 32}, {32, 16, 16},
+                                    {16, 64, 16}, {64, 16, 16}, {64, 24, 8},
+                                    {24, 64, 8}};
+  for (const auto& [in, out, hw] : layers)
+    pointwise.push_back({"tiny mobilenet_v2 pointwise",
+                         {1, 1, 0, 1, in, out, 16, hw, hw, false}});
+  pointwise.push_back({"tiny resnet bottleneck 1x1",
+                       {1, 1, 0, 1, 32, 16, 16, 32, 32, false}});
+  for (const auto& [label, cc] : pointwise)
+    ASSERT_NO_FATAL_FAILURE(check_conv(cc, pointwise_rng, label));
 }
 
 TEST(KernelOracleTest, LinearMatchesTheDirectLoopsBitForBit) {

@@ -319,6 +319,68 @@ TEST(LayerShapes, ShapeMismatchesThrow) {
                InvalidArgument);
   EXPECT_EQ(padded.forward(random_input({1, 1, 3, 3}, 32), true).shape(),
             (Shape{1, 1, 1, 1}));
+  // The backward indexes the output gradient by the forward's geometry, so
+  // a gradient of any other shape must be rejected before it is read.
+  Conv2d pointwise(3, 8, 1, 1, 0, 1, true, rng);
+  pointwise.forward(random_input({2, 3, 4, 4}, 33), true);
+  for (const Shape& bad : {Shape{2, 8, 2, 2}, Shape{2, 8, 4, 3},
+                           Shape{2, 8, 16}, Shape{1, 8, 4, 4},
+                           Shape{2, 4, 4, 4}}) {
+    EXPECT_THROW(pointwise.backward(random_input(bad, 34)), InvalidArgument)
+        << Tensor(bad).shape_string();
+  }
+  EXPECT_EQ(pointwise.backward(random_input({2, 8, 4, 4}, 34)).shape(),
+            (Shape{2, 3, 4, 4}));
+  Conv2d windowed(2, 4, 3, 1, 1, 1, true, rng);
+  windowed.forward(random_input({1, 2, 4, 4}, 35), true);
+  for (const Shape& bad : {Shape{1, 4, 3, 3}, Shape{1, 4, 5, 4}}) {
+    EXPECT_THROW(windowed.backward(random_input(bad, 36)), InvalidArgument)
+        << Tensor(bad).shape_string();
+  }
+  EXPECT_EQ(windowed.backward(random_input({1, 4, 4, 4}, 36)).shape(),
+            (Shape{1, 2, 4, 4}));
+}
+
+// An evaluation forward caches no input, so a backward after it has
+// nothing to differentiate, not even the input of an earlier training
+// forward.
+
+TEST(EvalForward, Conv2dBackwardAfterItThrows) {
+  Rng rng(39);
+  const Tensor image = random_input({2, 3, 5, 5}, 40);
+  const Tensor grad = random_input({2, 4, 5, 5}, 41);
+  Conv2d conv(3, 4, 3, 1, 1, 1, true, rng);
+  EXPECT_THROW(conv.backward(grad), InvalidArgument);
+  conv.forward(image, true);
+  conv.forward(image, false);
+  EXPECT_THROW(conv.backward(grad), InvalidArgument);
+  conv.forward(image, true);
+  EXPECT_EQ(conv.backward(grad).shape(), image.shape());
+}
+
+TEST(EvalForward, LinearBackwardAfterItThrows) {
+  Rng rng(42);
+  const Tensor row = random_input({2, 6}, 43);
+  const Tensor grad = random_input({2, 3}, 44);
+  Linear linear(6, 3, rng);
+  EXPECT_THROW(linear.backward(grad), InvalidArgument);
+  linear.forward(row, true);
+  linear.forward(row, false);
+  EXPECT_THROW(linear.backward(grad), InvalidArgument);
+  linear.forward(row, true);
+  EXPECT_EQ(linear.backward(grad).shape(), row.shape());
+}
+
+TEST(EvalForward, BatchNormBackwardAfterItThrows) {
+  const Tensor image = random_input({2, 3, 5, 5}, 45);
+  const Tensor grad = random_input({2, 3, 5, 5}, 46);
+  BatchNorm2d bn(3);
+  EXPECT_THROW(bn.backward(grad), InvalidArgument);
+  bn.forward(image, true);
+  bn.forward(image, false);
+  EXPECT_THROW(bn.backward(grad), InvalidArgument);
+  bn.forward(image, true);
+  EXPECT_EQ(bn.backward(grad).shape(), image.shape());
 }
 
 TEST(LossTest, SoftmaxRowsSumToOne) {

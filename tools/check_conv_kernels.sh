@@ -12,7 +12,8 @@
 set -eu
 
 object=${1:-build/CMakeFiles/fedsz.dir/src/nn/conv.cpp.o}
-kernels="forward_blocked<false> forward_blocked<true> weight_grad_dense
+kernels="forward_blocked<false> forward_blocked<true> forward_pointwise
+input_grad_pointwise weight_grad_pointwise weight_grad_dense
 backward_depthwise input_grad_rows backward_sparse"
 
 listing=$(objdump -dC --no-show-raw-insn "$object")
