@@ -1,14 +1,22 @@
 // Property tests for ErrorFeedbackAccumulator: over any sequence of lossy
 // round trips, accumulated residual + the decoded stream reconstructs the
 // true update sum (nothing is silently dropped), independent of the codec's
-// thread count.
+// thread count. ErrorFeedbackPin pins whole error-feedback campaigns to
+// their bytes.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <vector>
 
 #include "core/codec_spec.hpp"
 #include "core/error_feedback.hpp"
+#include "core/fl/checkpoint.hpp"
+#include "core/fl/coordinator.hpp"
+#include "data/synthetic.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace fedsz::core {
@@ -138,6 +146,112 @@ TEST(ErrorFeedbackProperty, AbsorbRejectsMismatchedStructures) {
   StateDict wrong;
   wrong.set("other", Tensor::zeros({4}));
   EXPECT_THROW(feedback.absorb(update, wrong), InvalidArgument);
+}
+
+// ---- pinned error-feedback campaigns ----
+
+std::uint32_t crc_of(const StateDict& dict) {
+  const Bytes bytes = dict.serialize();
+  return util::crc32({bytes.data(), bytes.size()});
+}
+
+struct EfPin {
+  const char* spec;
+  std::vector<std::size_t> bytes_sent;      // per round
+  std::vector<std::size_t> backhaul_bytes;  // per round
+  std::uint32_t global_crc;    // final global state
+  std::uint32_t residual_crc;  // every client and edge residual, in order
+};
+
+// Four tiny-MobileNetV2 clients for three rounds. Each update's residual
+// feeds the next round's payload, so a residual that moves by one bit
+// moves the bytes and the final model. The last round's checkpoint holds
+// the final global and every residual.
+void expect_pinned_campaign(const EfPin& pin) {
+  SCOPED_TRACE(pin.spec);
+  const std::filesystem::path checkpoint =
+      std::filesystem::temp_directory_path() /
+      ("fedsz_ef_pin_" + std::to_string(::getpid()) + ".ck");
+  auto [train, test] = data::make_dataset("cifar10");
+  const CodecSpec spec = parse_codec_spec(pin.spec);
+  FlRunConfig config;
+  config.apply_comm_spec(spec);
+  config.clients = 4;
+  config.rounds = 3;
+  config.eval_limit = 32;
+  config.threads = 2;
+  config.seed = 17;
+  config.client.batch_size = 8;
+  config.evaluate_every_round = false;
+  config.checkpoint_path = checkpoint.string();
+  config.checkpoint_every = 1;
+  ASSERT_TRUE(config.error_feedback);
+  nn::ModelConfig model;
+  model.arch = "mobilenet_v2";
+  model.scale = nn::ModelScale::kTiny;
+  FlCoordinator coordinator(model, data::take(train, 64),
+                            data::take(test, 32), config, make_codec(spec));
+  const FlRunResult result = coordinator.run();
+  const std::optional<CheckpointState> state =
+      read_checkpoint(checkpoint.string());
+  std::filesystem::remove(checkpoint);
+  ASSERT_TRUE(state.has_value());
+
+  std::vector<std::size_t> bytes_sent, backhaul_bytes;
+  for (const RoundRecord& record : result.rounds) {
+    bytes_sent.push_back(record.bytes_sent);
+    backhaul_bytes.push_back(record.backhaul_bytes);
+  }
+  std::uint32_t residual_crc = 0;
+  for (const std::vector<StateDict>* residuals :
+       {&state->client_residuals, &state->edge_residuals})
+    for (const StateDict& residual : *residuals) {
+      const Bytes bytes = residual.serialize();
+      residual_crc =
+          util::crc32_update(residual_crc, {bytes.data(), bytes.size()});
+    }
+  EXPECT_EQ(bytes_sent, pin.bytes_sent);
+  EXPECT_EQ(backhaul_bytes, pin.backhaul_bytes);
+  EXPECT_EQ(crc_of(state->global_state), pin.global_crc);
+  EXPECT_EQ(residual_crc, pin.residual_crc);
+}
+
+// Client error feedback over the SZ2 container, edge error feedback over a
+// lossy backhaul, the sparse path, SZ2 at a bound tight enough that some
+// residuals leave the quantizer's range and ship verbatim, and ZFP inside
+// the container. Pinned from the runs themselves: nothing else holds an
+// error-feedback trajectory's bytes, since every other error-feedback test
+// compares one run of a build with another run of the same build.
+TEST(ErrorFeedbackPin, CampaignsReproduceThePinnedBytes) {
+  const EfPin pins[] = {
+      {"fedsz:eb=rel:1e-1,ef=on",
+       {92221, 92586, 92654},
+       {0, 0, 0},
+       200050758u,
+       3773518701u},
+      {"fedsz:eb=rel:1e-1,ef=on,topology=hier:2,edgeef=on,"
+       "backhaul=fedsz:eb=rel:1e-1",
+       {92221, 92622, 92815},
+       {46105, 46260, 46361},
+       169214198u,
+       3951173592u},
+      {"sparse:eb=rel:1e-2,sparsity=0.9,ef=on",
+       {87448, 87817, 88171},
+       {0, 0, 0},
+       1987979351u,
+       102642544u},
+      {"fedsz:eb=rel:1e-6,ef=on",
+       {187362, 187774, 187936},
+       {0, 0, 0},
+       690979561u,
+       210942985u},
+      {"fedsz:lossy=zfp,eb=rel:1e-2,ef=on",
+       {117127, 117545, 117743},
+       {0, 0, 0},
+       419619059u,
+       299596702u},
+  };
+  for (const EfPin& pin : pins) expect_pinned_campaign(pin);
 }
 
 }  // namespace
