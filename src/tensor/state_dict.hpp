@@ -60,7 +60,8 @@ class StateDict {
   /// Total storage in bytes (float32).
   std::size_t total_bytes() const { return total_parameters() * sizeof(float); }
 
-  /// Bit-exact equality of names (in order), shapes and contents.
+  /// Bit-exact equality of names (in order), shapes and contents
+  /// (Tensor::equals per entry).
   bool equals(const StateDict& other) const;
 
   /// this += scale * other, elementwise per entry; structures must match.

@@ -1,5 +1,6 @@
 #include "tensor/tensor.hpp"
 
+#include <cstring>
 #include <sstream>
 
 namespace fedsz {
@@ -106,7 +107,10 @@ void Tensor::fold_scaled(const Tensor& other, float c) {
 }
 
 bool Tensor::equals(const Tensor& other) const {
-  return shape_ == other.shape_ && data_ == other.data_;
+  // Bytes, not float ==: +0 and -0 differ, and a NaN equals its own bits.
+  return shape_ == other.shape_ &&
+         (data_.empty() || std::memcmp(data_.data(), other.data_.data(),
+                                       data_.size() * sizeof(float)) == 0);
 }
 
 std::string Tensor::shape_string() const {

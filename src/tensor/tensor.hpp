@@ -63,7 +63,8 @@ class Tensor {
   void fold_scaled(const Tensor& other, float c);
 
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
-  /// Bit-exact equality of shape and contents.
+  /// Bit-exact equality of shape and contents: the element bytes are
+  /// compared, so +0 and -0 differ and a NaN equals a copy of its bits.
   bool equals(const Tensor& other) const;
 
   std::string shape_string() const;

@@ -106,6 +106,23 @@ TEST(Tensor, EqualsIsBitExact) {
   EXPECT_FALSE(a.equals(d));  // same data, different shape
 }
 
+TEST(Tensor, EqualsTellsSignedZerosApart) {
+  const Tensor plus = Tensor::from_data({2}, {1.0f, 0.0f});
+  const Tensor minus = Tensor::from_data({2}, {1.0f, -0.0f});
+  EXPECT_FALSE(plus.equals(minus));
+  EXPECT_FALSE(minus.equals(plus));
+  EXPECT_TRUE(minus.equals(Tensor::from_data({2}, {1.0f, -0.0f})));
+}
+
+TEST(Tensor, EqualsMatchesNaNBits) {
+  const float nan = std::nanf("");
+  const Tensor a = Tensor::from_data({3}, {nan, 1.0f, -nan});
+  const Tensor copy = a;
+  EXPECT_TRUE(a.equals(copy));
+  // A NaN of another sign is other bits.
+  EXPECT_FALSE(a.equals(Tensor::from_data({3}, {nan, 1.0f, nan})));
+}
+
 TEST(Tensor, ShapeString) {
   Tensor t({2, 3});
   EXPECT_EQ(t.shape_string(), "[2, 3]");
