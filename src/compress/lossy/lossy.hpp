@@ -47,8 +47,20 @@ class LossyCodec {
   /// be finite (NaN/Inf rejected with InvalidArgument). The hot codecs
   /// (SZ2/SZ3/SZx) draw working buffers from the calling thread's
   /// EncodeArena and allocate nothing once `out` has grown.
-  virtual void compress_into(FloatSpan data, const ErrorBound& bound,
-                             Bytes& out) const = 0;
+  ///
+  /// A non-empty `reconstruction` (exactly data.size() elements, else
+  /// InvalidArgument; it must not overlap `data`) receives the values
+  /// decompress(out) returns, bit for bit. SZ2 and SZ3 write them while
+  /// they quantize; SZx and ZFP decode their fresh stream into it.
+  void compress_into(FloatSpan data, const ErrorBound& bound, Bytes& out,
+                     std::span<float> reconstruction = {}) const {
+    if (!reconstruction.empty() && reconstruction.size() != data.size())
+      throw InvalidArgument(name() + ": reconstruction holds " +
+                            std::to_string(reconstruction.size()) +
+                            " elements, input " +
+                            std::to_string(data.size()));
+    encode(data, bound, out, reconstruction);
+  }
   /// Allocating wrapper around compress_into.
   Bytes compress(FloatSpan data, const ErrorBound& bound) const {
     Bytes out;
@@ -86,6 +98,10 @@ class LossyCodec {
   };
 
  private:
+  /// The codec's one encode routine, behind compress_into (which has
+  /// checked the reconstruction's size; empty means not wanted).
+  virtual void encode(FloatSpan data, const ErrorBound& bound, Bytes& out,
+                      std::span<float> reconstruction) const = 0;
   /// The codec's one decode routine; decompress and decompress_into wrap
   /// it. Stream damage throws CorruptStream.
   virtual void decode(ByteSpan data, const DecodeTarget& out) const = 0;

@@ -1,6 +1,7 @@
 #include "compress/lossy/quantizer.hpp"
 
 #include <string>
+#include <type_traits>
 
 namespace fedsz::lossy {
 
@@ -28,32 +29,51 @@ LinearQuantizer::LinearQuantizer(double eps, std::uint32_t radius)
 // its code lands at 2*radius, above every valid one. The swap reads the
 // radius at run time: GCC 12 does not vectorize the select against a
 // constant, nor a loop where a comparison feeds an integer.
+//
+// The reconstruction stored next to a code is reconstruct_line's
+// expression on the same bin (code - radius): pred + bin * step, rounded to
+// float. An out-of-range element stores garbage there until the verbatim
+// scan overwrites it with x[i], as the decoder does. The loop is
+// instantiated with and without that store, so an encode that wants no
+// reconstruction pays nothing for it.
 void LinearQuantizer::quantize_line(std::span<const float> x,
                                     const double* index, double intercept,
                                     double slope, std::uint32_t* codes,
-                                    std::vector<float>& verbatim) const {
+                                    std::vector<float>& verbatim,
+                                    float* recon) const {
   const std::size_t n = x.size();
   const float* values = x.data();
   const double inv_step = inv_step_;
+  const double step = step_;
   const double max_scaled = max_scaled_;
   const auto overflow = static_cast<double>(radius_);
   const auto radius = static_cast<std::int32_t>(radius_);
-  std::int32_t worst = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pred = intercept + slope * index[i];
-    const double scaled = (static_cast<double>(values[i]) - pred) * inv_step;
-    const double sv = std::fabs(scaled) < max_scaled ? scaled : overflow;
-    const auto t = static_cast<std::int32_t>(sv);
-    const std::int32_t code =
-        t + static_cast<std::int32_t>(2.0 * (sv - t)) + radius;
-    codes[i] = static_cast<std::uint32_t>(code);
-    worst = code > worst ? code : worst;
-  }
+  const auto quantize_all = [&](auto reconstruct) {
+    std::int32_t worst = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double pred = intercept + slope * index[i];
+      const double scaled =
+          (static_cast<double>(values[i]) - pred) * inv_step;
+      const double sv = std::fabs(scaled) < max_scaled ? scaled : overflow;
+      const auto t = static_cast<std::int32_t>(sv);
+      const std::int32_t bin = t + static_cast<std::int32_t>(2.0 * (sv - t));
+      const std::int32_t code = bin + radius;
+      codes[i] = static_cast<std::uint32_t>(code);
+      if constexpr (decltype(reconstruct)::value)
+        recon[i] = static_cast<float>(pred + static_cast<double>(bin) * step);
+      worst = code > worst ? code : worst;
+    }
+    return worst;
+  };
+  const std::int32_t worst = recon != nullptr
+                                 ? quantize_all(std::true_type{})
+                                 : quantize_all(std::false_type{});
   if (worst < 2 * radius) return;
   for (std::size_t i = 0; i < n; ++i) {
     if (codes[i] >= 2 * radius_) {
       codes[i] = kUnpredictable;
       verbatim.push_back(values[i]);
+      if (recon != nullptr) recon[i] = values[i];
     }
   }
 }

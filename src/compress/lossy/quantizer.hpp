@@ -9,7 +9,8 @@
 // predict->quantize->reconstruct loops of every lossy codec, and inlining
 // them removes a call per element and lets the surrounding pass vectorize.
 // quantize_line()/reconstruct_line() apply the same rule to a whole run of
-// residuals from a line predictor, with no per-element branch.
+// residuals from a line predictor, with no per-element branch;
+// quantize_line can also write the reconstruction as it goes.
 #pragma once
 
 #include <cassert>
@@ -71,11 +72,15 @@ class LinearQuantizer {
   /// every i < x.size(), with no per-element branch; index[i] must hold
   /// double(i). Codes of residuals out of range become kUnpredictable, in
   /// element order, with x[i] appended to `verbatim`; that scan runs only
-  /// when the run's largest code calls for it.
+  /// when the run's largest code calls for it. A non-null `recon` (not
+  /// overlapping x) receives what reconstruct_line plus the verbatim
+  /// overwrite decode: each in-range value is stored next to its code, in
+  /// the same loop, and the scan stores x[i] over each verbatim one.
   [[gnu::noinline]] void quantize_line(std::span<const float> x,
                                        const double* index, double intercept,
                                        double slope, std::uint32_t* codes,
-                                       std::vector<float>& verbatim) const;
+                                       std::vector<float>& verbatim,
+                                       float* recon = nullptr) const;
 
   /// float(intercept + slope * index[i] + reconstruct(codes[i])) into
   /// out[i] for every i < codes.size(), with no per-element branch. Codes

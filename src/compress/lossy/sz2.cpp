@@ -9,7 +9,11 @@
 // Encode runs as contiguous passes — predictor selection over every block,
 // then a quantize sweep with per-predictor inner loops — and draws all
 // working buffers from the thread's EncodeArena, so steady-state encode
-// allocates nothing.
+// allocates nothing. On request the quantize sweep also writes the
+// reconstruction, the floats decode will return: regression blocks store
+// it next to each code in quantize_line's loop (and the verbatim scan
+// overwrites an out-of-range element with its input), Lorenzo blocks the
+// value they carry. No block is visited twice.
 //
 // Order contract. Every stream byte and decoded float is the same as the
 // plain per-element loops give (tests/sz2_oracle_test.cpp holds those loops
@@ -159,8 +163,9 @@ class Sz2Codec final : public LossyCodec {
   std::string name() const override { return "sz2"; }
   bool strictly_bounded() const override { return true; }
 
-  void compress_into(FloatSpan data, const ErrorBound& bound,
-                     Bytes& out) const override {
+ private:
+  void encode(FloatSpan data, const ErrorBound& bound, Bytes& out,
+              std::span<float> reconstruction) const override {
     require_finite(data, name());
     const double eps = bound.absolute_for(data);
     EncodeArena& arena = EncodeArena::local();
@@ -209,18 +214,24 @@ class Sz2Codec final : public LossyCodec {
     // Pass 2: quantize block by block. Regression blocks quantize as one
     // branch-free line (quantize_line scans for verbatim values only when
     // one was out of range) and carry only their last element's
-    // reconstruction; Lorenzo blocks run the scalar recurrence.
+    // reconstruction; Lorenzo blocks run the scalar recurrence. A wanted
+    // reconstruction is stored as each value is decided: quantize_line
+    // writes it next to each code, Lorenzo blocks store the value they
+    // carry.
     std::uint32_t* codes = arena.codes.data();
+    float* recon = reconstruction.empty() ? nullptr : reconstruction.data();
     float last_reconstructed = 0.0f;
     for (std::size_t b = 0; b < n_blocks; ++b) {
       const std::size_t begin = b * kBlockSize;
       const std::size_t len = std::min(kBlockSize, n - begin);
       const float* block = data.data() + begin;
       std::uint32_t* block_codes = codes + begin;
+      float* block_recon = recon != nullptr ? recon + begin : nullptr;
       if (arena.tags[b] == kPredictorRegression) {
         const Regression reg{arena.coeffs[2 * b], arena.coeffs[2 * b + 1]};
         quantizer.quantize_line({block, len}, kIndex.data(), reg.intercept,
-                                reg.slope, block_codes, arena.verbatim);
+                                reg.slope, block_codes, arena.verbatim,
+                                block_recon);
         const std::uint32_t last = block_codes[len - 1];
         last_reconstructed =
             last == LinearQuantizer::kUnpredictable
@@ -240,6 +251,7 @@ class Sz2Codec final : public LossyCodec {
             last_reconstructed =
                 static_cast<float>(pred + quantizer.reconstruct(code));
           }
+          if (block_recon != nullptr) block_recon[i] = last_reconstructed;
         }
       }
     }
@@ -261,7 +273,6 @@ class Sz2Codec final : public LossyCodec {
     backend.compress_into(body.view(), out);
   }
 
- private:
   void decode(ByteSpan stream, const DecodeTarget& target) const override {
     const Bytes body = lossless::lossless_codec(lossless::LosslessId::kZstd)
                            .decompress(stream);

@@ -32,8 +32,9 @@ class Sz3Codec final : public LossyCodec {
   std::string name() const override { return "sz3"; }
   bool strictly_bounded() const override { return true; }
 
-  void compress_into(FloatSpan data, const ErrorBound& bound,
-                     Bytes& out) const override {
+ private:
+  void encode(FloatSpan data, const ErrorBound& bound, Bytes& out,
+              std::span<float> reconstruction) const override {
     require_finite(data, name());
     const double eps = bound.absolute_for(data);
     EncodeArena& arena = EncodeArena::local();
@@ -54,9 +55,14 @@ class Sz3Codec final : public LossyCodec {
     // Codes are emitted in traversal order (seed, then level order).
     arena.codes.resize(n);
     arena.verbatim.clear();
-    arena.recon.resize(n);
+    // The traversal predicts from reconstructed values, so it keeps them
+    // all; a wanted reconstruction is that buffer.
+    float* recon = reconstruction.data();
+    if (reconstruction.empty()) {
+      arena.recon.resize(n);
+      recon = arena.recon.data();
+    }
     std::uint32_t* codes = arena.codes.data();
-    float* recon = arena.recon.data();
     std::size_t pos = 0;
 
     const auto encode_point = [&](std::size_t i, double pred) {
@@ -114,7 +120,6 @@ class Sz3Codec final : public LossyCodec {
     backend.compress_into(body.view(), out);
   }
 
- private:
   void decode(ByteSpan stream, const DecodeTarget& target) const override {
     const Bytes body = lossless::lossless_codec(lossless::LosslessId::kZstd)
                            .decompress(stream);

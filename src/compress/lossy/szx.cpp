@@ -34,8 +34,10 @@ class SzxCodec final : public LossyCodec {
   std::string name() const override { return "szx"; }
   bool strictly_bounded() const override { return true; }
 
-  void compress_into(FloatSpan data, const ErrorBound& bound,
-                     Bytes& out) const override {
+ private:
+  // A wanted reconstruction is decoded from the fresh stream.
+  void encode(FloatSpan data, const ErrorBound& bound, Bytes& out,
+              std::span<float> reconstruction) const override {
     require_finite(data, name());
     const double eps = bound.absolute_for(data);
     EncodeArena& arena = EncodeArena::local();
@@ -97,9 +99,10 @@ class SzxCodec final : public LossyCodec {
     }
     const ByteSpan frame = w.view();
     out.assign(frame.begin(), frame.end());
+    if (!reconstruction.empty())
+      decode({out.data(), out.size()}, DecodeTarget(reconstruction));
   }
 
- private:
   void decode(ByteSpan stream, const DecodeTarget& target) const override {
     ByteReader r(stream);
     const auto n = static_cast<std::size_t>(r.get_varint());

@@ -83,8 +83,10 @@ class ZfpCodec final : public LossyCodec {
     return static_cast<unsigned>(std::clamp(p, 4, 32));
   }
 
-  void compress_into(FloatSpan data, const ErrorBound& bound,
-                     Bytes& out) const override {
+ private:
+  // A wanted reconstruction is decoded from the fresh stream.
+  void encode(FloatSpan data, const ErrorBound& bound, Bytes& out,
+              std::span<float> reconstruction) const override {
     require_finite(data, name());
     bound.validate();
     double rel = bound.value;
@@ -163,9 +165,10 @@ class ZfpCodec final : public LossyCodec {
     }
     w.put_bytes({bw.finish()});
     out = w.finish();
+    if (!reconstruction.empty())
+      decode({out.data(), out.size()}, DecodeTarget(reconstruction));
   }
 
- private:
   void decode(ByteSpan stream, const DecodeTarget& target) const override {
     ByteReader r(stream);
     const auto n = static_cast<std::size_t>(r.get_varint());

@@ -93,12 +93,15 @@ void SparseParams::validate() const {
 
 SparseEncodeInfo SparseQuantCodec::compress_into(
     FloatSpan data, double eps, const SparseParams& params,
-    const lossless::LosslessCodec& survivors, Bytes& out) const {
+    const lossless::LosslessCodec& survivors, Bytes& out,
+    std::span<float> reconstruction) const {
   params.validate();
   if (!(std::isfinite(eps)) || eps <= 0.0)
     throw InvalidArgument("sparse: error bound must be positive and finite");
   if (data.size() > std::numeric_limits<std::uint32_t>::max())
     throw InvalidArgument("sparse: tensor too large for the sparse path");
+  if (!reconstruction.empty() && reconstruction.size() != data.size())
+    throw InvalidArgument("sparse: reconstruction size differs from input");
   lossy::require_finite(data, name());
 
   SparseScratch& s = t_scratch();
@@ -204,6 +207,21 @@ SparseEncodeInfo SparseQuantCodec::compress_into(
 
   const ByteSpan frame = w.view();
   out.assign(frame.begin(), frame.end());
+
+  // The decoder's values, from its own expressions on what it reads back:
+  // f32 lo widened to double, the f64 step, and each code.
+  if (!reconstruction.empty()) {
+    std::fill(reconstruction.begin(), reconstruction.end(), 0.0f);
+    for (std::size_t j = 0; j < kept; ++j) {
+      float value = s.values[j];  // bits_tag 32: verbatim survivors
+      if (bits_tag == 0)
+        value = lo;
+      else if (bits_tag < 32)
+        value = static_cast<float>(static_cast<double>(lo) +
+                                   static_cast<double>(s.codes[j]) * step);
+      reconstruction[s.indices[j]] = value;
+    }
+  }
   return SparseEncodeInfo{kept};
 }
 

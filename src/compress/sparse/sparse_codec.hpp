@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compress/lossless/lossless.hpp"
@@ -67,11 +68,15 @@ class SparseQuantCodec {
 
   /// Encode `data` against resolved bound `eps` (> 0), routing the packed
   /// survivor stream through `survivors`. `out` is replaced (capacity
-  /// reused).
+  /// reused). A non-empty `reconstruction` (exactly data.size() elements,
+  /// else InvalidArgument; not overlapping `data`) receives what
+  /// decompress(out) returns, bit for bit: zeros, with each survivor's
+  /// dequantized value at its index.
   SparseEncodeInfo compress_into(FloatSpan data, double eps,
                                  const SparseParams& params,
                                  const lossless::LosslessCodec& survivors,
-                                 Bytes& out) const;
+                                 Bytes& out,
+                                 std::span<float> reconstruction = {}) const;
 
   /// Decode a self-contained payload. Throws CorruptStream on any
   /// malformed field; never allocates more than the payload plausibly

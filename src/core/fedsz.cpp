@@ -68,6 +68,7 @@ struct EncodeWorkspace {
     /// chunks — one job per tensor keeps byte-identity trivial).
     const lossy::LossyCodec* codec;
     FloatSpan chunk;
+    std::span<float> recon;  // the chunk's slice of the reconstruction
     double eps;
     Bytes* slot;
     double sparsity = 0.0;    // sparse jobs only
@@ -118,6 +119,27 @@ ThreadPool& FedSz::pool(std::size_t workers) const {
   return *pool_;
 }
 
+namespace {
+/// Give `dest` the entries of `like` (names, order, shapes), keeping its
+/// tensors when that layout already matches, and return its entries.
+std::vector<StateDict::Entry>& match_layout(const StateDict& like,
+                                            StateDict& dest) {
+  const std::vector<StateDict::Entry>& want = like.entries();
+  std::vector<StateDict::Entry>& have = dest.entries_mutable();
+  bool same = have.size() == want.size();
+  for (std::size_t k = 0; same && k < want.size(); ++k)
+    same = have[k].first == want[k].first &&
+           have[k].second.same_shape(want[k].second);
+  if (!same) {
+    have.clear();
+    have.reserve(want.size());
+    for (const auto& [name, tensor] : want)
+      have.emplace_back(name, Tensor(tensor.shape()));
+  }
+  return have;
+}
+}  // namespace
+
 void FedSz::run_indexed(std::size_t count,
                         const std::function<void(std::size_t)>& fn) const {
   const std::size_t workers = resolved_parallelism();
@@ -144,9 +166,19 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
     const Tensor* tensor;
     TensorPlan plan;
     const lossy::LossyCodec* codec = nullptr;  // lossy path only
+    float* recon = nullptr;   // the entry's reconstruction, when wanted
     double eps = 0.0;         // bound resolved over the whole tensor
     std::size_t chunks = 0;
   };
+  // A wanted reconstruction takes the input's layout first. Lossless and
+  // raw entries decode to their own bytes, so they are copied here; lossy
+  // and sparse jobs write their slices below.
+  StateDict* const reconstruction = ctx.reconstruction;
+  if (reconstruction == &dict)
+    throw InvalidArgument("FedSz: the reconstruction must not be the input");
+  std::vector<StateDict::Entry>* recon_entries =
+      reconstruction != nullptr ? &match_layout(dict, *reconstruction)
+                                : nullptr;
   std::vector<const StateDict::Entry*> lossless_entries;
   std::vector<PlannedEntry> planned;
   // True while every plan is expressible as the uniform v2 container: the
@@ -155,13 +187,19 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
   bool uniform = true;
   double rel_bound_sum = 0.0;
   std::size_t rel_bound_count = 0;
-  for (const StateDict::Entry& dict_entry : dict.entries()) {
+  for (std::size_t k = 0; k < dict.size(); ++k) {
+    const StateDict::Entry& dict_entry = dict.entries()[k];
     const std::string& name = dict_entry.first;
     const Tensor& tensor = dict_entry.second;
     const TensorPlan plan = policy_->plan(name, tensor, ctx);
     const std::size_t bytes = tensor.numel() * sizeof(float);
     const bool default_lossy =
         is_lossy_entry(name, tensor.numel(), config_.lossy_threshold);
+    float* recon =
+        recon_entries != nullptr ? (*recon_entries)[k].second.data() : nullptr;
+    if (recon != nullptr && (plan.path == TensorPath::kLossless ||
+                             plan.path == TensorPath::kRaw))
+      std::copy(tensor.span().begin(), tensor.span().end(), recon);
     switch (plan.path) {
       case TensorPath::kLossless:
         uniform = uniform && !default_lossy;
@@ -171,7 +209,7 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
         break;
       case TensorPath::kRaw:
         uniform = false;
-        planned.push_back({&name, &tensor, plan, nullptr, 0.0, 0});
+        planned.push_back({&name, &tensor, plan});
         local.raw_original_bytes += bytes;
         ++local.raw_tensors;
         break;
@@ -182,8 +220,7 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
                   plan.bound.mode == config_.bound.mode &&
                   plan.bound.value == config_.bound.value;
         planned.push_back(
-            {&name, &tensor, plan, &lossy::lossy_codec(plan.lossy_id), 0.0,
-             0});
+            {&name, &tensor, plan, &lossy::lossy_codec(plan.lossy_id), recon});
         local.lossy_original_bytes += bytes;
         ++local.lossy_tensors;
         if (plan.bound.mode == lossy::BoundMode::kRelative) {
@@ -196,7 +233,7 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
         plan.bound.validate();
         sparse::SparseParams{plan.sparsity, plan.sparse_bits}.validate();
         uniform = false;
-        planned.push_back({&name, &tensor, plan, nullptr, 0.0, 0});
+        planned.push_back({&name, &tensor, plan, nullptr, recon});
         local.sparse_original_bytes += bytes;
         local.sparse_total_elements += tensor.numel();
         ++local.sparse_tensors;
@@ -239,15 +276,22 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
   EncodeWorkspace& ws = EncodeWorkspace::local();
   ws.chunk_payloads.resize(planned.size());
   ws.jobs.clear();
+  // A job's reconstruction slice is empty when none is wanted.
+  const auto recon_slice = [](const PlannedEntry& entry, std::size_t begin,
+                              std::size_t len) {
+    return entry.recon != nullptr ? std::span<float>(entry.recon + begin, len)
+                                  : std::span<float>();
+  };
   for (std::size_t i = 0; i < planned.size(); ++i) {
     const PlannedEntry& entry = planned[i];
+    const FloatSpan values = entry.tensor->span();
     if (entry.plan.path == TensorPath::kSparse) {
       // One whole-tensor job: the keep-mask derives from per-tensor
       // magnitude statistics, so the sparse path never chunks.
       ws.chunk_payloads[i].resize(1);
-      ws.jobs.push_back({nullptr, entry.tensor->span(), entry.eps,
-                         &ws.chunk_payloads[i][0], entry.plan.sparsity,
-                         entry.plan.sparse_bits, 0});
+      ws.jobs.push_back({nullptr, values, recon_slice(entry, 0, values.size()),
+                         entry.eps, &ws.chunk_payloads[i][0],
+                         entry.plan.sparsity, entry.plan.sparse_bits, 0});
       continue;
     }
     if (entry.plan.path != TensorPath::kLossy) {
@@ -255,12 +299,12 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
       continue;
     }
     ws.chunk_payloads[i].resize(entry.chunks);
-    const FloatSpan values = entry.tensor->span();
     for (std::size_t c = 0; c < entry.chunks; ++c) {
       const std::size_t begin = c * config_.chunk_elements;
       const std::size_t len =
           std::min(config_.chunk_elements, values.size() - begin);
-      ws.jobs.push_back({entry.codec, values.subspan(begin, len), entry.eps,
+      ws.jobs.push_back({entry.codec, values.subspan(begin, len),
+                         recon_slice(entry, begin, len), entry.eps,
                          &ws.chunk_payloads[i][c]});
     }
   }
@@ -287,12 +331,12 @@ Bytes FedSz::compress(const StateDict& dict, CompressionStats* stats,
       job.kept = sparse::sparse_codec()
                      .compress_into(job.chunk, job.eps,
                                     {job.sparsity, job.sparse_bits},
-                                    lossless_codec, *job.slot)
+                                    lossless_codec, *job.slot, job.recon)
                      .kept;
       return;
     }
     job.codec->compress_into(job.chunk, lossy::ErrorBound::absolute(job.eps),
-                             *job.slot);
+                             *job.slot, job.recon);
   });
   const Bytes& lossless_payload = ws.lossless_payload;
   for (const EncodeWorkspace::ChunkJob& job : ws.jobs)

@@ -147,7 +147,10 @@ class FedSz {
   /// Compress a state dict to the FedSZ bitstream. `ctx` reaches the policy
   /// so per-round/per-client plans resolve; optional stats out-param. Safe
   /// to call from several threads at once: each thread encodes through its
-  /// own workspace.
+  /// own workspace. A non-null ctx.reconstruction (not `dict` itself)
+  /// receives, in `dict`'s layout, exactly what decompress() of the result
+  /// returns: each chunk job writes its own slice, and lossless and raw
+  /// entries are copied. compress_seconds includes that work.
   Bytes compress(const StateDict& dict, CompressionStats* stats = nullptr,
                  const EncodeContext& ctx = {}) const;
 

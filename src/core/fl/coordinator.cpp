@@ -207,7 +207,7 @@ struct ClientUpdate {
   double train_seconds = 0.0;
   double mean_loss = 0.0;
   double ef_residual_norm = 0.0;   // after this update's encode
-  double ef_decode_seconds = 0.0;  // decoding own payload for the residual
+  double ef_decode_seconds = 0.0;  // EF's fallback decode (0 for FedSZ)
 };
 
 /// A client's dispatch: who, under which aggregation point (trace node
@@ -870,12 +870,12 @@ class RoundEngine {
   }
 
   // The client's real work, run on the pool: train on `model` (the global,
-  // or its broadcast group's reconstruction), fold in the carried
-  // error-feedback residual, encode, and absorb what the encoder dropped
-  // (the reconstruction read back from the payload) into the residual.
-  // Per-client state (feedback_[i]) is safe without locks because a client
-  // never has two tasks alive at once (dispatch waits out a stale evicted
-  // task before reusing the slot).
+  // or its broadcast group's reconstruction) and encode the update. With
+  // error feedback the client's accumulator folds in the carried residual
+  // and keeps what the encode dropped, from the encoder's own
+  // reconstruction. Per-client state (feedback_[i]) is safe without locks
+  // because a client never has two tasks alive at once (dispatch waits out
+  // a stale evicted task before reusing the slot).
   ClientUpdate client_work(std::size_t i, int round, const Snapshot& model) {
     FlClient& client = *local_->clients_[i];
     const UpdateCodec& codec = *local_->codec_;
@@ -884,19 +884,16 @@ class RoundEngine {
     ctx.round = round;
     ctx.client_id = client.id();
     ctx.steps = trained.steps;
-    StateDict update = std::move(trained.update);
-    if (ef_on_) update = local_->feedback_[i].apply(update);
-    UpdateCodec::Encoded encoded = codec.encode(update, ctx);
+    UpdateCodec::Encoded encoded;
     ClientUpdate out;
     if (ef_on_) {
-      // The server will decode exactly this; what it misses is carried over.
-      ErrorFeedbackAccumulator& feedback = local_->feedback_[i];
-      CompressionStats ef_stats;
-      const StateDict reconstruction = codec.decode(
-          {encoded.payload.data(), encoded.payload.size()}, &ef_stats);
-      feedback.absorb(update, reconstruction);
-      out.ef_residual_norm = feedback.residual_norm();
-      out.ef_decode_seconds = ef_stats.decompress_seconds;
+      ErrorFeedbackAccumulator::Step step = local_->feedback_[i].encode(
+          std::move(trained.update), codec, ctx);
+      encoded = std::move(step.encoded);
+      out.ef_residual_norm = step.residual_norm;
+      out.ef_decode_seconds = step.decode_seconds;
+    } else {
+      encoded = codec.encode(trained.update, ctx);
     }
     out.samples = trained.samples;
     out.stats = encoded.stats;

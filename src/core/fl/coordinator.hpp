@@ -282,8 +282,11 @@ struct RoundRecord {
   double downlink_decode_seconds = 0.0;
   /// Mean per-participant error-feedback residual norm (0 with EF off).
   double mean_ef_residual_norm = 0.0;
-  /// Mean client-side seconds decoding the own payload for the EF residual
-  /// (the extra codec work EF costs; 0 with EF off or a lossless uplink).
+  /// Mean client-side seconds decoding the own payload for the EF residual.
+  /// Only a codec that does not reconstruct while encoding pays that
+  /// fallback decode (ErrorFeedbackAccumulator::encode): 0 for FedSZ, and
+  /// 0 with EF off or a lossless uplink. FedSZ's reconstruction is timed in
+  /// compress_seconds.
   double ef_decode_seconds = 0.0;
   // ---- backhaul (interior uplink) tiers, zeros/empty on flat runs ----
   std::size_t backhaul_bytes = 0;      // total MERGED partial bytes, all tiers

@@ -173,17 +173,17 @@ EncodedPartial EdgeAggregator::finalize_and_encode(int round) {
   EncodeContext ctx;
   ctx.round = round;
   ctx.client_id = -1 - static_cast<int>(id_);
-  StateDict to_encode = std::move(partial.mean);
-  if (ef_on_) to_encode = feedback_.apply(to_encode);
-  UpdateCodec::Encoded encoded = codec_->encode(to_encode, ctx);
+  UpdateCodec::Encoded encoded;
   EncodedPartial out;
   if (ef_on_) {
-    // The parent will decode exactly this payload; what the lossy tier
-    // codec dropped is carried into this node's next partial.
-    const StateDict reconstruction = codec_->decode(
-        {encoded.payload.data(), encoded.payload.size()});
-    feedback_.absorb(to_encode, reconstruction);
-    out.ef_residual_norm = feedback_.residual_norm();
+    // What the lossy tier codec dropped is carried into this node's next
+    // partial.
+    ErrorFeedbackAccumulator::Step step =
+        feedback_.encode(std::move(partial.mean), *codec_, ctx);
+    encoded = std::move(step.encoded);
+    out.ef_residual_norm = step.residual_norm;
+  } else {
+    encoded = codec_->encode(partial.mean, ctx);
   }
   out.payload = std::move(encoded.payload);
   out.stats = encoded.stats;

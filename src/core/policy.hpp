@@ -37,6 +37,10 @@
 #include "tensor/tensor.hpp"
 #include "util/common.hpp"
 
+namespace fedsz {
+class StateDict;
+}  // namespace fedsz
+
 namespace fedsz::core {
 
 struct CodecSpec;
@@ -88,11 +92,21 @@ struct TensorPlan {
 
 /// Round/client context threaded from the coordinator into every encode, so
 /// policies can be round- and client-aware. Default-constructed context
-/// (round 0, no client) is what standalone compression uses.
+/// (round 0, no client, no reconstruction) is what standalone compression
+/// uses.
 struct EncodeContext {
   int round = 0;        // server round the update was dispatched at
   int client_id = -1;   // -1 outside a federation run
   std::size_t steps = 0;  // local optimizer steps behind this update
+  /// Where a FedSZ encode writes the exact values decoding its payload
+  /// returns (null: nowhere). Error feedback passes its residual's storage
+  /// here instead of decoding its own payload. The dict ends up with the
+  /// input's entries, order and shapes; tensors whose name and shape
+  /// already match are reused, so a buffer kept across rounds allocates
+  /// nothing. It must not be the encoded dict. Only FedSzCodec fills it,
+  /// and says so with UpdateCodec::Encoded::reconstructed; other codecs
+  /// ignore it.
+  StateDict* reconstruction = nullptr;
 };
 
 /// Maps each tensor of an update to its TensorPlan. plan() is called

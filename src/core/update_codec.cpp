@@ -42,6 +42,7 @@ UpdateCodec::Encoded FedSzCodec::encode(const StateDict& dict,
                                         const EncodeContext& ctx) const {
   Encoded encoded;
   encoded.payload = fedsz_.compress(dict, &encoded.stats, ctx);
+  encoded.reconstructed = ctx.reconstruction != nullptr;
   return encoded;
 }
 

@@ -5,7 +5,10 @@
 // the EncodeContext the coordinator threads through (round, client, local
 // steps), which is what lets round- and client-aware CompressionPolicies
 // resolve per-update plans; decode() reports its timing and plan census via
-// CompressionStats instead of a bare seconds out-param.
+// CompressionStats instead of a bare seconds out-param. The context can also
+// ask for the reconstruction (EncodeContext::reconstruction): FedSzCodec
+// writes what decode() would return while it encodes, which is what lets
+// error feedback skip decoding its own payload.
 #pragma once
 
 #include <memory>
@@ -21,7 +24,7 @@ class UpdateCodec {
 
   /// True when decode(encode(x)) is bit-exact for every update. Error
   /// feedback is provably a no-op then, so the runtime skips its
-  /// bookkeeping (the per-round payload decode and residual passes).
+  /// bookkeeping (the reconstruction and residual passes).
   virtual bool lossless() const { return false; }
 
   /// True when encode() keeps state keyed by EncodeContext::client_id (a
@@ -33,6 +36,12 @@ class UpdateCodec {
   struct Encoded {
     Bytes payload;
     CompressionStats stats;
+    /// True when the encode wrote ctx.reconstruction: it then holds, in the
+    /// update's layout, exactly what decode(payload) returns. Only
+    /// FedSzCodec sets it (wrappers that forward the context and the inner
+    /// Encoded pass it on); a caller that finds it false and needs the
+    /// reconstruction decodes the payload.
+    bool reconstructed = false;
   };
   /// Encode one client update. `ctx` carries the round/client the update
   /// belongs to; policy-driven codecs use it, others ignore it.

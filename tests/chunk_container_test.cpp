@@ -160,10 +160,12 @@ TEST(ChunkContainer, ConcurrentCompressOnOneCodecMatchesSerialEncodes) {
   // Each thread encodes through its own workspace, so threads sharing one
   // FedSz must each get their own dict's serial bytes on every call. The
   // dicts differ in tensor count and size, so a shared workspace would mix
-  // their chunk tables.
+  // their chunk tables. Every other call also writes the reconstruction
+  // into the thread's own destination, kept across calls, which must hold
+  // the decode of those bytes in the dict's layout.
   constexpr std::size_t kThreads = 4;
   constexpr int kCalls = 25;
-  std::vector<StateDict> dicts;
+  std::vector<StateDict> dicts, decoded;
   std::vector<Bytes> serial;
   FedSzConfig config;
   config.chunk_elements = 1000;
@@ -173,23 +175,34 @@ TEST(ChunkContainer, ConcurrentCompressOnOneCodecMatchesSerialEncodes) {
     for (std::size_t k = 0; k < t; ++k)
       dict.set("layer" + std::to_string(k) + ".weight",
                random_tensor({static_cast<std::int64_t>(1500 * (k + 1))}, rng));
-    serial.push_back(FedSz{config}.compress(dict));
+    const FedSz fedsz{config};
+    serial.push_back(fedsz.compress(dict));
+    decoded.push_back(fedsz.decompress({serial[t].data(), serial[t].size()})
+                          .reordered_like(dict));
     dicts.push_back(std::move(dict));
   }
   for (const std::size_t parallelism : {std::size_t{1}, std::size_t{2}}) {
     config.parallelism = parallelism;
     const FedSz fedsz{config};
-    std::vector<int> mismatches(kThreads, 0);
+    std::vector<int> mismatches(kThreads, 0), wrong_recon(kThreads, 0);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t)
       threads.emplace_back([&, t] {
-        for (int call = 0; call < kCalls; ++call)
-          mismatches[t] += fedsz.compress(dicts[t]) != serial[t];
+        StateDict recon;
+        EncodeContext ctx;
+        for (int call = 0; call < kCalls; ++call) {
+          ctx.reconstruction = call % 2 == 0 ? &recon : nullptr;
+          mismatches[t] += fedsz.compress(dicts[t], nullptr, ctx) != serial[t];
+          wrong_recon[t] += call % 2 == 0 && !recon.equals(decoded[t]);
+        }
       });
     for (std::thread& thread : threads) thread.join();
-    for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t t = 0; t < kThreads; ++t) {
       EXPECT_EQ(mismatches[t], 0)
           << "thread " << t << " parallelism=" << parallelism;
+      EXPECT_EQ(wrong_recon[t], 0)
+          << "thread " << t << " parallelism=" << parallelism;
+    }
   }
 }
 

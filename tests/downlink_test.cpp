@@ -135,6 +135,28 @@ class CountingCodec final : public UpdateCodec {
   bool keyed_;
 };
 
+// Forwards to a real codec but never asks it for a reconstruction, so
+// error feedback takes its fallback and decodes each payload.
+class NoReconstructionCodec final : public UpdateCodec {
+ public:
+  using UpdateCodec::encode;
+  explicit NoReconstructionCodec(UpdateCodecPtr inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  Encoded encode(const StateDict& dict,
+                 const EncodeContext& ctx) const override {
+    EncodeContext plain = ctx;
+    plain.reconstruction = nullptr;
+    return inner_->encode(dict, plain);
+  }
+  StateDict decode(ByteSpan payload, CompressionStats* stats) const override {
+    return inner_->decode(payload, stats);
+  }
+
+ private:
+  UpdateCodecPtr inner_;
+};
+
 // One send as the coordinator runs it: one encode per group, and every
 // member in `acked` acknowledges its group's reconstruction. Returns the
 // group count.
@@ -278,12 +300,16 @@ net::HeterogeneousNetworkConfig uniform_edge_links(double min_mbps,
 }
 
 FlRunResult run_on_tiny_cifar(const FlRunConfig& config,
-                              const std::string& uplink_spec) {
+                              UpdateCodecPtr uplink) {
   auto [train, test] = data::make_dataset("cifar10");
   FlCoordinator coordinator(tiny_model(), data::take(train, 128),
-                            data::take(test, 32), config,
-                            make_codec(uplink_spec));
+                            data::take(test, 32), config, std::move(uplink));
   return coordinator.run();
+}
+
+FlRunResult run_on_tiny_cifar(const FlRunConfig& config,
+                              const std::string& uplink_spec) {
+  return run_on_tiny_cifar(config, make_codec(uplink_spec));
 }
 
 BidirectionalRun run_eight_clients(const std::string& uplink_spec,
@@ -590,13 +616,34 @@ TEST(FlCoordinatorDownlinkTest, IdentityDownlinkChargesFullBytes) {
 TEST(FlCoordinatorDownlinkTest, ErrorFeedbackTracksResidualNorms) {
   const BidirectionalRun run = run_eight_clients(
       "fedsz:eb=rel:1e-1", "", DownlinkMode::kFull, true);
-  // A lossy uplink leaves a nonzero residual on every client, and the
-  // extra decode EF pays for it is priced in the round record.
+  // A lossy uplink leaves a nonzero residual on every client. FedSZ hands
+  // its reconstruction back while it encodes, so EF decodes nothing.
   for (const RoundRecord& record : run.result.rounds) {
     EXPECT_GT(record.mean_ef_residual_norm, 0.0);
-    EXPECT_GT(record.ef_decode_seconds, 0.0);
+    EXPECT_EQ(record.ef_decode_seconds, 0.0);
     for (const ClientTraceEntry& entry : record.clients)
       EXPECT_GT(entry.ef_residual_norm, 0.0);
+  }
+  // Through a codec that never reconstructs, EF decodes each payload
+  // instead, and the round record prices that decode. Nothing else moves:
+  // the same bytes, residual norms and accuracy.
+  const FlRunResult fallback = run_on_tiny_cifar(
+      run.config, std::make_shared<NoReconstructionCodec>(
+                      make_codec("fedsz:eb=rel:1e-1")));
+  EXPECT_EQ(fallback.final_accuracy, run.result.final_accuracy);
+  ASSERT_EQ(fallback.rounds.size(), run.result.rounds.size());
+  for (std::size_t r = 0; r < fallback.rounds.size(); ++r) {
+    const RoundRecord& a = run.result.rounds[r];
+    const RoundRecord& b = fallback.rounds[r];
+    EXPECT_GT(b.ef_decode_seconds, 0.0);
+    EXPECT_EQ(b.bytes_sent, a.bytes_sent);
+    EXPECT_EQ(b.mean_ef_residual_norm, a.mean_ef_residual_norm);
+    ASSERT_EQ(b.clients.size(), a.clients.size());
+    for (std::size_t c = 0; c < a.clients.size(); ++c) {
+      EXPECT_EQ(b.clients[c].client, a.clients[c].client);
+      EXPECT_EQ(b.clients[c].payload_bytes, a.clients[c].payload_bytes);
+      EXPECT_EQ(b.clients[c].ef_residual_norm, a.clients[c].ef_residual_norm);
+    }
   }
   // A lossless uplink leaves none.
   const BidirectionalRun lossless = run_eight_clients(

@@ -45,13 +45,48 @@ StateDict random_update(Rng& rng, float scale) {
   return dict;
 }
 
-void run_stream_property(const std::string& spec, std::uint64_t seed) {
-  SCOPED_TRACE(spec);
-  const UpdateCodecPtr codec = make_codec(spec);
+// Forwards to a real codec but never asks it for a reconstruction, so
+// error feedback takes its fallback: decode the payload.
+class NoReconstructionCodec final : public UpdateCodec {
+ public:
+  using UpdateCodec::encode;
+  explicit NoReconstructionCodec(UpdateCodecPtr inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  Encoded encode(const StateDict& dict,
+                 const EncodeContext& ctx) const override {
+    EncodeContext plain = ctx;
+    plain.reconstruction = nullptr;
+    return inner_->encode(dict, plain);
+  }
+  StateDict decode(ByteSpan payload, CompressionStats* stats) const override {
+    return inner_->decode(payload, stats);
+  }
+
+ private:
+  UpdateCodecPtr inner_;
+};
+
+double l2_norm(const StateDict& dict) {
+  double sum = 0.0;
+  for (const auto& [name, tensor] : dict)
+    for (const float v : tensor.span())
+      sum += static_cast<double>(v) * static_cast<double>(v);
+  return std::sqrt(sum);
+}
+
+// `compensated` minus `decoded`, matched by name, as a copy and an
+// add_scaled: the residual error feedback must keep, bit for bit.
+StateDict residual_of(const StateDict& compensated, const StateDict& decoded) {
+  StateDict residual = compensated;
+  residual.add_scaled_matched(decoded, -1.0f);
+  return residual;
+}
+
+void run_stream_property(const UpdateCodec& codec, std::uint64_t seed) {
   Rng rng(seed);
   ErrorFeedbackAccumulator feedback;
   EXPECT_TRUE(feedback.empty());
-  EXPECT_DOUBLE_EQ(feedback.residual_norm(), 0.0);
 
   StateDict true_sum;      // sum of raw updates, as the client produced them
   StateDict decoded_sum;   // sum of what the server decoded
@@ -63,13 +98,21 @@ void run_stream_property(const std::string& spec, std::uint64_t seed) {
     else
       true_sum.add_scaled(update.reordered_like(true_sum), 1.0f);
 
-    const StateDict compensated = feedback.apply(update);
+    StateDict compensated = update;
+    if (!feedback.empty())
+      compensated.add_scaled_matched(feedback.residual(), 1.0f);
     EncodeContext ctx;
     ctx.round = round;
-    const UpdateCodec::Encoded encoded = codec->encode(compensated, ctx);
-    const StateDict decoded =
-        codec->decode({encoded.payload.data(), encoded.payload.size()});
-    feedback.absorb(compensated, decoded);
+    const ErrorFeedbackAccumulator::Step step =
+        feedback.encode(update, codec, ctx);
+    const StateDict decoded = codec.decode(
+        {step.encoded.payload.data(), step.encoded.payload.size()});
+    // The residual is exactly what the server misses, in the update's
+    // layout, and its norm is the one reported.
+    const StateDict residual = residual_of(compensated, decoded);
+    EXPECT_TRUE(feedback.residual().equals(residual)) << "round " << round;
+    EXPECT_NEAR(step.residual_norm, l2_norm(residual),
+                1e-12 * (1.0 + l2_norm(residual)));
 
     if (decoded_sum.empty())
       decoded_sum = decoded.reordered_like(update);
@@ -92,14 +135,55 @@ void run_stream_property(const std::string& spec, std::uint64_t seed) {
   }
 }
 
+const char* const kStreamSpecs[] = {
+    "fedsz:eb=rel:1e-1,threshold=100",
+    "fedsz:eb=rel:1e-1,threshold=100,threads=4",
+    "fedsz:eb=rel:1e-2,threshold=100,chunk=512,threads=3",
+    "fedsz:eb=abs:0.05,threshold=100",
+    "fedsz:eb=rel:1e-2,threshold=100,policy=layerwise",
+    "fedsz:lossy=sz3,eb=rel:1e-2,threshold=100",
+    "fedsz:lossy=zfp,eb=rel:1e-2,threshold=100,threads=2",
+    "sparse:eb=rel:1e-2,threshold=100,sparsity=0.9",
+    "identity"};
+
 TEST(ErrorFeedbackProperty, StreamReconstructsTrueSumAtAnyThreadCount) {
-  for (const char* spec :
-       {"fedsz:eb=rel:1e-1,threshold=100",
-        "fedsz:eb=rel:1e-1,threshold=100,threads=4",
-        "fedsz:eb=rel:1e-2,threshold=100,chunk=512,threads=3",
-        "fedsz:eb=abs:0.05,threshold=100", "identity"}) {
+  for (const char* spec : kStreamSpecs) {
+    SCOPED_TRACE(spec);
+    const UpdateCodecPtr codec = make_codec(spec);
     for (const std::uint64_t seed : {1ull, 77ull, 20260731ull})
-      run_stream_property(spec, seed);
+      run_stream_property(*codec, seed);
+  }
+}
+
+// A codec that does not reconstruct is decoded instead, and gives the same
+// payloads, the same residual bytes and the same norms; only the decode's
+// seconds tell the two apart.
+TEST(ErrorFeedbackProperty, DecodeFallbackMatchesTheReconstruction) {
+  for (const char* spec : kStreamSpecs) {
+    SCOPED_TRACE(spec);
+    const UpdateCodecPtr codec = make_codec(spec);
+    const NoReconstructionCodec fallback(codec);
+    const bool fedsz = std::string(spec) != "identity";
+    ErrorFeedbackAccumulator direct, decoded;
+    Rng rng(31);
+    for (int round = 0; round < 4; ++round) {
+      const StateDict update = random_update(rng, 1.0f);
+      EncodeContext ctx;
+      ctx.round = round;
+      const ErrorFeedbackAccumulator::Step a =
+          direct.encode(update, *codec, ctx);
+      const ErrorFeedbackAccumulator::Step b =
+          decoded.encode(update, fallback, ctx);
+      EXPECT_EQ(a.encoded.reconstructed, fedsz);
+      EXPECT_FALSE(b.encoded.reconstructed);
+      EXPECT_EQ(a.encoded.payload, b.encoded.payload);
+      EXPECT_TRUE(direct.residual().equals(decoded.residual()));
+      EXPECT_EQ(a.residual_norm, b.residual_norm);
+      if (fedsz) {
+        EXPECT_EQ(a.decode_seconds, 0.0);
+      }
+      EXPECT_GT(b.decode_seconds, 0.0);
+    }
   }
 }
 
@@ -108,44 +192,49 @@ TEST(ErrorFeedbackProperty, LosslessCodecLeavesZeroResidual) {
   Rng rng(5);
   ErrorFeedbackAccumulator feedback;
   for (int round = 0; round < 3; ++round) {
-    const StateDict update = random_update(rng, 1.0f);
-    const StateDict compensated = feedback.apply(update);
-    const UpdateCodec::Encoded encoded = codec->encode(compensated);
-    feedback.absorb(compensated, codec->decode({encoded.payload.data(),
-                                                encoded.payload.size()}));
-    EXPECT_DOUBLE_EQ(feedback.residual_norm(), 0.0) << "round " << round;
+    const ErrorFeedbackAccumulator::Step step =
+        feedback.encode(random_update(rng, 1.0f), *codec, {});
+    EXPECT_DOUBLE_EQ(step.residual_norm, 0.0) << "round " << round;
+    EXPECT_DOUBLE_EQ(l2_norm(feedback.residual()), 0.0);
   }
 }
 
-TEST(ErrorFeedbackProperty, ApplyCompensatesThePreviousRoundsLoss) {
+TEST(ErrorFeedbackProperty, EncodeCompensatesThePreviousRoundsLoss) {
   const UpdateCodecPtr codec =
       make_codec("fedsz:eb=rel:1e-1,threshold=100");
   Rng rng(9);
   ErrorFeedbackAccumulator feedback;
   const StateDict update = random_update(rng, 1.0f);
-  // First apply is the identity: no residual carried yet.
-  EXPECT_TRUE(feedback.apply(update).equals(update));
-  const UpdateCodec::Encoded encoded = codec->encode(update);
-  feedback.absorb(update, codec->decode({encoded.payload.data(),
-                                         encoded.payload.size()}));
-  EXPECT_GT(feedback.residual_norm(), 0.0);
-  // Second apply folds exactly that residual in.
+  // The first encode sends the update as it is: no residual carried yet.
+  const ErrorFeedbackAccumulator::Step first =
+      feedback.encode(update, *codec, {});
+  EXPECT_EQ(first.encoded.payload, codec->encode(update).payload);
+  EXPECT_GT(first.residual_norm, 0.0);
+  // The second sends the next update plus exactly that residual.
+  const StateDict carried = feedback.residual();
   const StateDict next = random_update(rng, 1.0f);
-  const StateDict compensated = feedback.apply(next);
-  const Tensor& a = compensated.get("features.0.weight");
-  const Tensor& b = next.get("features.0.weight");
-  const Tensor& r = feedback.residual().get("features.0.weight");
-  for (std::size_t i = 0; i < 32; ++i)
-    EXPECT_FLOAT_EQ(a[i], b[i] + r[i]);
+  StateDict compensated = next;
+  compensated.add_scaled_matched(carried, 1.0f);
+  const ErrorFeedbackAccumulator::Step second =
+      feedback.encode(next, *codec, {});
+  EXPECT_EQ(second.encoded.payload, codec->encode(compensated).payload);
 }
 
-TEST(ErrorFeedbackProperty, AbsorbRejectsMismatchedStructures) {
+TEST(ErrorFeedbackProperty, EncodeRejectsAnUpdateOfAnotherStructure) {
+  const UpdateCodecPtr codec = make_codec("fedsz:eb=rel:1e-1,threshold=100");
   ErrorFeedbackAccumulator feedback;
   Rng rng(2);
-  const StateDict update = random_update(rng, 1.0f);
+  feedback.encode(random_update(rng, 1.0f), *codec, {});
   StateDict wrong;
   wrong.set("other", Tensor::zeros({4}));
-  EXPECT_THROW(feedback.absorb(update, wrong), InvalidArgument);
+  EXPECT_THROW(feedback.encode(wrong, *codec, {}), InvalidArgument);
+  EXPECT_FALSE(feedback.empty());  // the carried residual is untouched
+  // An encode that throws drops the residual rather than leave it half
+  // overwritten by a reconstruction.
+  StateDict bad = random_update(rng, 1.0f);
+  bad.get_mutable("features.0.weight")[3] = std::nanf("");
+  EXPECT_THROW(feedback.encode(bad, *codec, {}), InvalidArgument);
+  EXPECT_TRUE(feedback.empty());
 }
 
 // ---- pinned error-feedback campaigns ----

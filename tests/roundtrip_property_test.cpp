@@ -288,6 +288,41 @@ TEST(RoundTripProperty, RandomPerTensorPlansSatisfyTheV3Contract) {
       other.parallelism = config.parallelism == 1 ? 4 : 1;
       EXPECT_EQ(FedSz{other}.compress(dict), blob);
     }
+
+    // The encode-side reconstruction is decompress(blob), entry by entry,
+    // in the input's layout: into a fresh buffer, a reused one (poisoned
+    // with NaNs first, so every element must be written, and its storage
+    // kept) and one of another layout, at every parallelism. Asking for it
+    // moves no byte.
+    StateDict reused;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      FedSzConfig at = config;
+      at.parallelism = threads;
+      const FedSz encoder{at};
+      StateDict fresh, other_layout;
+      other_layout.set("unrelated", Tensor::full({3}, 7.0f));
+      std::vector<const float*> storage;
+      for (auto& [name, tensor] : reused.entries_mutable()) {
+        tensor.fill(std::nanf(""));
+        storage.push_back(tensor.data());
+      }
+      for (StateDict* dest : {&fresh, &reused, &other_layout}) {
+        EncodeContext ctx;
+        ctx.reconstruction = dest;
+        EXPECT_EQ(encoder.compress(dict, nullptr, ctx), blob);
+        ASSERT_EQ(dest->size(), dict.size());
+        for (std::size_t k = 0; k < dict.size(); ++k) {
+          const std::string& name = dict.entries()[k].first;
+          EXPECT_EQ(dest->entries()[k].first, name);
+          EXPECT_TRUE(dest->entries()[k].second.equals(back.get(name)))
+              << name;
+        }
+      }
+      for (std::size_t k = 0; k < storage.size(); ++k)
+        EXPECT_EQ(reused.entries()[k].second.data(), storage[k]);
+    }
   }
 }
 

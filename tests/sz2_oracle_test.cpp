@@ -4,7 +4,8 @@
 // those loops were rewritten to run across blocks and lanes (predictor
 // selection four blocks in lockstep, a branch-free regression quantizer
 // and reconstruct, word-wide Huffman I/O). Every case memcmps the library's
-// stream, and the floats it decodes, against the reference's.
+// stream, the floats it decodes and the reconstruction its encoder writes
+// against the reference's.
 //
 // Only the loops live here. Code-length construction (the Huffman tree and
 // its length-limit repair), the serialized table, ByteWriter/ByteReader and
@@ -571,6 +572,15 @@ TEST(Sz2Oracle, StreamsAndDecodedFloatsMatchTheReferenceLoops) {
     sz2().decompress_into({stream.data(), stream.size()},
                           {into.data(), into.size()});
     ASSERT_TRUE(same_floats(into, decoded)) << c.name;
+
+    // The encoder's own reconstruction is the oracle's decode too, and
+    // asking for it moves no stream byte.
+    std::vector<float> recon(c.data.size(), -1.0f);
+    Bytes with_recon;
+    sz2().compress_into(data, c.bound, with_recon,
+                        {recon.data(), recon.size()});
+    ASSERT_TRUE(same_bytes(with_recon, stream)) << c.name;
+    ASSERT_TRUE(same_floats(recon, decoded)) << c.name;
 
     // Census of what the case exercised, read from the body.
     ByteReader r({body.data(), body.size()});
