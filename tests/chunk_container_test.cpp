@@ -206,6 +206,17 @@ TEST(ChunkContainer, ConcurrentCompressOnOneCodecMatchesSerialEncodes) {
   }
 }
 
+TEST(ChunkContainer, ReconstructionIntoTheInputIsRefused) {
+  Rng rng(8);
+  StateDict dict = mixed_dict(3000, rng);
+  const StateDict copy = dict;
+  EncodeContext ctx;
+  ctx.reconstruction = &dict;
+  EXPECT_THROW(FedSz{FedSzConfig{}}.compress(dict, nullptr, ctx),
+               InvalidArgument);
+  EXPECT_TRUE(dict.equals(copy));
+}
+
 TEST(ChunkContainer, ParallelDecompressEqualsSerialDecompress) {
   Rng rng(6);
   const StateDict dict = mixed_dict(10000, rng);

@@ -339,6 +339,35 @@ TEST(LossyComparison, Sz2AndSz3RatiosAreClose) {
   EXPECT_LT(std::fabs(sz2 - sz3) / sz2, 0.35);
 }
 
+// The optional reconstruction is the decode of the fresh stream, and a
+// span of another length is refused before anything is encoded.
+TEST(LossyReconstruction, EveryCodecWritesWhatItsStreamDecodesTo) {
+  Rng rng(12);
+  const std::vector<float> data = dist_spiky_mixture(rng, 5000);
+  for (const LossyCodec* codec : all_lossy_codecs()) {
+    SCOPED_TRACE(codec->name());
+    // Tight enough that SZ2/SZ3 spikes ship verbatim.
+    const ErrorBound bound = ErrorBound::absolute(1e-6);
+    const Bytes plain = codec->compress({data.data(), data.size()}, bound);
+    std::vector<float> recon(data.size(), -1.0f);
+    Bytes out;
+    codec->compress_into({data.data(), data.size()}, bound, out,
+                         {recon.data(), recon.size()});
+    EXPECT_EQ(out, plain);
+    const std::vector<float> decoded =
+        codec->decompress({plain.data(), plain.size()});
+    ASSERT_EQ(decoded.size(), recon.size());
+    EXPECT_EQ(std::memcmp(decoded.data(), recon.data(),
+                          recon.size() * sizeof(float)),
+              0);
+    std::vector<float> short_recon(data.size() - 1);
+    EXPECT_THROW(codec->compress_into({data.data(), data.size()}, bound, out,
+                                      {short_recon.data(),
+                                       short_recon.size()}),
+                 InvalidArgument);
+  }
+}
+
 TEST(LossyComparison, StrictBoundednessFlags) {
   EXPECT_TRUE(lossy_codec(LossyId::kSz2).strictly_bounded());
   EXPECT_TRUE(lossy_codec(LossyId::kSz3).strictly_bounded());
