@@ -246,16 +246,12 @@ std::string ComposedCodec::name() const {
 UpdateCodec::Encoded ComposedCodec::encode(const StateDict& dict,
                                            const EncodeContext& ctx) const {
   Timer timer;
-  // Only the second stage's reconstruction is the decode of the payload.
-  EncodeContext first_ctx = ctx;
-  first_ctx.reconstruction = nullptr;
-  Encoded first_pass = first_->encode(dict, first_ctx);
+  Encoded first_pass = first_->encode(dict, ctx);
   const StateDict intermediate = first_->decode(
       {first_pass.payload.data(), first_pass.payload.size()});
   Encoded second_pass = second_->encode(intermediate, ctx);
   Encoded encoded;
   encoded.payload = std::move(second_pass.payload);
-  encoded.reconstructed = second_pass.reconstructed;
   encoded.stats.original_bytes = first_pass.stats.original_bytes;
   encoded.stats.compressed_bytes = encoded.payload.size();
   encoded.stats.compress_seconds = timer.seconds();
